@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,24 +81,6 @@ class ScenarioConfig:
         return 0.0 if self.noise_mode == "interference-limited" else self.n0 / 2.0
 
 
-@lru_cache(maxsize=32)
-def _relay_pair_index(n: int) -> np.ndarray:
-    """(n, n) lookup from relay pair (j, k) into the condensed gain vector.
-
-    The condensed vector stores one draw per unordered pair j < k (pilot
-    reciprocity). Diagonal entries are -1: a relay has no gain to itself.
-    """
-    idx = np.full((n, n), -1, dtype=np.int64)
-    k = 0
-    for j in range(n - 1):
-        for l in range(j + 1, n):
-            idx[j, l] = k
-            idx[l, j] = k
-            k += 1
-    idx.setflags(write=False)
-    return idx
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One sampled set of power gains |h|^2 among S, the relays, D and the eavesdroppers.
@@ -121,65 +102,21 @@ class ChannelRealization:
     s_e: np.ndarray
     r_e: np.ndarray
 
-    def relay_gain(self, j: int, k: int) -> float:
-        """Gain between relays R_j and R_k (symmetric)."""
-        if j == k:
-            raise ValueError("a relay has no channel to itself")
-        return float(self.rr_cond[_relay_pair_index(self.n)[j, k]])
-
     def gains_to_relay(self, j: int) -> np.ndarray:
-        """Gains from every relay toward R_j; position j itself is NaN."""
-        idx = _relay_pair_index(self.n)[j]
-        out = np.empty(self.n)
-        mask = idx >= 0
-        out[mask] = self.rr_cond[idx[mask]]
+        """Gains from every relay toward R_j; position j itself is NaN.
+
+        Row i of rr_cond (pairs (i, k), k > i) starts at i*(2n - i - 1)/2, so
+        the relays before j take one entry from each of their rows and the
+        relays after j are one contiguous run of row j.
+        """
+        n = self.n
+        out = np.empty(n)
+        i = np.arange(j)
+        out[:j] = self.rr_cond[i * (2 * n - i - 1) // 2 + (j - i - 1)]
+        row = j * (2 * n - j - 1) // 2
+        out[j + 1:] = self.rr_cond[row:row + n - j - 1]
         out[j] = np.nan
         return out
-
-    def gain(self, a: str, b: str) -> float:
-        """Gain for a named node pair, e.g. gain("S", "R0") or gain("R2", "E1").
-
-        Legitimate pairs may be asked in either order (reciprocity);
-        eavesdropper links only in the direction toward the eavesdropper.
-        """
-        if b in ("S", "D") and not a.startswith("E"):
-            a, b = b, a
-        if a == "S":
-            if b == "D":
-                return float(self.s_d)
-            if b.startswith("R"):
-                return float(self.s_r[int(b[1:])])
-            if b.startswith("E"):
-                return float(self.s_e[int(b[1:])])
-        elif a == "D" and b.startswith("R"):
-            return float(self.r_d[int(b[1:])])
-        elif a.startswith("R"):
-            if b.startswith("R"):
-                return self.relay_gain(int(a[1:]), int(b[1:]))
-            if b.startswith("E"):
-                return float(self.r_e[int(a[1:]), int(b[1:])])
-        raise KeyError(f"no gain stored for pair ({a}, {b})")
-
-    def pairs(self):
-        """Canonical enumeration of every stored pair as ((a, b), gain)."""
-        for j in range(self.n):
-            yield ("S", f"R{j}"), float(self.s_r[j])
-        for j in range(self.n - 1):
-            for k in range(j + 1, self.n):
-                yield (f"R{j}", f"R{k}"), self.relay_gain(j, k)
-        for j in range(self.n):
-            yield (f"R{j}", "D"), float(self.r_d[j])
-        yield ("S", "D"), float(self.s_d)
-        for i in range(self.m):
-            yield ("S", f"E{i}"), float(self.s_e[i])
-        for j in range(self.n):
-            for i in range(self.m):
-                yield (f"R{j}", f"E{i}"), float(self.r_e[j, i])
-
-
-def sample_gain(rng: np.random.Generator) -> float:
-    """One unit-mean exponential power gain draw."""
-    return float(rng.exponential())
 
 
 def sample_realization(config: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -203,25 +140,39 @@ def sample_realization(config: ScenarioConfig, rng: np.random.Generator) -> Chan
                               s_d=s_d, s_e=s_e, r_e=r_e)
 
 
-def sinr(signal_gain: float, jammer_gains, config: ScenarioConfig) -> float:
-    """SINR at a receiver: Es*g / (Es*sum(jammer gains) + N0/2).
+def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,
+         config: ScenarioConfig) -> np.ndarray:
+    """SINR in each of T trials: Es*g / (Es*sum of the jammers' gains + N0/2).
 
-    The N0/2 term is dropped in interference-limited mode. A zero
-    denominator yields +inf, which callers must treat as above any finite
-    threshold.
+    `signal_gains` is (T,) for one receiver per trial or (T, m) for m of
+    them; `gains` is (T, n) or (T, n, m), every relay's gain toward the
+    receiver(s); `jammers` is the (T, n) mask of the relays that jam.
+
+    Each trial's jammer gains are added exactly as np.sum adds that jammer
+    set on its own. numpy sums pairwise, so summing a zero-padded row would
+    regroup the additions and could move the last bit; rows are summed in
+    groups of equal jammer count instead, which also keeps a trial's result
+    independent of the other trials in its block.
     """
-    if signal_gain < 0:
+    if np.any(signal_gains < 0):
         raise ValueError("signal gain must be nonnegative")
-    interference = config.es * float(np.sum(np.asarray(jammer_gains, dtype=float)))
-    denom = interference + config.noise_term
-    if denom == 0.0:
-        return math.inf
-    return config.es * signal_gain / denom
+    interference = np.zeros(signal_gains.shape)
+    count = jammers.sum(axis=1)
+    for k in set(count.tolist()) - {0}:
+        rows = count == k
+        picked = gains[rows][jammers[rows]]
+        interference[rows] = picked.reshape(len(picked) // k, k,
+                                            *gains.shape[2:]).sum(axis=1)
+    return sinr_many(signal_gains, interference, config)
 
 
 def sinr_many(signal_gains: np.ndarray, interference_sums: np.ndarray,
               config: ScenarioConfig) -> np.ndarray:
-    """Vectorized SINR for several receivers given per-receiver interference sums."""
+    """Elementwise SINR from signal gains and interference sums.
+
+    The N0/2 term is dropped in interference-limited mode. A zero
+    denominator yields +inf, which counts as above any finite threshold.
+    """
     denom = config.es * interference_sums + config.noise_term
     out = np.full(denom.shape, math.inf)
     nz = denom > 0.0

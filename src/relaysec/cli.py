@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import InfeasibleConfigError, build_bound_report
@@ -258,11 +259,16 @@ def _sweep_values(parser, args) -> list[float]:
             vals = [float(v) for v in args.values.split(",") if v.strip() != ""]
         except ValueError:
             parser.error(f"--values must be comma-separated numbers, got {args.values!r}")
-    elif args.sweep_from is not None and args.sweep_to is not None and args.sweep_step:
-        vals, v = [], args.sweep_from
-        while v <= args.sweep_to + 1e-12:
-            vals.append(v)
-            v += args.sweep_step
+    elif None not in (args.sweep_from, args.sweep_to, args.sweep_step):
+        grid = (args.sweep_from, args.sweep_to, args.sweep_step)
+        if not all(math.isfinite(x) for x in grid) or args.sweep_step <= 0:
+            parser.error("--from/--to/--step must be finite, with --step > 0")
+        # exact decimal steps from the flags' shortest repr: no float drift,
+        # so 0 to 0.3 by 0.1 ends at 0.3 itself (decimal is imported here
+        # because only this grid needs it)
+        from decimal import Decimal
+        start, stop, step = (Decimal(repr(x)) for x in grid)
+        vals = [float(start + i * step) for i in range(math.floor((stop - start) / step) + 1)]
     else:
         parser.error("sweep needs --values or --from/--to/--step")
     if not vals:
@@ -374,6 +380,8 @@ def _cmd_tolerance(parser, args) -> int:
     except InfeasibleConfigError as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        parser.error(str(exc))
     doc = {"command": "tolerance", "config": _config_echo(merged),
            "protocol": _protocol_echo(protocol, tau_resolved),
            "eps_s": merged["eps_s"], "m_cap": args.m_cap,

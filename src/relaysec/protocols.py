@@ -1,4 +1,4 @@
-"""Two-hop transmission protocols with cooperative jamming.
+"""Two-hop transmission protocols with cooperative jamming, over blocks of trials.
 
 One transmission is: pick a relay, send S -> relay while nearby idle relays
 jam, then send relay -> D while a second jammer set jams. A relay joins a
@@ -7,6 +7,12 @@ receiver is below the threshold tau, so jammers are loud at unknown
 eavesdropper positions but quiet at the receiver. Two selection rules are
 supported: the max-min optimal rule and uniform random selection; both reuse
 the same threshold jamming, differing only in where tau comes from.
+
+Selection happens per trial, while the trial's draws are made (see
+montecarlo). Everything after it runs on arrays with a leading trial axis:
+`execute_two_hop` takes the gains a block of T transmissions reads, one row
+per trial, and `classify_outage` turns its SINRs into outage flags. A single
+transmission is a block of one.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import InfeasibleConfigError, theorem2_tau_range
-from .channel import ChannelRealization, ScenarioConfig, sinr, sinr_many
+from .channel import ChannelRealization, ScenarioConfig, sinr
 
 PROTOCOL_KINDS = ("optimal-maxmin", "random-uniform")
 TAU_POLICIES = ("protocol1-formula", "theorem2-max", "theorem2-min", "manual")
@@ -45,27 +51,27 @@ class ProtocolChoice:
 
 @dataclass(frozen=True)
 class TransmissionRecord:
-    """Everything observed during one two-hop transmission."""
+    """Everything observed during T two-hop transmissions, one row per trial."""
 
-    selected_relay: int
-    jammers_hop1: np.ndarray
-    jammers_hop2: np.ndarray
-    sinr_relay: float
-    sinr_dest: float
-    sinr_eves_hop1: np.ndarray
-    sinr_eves_hop2: np.ndarray
+    selected_relay: np.ndarray   # (T,) relay index
+    jammers_hop1: np.ndarray     # (T, n) mask of hop-1 jammers
+    jammers_hop2: np.ndarray     # (T, n) mask of hop-2 jammers
+    sinr_relay: np.ndarray       # (T,)
+    sinr_dest: np.ndarray        # (T,)
+    sinr_eves_hop1: np.ndarray   # (T, m)
+    sinr_eves_hop2: np.ndarray   # (T, m)
 
 
 @dataclass(frozen=True)
 class OutageFlags:
-    """Per-hop and end-to-end outage classification of one transmission."""
+    """Per-hop and end-to-end outage classification of T transmissions, (T,) each."""
 
-    t_out_hop1: bool
-    t_out_hop2: bool
-    s_out_hop1: bool
-    s_out_hop2: bool
-    t_out_e2e: bool
-    s_out_e2e: bool
+    t_out_hop1: np.ndarray
+    t_out_hop2: np.ndarray
+    s_out_hop1: np.ndarray
+    s_out_hop2: np.ndarray
+    t_out_e2e: np.ndarray
+    s_out_e2e: np.ndarray
 
 
 def select_relay_optimal(realization: ChannelRealization) -> int:
@@ -73,30 +79,18 @@ def select_relay_optimal(realization: ChannelRealization) -> int:
     return int(np.argmax(np.minimum(realization.s_r, realization.r_d)))
 
 
-def select_relay_random(n: int, rng: np.random.Generator) -> int:
-    """Uniform relay pick over {0, ..., n-1}."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(rng.integers(0, n))
+def jammer_set(gains: np.ndarray, selected: np.ndarray, tau: float) -> np.ndarray:
+    """(T, n) mask of the relays that jam in each of T trials.
 
-
-def jammer_set(realization: ChannelRealization, receiver, selected: int,
-               tau: float) -> np.ndarray:
-    """Indices of non-selected relays whose gain to the receiver is below tau.
-
-    `receiver` is either a relay index (hop 1 jams around the selected relay)
-    or "D" (hop 2 jams around the destination). Returned sorted ascending.
+    `gains[t, j]` is relay j's gain toward the hop's legitimate receiver (the
+    selected relay on hop 1, D on hop 2). Every relay below tau jams except
+    the trial's selected relay.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if isinstance(receiver, str):
-        if receiver != "D":
-            raise ValueError(f"receiver must be a relay index or 'D', got {receiver!r}")
-        gains = realization.r_d
-    else:
-        gains = realization.gains_to_relay(int(receiver))
-    idx = np.flatnonzero(gains < tau)
-    return idx[idx != selected]
+    jam = gains < tau
+    jam[np.arange(len(jam)), selected] = False
+    return jam
 
 
 def tau_protocol1(n: int, gamma_r: float) -> float:
@@ -132,57 +126,45 @@ def resolve_tau(protocol: ProtocolChoice, config: ScenarioConfig) -> float:
     return max(0.0, interval.tau_min)
 
 
-def execute_two_hop(realization: ChannelRealization, protocol: ProtocolChoice,
-                    config: ScenarioConfig, rng: np.random.Generator | None = None,
-                    hop2_realization: ChannelRealization | None = None) -> TransmissionRecord:
-    """Run one two-hop transmission and record every SINR.
+def execute_two_hop(selected: np.ndarray, s_r: np.ndarray, to_relay: np.ndarray,
+                    s_e: np.ndarray, r_e: np.ndarray, r_d: np.ndarray, r_e2: np.ndarray,
+                    tau: float, config: ScenarioConfig) -> TransmissionRecord:
+    """Run T two-hop transmissions and record every SINR.
+
+    Row t holds trial t's gains. Hop 1 reads its selected relay `selected`
+    (T,), the gain S -> that relay `s_r` (T,), every relay's gain toward it
+    `to_relay` (T, n), and the eavesdropper gains `s_e` (T, m) and `r_e`
+    (T, n, m). Hop 2 reads `r_d` (T, n) and `r_e2` (T, n, m) from the channel
+    it sees: the same realization as hop 1, or a fresh one when the legs are
+    independent.
 
     Hop 1: S transmits to the selected relay; jammer set 1 is thresholded
     against the selected relay. Hop 2: the selected relay transmits to D;
     jammer set 2 is thresholded against D. Each eavesdropper hears the hop's
     transmitter as signal and the hop's jammer set as interference.
-
-    `rng` is required for random selection. `hop2_realization` substitutes a
-    fresh channel for everything hop 2 touches (the independent-legs
-    validation mode); by default both hops share one realization.
     """
-    tau = resolve_tau(protocol, config)
-    if protocol.kind == "random-uniform":
-        if rng is None:
-            raise ValueError("random-uniform selection needs an rng")
-        selected = select_relay_random(realization.n, rng)
-    else:
-        selected = select_relay_optimal(realization)
-
-    hop2 = realization if hop2_realization is None else hop2_realization
-
-    jam1 = jammer_set(realization, selected, selected, tau)
-    jam2 = jammer_set(hop2, "D", selected, tau)
-
-    to_relay = realization.gains_to_relay(selected)
-    sinr_relay = sinr(float(realization.s_r[selected]), to_relay[jam1], config)
-    sinr_dest = sinr(float(hop2.r_d[selected]), hop2.r_d[jam2], config)
-
-    eves1 = sinr_many(realization.s_e, realization.r_e[jam1, :].sum(axis=0), config)
-    eves2 = sinr_many(hop2.r_e[selected, :], hop2.r_e[jam2, :].sum(axis=0), config)
-
-    return TransmissionRecord(selected_relay=selected, jammers_hop1=jam1,
-                              jammers_hop2=jam2, sinr_relay=sinr_relay,
-                              sinr_dest=sinr_dest, sinr_eves_hop1=eves1,
-                              sinr_eves_hop2=eves2)
+    rows = np.arange(len(selected))
+    jam1 = jammer_set(to_relay, selected, tau)
+    jam2 = jammer_set(r_d, selected, tau)
+    return TransmissionRecord(
+        selected_relay=selected, jammers_hop1=jam1, jammers_hop2=jam2,
+        sinr_relay=sinr(s_r, to_relay, jam1, config),
+        sinr_dest=sinr(r_d[rows, selected], r_d, jam2, config),
+        sinr_eves_hop1=sinr(s_e, r_e, jam1, config),
+        sinr_eves_hop2=sinr(r_e2[rows, selected], r_e2, jam2, config))
 
 
 def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> OutageFlags:
-    """Apply the decoding thresholds to one transmission record.
+    """Apply the decoding thresholds to T transmission records.
 
     A legitimate receiver decodes iff its SINR is strictly greater than
     gamma_r; an eavesdropper succeeds iff its SINR reaches gamma_e. Both
     boundary conventions matter only on measure-zero events but are fixed
     for reproducibility.
     """
-    t1 = not record.sinr_relay > config.gamma_r
-    t2 = not record.sinr_dest > config.gamma_r
-    s1 = bool(np.any(record.sinr_eves_hop1 >= config.gamma_e))
-    s2 = bool(np.any(record.sinr_eves_hop2 >= config.gamma_e))
+    t1 = ~(record.sinr_relay > config.gamma_r)
+    t2 = ~(record.sinr_dest > config.gamma_r)
+    s1 = np.any(record.sinr_eves_hop1 >= config.gamma_e, axis=1)
+    s2 = np.any(record.sinr_eves_hop2 >= config.gamma_e, axis=1)
     return OutageFlags(t_out_hop1=t1, t_out_hop2=t2, s_out_hop1=s1,
-                       s_out_hop2=s2, t_out_e2e=t1 or t2, s_out_e2e=s1 or s2)
+                       s_out_hop2=s2, t_out_e2e=t1 | t2, s_out_e2e=s1 | s2)

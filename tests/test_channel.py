@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from relaysec import (ChannelRealization, ScenarioConfig, sample_gain,
-                      sample_realization, sinr, trial_rng)
+from relaysec import (ChannelRealization, ScenarioConfig, sample_realization,
+                      sinr, trial_rng)
 
 
 def make_realization(s_r, rr_cond, r_d, s_d, s_e, r_e):
@@ -20,6 +20,8 @@ def make_realization(s_r, rr_cond, r_d, s_d, s_e, r_e):
 
 
 class TestSampleGain:
+    """The unit-mean exponential draw every channel gain comes from."""
+
     def test_unit_mean(self):
         # law of large numbers: sigma/sqrt(N) = 0.001 at 1e6 draws
         rng = trial_rng(42, 0)
@@ -28,7 +30,7 @@ class TestSampleGain:
 
     def test_nonnegative_support(self):
         rng = trial_rng(42, 1)
-        draws = np.array([sample_gain(rng) for _ in range(10_000)])
+        draws = rng.exponential(size=10_000)
         assert np.count_nonzero(draws < 0) == 0
 
     def test_mgf_identity_gamma_one(self):
@@ -57,24 +59,32 @@ class TestSampleGain:
 
     def test_independent_successive_draws(self):
         rng = trial_rng(45, 0)
-        a = np.array([sample_gain(rng) for _ in range(1000)])
+        a = np.array([rng.exponential() for _ in range(1000)])
         lag1 = np.corrcoef(a[:-1], a[1:])[0, 1]
         assert abs(lag1) < 0.1
 
 
+def condensed_pairs(n):
+    """Relay pairs (j, k), j < k, in the row-major order rr_cond stores them."""
+    return [(j, k) for j in range(n - 1) for k in range(j + 1, n)]
+
+
 class TestSampleRealization:
     def test_pair_enumeration_n2_m1(self):
+        # one gain per pair: S-R0, S-R1, R0-R1, R0-D, R1-D, S-D, S-E0, R0-E0, R1-E0
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
         real = sample_realization(cfg, trial_rng(1, 0))
-        pairs = {p for p, _ in real.pairs()}
-        assert pairs == {("S", "R0"), ("S", "R1"), ("R0", "R1"), ("R0", "D"),
-                         ("R1", "D"), ("S", "D"), ("S", "E0"), ("R0", "E0"),
-                         ("R1", "E0")}
+        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((2,), (1,), (2,))
+        assert isinstance(real.s_d, float)
+        assert (real.s_e.shape, real.r_e.shape) == ((1,), (2, 1))
 
     def test_pair_enumeration_n1_m0(self):
+        # S-R0, R0-D and S-D only: no relay pairs, no eavesdropper links
         cfg = ScenarioConfig(n=1, m=0, gamma_r=1.0, gamma_e=1.0)
         real = sample_realization(cfg, trial_rng(1, 0))
-        assert [p for p, _ in real.pairs()] == [("S", "R0"), ("R0", "D"), ("S", "D")]
+        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((1,), (0,), (1,))
+        assert (real.s_e.shape, real.r_e.shape) == ((0,), (1, 0))
+        assert math.isnan(real.gains_to_relay(0)[0])
 
     def test_same_seed_identical(self):
         cfg = ScenarioConfig(n=5, m=3, gamma_r=1.0, gamma_e=1.0)
@@ -88,34 +98,41 @@ class TestSampleRealization:
         assert np.array_equal(a.r_e, b.r_e)
 
     def test_substream_independent_of_creation_order(self):
-        direct = sample_gain(trial_rng(7, 5))
+        direct = trial_rng(7, 5).exponential()
         trial_rng(7, 0)
         trial_rng(7, 3)
-        assert sample_gain(trial_rng(7, 5)) == direct
+        assert trial_rng(7, 5).exponential() == direct
 
     def test_reciprocity_of_legitimate_pairs(self):
         cfg = ScenarioConfig(n=4, m=2, gamma_r=1.0, gamma_e=1.0)
         real = sample_realization(cfg, trial_rng(3, 0))
+        toward = [real.gains_to_relay(j) for j in range(4)]
         for j in range(4):
-            assert real.gain("S", f"R{j}") == real.gain(f"R{j}", "S")
-            assert real.gain(f"R{j}", "D") == real.gain("D", f"R{j}")
             for k in range(4):
                 if j != k:
-                    assert real.relay_gain(j, k) == real.relay_gain(k, j)
+                    assert toward[j][k] == toward[k][j]
 
     def test_gains_to_relay_matches_pairs(self):
-        cfg = ScenarioConfig(n=4, m=0, gamma_r=1.0, gamma_e=1.0)
-        real = sample_realization(cfg, trial_rng(3, 1))
-        toward_2 = real.gains_to_relay(2)
-        assert math.isnan(toward_2[2])
-        for j in (0, 1, 3):
-            assert toward_2[j] == real.relay_gain(j, 2)
+        for n in (2, 4, 7):
+            cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
+            real = sample_realization(cfg, trial_rng(3, 1))
+            for pos, (j, k) in enumerate(condensed_pairs(n)):
+                assert real.gains_to_relay(j)[k] == real.rr_cond[pos]
+                assert real.gains_to_relay(k)[j] == real.rr_cond[pos]
+            for j in range(n):
+                assert math.isnan(real.gains_to_relay(j)[j])
 
     def test_all_gains_finite_nonnegative(self):
         cfg = ScenarioConfig(n=6, m=3, gamma_r=1.0, gamma_e=1.0)
         real = sample_realization(cfg, trial_rng(8, 0))
-        for _, g in real.pairs():
-            assert math.isfinite(g) and g >= 0
+        for g in (real.s_r, real.rr_cond, real.r_d, [real.s_d], real.s_e, real.r_e):
+            assert np.all(np.isfinite(g)) and np.all(np.asarray(g) >= 0)
+
+
+def sinr_one(signal, jammer_gains, config):
+    """SINR of a single receiver in a batch of one, every listed relay jamming."""
+    gains = np.asarray([jammer_gains], dtype=float).reshape(1, -1)
+    return sinr(np.array([signal]), gains, np.ones(gains.shape, dtype=bool), config)[0]
 
 
 class TestSinr:
@@ -124,35 +141,52 @@ class TestSinr:
                             noise_mode="interference-limited")
 
     def test_exact_with_jammer(self):
-        assert sinr(2.0, [1.0], self.CFG_EXACT) == pytest.approx(4.0 / 3.0)
+        assert sinr_one(2.0, [1.0], self.CFG_EXACT) == pytest.approx(4.0 / 3.0)
 
     def test_exact_no_jammers(self):
-        assert sinr(2.0, [], self.CFG_EXACT) == pytest.approx(4.0)
+        assert sinr_one(2.0, [], self.CFG_EXACT) == pytest.approx(4.0)
 
     def test_interference_limited(self):
-        assert sinr(2.0, [1.0, 3.0], self.CFG_IL) == pytest.approx(0.5)
+        assert sinr_one(2.0, [1.0, 3.0], self.CFG_IL) == pytest.approx(0.5)
 
     def test_unbounded_when_denominator_zero(self):
-        assert sinr(2.0, [], self.CFG_IL) == math.inf
-        assert sinr(2.0, [0.0, 0.0], self.CFG_IL) == math.inf
+        assert sinr_one(2.0, [], self.CFG_IL) == math.inf
+        assert sinr_one(2.0, [0.0, 0.0], self.CFG_IL) == math.inf
 
     def test_es_scales_signal_only_in_exact_mode(self):
         cfg = ScenarioConfig(n=2, m=0, gamma_r=1.0, gamma_e=1.0, es=4.0, n0=1.0)
         # 4*2 / (4*1 + 0.5)
-        assert sinr(2.0, [1.0], cfg) == pytest.approx(8.0 / 4.5)
+        assert sinr_one(2.0, [1.0], cfg) == pytest.approx(8.0 / 4.5)
 
     def test_monotone_in_signal_and_jammers(self):
         rng = trial_rng(10, 0)
         for _ in range(200):
             sig = rng.exponential()
             jam = list(rng.exponential(size=rng.integers(0, 4)))
-            base = sinr(sig, jam, self.CFG_EXACT)
-            assert sinr(sig + 0.5, jam, self.CFG_EXACT) > base
-            assert sinr(sig, jam + [0.3], self.CFG_EXACT) < base
+            base = sinr_one(sig, jam, self.CFG_EXACT)
+            assert sinr_one(sig + 0.5, jam, self.CFG_EXACT) > base
+            assert sinr_one(sig, jam + [0.3], self.CFG_EXACT) < base
 
     def test_rejects_negative_signal(self):
         with pytest.raises(ValueError):
-            sinr(-1.0, [], self.CFG_EXACT)
+            sinr_one(-1.0, [], self.CFG_EXACT)
+
+
+    @pytest.mark.parametrize("m", [None, 1, 3])
+    def test_block_matches_per_trial_sums(self, m):
+        # the loop version is the reference: a block must reproduce, bit for
+        # bit, np.sum over each trial's jammer set taken on its own
+        rng = trial_rng(11, m or 0)
+        t, n = 200, 40
+        trailing = () if m is None else (m,)
+        gains = rng.exponential(size=(t, n) + trailing)
+        signal = rng.exponential(size=(t,) + trailing)
+        jammers = rng.random((t, n)) < rng.random((t, 1))
+        got = sinr(signal, gains, jammers, self.CFG_EXACT)
+        for row in range(t):
+            interference = np.sum(gains[row][jammers[row]], axis=0)
+            want = signal[row] / (interference + 0.5)
+            assert np.array_equal(got[row], want)
 
 
 class TestScenarioConfig:

@@ -204,6 +204,26 @@ class TestSweep:
         assert doc["rows"][0]["swept_value"] == 101
         assert doc["config"]["gamma_r"] == 1.0
 
+    TAU_GRID = ["sweep", "--param", "tau", "--outputs", "bounds", "--n", "11", "--m", "1",
+                "--gamma-r", "1", "--gamma-e", "1", "--eps-s", "0.5", "--eps-t", "0.5",
+                "--format", "json"]
+
+    def test_from_to_step_grid_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, *self.TAU_GRID, "--from", "0", "--to", "0.3",
+                               "--step", "0.1")
+        assert code == EXIT_OK
+        assert [r["swept_value"] for r in loads(out)["rows"]] == [0.0, 0.1, 0.2, 0.3]
+        code, out, _ = run_cli(capsys, *self.TAU_GRID, "--from", "0", "--to", "1",
+                               "--step", "0.1")
+        values = [r["swept_value"] for r in loads(out)["rows"]]
+        assert len(values) == 11 and values[-1] == 1.0
+
+    @pytest.mark.parametrize("step", ["-0.1", "0"])
+    def test_nonpositive_step_usage_error(self, step):
+        with pytest.raises(SystemExit) as err:
+            main(self.TAU_GRID + ["--from", "0", "--to", "0.3", "--step", step])
+        assert err.value.code == EXIT_USAGE
+
 
 class TestTolerance:
     def test_unit_budget_hits_cap(self, capsys):
@@ -215,6 +235,12 @@ class TestTolerance:
         doc = loads(out)
         assert doc["result"]["m_max"] == 4
         assert doc["result"]["violated_at_m1"] is False
+
+    def test_zero_trials_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["tolerance", "--n", "11", "--gamma-r", "1", "--gamma-e", "1",
+                  "--eps-s", "0.5", "--tau", "0.5", "--trials", "0"])
+        assert err.value.code == EXIT_USAGE
 
 
 class TestValidate:

@@ -1,4 +1,8 @@
-"""Protocol engine tests: selection rules, jammer sets, and a hand-worked transmission."""
+"""Protocol engine tests: selection rules, jammer sets, and hand-worked transmissions.
+
+The block kernel is exercised with a batch of one: a hand-built realization
+is turned into the one-row arrays `execute_two_hop` reads.
+"""
 
 import math
 
@@ -7,10 +11,10 @@ import pytest
 from scipy import stats
 
 from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
-                      classify_outage, execute_two_hop, jammer_set,
+                      classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, sample_realization,
-                      select_relay_optimal, select_relay_random, tau_protocol1,
-                      theorem2_tau_range, trial_rng)
+                      select_relay_optimal, tau_protocol1, theorem2_tau_range,
+                      trial_rng)
 from relaysec.protocols import TransmissionRecord
 
 from .test_channel import make_realization
@@ -20,6 +24,20 @@ def pair_realization(s_r, r_d):
     """Realization with only the gains max-min selection looks at."""
     n = len(s_r)
     return make_realization(s_r, np.ones(n * (n - 1) // 2), r_d, 1.0, [], [[] for _ in range(n)])
+
+
+def one_trial(real, selected, hop2=None):
+    """The block arrays of a single transmission on `real` (hop 2 on `hop2` if given)."""
+    hop2 = real if hop2 is None else hop2
+    return dict(selected=np.array([selected]), s_r=real.s_r[[selected]],
+                to_relay=real.gains_to_relay(selected)[None], s_e=real.s_e[None],
+                r_e=real.r_e[None], r_d=hop2.r_d[None], r_e2=hop2.r_e[None])
+
+
+def jammers(gains, selected, tau):
+    """Jamming relays of a single trial, as a set of indices."""
+    mask = jammer_set(np.asarray(gains, dtype=float)[None], [selected], tau)
+    return set(np.flatnonzero(mask[0]))
 
 
 class TestSelectRelayOptimal:
@@ -55,57 +73,52 @@ class TestSelectRelayOptimal:
 
 
 class TestSelectRelayRandom:
+    """Uniform random selection: one rng.integers(0, n) per pick, as load_balance draws it."""
+
+    RANDOM = ProtocolChoice(kind="random-uniform")
+
     def test_single_relay(self):
-        rng = trial_rng(1, 0)
-        assert all(select_relay_random(1, rng) == 0 for _ in range(100))
+        cfg = ScenarioConfig(n=1, m=0, gamma_r=1.0, gamma_e=1.0, coherence_len=10)
+        assert load_balance(cfg, self.RANDOM, 100, 1).selection_counts == (100,)
 
     def test_uniform_frequencies(self):
-        rng = trial_rng(2, 0)
-        picks = np.array([select_relay_random(4, rng) for _ in range(100_000)])
-        counts = np.bincount(picks, minlength=4)
+        cfg = ScenarioConfig(n=4, m=0, gamma_r=1.0, gamma_e=1.0, coherence_len=1000)
+        counts = np.array(load_balance(cfg, self.RANDOM, 100_000, 2).selection_counts)
         assert np.all(np.abs(counts / 100_000 - 0.25) < 0.01)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_same_seed_same_sequence(self):
-        a = [select_relay_random(7, trial_rng(5, t)) for t in range(50)]
-        b = [select_relay_random(7, trial_rng(5, t)) for t in range(50)]
-        assert a == b
+        cfg = ScenarioConfig(n=7, m=0, gamma_r=1.0, gamma_e=1.0)
+        a = load_balance(cfg, self.RANDOM, 50, 5)
+        assert load_balance(cfg, self.RANDOM, 50, 5) == a
+        assert load_balance(cfg, self.RANDOM, 50, 6) != a
 
 
 class TestJammerSet:
-    def real_with_gains_to_receiver(self, r_d):
-        n = len(r_d)
-        return make_realization(np.ones(n), np.ones(n * (n - 1) // 2), r_d, 1.0,
-                                [], [[] for _ in range(n)])
-
     def test_zero_threshold_empty(self):
-        real = self.real_with_gains_to_receiver([0.5, 0.1, 0.2])
-        assert len(jammer_set(real, "D", 0, 0.0)) == 0
+        assert jammers([0.5, 0.1, 0.2], 0, 0.0) == set()
 
     def test_everyone_below_threshold(self):
-        real = self.real_with_gains_to_receiver([0.5, 0.1, 0.2])
-        assert set(jammer_set(real, "D", 1, 10.0)) == {0, 2}
+        assert jammers([0.5, 0.1, 0.2], 1, 10.0) == {0, 2}
 
     def test_threshold_selects_exactly(self):
-        real = self.real_with_gains_to_receiver([0.05, 0.2, 0.01])
-        assert set(jammer_set(real, "D", 1, 0.1)) == {0, 2}
+        assert jammers([0.05, 0.2, 0.01], 1, 0.1) == {0, 2}
 
     def test_selected_relay_never_jams(self):
-        real = self.real_with_gains_to_receiver([0.001, 0.001, 0.001])
-        assert 1 not in jammer_set(real, "D", 1, 1.0)
+        assert 1 not in jammers([0.001, 0.001, 0.001], 1, 1.0)
 
     def test_hop1_uses_gains_toward_selected_relay(self):
         # relay pair gains (0,1)=0.05, (0,2)=0.5, (1,2)=0.01
         real = make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], 1.0,
                                 [], [[], [], []])
-        assert set(jammer_set(real, 1, 1, 0.1)) == {0, 2}
-        assert set(jammer_set(real, 0, 0, 0.1)) == {1}
+        assert jammers(real.gains_to_relay(1), 1, 0.1) == {0, 2}
+        assert jammers(real.gains_to_relay(0), 0, 0.1) == {1}
 
     def test_monotone_in_tau(self):
         cfg = ScenarioConfig(n=9, m=0, gamma_r=1.0, gamma_e=1.0)
         real = sample_realization(cfg, trial_rng(30, 0))
         taus = [0.0, 0.05, 0.2, 0.8, 2.0]
-        sets = [set(jammer_set(real, 3, 3, t)) for t in taus]
+        sets = [jammers(real.gains_to_relay(3), 3, t) for t in taus]
         for small, large in zip(sets[:-1], sets[1:]):
             assert small <= large
 
@@ -113,10 +126,8 @@ class TestJammerSet:
         # |set| ~ Binomial(n-1, 1-e^-tau)
         n, tau, trials = 11, 0.3, 20_000
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
-        sizes = np.empty(trials)
-        for t in range(trials):
-            real = sample_realization(cfg, trial_rng(31, t))
-            sizes[t] = len(jammer_set(real, "D", 0, tau))
+        r_d = np.array([sample_realization(cfg, trial_rng(31, t)).r_d for t in range(trials)])
+        sizes = jammer_set(r_d, np.zeros(trials, dtype=int), tau).sum(axis=1)
         expected = (n - 1) * (1.0 - math.exp(-tau))
         se = sizes.std(ddof=1) / math.sqrt(trials)
         assert abs(sizes.mean() - expected) < 3 * se
@@ -194,6 +205,7 @@ class TestProtocolChoiceValidation:
 
 class TestExecuteTwoHop:
     CFG = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0, es=1.0, n0=1.0)
+    TAU01 = 0.1
 
     def hand_case(self):
         return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08],
@@ -202,95 +214,112 @@ class TestExecuteTwoHop:
     def test_hand_worked_record(self):
         # selected = argmax(min(2,1.5), min(0.5,0.08)) = 0; both other-relay
         # gains 0.05 and 0.08 sit below tau = 0.1, so relay 1 jams both hops.
-        proto = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.1)
-        rec = execute_two_hop(self.hand_case(), proto, self.CFG)
-        assert rec.selected_relay == 0
-        assert set(rec.jammers_hop1) == {1}
-        assert set(rec.jammers_hop2) == {1}
-        assert rec.sinr_relay == pytest.approx(2.0 / (0.05 + 0.5))
-        assert rec.sinr_dest == pytest.approx(1.5 / (0.08 + 0.5))
-        assert rec.sinr_eves_hop1[0] == pytest.approx(0.7 / (0.04 + 0.5))
-        assert rec.sinr_eves_hop2[0] == pytest.approx(0.3 / (0.04 + 0.5))
+        real = self.hand_case()
+        assert select_relay_optimal(real) == 0
+        rec = execute_two_hop(**one_trial(real, 0), tau=self.TAU01, config=self.CFG)
+        assert rec.selected_relay[0] == 0
+        assert set(np.flatnonzero(rec.jammers_hop1[0])) == {1}
+        assert set(np.flatnonzero(rec.jammers_hop2[0])) == {1}
+        assert rec.sinr_relay[0] == pytest.approx(2.0 / (0.05 + 0.5))
+        assert rec.sinr_dest[0] == pytest.approx(1.5 / (0.08 + 0.5))
+        assert rec.sinr_eves_hop1[0, 0] == pytest.approx(0.7 / (0.04 + 0.5))
+        assert rec.sinr_eves_hop2[0, 0] == pytest.approx(0.3 / (0.04 + 0.5))
 
     def test_hand_worked_outage(self):
-        proto = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.1)
-        flags = classify_outage(execute_two_hop(self.hand_case(), proto, self.CFG), self.CFG)
-        assert not flags.t_out_hop1 and not flags.t_out_hop2 and not flags.t_out_e2e
-        assert flags.s_out_hop1          # 1.296 >= 1
-        assert not flags.s_out_hop2      # 0.556 < 1
-        assert flags.s_out_e2e
+        rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=self.TAU01, config=self.CFG)
+        flags = classify_outage(rec, self.CFG)
+        assert not flags.t_out_hop1[0] and not flags.t_out_hop2[0] and not flags.t_out_e2e[0]
+        assert flags.s_out_hop1[0]          # 1.296 >= 1
+        assert not flags.s_out_hop2[0]      # 0.556 < 1
+        assert flags.s_out_e2e[0]
 
     def test_zero_tau_degenerate(self):
-        proto = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.0)
-        rec = execute_two_hop(self.hand_case(), proto, self.CFG)
-        assert len(rec.jammers_hop1) == 0 and len(rec.jammers_hop2) == 0
-        assert rec.sinr_relay == pytest.approx(2.0 / 0.5)
+        rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=0.0, config=self.CFG)
+        assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
+        assert rec.sinr_relay[0] == pytest.approx(2.0 / 0.5)
 
     def test_single_relay_unbounded_eve(self):
         cfg = ScenarioConfig(n=1, m=1, gamma_r=1.0, gamma_e=1.0,
                              noise_mode="interference-limited")
         real = make_realization([1.3], [], [0.9], 1.0, [0.2], [[0.5]])
-        for proto in (ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.5),
-                      ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.5)):
-            rec = execute_two_hop(real, proto, cfg, rng=trial_rng(0, 0))
-            assert rec.selected_relay == 0
-            assert len(rec.jammers_hop1) == 0 and len(rec.jammers_hop2) == 0
-            assert rec.sinr_eves_hop1[0] == math.inf
-            assert rec.sinr_eves_hop2[0] == math.inf
-
-    def test_random_kind_needs_rng(self):
-        proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.1)
-        with pytest.raises(ValueError):
-            execute_two_hop(self.hand_case(), proto, self.CFG)
+        # both rules can only pick relay 0
+        assert select_relay_optimal(real) == 0
+        assert trial_rng(0, 0).integers(0, 1) == 0
+        rec = execute_two_hop(**one_trial(real, 0), tau=0.5, config=cfg)
+        assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
+        assert rec.sinr_eves_hop1[0, 0] == math.inf
+        assert rec.sinr_eves_hop2[0, 0] == math.inf
 
     def test_independent_legs_hop2_gains(self):
         # hop 2 quantities must come from the substitute realization
-        proto = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.1)
         alt = make_realization([2.0, 0.5], [0.05], [0.9, 4.0], 1.0, [0.7], [[0.6], [2.0]])
-        rec = execute_two_hop(self.hand_case(), proto, self.CFG, hop2_realization=alt)
-        assert rec.selected_relay == 0
-        assert len(rec.jammers_hop2) == 0      # alt r_d gains exceed tau
-        assert rec.sinr_dest == pytest.approx(0.9 / 0.5)
-        assert rec.sinr_eves_hop2[0] == pytest.approx(0.6 / 0.5)
+        rec = execute_two_hop(**one_trial(self.hand_case(), 0, hop2=alt), tau=self.TAU01,
+                              config=self.CFG)
+        assert rec.selected_relay[0] == 0
+        assert not rec.jammers_hop2.any()      # alt r_d gains exceed tau
+        assert rec.sinr_dest[0] == pytest.approx(0.9 / 0.5)
+        assert rec.sinr_eves_hop2[0, 0] == pytest.approx(0.6 / 0.5)
         # hop 1 still from the original channel
-        assert rec.sinr_relay == pytest.approx(2.0 / (0.05 + 0.5))
+        assert rec.sinr_relay[0] == pytest.approx(2.0 / (0.05 + 0.5))
+
+    def test_block_rows_match_batches_of_one(self):
+        # a trial's outcome depends on its own row only, never on its block
+        cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
+        rows = []
+        for t in range(40):
+            rng = trial_rng(60, t)
+            real = sample_realization(cfg, rng)
+            rows.append(one_trial(real, int(rng.integers(0, cfg.n))))
+        block = {k: np.concatenate([r[k] for r in rows]) for k in rows[0]}
+        whole = execute_two_hop(**block, tau=0.3, config=cfg)
+        for t, row in enumerate(rows):
+            one = execute_two_hop(**row, tau=0.3, config=cfg)
+            for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
+                          "sinr_eves_hop1", "sinr_eves_hop2"):
+                assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
 
 
 class TestClassifyOutage:
     CFG = ScenarioConfig(n=3, m=2, gamma_r=1.0, gamma_e=1.0)
 
     def record(self, sr, sd, e1, e2):
-        return TransmissionRecord(selected_relay=0, jammers_hop1=np.array([], dtype=int),
-                                  jammers_hop2=np.array([], dtype=int), sinr_relay=sr,
-                                  sinr_dest=sd, sinr_eves_hop1=np.asarray(e1, dtype=float),
-                                  sinr_eves_hop2=np.asarray(e2, dtype=float))
+        """A batch of one with the given SINRs and no jammers."""
+        none = np.zeros((1, 3), dtype=bool)
+        return TransmissionRecord(selected_relay=np.array([0]), jammers_hop1=none,
+                                  jammers_hop2=none, sinr_relay=np.array([sr]),
+                                  sinr_dest=np.array([sd]),
+                                  sinr_eves_hop1=np.asarray([e1], dtype=float),
+                                  sinr_eves_hop2=np.asarray([e2], dtype=float))
+
+    def flags(self, record, cfg):
+        f = classify_outage(record, cfg)
+        return {k: bool(v[0]) for k, v in vars(f).items()}
 
     def test_tiny_gamma_r_never_outage(self):
         cfg = ScenarioConfig(n=3, m=2, gamma_r=1e-12, gamma_e=1.0)
-        flags = classify_outage(self.record(0.01, 0.02, [0.0, 0.0], [0.0, 0.0]), cfg)
-        assert not flags.t_out_hop1 and not flags.t_out_hop2
+        flags = self.flags(self.record(0.01, 0.02, [0.0, 0.0], [0.0, 0.0]), cfg)
+        assert not flags["t_out_hop1"] and not flags["t_out_hop2"]
 
     def test_huge_gamma_e_never_secrecy_outage(self):
         cfg = ScenarioConfig(n=3, m=2, gamma_r=1.0, gamma_e=1e12)
-        flags = classify_outage(self.record(5.0, 5.0, [100.0, 3.0], [7.0, 2.0]), cfg)
-        assert not flags.s_out_hop1 and not flags.s_out_hop2 and not flags.s_out_e2e
+        flags = self.flags(self.record(5.0, 5.0, [100.0, 3.0], [7.0, 2.0]), cfg)
+        assert not flags["s_out_hop1"] and not flags["s_out_hop2"] and not flags["s_out_e2e"]
 
     def test_boundary_conventions(self):
         # decoding needs strictly greater; interception needs only equality
-        flags = classify_outage(self.record(1.0, 2.0, [1.0, 0.2], [0.1, 0.2]), self.CFG)
-        assert flags.t_out_hop1 and not flags.t_out_hop2
-        assert flags.s_out_hop1 and not flags.s_out_hop2
+        flags = self.flags(self.record(1.0, 2.0, [1.0, 0.2], [0.1, 0.2]), self.CFG)
+        assert flags["t_out_hop1"] and not flags["t_out_hop2"]
+        assert flags["s_out_hop1"] and not flags["s_out_hop2"]
 
     def test_e2e_is_or_of_hops(self):
         rng = trial_rng(40, 0)
         for _ in range(50):
             vals = rng.exponential(size=6)
-            flags = classify_outage(
-                self.record(vals[0], vals[1], vals[2:4], vals[4:6]), self.CFG)
-            assert flags.t_out_e2e == (flags.t_out_hop1 or flags.t_out_hop2)
-            assert flags.s_out_e2e == (flags.s_out_hop1 or flags.s_out_hop2)
+            flags = self.flags(self.record(vals[0], vals[1], vals[2:4], vals[4:6]), self.CFG)
+            assert flags["t_out_e2e"] == (flags["t_out_hop1"] or flags["t_out_hop2"])
+            assert flags["s_out_e2e"] == (flags["s_out_hop1"] or flags["s_out_hop2"])
 
     def test_no_eavesdroppers_no_secrecy_outage(self):
         cfg = ScenarioConfig(n=3, m=0, gamma_r=1.0, gamma_e=1.0)
-        flags = classify_outage(self.record(5.0, 5.0, [], []), cfg)
-        assert not flags.s_out_e2e
+        flags = self.flags(self.record(5.0, 5.0, [], []), cfg)
+        assert not flags["s_out_e2e"]
