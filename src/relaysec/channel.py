@@ -7,6 +7,11 @@ equal path loss for all pairs). Legitimate pairs are reciprocal, one draw per
 unordered pair, because relay and jammer decisions are made from pilot
 measurements of those same links; eavesdropper links are directional draws
 that nothing ever measures. One realization spans both hops of a transmission.
+
+A realization is drawn as one flat row of exponential gains
+(`sample_realization`, sized by `realization_size`); `ChannelRealization`
+reads a block of T such rows as arrays with a leading trial axis, so
+everything computed from the gains runs once per block.
 """
 
 from __future__ import annotations
@@ -81,16 +86,36 @@ class ScenarioConfig:
         return 0.0 if self.noise_mode == "interference-limited" else self.n0 / 2.0
 
 
+def realization_size(config: ScenarioConfig) -> int:
+    """Gains in one realization: 2n + n(n-1)/2 + 1 + m + nm."""
+    n, m = config.n, config.m
+    return 2 * n + n * (n - 1) // 2 + 1 + m + n * m
+
+
+def sample_realization(config: ScenarioConfig, rng: np.random.Generator,
+                       out: np.ndarray) -> np.ndarray:
+    """Draw one channel realization of `config` into the row `out` and return it.
+
+    `out` holds realization_size(config) unit-mean exponential gains in a
+    fixed layout (s_r, rr_cond, r_d, s_d, s_e, r_e row-major; see
+    `ChannelRealization.from_draws`), so a given generator state always
+    yields the same realization.
+    """
+    return rng.standard_exponential(out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One sampled set of power gains |h|^2 among S, the relays, D and the eavesdroppers.
+    """T sampled sets of power gains |h|^2 among S, the relays, D and the eavesdroppers.
 
-    s_r[j]     gain S <-> R_j (reciprocal)
-    rr_cond    gains R_j <-> R_k, j < k, condensed row-major (reciprocal)
-    r_d[j]     gain R_j <-> D (reciprocal)
-    s_d        gain S <-> D (sampled for completeness; neither protocol uses it)
-    s_e[i]     gain S -> E_i (directional)
-    r_e[j, i]  gain R_j -> E_i (directional)
+    Row t of every field belongs to trial t:
+
+    s_r[t, j]     gain S <-> R_j (reciprocal)
+    rr_cond[t]    gains R_j <-> R_k, j < k, condensed row-major (reciprocal)
+    r_d[t, j]     gain R_j <-> D (reciprocal)
+    s_d[t]        gain S <-> D (sampled for completeness; neither protocol uses it)
+    s_e[t, i]     gain S -> E_i (directional)
+    r_e[t, j, i]  gain R_j -> E_i (directional)
     """
 
     n: int
@@ -98,46 +123,40 @@ class ChannelRealization:
     s_r: np.ndarray
     rr_cond: np.ndarray
     r_d: np.ndarray
-    s_d: float
+    s_d: np.ndarray
     s_e: np.ndarray
     r_e: np.ndarray
 
-    def gains_to_relay(self, j: int) -> np.ndarray:
-        """Gains from every relay toward R_j; position j itself is NaN.
+    @classmethod
+    def from_draws(cls, config: ScenarioConfig, draws: np.ndarray) -> ChannelRealization:
+        """Views into a (T, realization_size(config)) block of drawn rows."""
+        n, m = config.n, config.m
+        n_rr = n * (n - 1) // 2
+        o = 0
+        s_r = draws[:, o:o + n]; o += n
+        rr_cond = draws[:, o:o + n_rr]; o += n_rr
+        r_d = draws[:, o:o + n]; o += n
+        s_d = draws[:, o]; o += 1
+        s_e = draws[:, o:o + m]; o += m
+        r_e = draws[:, o:].reshape(len(draws), n, m)
+        return cls(n=n, m=m, s_r=s_r, rr_cond=rr_cond, r_d=r_d, s_d=s_d, s_e=s_e, r_e=r_e)
 
-        Row i of rr_cond (pairs (i, k), k > i) starts at i*(2n - i - 1)/2, so
-        the relays before j take one entry from each of their rows and the
-        relays after j are one contiguous run of row j.
+    def gains_to_relay(self, selected: np.ndarray) -> np.ndarray:
+        """(T, n) gains from every relay toward trial t's relay selected[t]; that relay is NaN.
+
+        Pair (a, b), a < b, sits at a*(2n - a - 1)/2 + (b - a - 1) in
+        rr_cond. On the diagonal a = b that formula lands one before row a's
+        first pair, a valid index whenever n >= 2, and is overwritten.
         """
-        n = self.n
-        out = np.empty(n)
-        i = np.arange(j)
-        out[:j] = self.rr_cond[i * (2 * n - i - 1) // 2 + (j - i - 1)]
-        row = j * (2 * n - j - 1) // 2
-        out[j + 1:] = self.rr_cond[row:row + n - j - 1]
-        out[j] = np.nan
+        if self.n == 1:
+            return np.full((len(selected), 1), np.nan)
+        rows = np.arange(len(selected))
+        sel = selected[:, None]
+        other = np.arange(self.n)
+        a, b = np.minimum(sel, other), np.maximum(sel, other)
+        out = self.rr_cond[rows[:, None], a * (2 * self.n - a - 1) // 2 + (b - a - 1)]
+        out[rows, selected] = np.nan
         return out
-
-
-def sample_realization(config: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Sample a full channel realization for the configured scenario.
-
-    All gains are drawn in one exponential block with a fixed layout
-    (s_r, rr_cond, r_d, s_d, s_e, r_e row-major), so a given generator state
-    always yields the same realization.
-    """
-    n, m = config.n, config.m
-    n_rr = n * (n - 1) // 2
-    draws = rng.exponential(1.0, size=2 * n + n_rr + 1 + m + n * m)
-    o = 0
-    s_r = draws[o:o + n]; o += n
-    rr_cond = draws[o:o + n_rr]; o += n_rr
-    r_d = draws[o:o + n]; o += n
-    s_d = float(draws[o]); o += 1
-    s_e = draws[o:o + m]; o += m
-    r_e = draws[o:].reshape(n, m)
-    return ChannelRealization(n=n, m=m, s_r=s_r, rr_cond=rr_cond, r_d=r_d,
-                              s_d=s_d, s_e=s_e, r_e=r_e)
 
 
 def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,

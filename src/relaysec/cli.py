@@ -43,6 +43,10 @@ _SCENARIO_KEYS = ("n", "m", "gamma_r", "gamma_e", "es", "n0", "noise_mode",
                   "coherence_len", "eps_s", "eps_t")
 _PROTOCOL_KEYS = ("kind", "tau_policy", "tau")
 _RUN_KEYS = ("trials", "seed", "legs", "workers")
+# value types a config file must use, as the matching flags parse them;
+# every other key takes a number
+_INT_KEYS = ("n", "m", "coherence_len", "trials", "seed", "workers")
+_STR_KEYS = ("noise_mode", "kind", "tau_policy", "legs")
 
 _DEFAULTS = {"es": 1.0, "n0": 1.0, "noise_mode": "exact", "coherence_len": 1,
              "kind": "random-uniform", "tau_policy": "protocol1-formula",
@@ -129,8 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _shared_flags(p_val)
     p_val.add_argument("--quick", action="store_true",
                        help="fewer trials (tolerances widen automatically)")
-    p_val.add_argument("--inject-gamma-e-offset", type=float, default=0.0,
-                       help=argparse.SUPPRESS)
 
     return parser
 
@@ -153,6 +155,10 @@ def _resolve_settings(parser: argparse.ArgumentParser, args: argparse.Namespace,
         unknown = set(file_vals) - known
         if unknown:
             parser.error(f"unknown config file keys: {sorted(unknown)}")
+        wrong = sorted(k for k, v in file_vals.items() if not _type_ok(k, v))
+        if wrong:
+            parser.error(f"config file values of the wrong type: "
+                         f"{', '.join(f'{k}={file_vals[k]!r}' for k in wrong)}")
         merged.update(file_vals)
     for key in (*_SCENARIO_KEYS, *_PROTOCOL_KEYS, *_RUN_KEYS):
         val = getattr(args, key, None)
@@ -171,27 +177,24 @@ def _resolve_settings(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return merged
 
 
-def _make_scenario(local: dict) -> ScenarioConfig:
-    return ScenarioConfig(**{k: local[k] for k in _SCENARIO_KEYS if local.get(k) is not None})
+def _type_ok(key: str, value) -> bool:
+    """Whether a config-file value has the type the matching flag would parse."""
+    if value is None:
+        return True
+    if isinstance(value, bool):
+        return False
+    if key in _INT_KEYS:
+        return isinstance(value, int)
+    if key in _STR_KEYS:
+        return isinstance(value, str)
+    return isinstance(value, (int, float))
 
 
-def _make_protocol(local: dict) -> ProtocolChoice:
-    return ProtocolChoice(kind=local["kind"], tau_policy=local["tau_policy"],
-                          tau=local.get("tau"))
-
-
-def _scenario(parser, merged) -> ScenarioConfig:
-    try:
-        return _make_scenario(merged)
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
-
-
-def _protocol(parser, merged) -> ProtocolChoice:
-    try:
-        return _make_protocol(merged)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _objects(local: dict) -> tuple[ScenarioConfig, ProtocolChoice]:
+    """The scenario and protocol of resolved settings; ValueError if either is invalid."""
+    config = ScenarioConfig(**{k: local[k] for k in _SCENARIO_KEYS if local.get(k) is not None})
+    return config, ProtocolChoice(kind=local["kind"], tau_policy=local["tau_policy"],
+                                  tau=local.get("tau"))
 
 
 def _config_echo(merged: dict) -> dict:
@@ -211,45 +214,35 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+def _emit_record(args, record: dict, doc: dict) -> None:
+    """One result: `record` as a CSV header and row, or `doc` as JSON (the default)."""
+    if (args.fmt or "json") == "csv":
+        _emit(csv_line(record) + "\n" + csv_line(record.values()), args.out)
+    else:
+        _emit(dumps(doc, indent=2), args.out)
+
+
 def _cmd_bounds(parser, args) -> int:
     merged = _resolve_settings(parser, args,
                                required=("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t"))
-    try:
-        report = build_bound_report(merged["n"], merged["m"], merged["gamma_r"],
-                                    merged["gamma_e"], merged["eps_s"], merged["eps_t"],
-                                    tau=merged.get("tau"))
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = build_bound_report(merged["n"], merged["m"], merged["gamma_r"],
+                                merged["gamma_e"], merged["eps_s"], merged["eps_t"],
+                                tau=merged.get("tau"))
     rd = report.as_dict()
-    if (args.fmt or "json") == "csv":
-        keys = list(rd)
-        _emit(csv_line(keys) + "\n" + csv_line([rd[k] for k in keys]), args.out)
-    else:
-        _emit(dumps({"command": "bounds", "report": rd}, indent=2), args.out)
+    _emit_record(args, rd, {"command": "bounds", "report": rd})
     return EXIT_OK if report.tau_interval.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(parser, args) -> int:
     merged = _resolve_settings(parser, args, required=("n", "m", "gamma_r", "gamma_e"))
-    config = _scenario(parser, merged)
-    protocol = _protocol(parser, merged)
-    try:
-        tau_resolved = resolve_tau(protocol, config)
-        est = estimate_outage(config, protocol, merged["trials"], merged["seed"],
-                              legs=merged["legs"], workers=merged["workers"])
-    except InfeasibleConfigError as exc:
-        print(f"infeasible configuration: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        parser.error(str(exc))
+    config, protocol = _objects(merged)
+    tau_resolved = resolve_tau(protocol, config)
+    est = estimate_outage(config, protocol, merged["trials"], merged["seed"],
+                          legs=merged["legs"], workers=merged["workers"])
     res = est.as_dict()
-    if (args.fmt or "json") == "csv":
-        keys = list(res)
-        _emit(csv_line(keys) + "\n" + csv_line([res[k] for k in keys]), args.out)
-    else:
-        doc = {"command": "simulate", "config": _config_echo(merged),
-               "protocol": _protocol_echo(protocol, tau_resolved), "result": res}
-        _emit(dumps(doc, indent=2), args.out)
+    _emit_record(args, res, {"command": "simulate", "config": _config_echo(merged),
+                             "protocol": _protocol_echo(protocol, tau_resolved),
+                             "result": res})
     return EXIT_OK
 
 
@@ -289,8 +282,7 @@ def _sweep_row(args, local: dict) -> dict:
     row = dict.fromkeys(SWEEP_COLUMNS)
     row["status"] = "ok"
     try:
-        config = _make_scenario(local)
-        protocol = _make_protocol(local)
+        config, protocol = _objects(local)
     except ValueError:
         row["status"] = "error"
         return row
@@ -353,10 +345,7 @@ def _cmd_sweep(parser, args) -> int:
         print(dumps(echo), file=sys.stderr)
         table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
         if args.out:
-            try:
-                write_csv(args.out, SWEEP_COLUMNS, table, append=args.append)
-            except ValueError as exc:
-                parser.error(str(exc))
+            write_csv(args.out, SWEEP_COLUMNS, table, append=args.append)
         else:
             print(csv_line(SWEEP_COLUMNS))
             for r in table:
@@ -368,20 +357,11 @@ def _cmd_tolerance(parser, args) -> int:
     merged = _resolve_settings(parser, args, required=("n", "gamma_r", "gamma_e", "eps_s"))
     if merged.get("m") is None:
         merged["m"] = 1  # base m only seeds tau resolution; the search replaces it
-    if args.m_cap < 1:
-        parser.error(f"--m-cap must be >= 1, got {args.m_cap}")
-    config = _scenario(parser, merged)
-    protocol = _protocol(parser, merged)
-    try:
-        tau_resolved = resolve_tau(protocol, config)
-        result = tolerance_search(config, protocol, merged["eps_s"], merged["trials"],
-                                  args.m_cap, merged["seed"], legs=merged["legs"],
-                                  workers=merged["workers"])
-    except InfeasibleConfigError as exc:
-        print(f"infeasible configuration: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        parser.error(str(exc))
+    config, protocol = _objects(merged)
+    result = tolerance_search(config, protocol, merged["eps_s"], merged["trials"],
+                              args.m_cap, merged["seed"], legs=merged["legs"],
+                              workers=merged["workers"])
+    tau_resolved = resolve_tau(protocol, config)
     doc = {"command": "tolerance", "config": _config_echo(merged),
            "protocol": _protocol_echo(protocol, tau_resolved),
            "eps_s": merged["eps_s"], "m_cap": args.m_cap,
@@ -400,8 +380,7 @@ def _cmd_validate(parser, args) -> int:
         trials = 20_000 if args.quick else merged["trials"]
     mgf_samples = 100_000 if args.quick else 1_000_000
     results = run_oracle_suite(trials=trials, mgf_samples=mgf_samples,
-                               seed=merged["seed"],
-                               gamma_e_oracle_offset=args.inject_gamma_e_offset)
+                               seed=merged["seed"])
     _emit("\n".join(r.line() for r in results), args.out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
@@ -411,7 +390,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"bounds": _cmd_bounds, "simulate": _cmd_simulate, "sweep": _cmd_sweep,
                "tolerance": _cmd_tolerance, "validate": _cmd_validate}[args.command]
-    return handler(parser, args)
+    try:
+        return handler(parser, args)
+    except InfeasibleConfigError as exc:
+        print(f"infeasible configuration: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

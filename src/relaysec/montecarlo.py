@@ -6,12 +6,13 @@ number of workers and merged back into counts that are bit-identical to a
 single-worker run. All proportions carry Wilson 95% intervals, which stay
 honest at the extreme rates secrecy studies produce.
 
-The trial kernel works in blocks. A Python loop makes each trial's draws in
-the fixed stream layout (see `_run_trials`), selects its relay and copies the
-gains the protocol reads into preallocated block arrays; one vectorised pass
-then computes the jammer sets, SINRs and outage flags of the whole block, and
-the counts are sums over it. A trial's outcome depends only on its own row,
-so block boundaries never change a count.
+The trial kernel works in blocks. A Python loop only advances each trial's
+stream in the fixed layout (see `_run_trials`), drawing its realization rows
+into one preallocated block and, for random selection, its relay index; one
+vectorised pass then reads the block as `ChannelRealization`s, selects the
+max-min relays and computes the jammer sets, SINRs and outage flags, and the
+counts are sums over it. A trial's outcome depends only on its own row, so
+block boundaries never change a count.
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -30,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ScenarioConfig, sample_realization, trial_rng
+from .channel import (ChannelRealization, ScenarioConfig, realization_size,
+                      sample_realization, trial_rng)
 from .protocols import (ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
@@ -65,9 +67,8 @@ _COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
                "eve_hits_hop1", "jam1_sum", "jam1_sumsq")
 
 
-# Gains per block: n*(m + 2) a trial (gains toward the selected relay, hop-2
-# relay->D gains, relay->eavesdropper gains), so a block holds about 2 MB of
-# float64 (plus the hop-2 eavesdropper gains with independent legs).
+# Drawn gains per block, about 2 MB of float64: realization_size gains a trial
+# and leg, and never less than one trial.
 _BLOCK_GAINS = 1 << 18
 
 
@@ -75,40 +76,32 @@ def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
                 start: int, stop: int, seed: int, legs: str) -> dict[str, int]:
     """Run trials [start, stop) and return raw outcome counts.
 
-    Stream layout of trial t, on substream (seed, t): one exponential block
-    for the channel realization, a second one for hop 2 in independent-legs
-    mode, then, for random selection only, one integer for the relay.
+    Stream layout of trial t, on substream (seed, t): one realization row
+    (`sample_realization`), a second one for hop 2 in independent-legs mode,
+    then, for random selection only, one integer for the relay. Those draws
+    are all the per-trial loop does; `draws[leg, b]` holds block row b.
     """
-    n, m = config.n, config.m
+    n = config.n
     tau = resolve_tau(protocol, config)
-    independent = legs == "independent"
+    legs_drawn = 2 if legs == "independent" else 1
     random_pick = protocol.kind == "random-uniform"
-    size = max(1, min(stop - start, _BLOCK_GAINS // (n * (m + 2))))
-    selected = np.empty(size, dtype=np.int64)
-    s_r = np.empty(size)
-    to_relay = np.empty((size, n))
-    s_e = np.empty((size, m))
-    r_e = np.empty((size, n, m))
-    r_d = np.empty((size, n))
-    r_e2 = np.empty((size, n, m)) if independent else r_e
+    width = realization_size(config)
+    size = max(1, min(stop - start, _BLOCK_GAINS // (legs_drawn * width)))
+    draws = np.empty((legs_drawn, size, width))
+    picks = np.empty(size, dtype=np.int64)
     c = dict.fromkeys(_COUNT_KEYS, 0)
     for lo in range(start, stop, size):
         k = min(size, stop - lo)
         for b in range(k):
             rng = trial_rng(seed, lo + b)
-            realization = sample_realization(config, rng)
-            hop2 = sample_realization(config, rng) if independent else realization
-            sel = int(rng.integers(0, n)) if random_pick else select_relay_optimal(realization)
-            selected[b] = sel
-            s_r[b] = realization.s_r[sel]
-            to_relay[b] = realization.gains_to_relay(sel)
-            s_e[b] = realization.s_e
-            r_e[b] = realization.r_e
-            r_d[b] = hop2.r_d
-            if independent:
-                r_e2[b] = hop2.r_e
-        record = execute_two_hop(selected[:k], s_r[:k], to_relay[:k], s_e[:k], r_e[:k],
-                                 r_d[:k], r_e2[:k], tau, config)
+            for leg in draws:
+                sample_realization(config, rng, leg[b])
+            if random_pick:
+                picks[b] = rng.integers(0, n)
+        hops = [ChannelRealization.from_draws(config, leg[:k]) for leg in draws]
+        hop1, hop2 = hops[0], hops[-1]
+        selected = picks[:k] if random_pick else select_relay_optimal(hop1)
+        record = execute_two_hop(hop1, hop2, selected, tau, config)
         f = classify_outage(record, config)
         jam1 = record.jammers_hop1.sum(axis=1)
         for key, hits in (("t_hop1", f.t_out_hop1), ("t_hop2", f.t_out_hop2),
@@ -274,9 +267,6 @@ class ToleranceResult:
     violated_at_m1: bool
     probes: tuple
 
-    def __int__(self) -> int:
-        return self.m_max
-
 
 def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
                      eps_s: float, trials: int, m_cap: int, seed: int,
@@ -357,14 +347,6 @@ class LoadBalanceStats:
     constant_within_epochs: bool
     seed: int
 
-    def as_dict(self) -> dict:
-        return {"selection_counts": list(self.selection_counts),
-                "jain_index": self.jain_index, "entropy": self.entropy,
-                "slots": self.slots, "epochs": self.epochs,
-                "coherence_len": self.coherence_len,
-                "constant_within_epochs": self.constant_within_epochs,
-                "seed": self.seed}
-
 
 def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
                  slots: int, seed: int) -> LoadBalanceStats:
@@ -381,12 +363,13 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     counts = np.zeros(n, dtype=np.int64)
     constant = True
     epochs = (slots + epoch_len - 1) // epoch_len
+    draws = np.empty((1, realization_size(config)))
     for e in range(epochs):
         rng = trial_rng(seed, e)
-        realization = sample_realization(config, rng)
+        sample_realization(config, rng, draws[0])
         k = min(epoch_len, slots - e * epoch_len)
         if protocol.kind == "optimal-maxmin":
-            picks = np.full(k, select_relay_optimal(realization))
+            picks = np.repeat(select_relay_optimal(ChannelRealization.from_draws(config, draws)), k)
         else:
             picks = rng.integers(0, n, size=k)
         np.add.at(counts, picks, 1)

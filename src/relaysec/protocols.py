@@ -8,11 +8,12 @@ eavesdropper positions but quiet at the receiver. Two selection rules are
 supported: the max-min optimal rule and uniform random selection; both reuse
 the same threshold jamming, differing only in where tau comes from.
 
-Selection happens per trial, while the trial's draws are made (see
-montecarlo). Everything after it runs on arrays with a leading trial axis:
-`execute_two_hop` takes the gains a block of T transmissions reads, one row
-per trial, and `classify_outage` turns its SINRs into outage flags. A single
-transmission is a block of one.
+Everything runs on blocks of T trials, one row per trial: the
+`ChannelRealization` blocks the trials drew (see montecarlo), the (T,)
+selected relays, and arrays with a leading trial axis.
+`select_relay_optimal` picks max-min relays for a block, `execute_two_hop`
+runs the block's transmissions and `classify_outage` turns their SINRs into
+outage flags. A single transmission is a block of one.
 """
 
 from __future__ import annotations
@@ -74,9 +75,12 @@ class OutageFlags:
     s_out_e2e: np.ndarray
 
 
-def select_relay_optimal(realization: ChannelRealization) -> int:
-    """Relay with the largest min(gain to S, gain to D); ties go to the lowest index."""
-    return int(np.argmax(np.minimum(realization.s_r, realization.r_d)))
+def select_relay_optimal(realization: ChannelRealization) -> np.ndarray:
+    """(T,) relay with the largest min(gain to S, gain to D) in each trial.
+
+    Ties go to the lowest index.
+    """
+    return np.argmax(np.minimum(realization.s_r, realization.r_d), axis=1)
 
 
 def jammer_set(gains: np.ndarray, selected: np.ndarray, tau: float) -> np.ndarray:
@@ -126,16 +130,13 @@ def resolve_tau(protocol: ProtocolChoice, config: ScenarioConfig) -> float:
     return max(0.0, interval.tau_min)
 
 
-def execute_two_hop(selected: np.ndarray, s_r: np.ndarray, to_relay: np.ndarray,
-                    s_e: np.ndarray, r_e: np.ndarray, r_d: np.ndarray, r_e2: np.ndarray,
-                    tau: float, config: ScenarioConfig) -> TransmissionRecord:
-    """Run T two-hop transmissions and record every SINR.
+def execute_two_hop(hop1: ChannelRealization, hop2: ChannelRealization,
+                    selected: np.ndarray, tau: float,
+                    config: ScenarioConfig) -> TransmissionRecord:
+    """Run T two-hop transmissions through the (T,) `selected` relays and record every SINR.
 
-    Row t holds trial t's gains. Hop 1 reads its selected relay `selected`
-    (T,), the gain S -> that relay `s_r` (T,), every relay's gain toward it
-    `to_relay` (T, n), and the eavesdropper gains `s_e` (T, m) and `r_e`
-    (T, n, m). Hop 2 reads `r_d` (T, n) and `r_e2` (T, n, m) from the channel
-    it sees: the same realization as hop 1, or a fresh one when the legs are
+    Hop 1 reads the block `hop1`; hop 2 reads `hop2`, which is `hop1` itself
+    when both hops share the channel, or a fresh block when the legs are
     independent.
 
     Hop 1: S transmits to the selected relay; jammer set 1 is thresholded
@@ -144,14 +145,15 @@ def execute_two_hop(selected: np.ndarray, s_r: np.ndarray, to_relay: np.ndarray,
     transmitter as signal and the hop's jammer set as interference.
     """
     rows = np.arange(len(selected))
+    to_relay = hop1.gains_to_relay(selected)
     jam1 = jammer_set(to_relay, selected, tau)
-    jam2 = jammer_set(r_d, selected, tau)
+    jam2 = jammer_set(hop2.r_d, selected, tau)
     return TransmissionRecord(
         selected_relay=selected, jammers_hop1=jam1, jammers_hop2=jam2,
-        sinr_relay=sinr(s_r, to_relay, jam1, config),
-        sinr_dest=sinr(r_d[rows, selected], r_d, jam2, config),
-        sinr_eves_hop1=sinr(s_e, r_e, jam1, config),
-        sinr_eves_hop2=sinr(r_e2[rows, selected], r_e2, jam2, config))
+        sinr_relay=sinr(hop1.s_r[rows, selected], to_relay, jam1, config),
+        sinr_dest=sinr(hop2.r_d[rows, selected], hop2.r_d, jam2, config),
+        sinr_eves_hop1=sinr(hop1.s_e, hop1.r_e, jam1, config),
+        sinr_eves_hop2=sinr(hop2.r_e[rows, selected], hop2.r_e, jam2, config))
 
 
 def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> OutageFlags:

@@ -54,11 +54,6 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def loads(text: str):
-    """Inverse of dumps (standard JSON, with Infinity/NaN accepted)."""
-    return json.loads(text)
-
-
 def csv_cell(value) -> str:
     """One CSV cell: floats at 17 significant digits, None as an empty cell."""
     if value is None:

@@ -70,19 +70,17 @@ def check_jammer_count(trials: int, seed: int, n: int = 11, tau: float = 0.1) ->
 
 
 def check_eve_intercept(trials: int, seed: int, n: int = 11, tau: float = 0.1,
-                        gamma_e: float = 1.0, gamma_e_oracle_offset: float = 0.0) -> CheckResult:
+                        gamma_e: float = 1.0) -> CheckResult:
     """Empirical per-eavesdropper intercept rate against the exact binomial MGF value.
 
     The Wilson interval of the estimate must contain the exact value.
-    `gamma_e_oracle_offset` deliberately skews the oracle; it exists so the
-    harness can prove to itself that a wrong value fails.
     """
     config = ScenarioConfig(n=n, m=1, gamma_r=1.0, gamma_e=gamma_e,
                             noise_mode="interference-limited")
     protocol = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=tau)
     est = estimate_outage(config, protocol, trials, seed)
     prop = est.eve_single_hop1
-    expected = eve_intercept_exact(n, gamma_e + gamma_e_oracle_offset, tau)
+    expected = eve_intercept_exact(n, gamma_e, tau)
     return CheckResult(f"eve_intercept_exact(n={n}, tau={tau})",
                        prop.lo <= expected <= prop.hi,
                        prop.p, expected, prop.hi - prop.lo,
@@ -115,14 +113,12 @@ def check_leg_combining(trials: int, seed: int, outage: str,
 
 
 def run_oracle_suite(trials: int = 100_000, mgf_samples: int = 1_000_000,
-                     seed: int = DEFAULT_SEED,
-                     gamma_e_oracle_offset: float = 0.0) -> list[CheckResult]:
+                     seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every oracle check and return the results in a fixed order."""
     results = [check_mgf_identity(g, mgf_samples, seed + i)
                for i, g in enumerate((0.5, 1.0, 2.0))]
     results.append(check_jammer_count(trials, seed))
-    results.append(check_eve_intercept(trials, seed,
-                                       gamma_e_oracle_offset=gamma_e_oracle_offset))
+    results.append(check_eve_intercept(trials, seed))
     results.append(check_leg_combining(trials, seed, "t"))
     results.append(check_leg_combining(trials, seed, "s"))
     return results

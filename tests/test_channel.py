@@ -5,18 +5,36 @@ import math
 import numpy as np
 import pytest
 
-from relaysec import (ChannelRealization, ScenarioConfig, sample_realization,
-                      sinr, trial_rng)
+from relaysec import (ChannelRealization, ScenarioConfig, realization_size,
+                      sample_realization, sinr, trial_rng)
 
 
 def make_realization(s_r, rr_cond, r_d, s_d, s_e, r_e):
-    """Hand-built realization; rr_cond lists relay-pair gains for j < k, row-major."""
-    s_r = np.asarray(s_r, dtype=float)
-    r_e = np.asarray(r_e, dtype=float).reshape(len(s_r), len(s_e))
-    return ChannelRealization(n=len(s_r), m=len(s_e), s_r=s_r,
-                              rr_cond=np.asarray(rr_cond, dtype=float),
-                              r_d=np.asarray(r_d, dtype=float), s_d=float(s_d),
-                              s_e=np.asarray(s_e, dtype=float), r_e=r_e)
+    """Hand-built batch of one; rr_cond lists relay-pair gains for j < k, row-major."""
+    cfg = ScenarioConfig(n=len(s_r), m=len(s_e), gamma_r=1.0, gamma_e=1.0)
+    row = np.concatenate([np.asarray(g, dtype=float).ravel()
+                          for g in (s_r, rr_cond, r_d, [s_d], s_e, r_e)])
+    return ChannelRealization.from_draws(cfg, row[None])
+
+
+def draw_rows(cfg, seed, trials, start=0):
+    """Realization rows of trials [start, start + trials), each drawn on its own substream."""
+    draws = np.empty((trials, realization_size(cfg)))
+    for t, row in enumerate(draws):
+        sample_realization(cfg, trial_rng(seed, start + t), row)
+    return draws
+
+
+def sample_block(cfg, seed, trials, start=0):
+    """The block of realizations `draw_rows` draws."""
+    return ChannelRealization.from_draws(cfg, draw_rows(cfg, seed, trials, start))
+
+
+def to_relay_reference(real, row, j):
+    """Gains toward relay j in one row, looked up pair by pair in condensed order."""
+    pos = {pair: i for i, pair in enumerate(condensed_pairs(real.n))}
+    return [math.nan if k == j else real.rr_cond[row, pos[min(j, k), max(j, k)]]
+            for k in range(real.n)]
 
 
 class TestSampleGain:
@@ -70,30 +88,41 @@ def condensed_pairs(n):
 
 
 class TestSampleRealization:
+    def test_row_matches_one_exponential_draw(self):
+        # drawing into a row is the same stream, and leaves it at the same place
+        for n, m in ((1, 0), (2, 1), (7, 3)):
+            cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
+            row = np.empty(realization_size(cfg))
+            rng, ref = trial_rng(5, n), trial_rng(5, n)
+            sample_realization(cfg, rng, row)
+            assert np.array_equal(row, ref.exponential(1.0, size=realization_size(cfg)))
+            assert rng.integers(0, 1000) == ref.integers(0, 1000)
+
     def test_pair_enumeration_n2_m1(self):
         # one gain per pair: S-R0, S-R1, R0-R1, R0-D, R1-D, S-D, S-E0, R0-E0, R1-E0
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        real = sample_realization(cfg, trial_rng(1, 0))
-        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((2,), (1,), (2,))
-        assert isinstance(real.s_d, float)
-        assert (real.s_e.shape, real.r_e.shape) == ((1,), (2, 1))
+        assert realization_size(cfg) == 9
+        real = sample_block(cfg, 1, 1)
+        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((1, 2), (1, 1), (1, 2))
+        assert real.s_d.shape == (1,)
+        assert (real.s_e.shape, real.r_e.shape) == ((1, 1), (1, 2, 1))
 
     def test_pair_enumeration_n1_m0(self):
         # S-R0, R0-D and S-D only: no relay pairs, no eavesdropper links
         cfg = ScenarioConfig(n=1, m=0, gamma_r=1.0, gamma_e=1.0)
-        real = sample_realization(cfg, trial_rng(1, 0))
-        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((1,), (0,), (1,))
-        assert (real.s_e.shape, real.r_e.shape) == ((0,), (1, 0))
-        assert math.isnan(real.gains_to_relay(0)[0])
+        real = sample_block(cfg, 1, 1)
+        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((1, 1), (1, 0), (1, 1))
+        assert (real.s_e.shape, real.r_e.shape) == ((1, 0), (1, 1, 0))
+        assert math.isnan(real.gains_to_relay(np.array([0]))[0, 0])
 
     def test_same_seed_identical(self):
         cfg = ScenarioConfig(n=5, m=3, gamma_r=1.0, gamma_e=1.0)
-        a = sample_realization(cfg, trial_rng(99, 4))
-        b = sample_realization(cfg, trial_rng(99, 4))
+        a = sample_block(cfg, 99, 1, start=4)
+        b = sample_block(cfg, 99, 1, start=4)
         assert np.array_equal(a.s_r, b.s_r)
         assert np.array_equal(a.rr_cond, b.rr_cond)
         assert np.array_equal(a.r_d, b.r_d)
-        assert a.s_d == b.s_d
+        assert np.array_equal(a.s_d, b.s_d)
         assert np.array_equal(a.s_e, b.s_e)
         assert np.array_equal(a.r_e, b.r_e)
 
@@ -105,8 +134,8 @@ class TestSampleRealization:
 
     def test_reciprocity_of_legitimate_pairs(self):
         cfg = ScenarioConfig(n=4, m=2, gamma_r=1.0, gamma_e=1.0)
-        real = sample_realization(cfg, trial_rng(3, 0))
-        toward = [real.gains_to_relay(j) for j in range(4)]
+        real = sample_block(cfg, 3, 1)
+        toward = [real.gains_to_relay(np.array([j]))[0] for j in range(4)]
         for j in range(4):
             for k in range(4):
                 if j != k:
@@ -115,17 +144,29 @@ class TestSampleRealization:
     def test_gains_to_relay_matches_pairs(self):
         for n in (2, 4, 7):
             cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
-            real = sample_realization(cfg, trial_rng(3, 1))
+            real = sample_block(cfg, 3, 1, start=1)
+            toward = [real.gains_to_relay(np.array([j]))[0] for j in range(n)]
             for pos, (j, k) in enumerate(condensed_pairs(n)):
-                assert real.gains_to_relay(j)[k] == real.rr_cond[pos]
-                assert real.gains_to_relay(k)[j] == real.rr_cond[pos]
+                assert toward[j][k] == real.rr_cond[0, pos]
+                assert toward[k][j] == real.rr_cond[0, pos]
             for j in range(n):
-                assert math.isnan(real.gains_to_relay(j)[j])
+                assert math.isnan(toward[j][j])
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_block_gains_to_relay_matches_condensed_reference(self, n):
+        # every row picks its own relay: first, middle and last, in turn
+        cfg = ScenarioConfig(n=n, m=1, gamma_r=1.0, gamma_e=1.0)
+        real = sample_block(cfg, 12, 9)
+        selected = np.array([0, n // 2, n - 1] * 3)
+        got = real.gains_to_relay(selected)
+        assert got.shape == (9, n)
+        for row, j in enumerate(selected):
+            assert np.array_equal(got[row], to_relay_reference(real, row, j), equal_nan=True)
 
     def test_all_gains_finite_nonnegative(self):
         cfg = ScenarioConfig(n=6, m=3, gamma_r=1.0, gamma_e=1.0)
-        real = sample_realization(cfg, trial_rng(8, 0))
-        for g in (real.s_r, real.rr_cond, real.r_d, [real.s_d], real.s_e, real.r_e):
+        real = sample_block(cfg, 8, 1)
+        for g in (real.s_r, real.rr_cond, real.r_d, real.s_d, real.s_e, real.r_e):
             assert np.all(np.isfinite(g)) and np.all(np.asarray(g) >= 0)
 
 

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+import relaysec.validation
 from relaysec import eve_intercept_exact
 from relaysec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                           SWEEP_COLUMNS, main)
-from relaysec.serialize import loads
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +24,7 @@ class TestBounds:
     def test_desk_example(self, capsys):
         code, out, _ = run_cli(capsys, *BOUNDS_ARGS)
         assert code == EXIT_OK
-        report = loads(out)["report"]
+        report = json.loads(out)["report"]
         assert report["tau_min"] == pytest.approx(0.017874331346664545, rel=1e-9)
         assert report["tau_max"] == pytest.approx(0.05887050112577374, rel=1e-9)
         assert report["feasible"] is True
@@ -34,7 +34,7 @@ class TestBounds:
                                "--gamma-r", "1", "--gamma-e", "1",
                                "--eps-s", "0.3", "--eps-t", "0.3")
         assert code == EXIT_INFEASIBLE
-        report = loads(out)["report"]
+        report = json.loads(out)["report"]
         assert report["m_max_t3_floor"] == 0
         assert report["feasible"] is False
 
@@ -72,13 +72,13 @@ class TestSimulate:
 
     def test_output_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, *SIM_ARGS)
-        doc = loads(out)
+        doc = json.loads(out)
         from relaysec.serialize import dumps
-        assert loads(dumps(doc, indent=2)) == doc
+        assert json.loads(dumps(doc, indent=2)) == doc
 
     def test_echoes_resolved_defaults(self, capsys):
         _, out, _ = run_cli(capsys, *SIM_ARGS)
-        doc = loads(out)
+        doc = json.loads(out)
         assert doc["config"]["es"] == 1.0
         assert doc["config"]["coherence_len"] == 1
         assert doc["protocol"]["tau_resolved"] == 0.1
@@ -86,7 +86,7 @@ class TestSimulate:
     def test_eve_intercept_oracle(self, capsys):
         args = [a if a != "3000" else "20000" for a in SIM_ARGS]
         _, out, _ = run_cli(capsys, *args)
-        res = loads(out)["result"]
+        res = json.loads(out)["result"]
         exact = eve_intercept_exact(11, 1.0, 0.1)
         assert res["p_eve_single_hop1_ci_lo"] <= exact <= res["p_eve_single_hop1_ci_hi"]
 
@@ -94,7 +94,7 @@ class TestSimulate:
         args = list(SIM_ARGS)
         args[args.index("--m") + 1] = "0"
         _, out, _ = run_cli(capsys, *args)
-        assert loads(out)["result"]["p_s_e2e"] == 0.0
+        assert json.loads(out)["result"]["p_s_e2e"] == 0.0
 
     def test_infeasible_policy_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--protocol", "random",
@@ -111,14 +111,24 @@ class TestSimulate:
         path = tmp_path / "two_hop.json"
         path.write_text(json.dumps(cfg))
         _, out, _ = run_cli(capsys, "simulate", "--config", str(path))
-        doc = loads(out)
+        doc = json.loads(out)
         assert doc["config"]["n"] == 11 and doc["result"]["trials"] == 500
         _, out2, _ = run_cli(capsys, "simulate", "--config", str(path), "--m", "2")
-        assert loads(out2)["config"]["m"] == 2
+        assert json.loads(out2)["config"]["m"] == 2
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 3, "bandwidth": 20}))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--config", str(path)])
+        assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("key, value", [("n", 11.5), ("m", 2.0), ("trials", 50.5),
+                                            ("seed", "x")])
+    def test_wrong_type_config_value_usage_error(self, tmp_path, key, value):
+        cfg = {"n": 11, "m": 1, "gamma_r": 1.0, "gamma_e": 1.0, "trials": 50, key: value}
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps(cfg))
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--config", str(path)])
         assert err.value.code == EXIT_USAGE
@@ -140,14 +150,14 @@ class TestSweep:
         assert float(row["tau_max"]) == pytest.approx(0.05887050112577374, rel=1e-9)
         assert row["status"] == "ok"
         _, bounds_out, _ = run_cli(capsys, *BOUNDS_ARGS)
-        report = loads(bounds_out)["report"]
+        report = json.loads(bounds_out)["report"]
         assert float(row["m_max_t1"]) == report["m_max_t1"]
         sim = ["simulate", "--n", "101", "--m", "1", "--gamma-r", "1", "--gamma-e", "1",
                "--eps-s", "0.5", "--eps-t", "0.5", "--protocol", "random",
                "--tau-policy", "theorem2-max", "--noise-mode", "interference-limited",
                "--trials", "2000", "--seed", "9"]
         _, sim_out, _ = run_cli(capsys, *sim)
-        res = loads(sim_out)["result"]
+        res = json.loads(sim_out)["result"]
         assert float(row["p_t_hop1"]) == res["p_t_hop1"]
         assert float(row["p_s_e2e"]) == res["p_s_e2e"]
 
@@ -200,7 +210,7 @@ class TestSweep:
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, *self.BASE, "--format", "json")
         assert code == EXIT_OK
-        doc = loads(out)
+        doc = json.loads(out)
         assert doc["rows"][0]["swept_value"] == 101
         assert doc["config"]["gamma_r"] == 1.0
 
@@ -212,10 +222,10 @@ class TestSweep:
         code, out, _ = run_cli(capsys, *self.TAU_GRID, "--from", "0", "--to", "0.3",
                                "--step", "0.1")
         assert code == EXIT_OK
-        assert [r["swept_value"] for r in loads(out)["rows"]] == [0.0, 0.1, 0.2, 0.3]
+        assert [r["swept_value"] for r in json.loads(out)["rows"]] == [0.0, 0.1, 0.2, 0.3]
         code, out, _ = run_cli(capsys, *self.TAU_GRID, "--from", "0", "--to", "1",
                                "--step", "0.1")
-        values = [r["swept_value"] for r in loads(out)["rows"]]
+        values = [r["swept_value"] for r in json.loads(out)["rows"]]
         assert len(values) == 11 and values[-1] == 1.0
 
     @pytest.mark.parametrize("step", ["-0.1", "0"])
@@ -232,7 +242,7 @@ class TestTolerance:
                                "--tau", "0.5", "--noise-mode", "interference-limited",
                                "--trials", "200", "--seed", "5", "--m-cap", "4")
         assert code == EXIT_OK
-        doc = loads(out)
+        doc = json.loads(out)
         assert doc["result"]["m_max"] == 4
         assert doc["result"]["violated_at_m1"] is False
 
@@ -251,9 +261,11 @@ class TestValidate:
         assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
 
-    def test_injected_wrong_oracle_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000",
-                               "--inject-gamma-e-offset", "0.5")
+    def test_injected_wrong_oracle_fails(self, capsys, monkeypatch):
+        # an oracle skewed by +0.5 in gamma_e must be caught
+        monkeypatch.setattr(relaysec.validation, "eve_intercept_exact",
+                            lambda n, gamma_e, tau: eve_intercept_exact(n, gamma_e + 0.5, tau))
+        code, out, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000")
         assert code == EXIT_VALIDATION
         assert any(line.startswith("FAIL eve_intercept_exact")
                    for line in out.strip().splitlines())

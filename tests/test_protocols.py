@@ -1,7 +1,7 @@
 """Protocol engine tests: selection rules, jammer sets, and hand-worked transmissions.
 
 The block kernel is exercised with a batch of one: a hand-built realization
-is turned into the one-row arrays `execute_two_hop` reads.
+block with a single row.
 """
 
 import math
@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
+from relaysec import (ChannelRealization, InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
-                      per_leg_budget, resolve_tau, sample_realization,
-                      select_relay_optimal, tau_protocol1, theorem2_tau_range,
-                      trial_rng)
+                      per_leg_budget, realization_size, resolve_tau, select_relay_optimal,
+                      tau_protocol1, theorem2_tau_range, trial_rng)
 from relaysec.protocols import TransmissionRecord
 
-from .test_channel import make_realization
+from .test_channel import draw_rows, make_realization, sample_block
 
 
 def pair_realization(s_r, r_d):
@@ -27,11 +26,13 @@ def pair_realization(s_r, r_d):
 
 
 def one_trial(real, selected, hop2=None):
-    """The block arrays of a single transmission on `real` (hop 2 on `hop2` if given)."""
-    hop2 = real if hop2 is None else hop2
-    return dict(selected=np.array([selected]), s_r=real.s_r[[selected]],
-                to_relay=real.gains_to_relay(selected)[None], s_e=real.s_e[None],
-                r_e=real.r_e[None], r_d=hop2.r_d[None], r_e2=hop2.r_e[None])
+    """execute_two_hop's block arguments for one transmission on `real` (hop 2 on `hop2`)."""
+    return dict(hop1=real, hop2=real if hop2 is None else hop2, selected=np.array([selected]))
+
+
+def toward(real, j):
+    """Gains toward relay j in a batch of one."""
+    return real.gains_to_relay(np.array([j]))[0]
 
 
 def jammers(gains, selected, tau):
@@ -43,33 +44,42 @@ def jammers(gains, selected, tau):
 class TestSelectRelayOptimal:
     def test_picks_largest_min(self):
         real = pair_realization([0.5, 1.5, 0.3], [2.0, 1.2, 3.0])
-        assert select_relay_optimal(real) == 1  # mins 0.5, 1.2, 0.3
+        assert select_relay_optimal(real)[0] == 1  # mins 0.5, 1.2, 0.3
 
     def test_tie_breaks_to_lowest_index(self):
         real = pair_realization([1.0, 1.0], [1.0, 2.0])
-        assert select_relay_optimal(real) == 0
+        assert select_relay_optimal(real)[0] == 0
 
     def test_single_relay(self):
         real = pair_realization([0.4], [0.2])
-        assert select_relay_optimal(real) == 0
+        assert select_relay_optimal(real)[0] == 0
 
     def test_permutation_equivariant(self):
         rng = trial_rng(21, 0)
         for _ in range(50):
             s_r = rng.exponential(size=6)
             r_d = rng.exponential(size=6)
-            sel = select_relay_optimal(pair_realization(s_r, r_d))
+            sel = select_relay_optimal(pair_realization(s_r, r_d))[0]
             perm = rng.permutation(6)
-            sel_p = select_relay_optimal(pair_realization(s_r[perm], r_d[perm]))
+            sel_p = select_relay_optimal(pair_realization(s_r[perm], r_d[perm]))[0]
             assert perm[sel_p] == sel
 
     def test_selection_uniform_over_fresh_fading(self):
         # i.i.d. gains make the argmax symmetric across relays
         cfg = ScenarioConfig(n=8, m=0, gamma_r=1.0, gamma_e=1.0)
-        counts = np.zeros(8, dtype=int)
-        for t in range(20_000):
-            counts[select_relay_optimal(sample_realization(cfg, trial_rng(22, t)))] += 1
+        counts = np.bincount(select_relay_optimal(sample_block(cfg, 22, 20_000)), minlength=8)
         assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_block_matches_per_row_argmax(self):
+        # gains on a coarse grid make ties common; each row must pick as a
+        # per-row argmax does, the lowest tied index
+        rng = trial_rng(23, 0)
+        cfg = ScenarioConfig(n=5, m=0, gamma_r=1.0, gamma_e=1.0)
+        draws = rng.integers(0, 3, size=(400, realization_size(cfg))).astype(float)
+        real = ChannelRealization.from_draws(cfg, draws)
+        mins = np.minimum(real.s_r, real.r_d)
+        assert sum(np.count_nonzero(row == row.max()) > 1 for row in mins) > 50
+        assert select_relay_optimal(real).tolist() == [int(np.argmax(row)) for row in mins]
 
 
 class TestSelectRelayRandom:
@@ -111,14 +121,14 @@ class TestJammerSet:
         # relay pair gains (0,1)=0.05, (0,2)=0.5, (1,2)=0.01
         real = make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], 1.0,
                                 [], [[], [], []])
-        assert jammers(real.gains_to_relay(1), 1, 0.1) == {0, 2}
-        assert jammers(real.gains_to_relay(0), 0, 0.1) == {1}
+        assert jammers(toward(real, 1), 1, 0.1) == {0, 2}
+        assert jammers(toward(real, 0), 0, 0.1) == {1}
 
     def test_monotone_in_tau(self):
         cfg = ScenarioConfig(n=9, m=0, gamma_r=1.0, gamma_e=1.0)
-        real = sample_realization(cfg, trial_rng(30, 0))
+        real = sample_block(cfg, 30, 1)
         taus = [0.0, 0.05, 0.2, 0.8, 2.0]
-        sets = [jammers(real.gains_to_relay(3), 3, t) for t in taus]
+        sets = [jammers(toward(real, 3), 3, t) for t in taus]
         for small, large in zip(sets[:-1], sets[1:]):
             assert small <= large
 
@@ -126,7 +136,7 @@ class TestJammerSet:
         # |set| ~ Binomial(n-1, 1-e^-tau)
         n, tau, trials = 11, 0.3, 20_000
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
-        r_d = np.array([sample_realization(cfg, trial_rng(31, t)).r_d for t in range(trials)])
+        r_d = sample_block(cfg, 31, trials).r_d
         sizes = jammer_set(r_d, np.zeros(trials, dtype=int), tau).sum(axis=1)
         expected = (n - 1) * (1.0 - math.exp(-tau))
         se = sizes.std(ddof=1) / math.sqrt(trials)
@@ -215,7 +225,7 @@ class TestExecuteTwoHop:
         # selected = argmax(min(2,1.5), min(0.5,0.08)) = 0; both other-relay
         # gains 0.05 and 0.08 sit below tau = 0.1, so relay 1 jams both hops.
         real = self.hand_case()
-        assert select_relay_optimal(real) == 0
+        assert select_relay_optimal(real)[0] == 0
         rec = execute_two_hop(**one_trial(real, 0), tau=self.TAU01, config=self.CFG)
         assert rec.selected_relay[0] == 0
         assert set(np.flatnonzero(rec.jammers_hop1[0])) == {1}
@@ -243,7 +253,7 @@ class TestExecuteTwoHop:
                              noise_mode="interference-limited")
         real = make_realization([1.3], [], [0.9], 1.0, [0.2], [[0.5]])
         # both rules can only pick relay 0
-        assert select_relay_optimal(real) == 0
+        assert select_relay_optimal(real)[0] == 0
         assert trial_rng(0, 0).integers(0, 1) == 0
         rec = execute_two_hop(**one_trial(real, 0), tau=0.5, config=cfg)
         assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
@@ -265,15 +275,13 @@ class TestExecuteTwoHop:
     def test_block_rows_match_batches_of_one(self):
         # a trial's outcome depends on its own row only, never on its block
         cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
-        rows = []
+        draws = draw_rows(cfg, 60, 40)
+        block = ChannelRealization.from_draws(cfg, draws)
+        selected = trial_rng(60, 40).integers(0, cfg.n, size=40)
+        whole = execute_two_hop(block, block, selected, tau=0.3, config=cfg)
         for t in range(40):
-            rng = trial_rng(60, t)
-            real = sample_realization(cfg, rng)
-            rows.append(one_trial(real, int(rng.integers(0, cfg.n))))
-        block = {k: np.concatenate([r[k] for r in rows]) for k in rows[0]}
-        whole = execute_two_hop(**block, tau=0.3, config=cfg)
-        for t, row in enumerate(rows):
-            one = execute_two_hop(**row, tau=0.3, config=cfg)
+            real = ChannelRealization.from_draws(cfg, draws[t:t + 1])
+            one = execute_two_hop(**one_trial(real, selected[t]), tau=0.3, config=cfg)
             for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
                           "sinr_eves_hop1", "sinr_eves_hop2"):
                 assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
