@@ -7,8 +7,8 @@ policy. Every run echoes its fully-resolved configuration so results are
 self-describing, and every randomized command has a fixed default seed;
 nothing is ever derived from the clock.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible configuration,
-4 validation failure.
+Exit codes: 0 success, 2 usage error (an unwritable --out path included),
+3 infeasible configuration, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -397,6 +397,11 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        if args.out is None or exc.filename != args.out:
+            raise
+        print(f"relaysec: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ number of workers and merged back into counts that are bit-identical to a
 single-worker run. All proportions carry Wilson 95% intervals, which stay
 honest at the extreme rates secrecy studies produce.
 
-The trial kernel works in blocks. A Python loop only advances each trial's
-stream in the fixed layout (see `_run_trials`), drawing its realization rows
-into one preallocated block and, for random selection, its relay index; one
+The trial kernel works in blocks. A Python loop re-keys one generator to
+each trial's substream in turn (`trial_streams`) and draws that trial's
+realization rows in the fixed layout (see `_run_trials`) into one
+preallocated block, plus, for random selection, its relay index; one
 vectorised pass then reads the block as `ChannelRealization`s, selects the
 max-min relays and computes the jammer sets, SINRs and outage flags, and the
 counts are sums over it. A trial's outcome depends only on its own row, so
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (ChannelRealization, ScenarioConfig, realization_size,
-                      sample_realization, trial_rng)
+                      sample_realization, trial_streams)
 from .protocols import (ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
@@ -89,11 +90,12 @@ def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
     size = max(1, min(stop - start, _BLOCK_GAINS // (legs_drawn * width)))
     draws = np.empty((legs_drawn, size, width))
     picks = np.empty(size, dtype=np.int64)
+    stream = trial_streams(seed)
     c = dict.fromkeys(_COUNT_KEYS, 0)
     for lo in range(start, stop, size):
         k = min(size, stop - lo)
         for b in range(k):
-            rng = trial_rng(seed, lo + b)
+            rng = stream(lo + b)
             for leg in draws:
                 sample_realization(config, rng, leg[b])
             if random_pick:
@@ -364,8 +366,9 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     constant = True
     epochs = (slots + epoch_len - 1) // epoch_len
     draws = np.empty((1, realization_size(config)))
+    stream = trial_streams(seed)
     for e in range(epochs):
-        rng = trial_rng(seed, e)
+        rng = stream(e)
         sample_realization(config, rng, draws[0])
         k = min(epoch_len, slots - e * epoch_len)
         if protocol.kind == "optimal-maxmin":

@@ -7,6 +7,7 @@ import pytest
 
 from relaysec import (ChannelRealization, ScenarioConfig, realization_size,
                       sample_realization, sinr, trial_rng)
+from relaysec.channel import trial_streams
 
 
 def make_realization(s_r, rr_cond, r_d, s_d, s_e, r_e):
@@ -87,6 +88,44 @@ def condensed_pairs(n):
     return [(j, k) for j in range(n - 1) for k in range(j + 1, n)]
 
 
+M64 = (1 << 64) - 1
+
+
+def philox_reference(seed, trial):
+    """A freshly keyed generator for substream (seed, trial), built without the library."""
+    return np.random.Generator(np.random.Philox(key=(seed & M64) << 64 | (trial & M64)))
+
+
+def draw_all(rng):
+    return (rng.standard_exponential(200), rng.integers(0, 11), rng.integers(0, 11, size=7))
+
+
+def assert_same_draws(rng, ref):
+    for got, want in zip(draw_all(rng), draw_all(ref)):
+        assert np.array_equal(got, want)
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
+    @pytest.mark.parametrize("trial", [0, 5, 2**40 + 3])
+    def test_rekeyed_equals_fresh_philox(self, seed, trial):
+        assert_same_draws(trial_streams(seed)(trial), philox_reference(seed, trial))
+
+    @pytest.mark.parametrize("leftover", [
+        lambda rng: rng.integers(0, 11),  # leaves half a 64-bit word buffered
+        lambda rng: rng.standard_exponential(3),  # part of the Philox output block
+    ], ids=["half_word", "partial_exponential"])
+    def test_previous_trial_leaves_nothing_behind(self, leftover):
+        at = trial_streams(7)
+        leftover(at(4))
+        assert_same_draws(at(5), philox_reference(7, 5))
+
+    def test_out_of_order_reuse(self):
+        at = trial_streams(-3)
+        for trial in (5, 0, 5):
+            assert_same_draws(at(trial), philox_reference(-3, trial))
+
+
 class TestSampleRealization:
     def test_row_matches_one_exponential_draw(self):
         # drawing into a row is the same stream, and leaves it at the same place
@@ -131,6 +170,14 @@ class TestSampleRealization:
         trial_rng(7, 0)
         trial_rng(7, 3)
         assert trial_rng(7, 5).exponential() == direct
+        # two live generators on one substream never alias: drawing from
+        # one leaves the other where it was
+        a, b = trial_rng(7, 5), trial_rng(7, 5)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        a.standard_exponential(10)
+        a.integers(0, 11)
+        assert b.exponential() == direct
+        assert a.exponential() != direct
 
     def test_reciprocity_of_legitimate_pairs(self):
         cfg = ScenarioConfig(n=4, m=2, gamma_r=1.0, gamma_e=1.0)

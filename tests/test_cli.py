@@ -269,3 +269,20 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert any(line.startswith("FAIL eve_intercept_exact")
                    for line in out.strip().splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    BOUNDS_ARGS,
+    SIM_ARGS[:-4] + ["--trials", "20", "--seed", "7", "--format", "csv"],
+    TestSweep.BASE[:-4] + ["--trials", "20", "--seed", "9"],
+    ["tolerance", "--n", "11", "--gamma-r", "1", "--gamma-e", "1", "--eps-s", "1.0",
+     "--tau", "0.5", "--trials", "20", "--m-cap", "2"],
+    ["validate", "--quick", "--trials", "200"],
+], ids=["bounds", "simulate", "sweep", "tolerance", "validate"])
+def test_unwritable_out_usage_error(capsys, tmp_path, argv):
+    path = str(tmp_path / "no_such_dir" / "x.csv")
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == EXIT_USAGE
+    assert out == ""
+    naming = [line for line in err.splitlines() if path in line]
+    assert naming == [err.splitlines()[-1]]
