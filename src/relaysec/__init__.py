@@ -12,8 +12,8 @@ from .bounds import (BoundReport, InfeasibleConfigError, MBound, TauInterval,
                      expected_jammers, per_leg_budget, reliability_leg_bound,
                      secrecy_leg_bound, theorem1_m_max, theorem2_tau_range,
                      theorem3_m_max)
-from .channel import (ChannelRealization, ScenarioConfig, realization_size,
-                      sample_realization, sinr, trial_rng)
+from .channel import (ChannelRealization, ScenarioConfig, SeedStream,
+                      sample_realization, sinr, trial_rng, trial_words)
 from .montecarlo import (LoadBalanceStats, OutageEstimate, Proportion,
                          ToleranceResult, estimate_outage, jain_index,
                          load_balance, merge_estimates, selection_entropy,
@@ -28,14 +28,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "ChannelRealization", "CheckResult", "InfeasibleConfigError",
     "LoadBalanceStats", "MBound", "OutageEstimate", "OutageFlags",
-    "Proportion", "ProtocolChoice", "ScenarioConfig", "TauInterval",
+    "Proportion", "ProtocolChoice", "ScenarioConfig", "SeedStream", "TauInterval",
     "ToleranceResult", "TransmissionRecord", "build_bound_report",
     "classify_outage", "combine_legs", "estimate_outage", "eve_intercept_exact",
     "execute_two_hop", "expected_jammers", "jain_index", "jammer_set",
     "load_balance", "merge_estimates", "per_leg_budget", "reliability_leg_bound",
-    "realization_size", "resolve_tau", "run_oracle_suite", "sample_realization",
+    "resolve_tau", "run_oracle_suite", "sample_realization",
     "secrecy_leg_bound", "select_relay_optimal",
     "selection_entropy", "sinr", "tau_protocol1", "theorem1_m_max",
     "theorem2_tau_range", "theorem3_m_max", "tolerance_search", "trial_rng",
-    "wilson_interval",
+    "trial_words", "wilson_interval",
 ]

@@ -137,7 +137,7 @@ def theorem2_tau_range(n: int, m: int, gamma_r: float, gamma_e: float,
             return TauInterval(0.0, math.inf, True)
         return TauInterval(math.inf, math.inf, False,
                            "no candidate jammers exist (n = 1)")
-    tau_max = math.sqrt(-math.log(1.0 - eps_t) / (2.0 * gamma_r * (n - 1)))
+    tau_max = math.sqrt(-math.log1p(-eps_t) / (2.0 * gamma_r * (n - 1)))
     if m == 0:
         return TauInterval(0.0, tau_max, True)
     if budget_s == 0.0:
@@ -147,7 +147,7 @@ def theorem2_tau_range(n: int, m: int, gamma_r: float, gamma_e: float,
     if bracket <= 0.0:
         return TauInterval(math.inf, tau_max, False,
                            "m exceeds what any threshold can suppress")
-    tau_min = -math.log(bracket)
+    tau_min = 0.0 - math.log(bracket)  # +0.0, not -0.0, when bracket is 1
     if tau_min > tau_max:
         return TauInterval(tau_min, tau_max, False,
                            "secrecy floor exceeds reliability ceiling")
@@ -167,7 +167,7 @@ def theorem3_m_max(n: int, gamma_r: float, gamma_e: float,
     if not 0.0 <= eps_t < 1.0:
         raise ValueError(f"eps_t must be in [0, 1), got {eps_t}")
     value = per_leg_budget(eps_s) * (1.0 + gamma_e) ** math.sqrt(
-        -(n - 1) * math.log(1.0 - eps_t) / (2.0 * gamma_r))
+        -(n - 1) * math.log1p(-eps_t) / (2.0 * gamma_r))
     return MBound(value, max(0, math.floor(value)))
 
 

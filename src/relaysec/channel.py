@@ -8,67 +8,89 @@ unordered pair, because relay and jammer decisions are made from pilot
 measurements of those same links; eavesdropper links are directional draws
 that nothing ever measures. One realization spans both hops of a transmission.
 
-A realization is drawn as one flat row of exponential gains
-(`sample_realization`, sized by `realization_size`); `ChannelRealization`
-reads a block of T such rows as arrays with a leading trial axis, so
-everything computed from the gains runs once per block.
-
-Trial t of seed s draws from the Philox substream keyed by (s, t).
-`trial_streams` re-keys one held generator to each trial in turn, which is
-how runs loop over trials; `trial_rng` hands out a fresh, independent
-generator on the same substream.
+Only the gains a transmission reads are drawn (stream layout 2). Every draw
+of a run comes from one counter-based Philox stream per seed (`SeedStream`);
+trial t owns a fixed range of its 64-bit words, so any range of trials is
+drawn directly, with one call per block. `sample_realization` draws a block
+of trials and decodes it into a `ChannelRealization`, whose arrays carry a
+leading trial axis, so everything computed from the gains runs once per
+block. `trial_rng` hands out a fresh generator for draws outside the trials.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
+_LAYOUT = 2  # the stream layout, also the high word of every run's Philox key
 
 
-def trial_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """Re-keyable substreams of one seed: `at(trial)` yields trial's generator.
+def _philox_state(key: tuple[int, int], counter: int) -> dict:
+    """Philox state with `key` (low word first) and `counter`, its output buffer empty."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.array([counter & _MASK64, (counter >> 64) & _MASK64, 0, 0],
+                                          dtype=np.uint64),
+                      "key": np.array([k & _MASK64 for k in key], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
-    `at(trial)` puts one held Philox into exactly the state that
-    `Philox(key=(seed << 64) | trial)` starts in (both words taken mod
-    2**64): key [trial, seed] low word first, counter zero, empty output
-    buffer and no half-used 64-bit word, so nothing a previous trial left
-    buffered leaks into the next. It returns the same Generator every time,
-    valid only until the next call. Re-keying reads no OS entropy and costs
-    a few microseconds, against about 20 for constructing a new Philox.
-    """
-    key = np.array([0, seed & _MASK64], dtype=np.uint64)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    bits = np.random.Philox(0)  # a fixed seed reads no OS entropy; `at` overwrites it
-    rng = np.random.Generator(bits)
 
-    def at(trial: int) -> np.random.Generator:
-        key[0] = trial & _MASK64
-        bits.state = state  # the setter copies every field; `state` itself never changes
-        return rng
-
-    return at
+def _fresh_philox() -> np.random.Philox:
+    # a fixed seed reads no OS entropy; callers overwrite the whole state
+    return np.random.Philox(0)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """A fresh, independent generator on trial's counter-based substream.
+    """A fresh, independent generator on the (seed, trial) substream.
 
-    Philox is keyed with the packed (seed, trial) pair, so any worker can
-    reproduce any trial's draws without sequential dependence on other
-    trials. Same (seed, trial) gives a bit-identical stream regardless of
-    worker count or execution order. Loops over many trials re-key one
-    generator with `trial_streams` instead.
+    Philox keyed [trial, seed] (each mod 2**64, low word first), the same
+    for any caller and call order. The trial kernel does not use it: runs
+    read `SeedStream`; this is for draws outside them, such as the MGF
+    oracle check.
     """
-    return trial_streams(seed)(trial)
+    bits = _fresh_philox()
+    bits.state = _philox_state((trial, seed), 0)
+    return np.random.Generator(bits)
+
+
+def _exponential(u: np.ndarray) -> np.ndarray:
+    """-log1p(-u) in place: unit-mean exponentials from uniforms in [0, 1)."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
+
+
+class SeedStream:
+    """The random stream of one seed: one Philox, read by word offset.
+
+    The Philox key is [seed mod 2**64, 2] (low word first; 2 is the stream
+    layout). Rows of a table that read `words` words each are W =
+    `words` rounded up to a multiple of 4 apart: row r owns words
+    [r W, (r + 1) W), which start at Philox counter r W / 4. So any range of
+    rows is drawn by setting the counter and making one `random_raw` call.
+    """
+
+    def __init__(self, seed: int):
+        self._key = (seed, _LAYOUT)
+        self._bits = _fresh_philox()
+
+    def uniforms(self, lo: int, hi: int, words: int) -> np.ndarray:
+        """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi)."""
+        width = -(-words // 4) * 4
+        self._bits.state = _philox_state(self._key, lo * width // 4)
+        raw = self._bits.random_raw((hi - lo) * width).reshape(hi - lo, width)[:, :words]
+        u = np.right_shift(raw, 11).astype(np.float64)
+        u *= 2.0 ** -53
+        return u
+
+    def exponentials(self, lo: int, hi: int, words: int) -> np.ndarray:
+        """(hi - lo, words) unit-mean exponential gains -log1p(-u) of rows [lo, hi)."""
+        return _exponential(self.uniforms(lo, hi, words))
 
 
 @dataclass(frozen=True)
@@ -119,76 +141,106 @@ class ScenarioConfig:
         return 0.0 if self.noise_mode == "interference-limited" else self.n0 / 2.0
 
 
-def realization_size(config: ScenarioConfig) -> int:
-    """Gains in one realization: 2n + n(n-1)/2 + 1 + m + nm."""
+def _trial_fields(config: ScenarioConfig, maxmin: bool, independent: bool) -> list:
+    """(field, words) in the order one trial draws them (stream layout 2)."""
     n, m = config.n, config.m
-    return 2 * n + n * (n - 1) // 2 + 1 + m + n * m
+    if maxmin:
+        head = [("s_r", n), ("r_d", n), ("to_relay", n - 1)]
+    else:
+        head = [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)]
+    hop2 = [("r_d2", n), ("r_e2", n * m)] if independent else []
+    return head + [("s_e", m), ("r_e", n * m)] + hop2
 
 
-def sample_realization(config: ScenarioConfig, rng: np.random.Generator,
-                       out: np.ndarray) -> np.ndarray:
-    """Draw one channel realization of `config` into the row `out` and return it.
+def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
+    """W, the 64-bit words one trial owns: what it reads, rounded up to a multiple of 4.
 
-    `out` holds realization_size(config) unit-mean exponential gains in a
-    fixed layout (s_r, rr_cond, r_d, s_d, s_e, r_e row-major; see
-    `ChannelRealization.from_draws`), so a given generator state always
-    yields the same realization.
+    Random selection reads 2n + 1 + m + nm words and max-min 3n - 1 + m + nm;
+    independent legs add n + nm for hop 2.
     """
-    return rng.standard_exponential(out=out)
+    words = sum(size for _, size in _trial_fields(config, maxmin, independent))
+    return -(-words // 4) * 4
+
+
+def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
+                       maxmin: bool, independent: bool
+                       ) -> tuple[ChannelRealization, ChannelRealization]:
+    """Draw trials [lo, hi) of `stream` and return their hop-1 and hop-2 blocks.
+
+    Trial t reads its words [t W, (t + 1) W) (W from `trial_words`) in this
+    order, every one but the relay index a unit-mean exponential gain:
+
+    random selection  relay index floor(u n), s_r of that relay, the n - 1
+                      gains toward it, r_d (n), s_e (m), r_e (n x m)
+    max-min           s_r (n), r_d (n), the n - 1 gains toward the relay
+                      with the largest min(s_r, r_d), s_e (m), r_e (n x m)
+
+    With independent legs hop 2's r_d (n) and r_e (n x m) follow, and the
+    hop-2 block is the hop-1 block with those two replaced; with shared
+    legs the two blocks are one object.
+    """
+    n, m = config.n, config.m
+    fields = _trial_fields(config, maxmin, independent)
+    draws = stream.uniforms(lo, hi, sum(size for _, size in fields))
+    rows = len(draws)
+    drawn, o = {}, 0
+    for name, size in fields:
+        drawn[name] = draws[:, o:o + size]
+        o += size
+    # the relay index is read before the uniforms turn into gains in place
+    pick = None if maxmin else (drawn["pick"][:, 0] * n).astype(np.intp)
+    _exponential(draws)
+    s_r = drawn["s_r"]
+    if pick is not None:
+        s_r = np.full((rows, n), math.nan)
+        s_r[np.arange(rows), pick] = drawn["s_r"][:, 0]
+    hop1 = ChannelRealization(n=n, m=m, pick=pick, s_r=s_r, to_relay=drawn["to_relay"],
+                              r_d=drawn["r_d"], s_e=drawn["s_e"],
+                              r_e=drawn["r_e"].reshape(rows, n, m))
+    if not independent:
+        return hop1, hop1
+    return hop1, replace(hop1, r_d=drawn["r_d2"], r_e=drawn["r_e2"].reshape(rows, n, m))
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """T sampled sets of power gains |h|^2 among S, the relays, D and the eavesdroppers.
 
-    Row t of every field belongs to trial t:
+    Row t of every array belongs to trial t. Only what a transmission reads
+    is drawn, so the relay-to-relay gains are those toward one relay per
+    trial, the relay it transmits through:
 
-    s_r[t, j]     gain S <-> R_j (reciprocal)
-    rr_cond[t]    gains R_j <-> R_k, j < k, condensed row-major (reciprocal)
-    r_d[t, j]     gain R_j <-> D (reciprocal)
-    s_d[t]        gain S <-> D (sampled for completeness; neither protocol uses it)
-    s_e[t, i]     gain S -> E_i (directional)
-    r_e[t, j, i]  gain R_j -> E_i (directional)
+    pick[t]          relay drawn by random selection (None under max-min)
+    s_r[t, j]        gain S <-> R_j; under random selection only the picked
+                     relay's entry is drawn and the others are NaN
+    to_relay[t, :]   gains R_j <-> the trial's relay, j in increasing order,
+                     that relay left out (n - 1 of them; reciprocal)
+    r_d[t, j]        gain R_j <-> D (reciprocal)
+    s_e[t, i]        gain S -> E_i (directional)
+    r_e[t, j, i]     gain R_j -> E_i (directional)
     """
 
     n: int
     m: int
+    pick: np.ndarray | None
     s_r: np.ndarray
-    rr_cond: np.ndarray
+    to_relay: np.ndarray
     r_d: np.ndarray
-    s_d: np.ndarray
     s_e: np.ndarray
     r_e: np.ndarray
-
-    @classmethod
-    def from_draws(cls, config: ScenarioConfig, draws: np.ndarray) -> ChannelRealization:
-        """Views into a (T, realization_size(config)) block of drawn rows."""
-        n, m = config.n, config.m
-        n_rr = n * (n - 1) // 2
-        o = 0
-        s_r = draws[:, o:o + n]; o += n
-        rr_cond = draws[:, o:o + n_rr]; o += n_rr
-        r_d = draws[:, o:o + n]; o += n
-        s_d = draws[:, o]; o += 1
-        s_e = draws[:, o:o + m]; o += m
-        r_e = draws[:, o:].reshape(len(draws), n, m)
-        return cls(n=n, m=m, s_r=s_r, rr_cond=rr_cond, r_d=r_d, s_d=s_d, s_e=s_e, r_e=r_e)
 
     def gains_to_relay(self, selected: np.ndarray) -> np.ndarray:
         """(T, n) gains from every relay toward trial t's relay selected[t]; that relay is NaN.
 
-        Pair (a, b), a < b, sits at a*(2n - a - 1)/2 + (b - a - 1) in
-        rr_cond. On the diagonal a = b that formula lands one before row a's
-        first pair, a valid index whenever n >= 2, and is overwritten.
+        `selected` must be the relays the gains were drawn toward; row t's
+        n - 1 gains fill the other columns in order.
         """
-        if self.n == 1:
-            return np.full((len(selected), 1), np.nan)
         rows = np.arange(len(selected))
-        sel = selected[:, None]
-        other = np.arange(self.n)
-        a, b = np.minimum(sel, other), np.maximum(sel, other)
-        out = self.rr_cond[rows[:, None], a * (2 * self.n - a - 1) // 2 + (b - a - 1)]
-        out[rows, selected] = np.nan
+        out = np.empty((len(selected), self.n))
+        others = np.ones(out.shape, dtype=bool)
+        others[rows, selected] = False
+        out[others] = self.to_relay.reshape(-1)
+        out[rows, selected] = math.nan
         return out
 
 
@@ -200,21 +252,14 @@ def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,
     them; `gains` is (T, n) or (T, n, m), every relay's gain toward the
     receiver(s); `jammers` is the (T, n) mask of the relays that jam.
 
-    Each trial's jammer gains are added exactly as np.sum adds that jammer
-    set on its own. numpy sums pairwise, so summing a zero-padded row would
-    regroup the additions and could move the last bit; rows are summed in
-    groups of equal jammer count instead, which also keeps a trial's result
-    independent of the other trials in its block.
+    The interference is each row's sum over all n relays with the gains of
+    the relays that do not jam set to zero, so a trial's result depends on
+    its own row only, never on its block.
     """
     if np.any(signal_gains < 0):
         raise ValueError("signal gain must be nonnegative")
-    interference = np.zeros(signal_gains.shape)
-    count = jammers.sum(axis=1)
-    for k in set(count.tolist()) - {0}:
-        rows = count == k
-        picked = gains[rows][jammers[rows]]
-        interference[rows] = picked.reshape(len(picked) // k, k,
-                                            *gains.shape[2:]).sum(axis=1)
+    mask = jammers if gains.ndim == 2 else jammers[:, :, None]
+    interference = np.where(mask, gains, 0.0).sum(axis=1)
     return sinr_many(signal_gains, interference, config)
 
 

@@ -1,19 +1,17 @@
 """Replicated-trial estimation of outage probabilities and load-balance statistics.
 
-Trials are embarrassingly parallel: trial t draws everything it needs from
-the counter-based substream (seed, t), so a run can be split across any
-number of workers and merged back into counts that are bit-identical to a
+Trials are embarrassingly parallel: trial t reads a fixed range of words of
+the seed's counter-based stream (stream layout 2, see
+`channel.sample_realization`), so a run can be split across any number of
+workers and merged back into counts that are bit-identical to a
 single-worker run. All proportions carry Wilson 95% intervals, which stay
 honest at the extreme rates secrecy studies produce.
 
-The trial kernel works in blocks. A Python loop re-keys one generator to
-each trial's substream in turn (`trial_streams`) and draws that trial's
-realization rows in the fixed layout (see `_run_trials`) into one
-preallocated block, plus, for random selection, its relay index; one
-vectorised pass then reads the block as `ChannelRealization`s, selects the
-max-min relays and computes the jammer sets, SINRs and outage flags, and the
-counts are sums over it. A trial's outcome depends only on its own row, so
-block boundaries never change a count.
+The trial kernel works in blocks and has no per-trial loop: one call draws a
+block's words and decodes them into `ChannelRealization`s, one vectorised
+pass selects the relays and computes the jammer sets, SINRs and outage
+flags, and the counts are sums over it. A trial's outcome depends only on
+its own words, so block boundaries never change a count.
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -32,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (ChannelRealization, ScenarioConfig, realization_size,
-                      sample_realization, trial_streams)
+from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
 from .protocols import (ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
@@ -68,41 +65,24 @@ _COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
                "eve_hits_hop1", "jam1_sum", "jam1_sumsq")
 
 
-# Drawn gains per block, about 2 MB of float64: realization_size gains a trial
-# and leg, and never less than one trial.
-_BLOCK_GAINS = 1 << 18
+# Words drawn per block, 2 MB of uniforms: trial_words words a trial, and
+# never less than one trial.
+_BLOCK_WORDS = 1 << 18
 
 
 def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
                 start: int, stop: int, seed: int, legs: str) -> dict[str, int]:
-    """Run trials [start, stop) and return raw outcome counts.
-
-    Stream layout of trial t, on substream (seed, t): one realization row
-    (`sample_realization`), a second one for hop 2 in independent-legs mode,
-    then, for random selection only, one integer for the relay. Those draws
-    are all the per-trial loop does; `draws[leg, b]` holds block row b.
-    """
-    n = config.n
+    """Run trials [start, stop) of `seed` and return raw outcome counts."""
     tau = resolve_tau(protocol, config)
-    legs_drawn = 2 if legs == "independent" else 1
-    random_pick = protocol.kind == "random-uniform"
-    width = realization_size(config)
-    size = max(1, min(stop - start, _BLOCK_GAINS // (legs_drawn * width)))
-    draws = np.empty((legs_drawn, size, width))
-    picks = np.empty(size, dtype=np.int64)
-    stream = trial_streams(seed)
+    maxmin = protocol.kind == "optimal-maxmin"
+    independent = legs == "independent"
+    size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
+    stream = SeedStream(seed)
     c = dict.fromkeys(_COUNT_KEYS, 0)
     for lo in range(start, stop, size):
-        k = min(size, stop - lo)
-        for b in range(k):
-            rng = stream(lo + b)
-            for leg in draws:
-                sample_realization(config, rng, leg[b])
-            if random_pick:
-                picks[b] = rng.integers(0, n)
-        hops = [ChannelRealization.from_draws(config, leg[:k]) for leg in draws]
-        hop1, hop2 = hops[0], hops[-1]
-        selected = picks[:k] if random_pick else select_relay_optimal(hop1)
+        hop1, hop2 = sample_realization(config, stream, lo, min(lo + size, stop),
+                                        maxmin=maxmin, independent=independent)
+        selected = select_relay_optimal(hop1.s_r, hop1.r_d) if maxmin else hop1.pick
         record = execute_two_hop(hop1, hop2, selected, tau, config)
         f = classify_outage(record, config)
         jam1 = record.jammers_hop1.sum(axis=1)
@@ -214,8 +194,9 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
                     workers: int = 1, trial_start: int = 0) -> OutageEstimate:
     """Estimate all outage probabilities from `trials` simulated transmissions.
 
-    The result is identical for any `workers` count: trial t always uses
-    substream (seed, t), and workers only partition the trial range.
+    The result is identical for any `workers` count: trial t always reads
+    the same words of the seed's stream, and workers only partition the
+    trial range.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -358,26 +339,32 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     and the relay is reselected every slot, which is what makes max-min
     selection freeze onto one relay per epoch while random selection keeps
     rotating. Only selection is simulated; no jamming threshold is needed.
+
+    Epoch e is row e of the seed's stream (`SeedStream`): a max-min epoch
+    reads s_r and r_d (2n words), a random one a relay index floor(u n) per
+    slot (coherence_len words; a short last epoch reads the first ones).
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     n, epoch_len = config.n, config.coherence_len
+    maxmin = protocol.kind == "optimal-maxmin"
+    words = 2 * n if maxmin else epoch_len
+    epochs = (slots + epoch_len - 1) // epoch_len
+    stream = SeedStream(seed)
     counts = np.zeros(n, dtype=np.int64)
     constant = True
-    epochs = (slots + epoch_len - 1) // epoch_len
-    draws = np.empty((1, realization_size(config)))
-    stream = trial_streams(seed)
-    for e in range(epochs):
-        rng = stream(e)
-        sample_realization(config, rng, draws[0])
-        k = min(epoch_len, slots - e * epoch_len)
-        if protocol.kind == "optimal-maxmin":
-            picks = np.repeat(select_relay_optimal(ChannelRealization.from_draws(config, draws)), k)
+    size = max(1, _BLOCK_WORDS // words)
+    for lo in range(0, epochs, size):
+        hi = min(lo + size, epochs)
+        in_epoch = np.minimum(epoch_len, slots - np.arange(lo, hi) * epoch_len)
+        if maxmin:
+            gains = stream.exponentials(lo, hi, words)
+            np.add.at(counts, select_relay_optimal(gains[:, :n], gains[:, n:]), in_epoch)
         else:
-            picks = rng.integers(0, n, size=k)
-        np.add.at(counts, picks, 1)
-        if constant and len(np.unique(picks)) > 1:
-            constant = False
+            picks = (stream.uniforms(lo, hi, words) * n).astype(np.intp)
+            drawn = np.arange(epoch_len) < in_epoch[:, None]
+            counts += np.bincount(picks[drawn], minlength=n)
+            constant = constant and bool(np.all((picks == picks[:, :1]) | ~drawn))
     return LoadBalanceStats(selection_counts=tuple(int(c) for c in counts),
                             jain_index=jain_index(counts),
                             entropy=selection_entropy(counts),

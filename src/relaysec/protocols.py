@@ -9,7 +9,8 @@ supported: the max-min optimal rule and uniform random selection; both reuse
 the same threshold jamming, differing only in where tau comes from.
 
 Everything runs on blocks of T trials, one row per trial: the
-`ChannelRealization` blocks the trials drew (see montecarlo), the (T,)
+`ChannelRealization` blocks the trials drew (see `channel.sample_realization`,
+which draws a random-selection trial's relay index with its gains), the (T,)
 selected relays, and arrays with a leading trial axis.
 `select_relay_optimal` picks max-min relays for a block, `execute_two_hop`
 runs the block's transmissions and `classify_outage` turns their SINRs into
@@ -75,12 +76,12 @@ class OutageFlags:
     s_out_e2e: np.ndarray
 
 
-def select_relay_optimal(realization: ChannelRealization) -> np.ndarray:
+def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
     """(T,) relay with the largest min(gain to S, gain to D) in each trial.
 
-    Ties go to the lowest index.
+    `s_r` and `r_d` are (T, n). Ties go to the lowest index.
     """
-    return np.argmax(np.minimum(realization.s_r, realization.r_d), axis=1)
+    return np.argmax(np.minimum(s_r, r_d), axis=1)
 
 
 def jammer_set(gains: np.ndarray, selected: np.ndarray, tau: float) -> np.ndarray:

@@ -1,41 +1,37 @@
 """Channel sampling and SINR tests against distributional oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from relaysec import (ChannelRealization, ScenarioConfig, realization_size,
-                      sample_realization, sinr, trial_rng)
-from relaysec.channel import trial_streams
+from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_two_hop,
+                      sample_realization, select_relay_optimal, sinr, trial_rng, trial_words)
 
 
-def make_realization(s_r, rr_cond, r_d, s_d, s_e, r_e):
-    """Hand-built batch of one; rr_cond lists relay-pair gains for j < k, row-major."""
-    cfg = ScenarioConfig(n=len(s_r), m=len(s_e), gamma_r=1.0, gamma_e=1.0)
-    row = np.concatenate([np.asarray(g, dtype=float).ravel()
-                          for g in (s_r, rr_cond, r_d, [s_d], s_e, r_e)])
-    return ChannelRealization.from_draws(cfg, row[None])
+def make_realization(s_r, rr_cond, r_d, s_e, r_e, toward=0):
+    """Hand-built batch of one whose relay-pair gains are those toward relay `toward`.
+
+    rr_cond lists every relay-pair gain for j < k, row-major; r_e[j][i] is
+    relay j's gain toward eavesdropper i.
+    """
+    n, m = len(s_r), len(s_e)
+    pairs = dict(zip(condensed_pairs(n), rr_cond))
+    to_relay = [pairs[min(j, toward), max(j, toward)] for j in range(n) if j != toward]
+
+    def row(values, *shape):
+        return np.asarray(values, dtype=float).reshape(1, *shape)
+
+    return ChannelRealization(n=n, m=m, pick=None, s_r=row(s_r, n),
+                              to_relay=row(to_relay, n - 1), r_d=row(r_d, n),
+                              s_e=row(s_e, m), r_e=row(r_e, n, m))
 
 
-def draw_rows(cfg, seed, trials, start=0):
-    """Realization rows of trials [start, start + trials), each drawn on its own substream."""
-    draws = np.empty((trials, realization_size(cfg)))
-    for t, row in enumerate(draws):
-        sample_realization(cfg, trial_rng(seed, start + t), row)
-    return draws
-
-
-def sample_block(cfg, seed, trials, start=0):
-    """The block of realizations `draw_rows` draws."""
-    return ChannelRealization.from_draws(cfg, draw_rows(cfg, seed, trials, start))
-
-
-def to_relay_reference(real, row, j):
-    """Gains toward relay j in one row, looked up pair by pair in condensed order."""
-    pos = {pair: i for i, pair in enumerate(condensed_pairs(real.n))}
-    return [math.nan if k == j else real.rr_cond[row, pos[min(j, k), max(j, k)]]
-            for k in range(real.n)]
+def sample_block(cfg, seed, trials, start=0, kind="optimal-maxmin", legs="shared"):
+    """Hop-1 and hop-2 blocks of trials [start, start + trials) of `seed`'s stream."""
+    return sample_realization(cfg, SeedStream(seed), start, start + trials,
+                              maxmin=kind == "optimal-maxmin", independent=legs == "independent")
 
 
 class TestSampleGain:
@@ -84,86 +80,107 @@ class TestSampleGain:
 
 
 def condensed_pairs(n):
-    """Relay pairs (j, k), j < k, in the row-major order rr_cond stores them."""
+    """Relay pairs (j, k), j < k, in row-major order."""
     return [(j, k) for j in range(n - 1) for k in range(j + 1, n)]
 
 
 M64 = (1 << 64) - 1
 
 
-def philox_reference(seed, trial):
-    """A freshly keyed generator for substream (seed, trial), built without the library."""
-    return np.random.Generator(np.random.Philox(key=(seed & M64) << 64 | (trial & M64)))
+def philox_reference(seed, first_word, words):
+    """Uniforms of `words` words of seed's stream from `first_word` on, from a fresh Philox."""
+    bits = np.random.Philox(key=(seed & M64) | (2 << 64), counter=first_word // 4)
+    return (bits.random_raw(words) >> np.uint64(11)) * 2.0 ** -53
 
 
-def draw_all(rng):
-    return (rng.standard_exponential(200), rng.integers(0, 11), rng.integers(0, 11, size=7))
-
-
-def assert_same_draws(rng, ref):
-    for got, want in zip(draw_all(rng), draw_all(ref)):
-        assert np.array_equal(got, want)
+def trial_reference(cfg, seed, trial, maxmin, independent):
+    """Trial's W words as gains (the relay index word left uniform), and W."""
+    width = trial_words(cfg, maxmin=maxmin, independent=independent)
+    u = philox_reference(seed, trial * width, width)
+    g = -np.log1p(-u)
+    if not maxmin:
+        g[0] = u[0]
+    return g, width
 
 
 class TestTrialStreams:
+    """One held Philox per seed, repositioned for every draw: it reads like a fresh one."""
+
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
     @pytest.mark.parametrize("trial", [0, 5, 2**40 + 3])
     def test_rekeyed_equals_fresh_philox(self, seed, trial):
-        assert_same_draws(trial_streams(seed)(trial), philox_reference(seed, trial))
+        stream = SeedStream(seed)
+        stream.uniforms(trial + 1, trial + 3, 12)  # the held Philox moves on
+        got = stream.uniforms(trial, trial + 2, 12)
+        assert np.array_equal(got.ravel(), philox_reference(seed, trial * 12, 24))
 
     @pytest.mark.parametrize("leftover", [
         lambda rng: rng.integers(0, 11),  # leaves half a 64-bit word buffered
         lambda rng: rng.standard_exponential(3),  # part of the Philox output block
     ], ids=["half_word", "partial_exponential"])
     def test_previous_trial_leaves_nothing_behind(self, leftover):
-        at = trial_streams(7)
-        leftover(at(4))
-        assert_same_draws(at(5), philox_reference(7, 5))
+        # whatever state the held Philox is left in, a draw sets all of it
+        stream = SeedStream(7)
+        stream.uniforms(4, 5, 8)
+        leftover(np.random.Generator(stream._bits))
+        assert np.array_equal(stream.uniforms(5, 6, 8)[0], philox_reference(7, 40, 8))
 
     def test_out_of_order_reuse(self):
-        at = trial_streams(-3)
-        for trial in (5, 0, 5):
-            assert_same_draws(at(trial), philox_reference(-3, trial))
+        stream = SeedStream(-3)
+        for row in (5, 0, 5):
+            got = stream.uniforms(row, row + 1, 6)[0]
+            assert np.array_equal(got, philox_reference(-3, row * 8, 8)[:6])
 
 
 class TestSampleRealization:
     def test_row_matches_one_exponential_draw(self):
-        # drawing into a row is the same stream, and leaves it at the same place
-        for n, m in ((1, 0), (2, 1), (7, 3)):
+        # every field of trial t is its slice of -log1p(-u) over words [t W, (t+1) W)
+        for n, m, maxmin, independent in itertools.product((1, 2, 7), (0, 1, 3), (True, False),
+                                                           (False, True)):
             cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
-            row = np.empty(realization_size(cfg))
-            rng, ref = trial_rng(5, n), trial_rng(5, n)
-            sample_realization(cfg, rng, row)
-            assert np.array_equal(row, ref.exponential(1.0, size=realization_size(cfg)))
-            assert rng.integers(0, 1000) == ref.integers(0, 1000)
+            hop1, hop2 = sample_realization(cfg, SeedStream(5), 3, 4, maxmin=maxmin,
+                                            independent=independent)
+            g, width = trial_reference(cfg, 5, 3, maxmin, independent)
+            if maxmin:
+                head = [hop1.s_r[0], hop1.r_d[0], hop1.to_relay[0]]
+            else:
+                sel = int(g[0] * n)
+                assert hop1.pick[0] == sel
+                head = [[g[0]], hop1.s_r[0, [sel]], hop1.to_relay[0], hop1.r_d[0]]
+            fields = head + [hop1.s_e[0], hop1.r_e[0].ravel()]
+            if independent:
+                fields += [hop2.r_d[0], hop2.r_e[0].ravel()]
+            used = np.concatenate(fields)
+            assert np.array_equal(used, g[:len(used)])
+            assert width - 4 < len(used) <= width
 
     def test_pair_enumeration_n2_m1(self):
-        # one gain per pair: S-R0, S-R1, R0-R1, R0-D, R1-D, S-D, S-E0, R0-E0, R1-E0
+        # one gain per link read: S-R (both under max-min, the relay's under
+        # random), the relay pair, R0-D, R1-D, S-E0, R0-E0, R1-E0
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        assert realization_size(cfg) == 9
-        real = sample_block(cfg, 1, 1)
-        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((1, 2), (1, 1), (1, 2))
-        assert real.s_d.shape == (1,)
+        assert trial_words(cfg, maxmin=True, independent=False) == 8
+        assert trial_words(cfg, maxmin=False, independent=False) == 8
+        assert trial_words(cfg, maxmin=True, independent=True) == 12
+        real, _ = sample_block(cfg, 1, 1)
+        assert (real.s_r.shape, real.to_relay.shape, real.r_d.shape) == ((1, 2), (1, 1), (1, 2))
         assert (real.s_e.shape, real.r_e.shape) == ((1, 1), (1, 2, 1))
 
     def test_pair_enumeration_n1_m0(self):
-        # S-R0, R0-D and S-D only: no relay pairs, no eavesdropper links
+        # S-R0 and R0-D only: no relay pairs, no eavesdropper links
         cfg = ScenarioConfig(n=1, m=0, gamma_r=1.0, gamma_e=1.0)
-        real = sample_block(cfg, 1, 1)
-        assert (real.s_r.shape, real.rr_cond.shape, real.r_d.shape) == ((1, 1), (1, 0), (1, 1))
-        assert (real.s_e.shape, real.r_e.shape) == ((1, 0), (1, 1, 0))
-        assert math.isnan(real.gains_to_relay(np.array([0]))[0, 0])
+        for kind in ("optimal-maxmin", "random-uniform"):
+            real, _ = sample_block(cfg, 1, 1, kind=kind)
+            assert (real.s_r.shape, real.to_relay.shape, real.r_d.shape) == ((1, 1), (1, 0), (1, 1))
+            assert (real.s_e.shape, real.r_e.shape) == ((1, 0), (1, 1, 0))
+            assert math.isnan(real.gains_to_relay(np.array([0]))[0, 0])
 
     def test_same_seed_identical(self):
         cfg = ScenarioConfig(n=5, m=3, gamma_r=1.0, gamma_e=1.0)
-        a = sample_block(cfg, 99, 1, start=4)
-        b = sample_block(cfg, 99, 1, start=4)
-        assert np.array_equal(a.s_r, b.s_r)
-        assert np.array_equal(a.rr_cond, b.rr_cond)
-        assert np.array_equal(a.r_d, b.r_d)
-        assert np.array_equal(a.s_d, b.s_d)
-        assert np.array_equal(a.s_e, b.s_e)
-        assert np.array_equal(a.r_e, b.r_e)
+        for kind in ("optimal-maxmin", "random-uniform"):
+            a, _ = sample_block(cfg, 99, 1, start=4, kind=kind)
+            b, _ = sample_block(cfg, 99, 3, start=2, kind=kind)
+            for field in ("s_r", "to_relay", "r_d", "s_e", "r_e"):
+                assert np.array_equal(getattr(a, field)[0], getattr(b, field)[2], equal_nan=True)
 
     def test_substream_independent_of_creation_order(self):
         direct = trial_rng(7, 5).exponential()
@@ -180,41 +197,47 @@ class TestSampleRealization:
         assert a.exponential() != direct
 
     def test_reciprocity_of_legitimate_pairs(self):
-        cfg = ScenarioConfig(n=4, m=2, gamma_r=1.0, gamma_e=1.0)
-        real = sample_block(cfg, 3, 1)
-        toward = [real.gains_to_relay(np.array([j]))[0] for j in range(4)]
-        for j in range(4):
-            for k in range(4):
-                if j != k:
-                    assert toward[j][k] == toward[k][j]
+        # one draw per legitimate link: the S-R and R-D gains max-min selection
+        # measured are the ones hop 1 and hop 2 transmit over
+        cfg = ScenarioConfig(n=4, m=2, gamma_r=1.0, gamma_e=1.0, n0=2.0)
+        real, _ = sample_block(cfg, 3, 50)
+        sel = select_relay_optimal(real.s_r, real.r_d)
+        rec = execute_two_hop(real, real, sel, 0.0, cfg)  # tau = 0: nobody jams, N0/2 = 1
+        rows = np.arange(50)
+        assert np.array_equal(rec.sinr_relay, real.s_r[rows, sel])
+        assert np.array_equal(rec.sinr_dest, real.r_d[rows, sel])
 
     def test_gains_to_relay_matches_pairs(self):
         for n in (2, 4, 7):
-            cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
-            real = sample_block(cfg, 3, 1, start=1)
-            toward = [real.gains_to_relay(np.array([j]))[0] for j in range(n)]
-            for pos, (j, k) in enumerate(condensed_pairs(n)):
-                assert toward[j][k] == real.rr_cond[0, pos]
-                assert toward[k][j] == real.rr_cond[0, pos]
+            real = ChannelRealization(n=n, m=0, pick=None, s_r=np.ones((n, n)),
+                                      to_relay=np.tile(np.arange(1.0, n), (n, 1)),
+                                      r_d=np.ones((n, n)), s_e=np.ones((n, 0)),
+                                      r_e=np.ones((n, n, 0)))
+            got = real.gains_to_relay(np.arange(n))  # row j: the gains toward relay j
             for j in range(n):
-                assert math.isnan(toward[j][j])
+                assert math.isnan(got[j, j])
+                assert got[j, :j].tolist() == list(range(1, j + 1))
+                assert got[j, j + 1:].tolist() == list(range(j + 1, n))
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_block_gains_to_relay_matches_condensed_reference(self, n):
         # every row picks its own relay: first, middle and last, in turn
         cfg = ScenarioConfig(n=n, m=1, gamma_r=1.0, gamma_e=1.0)
-        real = sample_block(cfg, 12, 9)
+        real, _ = sample_block(cfg, 12, 9)
         selected = np.array([0, n // 2, n - 1] * 3)
         got = real.gains_to_relay(selected)
         assert got.shape == (9, n)
         for row, j in enumerate(selected):
-            assert np.array_equal(got[row], to_relay_reference(real, row, j), equal_nan=True)
+            want = np.insert(real.to_relay[row], j, math.nan)
+            assert np.array_equal(got[row], want, equal_nan=True)
 
     def test_all_gains_finite_nonnegative(self):
         cfg = ScenarioConfig(n=6, m=3, gamma_r=1.0, gamma_e=1.0)
-        real = sample_block(cfg, 8, 1)
-        for g in (real.s_r, real.rr_cond, real.r_d, real.s_d, real.s_e, real.r_e):
-            assert np.all(np.isfinite(g)) and np.all(np.asarray(g) >= 0)
+        for kind in ("optimal-maxmin", "random-uniform"):
+            hop1, hop2 = sample_block(cfg, 8, 200, kind=kind, legs="independent")
+            drawn = hop1.s_r[np.arange(200), hop1.pick] if hop1.pick is not None else hop1.s_r
+            for g in (drawn, hop1.to_relay, hop1.r_d, hop1.s_e, hop1.r_e, hop2.r_d, hop2.r_e):
+                assert np.all(np.isfinite(g)) and np.all(g >= 0)
 
 
 def sinr_one(signal, jammer_gains, config):
@@ -263,7 +286,8 @@ class TestSinr:
     @pytest.mark.parametrize("m", [None, 1, 3])
     def test_block_matches_per_trial_sums(self, m):
         # the loop version is the reference: a block must reproduce, bit for
-        # bit, np.sum over each trial's jammer set taken on its own
+        # bit, each trial's own masked sum, and agree with the sum over its
+        # jammer set alone to rounding
         rng = trial_rng(11, m or 0)
         t, n = 200, 40
         trailing = () if m is None else (m,)
@@ -272,9 +296,13 @@ class TestSinr:
         jammers = rng.random((t, n)) < rng.random((t, 1))
         got = sinr(signal, gains, jammers, self.CFG_EXACT)
         for row in range(t):
-            interference = np.sum(gains[row][jammers[row]], axis=0)
-            want = signal[row] / (interference + 0.5)
-            assert np.array_equal(got[row], want)
+            mask = jammers[row] if m is None else jammers[row][:, None]
+            interference = np.where(mask, gains[row], 0.0).sum(axis=0)
+            assert np.array_equal(got[row], signal[row] / (interference + 0.5))
+            assert np.array_equal(got[row:row + 1], sinr(signal[row:row + 1], gains[row:row + 1],
+                                                         jammers[row:row + 1], self.CFG_EXACT))
+            alone = np.sum(gains[row][jammers[row]], axis=0)
+            assert np.allclose(got[row], signal[row] / (alone + 0.5), rtol=1e-14, atol=0)
 
 
 class TestScenarioConfig:

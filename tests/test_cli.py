@@ -1,6 +1,7 @@
 """Command-line surface tests: flags, exit codes, determinism, file formats."""
 
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,21 @@ class TestBounds:
         header, row = out.strip().splitlines()
         assert header.split(",")[0] == "n"
         assert len(header.split(",")) == len(row.split(","))
+
+    @pytest.mark.parametrize("eps_s", ["0.3", "1"])
+    def test_zero_eps_t_prints_no_negative_zero(self, capsys, eps_s):
+        # tau_max, tau_used and (at eps_s = 1) tau_min are exact zeros here
+        code, out, _ = run_cli(capsys, "bounds", "--n", "11", "--m", "1", "--gamma-r", "1",
+                               "--gamma-e", "1", "--eps-s", eps_s, "--eps-t", "0")
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        assert json.loads(out)["report"]["tau_max"] == 0.0
+        assert re.search(r"-0(?![.\d])", out) is None
+        code, out, _ = run_cli(capsys, "sweep", "--param", "n", "--values", "2,11",
+                               "--outputs", "bounds", "--m", "1", "--gamma-r", "1",
+                               "--gamma-e", "1", "--eps-s", eps_s, "--eps-t", "0")
+        assert code == EXIT_OK
+        cells = [c for line in out.strip().splitlines()[1:] for c in line.split(",")]
+        assert "0" in cells and "-0" not in cells
 
 
 SIM_ARGS = ["simulate", "--protocol", "random", "--tau-policy", "manual",
@@ -132,7 +148,6 @@ class TestSimulate:
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--config", str(path)])
         assert err.value.code == EXIT_USAGE
-
 
 class TestSweep:
     BASE = ["sweep", "--param", "n", "--values", "101",

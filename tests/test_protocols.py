@@ -10,19 +10,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaysec import (ChannelRealization, InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
+from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
-                      per_leg_budget, realization_size, resolve_tau, select_relay_optimal,
+                      per_leg_budget, resolve_tau, select_relay_optimal,
                       tau_protocol1, theorem2_tau_range, trial_rng)
 from relaysec.protocols import TransmissionRecord
 
-from .test_channel import draw_rows, make_realization, sample_block
+from .test_channel import make_realization, sample_block
 
 
-def pair_realization(s_r, r_d):
-    """Realization with only the gains max-min selection looks at."""
-    n = len(s_r)
-    return make_realization(s_r, np.ones(n * (n - 1) // 2), r_d, 1.0, [], [[] for _ in range(n)])
+def select_one(s_r, r_d):
+    """Max-min selection in a batch of one."""
+    return select_relay_optimal(np.array([s_r], dtype=float), np.array([r_d], dtype=float))[0]
 
 
 def one_trial(real, selected, hop2=None):
@@ -43,31 +42,29 @@ def jammers(gains, selected, tau):
 
 class TestSelectRelayOptimal:
     def test_picks_largest_min(self):
-        real = pair_realization([0.5, 1.5, 0.3], [2.0, 1.2, 3.0])
-        assert select_relay_optimal(real)[0] == 1  # mins 0.5, 1.2, 0.3
+        assert select_one([0.5, 1.5, 0.3], [2.0, 1.2, 3.0]) == 1  # mins 0.5, 1.2, 0.3
 
     def test_tie_breaks_to_lowest_index(self):
-        real = pair_realization([1.0, 1.0], [1.0, 2.0])
-        assert select_relay_optimal(real)[0] == 0
+        assert select_one([1.0, 1.0], [1.0, 2.0]) == 0
 
     def test_single_relay(self):
-        real = pair_realization([0.4], [0.2])
-        assert select_relay_optimal(real)[0] == 0
+        assert select_one([0.4], [0.2]) == 0
 
     def test_permutation_equivariant(self):
         rng = trial_rng(21, 0)
         for _ in range(50):
             s_r = rng.exponential(size=6)
             r_d = rng.exponential(size=6)
-            sel = select_relay_optimal(pair_realization(s_r, r_d))[0]
+            sel = select_one(s_r, r_d)
             perm = rng.permutation(6)
-            sel_p = select_relay_optimal(pair_realization(s_r[perm], r_d[perm]))[0]
+            sel_p = select_one(s_r[perm], r_d[perm])
             assert perm[sel_p] == sel
 
     def test_selection_uniform_over_fresh_fading(self):
         # i.i.d. gains make the argmax symmetric across relays
         cfg = ScenarioConfig(n=8, m=0, gamma_r=1.0, gamma_e=1.0)
-        counts = np.bincount(select_relay_optimal(sample_block(cfg, 22, 20_000)), minlength=8)
+        real, _ = sample_block(cfg, 22, 20_000)
+        counts = np.bincount(select_relay_optimal(real.s_r, real.r_d), minlength=8)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_block_matches_per_row_argmax(self):
@@ -75,15 +72,14 @@ class TestSelectRelayOptimal:
         # per-row argmax does, the lowest tied index
         rng = trial_rng(23, 0)
         cfg = ScenarioConfig(n=5, m=0, gamma_r=1.0, gamma_e=1.0)
-        draws = rng.integers(0, 3, size=(400, realization_size(cfg))).astype(float)
-        real = ChannelRealization.from_draws(cfg, draws)
-        mins = np.minimum(real.s_r, real.r_d)
+        s_r, r_d = rng.integers(0, 3, size=(2, 400, cfg.n)).astype(float)
+        mins = np.minimum(s_r, r_d)
         assert sum(np.count_nonzero(row == row.max()) > 1 for row in mins) > 50
-        assert select_relay_optimal(real).tolist() == [int(np.argmax(row)) for row in mins]
+        assert select_relay_optimal(s_r, r_d).tolist() == [int(np.argmax(row)) for row in mins]
 
 
 class TestSelectRelayRandom:
-    """Uniform random selection: one rng.integers(0, n) per pick, as load_balance draws it."""
+    """Uniform random selection: one word per pick, floor(u n), as load_balance draws it."""
 
     RANDOM = ProtocolChoice(kind="random-uniform")
 
@@ -119,16 +115,18 @@ class TestJammerSet:
 
     def test_hop1_uses_gains_toward_selected_relay(self):
         # relay pair gains (0,1)=0.05, (0,2)=0.5, (1,2)=0.01
-        real = make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], 1.0,
-                                [], [[], [], []])
-        assert jammers(toward(real, 1), 1, 0.1) == {0, 2}
-        assert jammers(toward(real, 0), 0, 0.1) == {1}
+        def real(j):
+            return make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], [],
+                                    [[], [], []], toward=j)
+        assert jammers(toward(real(1), 1), 1, 0.1) == {0, 2}
+        assert jammers(toward(real(0), 0), 0, 0.1) == {1}
 
     def test_monotone_in_tau(self):
         cfg = ScenarioConfig(n=9, m=0, gamma_r=1.0, gamma_e=1.0)
-        real = sample_block(cfg, 30, 1)
+        real, _ = sample_block(cfg, 30, 1)
+        sel = select_relay_optimal(real.s_r, real.r_d)[0]
         taus = [0.0, 0.05, 0.2, 0.8, 2.0]
-        sets = [jammers(toward(real, 3), 3, t) for t in taus]
+        sets = [jammers(toward(real, sel), sel, t) for t in taus]
         for small, large in zip(sets[:-1], sets[1:]):
             assert small <= large
 
@@ -136,7 +134,7 @@ class TestJammerSet:
         # |set| ~ Binomial(n-1, 1-e^-tau)
         n, tau, trials = 11, 0.3, 20_000
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
-        r_d = sample_block(cfg, 31, trials).r_d
+        r_d = sample_block(cfg, 31, trials)[0].r_d
         sizes = jammer_set(r_d, np.zeros(trials, dtype=int), tau).sum(axis=1)
         expected = (n - 1) * (1.0 - math.exp(-tau))
         se = sizes.std(ddof=1) / math.sqrt(trials)
@@ -219,13 +217,13 @@ class TestExecuteTwoHop:
 
     def hand_case(self):
         return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08],
-                                s_d=1.0, s_e=[0.7], r_e=[[0.3], [0.04]])
+                                s_e=[0.7], r_e=[[0.3], [0.04]])
 
     def test_hand_worked_record(self):
         # selected = argmax(min(2,1.5), min(0.5,0.08)) = 0; both other-relay
         # gains 0.05 and 0.08 sit below tau = 0.1, so relay 1 jams both hops.
         real = self.hand_case()
-        assert select_relay_optimal(real)[0] == 0
+        assert select_relay_optimal(real.s_r, real.r_d)[0] == 0
         rec = execute_two_hop(**one_trial(real, 0), tau=self.TAU01, config=self.CFG)
         assert rec.selected_relay[0] == 0
         assert set(np.flatnonzero(rec.jammers_hop1[0])) == {1}
@@ -251,10 +249,10 @@ class TestExecuteTwoHop:
     def test_single_relay_unbounded_eve(self):
         cfg = ScenarioConfig(n=1, m=1, gamma_r=1.0, gamma_e=1.0,
                              noise_mode="interference-limited")
-        real = make_realization([1.3], [], [0.9], 1.0, [0.2], [[0.5]])
+        real = make_realization([1.3], [], [0.9], [0.2], [[0.5]])
         # both rules can only pick relay 0
-        assert select_relay_optimal(real)[0] == 0
-        assert trial_rng(0, 0).integers(0, 1) == 0
+        assert select_relay_optimal(real.s_r, real.r_d)[0] == 0
+        assert sample_block(cfg, 0, 100, kind="random-uniform")[0].pick.tolist() == [0] * 100
         rec = execute_two_hop(**one_trial(real, 0), tau=0.5, config=cfg)
         assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
         assert rec.sinr_eves_hop1[0, 0] == math.inf
@@ -262,7 +260,7 @@ class TestExecuteTwoHop:
 
     def test_independent_legs_hop2_gains(self):
         # hop 2 quantities must come from the substitute realization
-        alt = make_realization([2.0, 0.5], [0.05], [0.9, 4.0], 1.0, [0.7], [[0.6], [2.0]])
+        alt = make_realization([2.0, 0.5], [0.05], [0.9, 4.0], [0.7], [[0.6], [2.0]])
         rec = execute_two_hop(**one_trial(self.hand_case(), 0, hop2=alt), tau=self.TAU01,
                               config=self.CFG)
         assert rec.selected_relay[0] == 0
@@ -275,16 +273,17 @@ class TestExecuteTwoHop:
     def test_block_rows_match_batches_of_one(self):
         # a trial's outcome depends on its own row only, never on its block
         cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
-        draws = draw_rows(cfg, 60, 40)
-        block = ChannelRealization.from_draws(cfg, draws)
-        selected = trial_rng(60, 40).integers(0, cfg.n, size=40)
-        whole = execute_two_hop(block, block, selected, tau=0.3, config=cfg)
-        for t in range(40):
-            real = ChannelRealization.from_draws(cfg, draws[t:t + 1])
-            one = execute_two_hop(**one_trial(real, selected[t]), tau=0.3, config=cfg)
-            for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
-                          "sinr_eves_hop1", "sinr_eves_hop2"):
-                assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
+        for kind in ("optimal-maxmin", "random-uniform"):
+            hop1, hop2 = sample_block(cfg, 60, 40, kind=kind, legs="independent")
+            selected = hop1.pick if hop1.pick is not None else select_relay_optimal(hop1.s_r,
+                                                                                     hop1.r_d)
+            whole = execute_two_hop(hop1, hop2, selected, tau=0.3, config=cfg)
+            for t in range(40):
+                one1, one2 = sample_block(cfg, 60, 1, start=t, kind=kind, legs="independent")
+                one = execute_two_hop(one1, one2, selected[t:t + 1], tau=0.3, config=cfg)
+                for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
+                              "sinr_eves_hop1", "sinr_eves_hop2"):
+                    assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
 
 
 class TestClassifyOutage:
