@@ -5,16 +5,22 @@ candidate relays, with m passive eavesdroppers listening. Every link fades
 independently with a unit-mean exponential power gain (Rayleigh amplitude,
 equal path loss for all pairs). Legitimate pairs are reciprocal, one draw per
 unordered pair, because relay and jammer decisions are made from pilot
-measurements of those same links; eavesdropper links are directional draws
-that nothing ever measures. One realization spans both hops of a transmission.
+measurements of those same links; eavesdropper links are directional and
+nothing ever measures them. One realization spans both hops of a
+transmission.
 
-Only the gains a transmission reads are drawn (stream layout 2). Every draw
-of a run comes from one counter-based Philox stream per seed (`SeedStream`);
-trial t owns a fixed range of its 64-bit words, so any range of trials is
-drawn directly, with one call per block. `sample_realization` draws a block
-of trials and decodes it into a `ChannelRealization`, whose arrays carry a
-leading trial axis, so everything computed from the gains runs once per
-block. `trial_rng` hands out a fresh generator for draws outside the trials.
+Only the legitimate gains a transmission reads are drawn, and no
+eavesdropper gain at all (stream layout 3): an eavesdropper's gains are
+independent of everything the legitimate nodes draw and reach its outcome
+only through the jammer sets, so each eavesdropper draws one uniform that
+decides both of its hops from their exact law given those sets (see
+`protocols.execute_two_hop`). Every draw of a run comes from one
+counter-based Philox stream per seed (`SeedStream`); trial t owns a fixed
+range of its 64-bit words, so any range of trials is drawn directly, with
+one call per block. `sample_realization` draws a block of trials and
+decodes it into a `ChannelRealization`, whose arrays carry a leading trial
+axis, so everything computed from the gains runs once per block.
+`trial_rng` hands out a fresh generator for draws outside the trials.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
-_LAYOUT = 2  # the stream layout, also the high word of every run's Philox key
+_LAYOUT = 3  # the stream layout, also the high word of every run's Philox key
 
 
 def _philox_state(key: tuple[int, int], counter: int) -> dict:
@@ -68,29 +74,32 @@ def _exponential(u: np.ndarray) -> np.ndarray:
 class SeedStream:
     """The random stream of one seed: one Philox, read by word offset.
 
-    The Philox key is [seed mod 2**64, 2] (low word first; 2 is the stream
+    The Philox key is [seed mod 2**64, 3] (low word first; 3 is the stream
     layout). Rows of a table that read `words` words each are W =
     `words` rounded up to a multiple of 4 apart: row r owns words
     [r W, (r + 1) W), which start at Philox counter r W / 4. So any range of
-    rows is drawn by setting the counter and making one `random_raw` call.
+    rows is drawn by setting the counter and making one call.
     """
 
     def __init__(self, seed: int):
         self._key = (seed, _LAYOUT)
         self._bits = _fresh_philox()
+        self._gen = np.random.Generator(self._bits)
 
     def uniforms(self, lo: int, hi: int, words: int) -> np.ndarray:
-        """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi)."""
+        """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi).
+
+        numpy's `Generator.random` makes exactly that double of each 64-bit
+        word x, one word each.
+        """
         width = -(-words // 4) * 4
         self._bits.state = _philox_state(self._key, lo * width // 4)
-        raw = self._bits.random_raw((hi - lo) * width).reshape(hi - lo, width)[:, :words]
-        u = np.right_shift(raw, 11).astype(np.float64)
-        u *= 2.0 ** -53
-        return u
+        return self._gen.random((hi - lo) * width).reshape(hi - lo, width)[:, :words]
 
     def exponentials(self, lo: int, hi: int, words: int) -> np.ndarray:
         """(hi - lo, words) unit-mean exponential gains -log1p(-u) of rows [lo, hi)."""
-        return _exponential(self.uniforms(lo, hi, words))
+        # whole rows, padding and all: in place over contiguous rows is the faster pass
+        return _exponential(self.uniforms(lo, hi, -(-words // 4) * 4))[:, :words]
 
 
 @dataclass(frozen=True)
@@ -142,21 +151,21 @@ class ScenarioConfig:
 
 
 def _trial_fields(config: ScenarioConfig, maxmin: bool, independent: bool) -> list:
-    """(field, words) in the order one trial draws them (stream layout 2)."""
+    """(field, words) in the order one trial draws them (stream layout 3)."""
     n, m = config.n, config.m
     if maxmin:
         head = [("s_r", n), ("r_d", n), ("to_relay", n - 1)]
     else:
         head = [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)]
-    hop2 = [("r_d2", n), ("r_e2", n * m)] if independent else []
-    return head + [("s_e", m), ("r_e", n * m)] + hop2
+    hop2 = [("r_d2", n)] if independent else []
+    return head + hop2 + [("eve", m)]
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
     """W, the 64-bit words one trial owns: what it reads, rounded up to a multiple of 4.
 
-    Random selection reads 2n + 1 + m + nm words and max-min 3n - 1 + m + nm;
-    independent legs add n + nm for hop 2.
+    Random selection reads 2n + 1 + m words and max-min 3n - 1 + m;
+    independent legs add n for hop 2.
     """
     words = sum(size for _, size in _trial_fields(config, maxmin, independent))
     return -(-words // 4) * 4
@@ -168,43 +177,47 @@ def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: 
     """Draw trials [lo, hi) of `stream` and return their hop-1 and hop-2 blocks.
 
     Trial t reads its words [t W, (t + 1) W) (W from `trial_words`) in this
-    order, every one but the relay index a unit-mean exponential gain:
+    order:
 
     random selection  relay index floor(u n), s_r of that relay, the n - 1
-                      gains toward it, r_d (n), s_e (m), r_e (n x m)
+                      gains toward it, r_d (n)
     max-min           s_r (n), r_d (n), the n - 1 gains toward the relay
-                      with the largest min(s_r, r_d), s_e (m), r_e (n x m)
+                      with the largest min(s_r, r_d)
 
-    With independent legs hop 2's r_d (n) and r_e (n x m) follow, and the
-    hop-2 block is the hop-1 block with those two replaced; with shared
-    legs the two blocks are one object.
+    then hop 2's r_d (n) with independent legs, then one uniform per
+    eavesdropper (m). Every word between the relay index and the
+    eavesdroppers' uniforms is a unit-mean exponential gain. With
+    independent legs the hop-2 block is the hop-1 block with r_d replaced;
+    with shared legs the two blocks are one object.
     """
     n, m = config.n, config.m
-    fields = _trial_fields(config, maxmin, independent)
-    draws = stream.uniforms(lo, hi, sum(size for _, size in fields))
+    # whole rows of W words, padding included, so the conversion below runs
+    # in place over one contiguous array
+    draws = stream.uniforms(lo, hi, trial_words(config, maxmin=maxmin, independent=independent))
     rows = len(draws)
     drawn, o = {}, 0
-    for name, size in fields:
+    for name, size in _trial_fields(config, maxmin, independent):
         drawn[name] = draws[:, o:o + size]
         o += size
-    # the relay index is read before the uniforms turn into gains in place
+    # the relay index and the eavesdroppers' uniforms are read out before
+    # every word turns into a gain in place
     pick = None if maxmin else (drawn["pick"][:, 0] * n).astype(np.intp)
+    eve = drawn["eve"].copy()
     _exponential(draws)
     s_r = drawn["s_r"]
     if pick is not None:
         s_r = np.full((rows, n), math.nan)
         s_r[np.arange(rows), pick] = drawn["s_r"][:, 0]
     hop1 = ChannelRealization(n=n, m=m, pick=pick, s_r=s_r, to_relay=drawn["to_relay"],
-                              r_d=drawn["r_d"], s_e=drawn["s_e"],
-                              r_e=drawn["r_e"].reshape(rows, n, m))
+                              r_d=drawn["r_d"], eve=eve)
     if not independent:
         return hop1, hop1
-    return hop1, replace(hop1, r_d=drawn["r_d2"], r_e=drawn["r_e2"].reshape(rows, n, m))
+    return hop1, replace(hop1, r_d=drawn["r_d2"])
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """T sampled sets of power gains |h|^2 among S, the relays, D and the eavesdroppers.
+    """T sampled sets of power gains |h|^2 among S, the relays and D, with eavesdropper uniforms.
 
     Row t of every array belongs to trial t. Only what a transmission reads
     is drawn, so the relay-to-relay gains are those toward one relay per
@@ -216,8 +229,8 @@ class ChannelRealization:
     to_relay[t, :]   gains R_j <-> the trial's relay, j in increasing order,
                      that relay left out (n - 1 of them; reciprocal)
     r_d[t, j]        gain R_j <-> D (reciprocal)
-    s_e[t, i]        gain S -> E_i (directional)
-    r_e[t, j, i]     gain R_j -> E_i (directional)
+    eve[t, i]        uniform in [0, 1) that decides eavesdropper E_i's
+                     intercepts on both hops (protocols.execute_two_hop)
     """
 
     n: int
@@ -226,8 +239,7 @@ class ChannelRealization:
     s_r: np.ndarray
     to_relay: np.ndarray
     r_d: np.ndarray
-    s_e: np.ndarray
-    r_e: np.ndarray
+    eve: np.ndarray
 
     def gains_to_relay(self, selected: np.ndarray) -> np.ndarray:
         """(T, n) gains from every relay toward trial t's relay selected[t]; that relay is NaN.
@@ -248,9 +260,9 @@ def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,
          config: ScenarioConfig) -> np.ndarray:
     """SINR in each of T trials: Es*g / (Es*sum of the jammers' gains + N0/2).
 
-    `signal_gains` is (T,) for one receiver per trial or (T, m) for m of
-    them; `gains` is (T, n) or (T, n, m), every relay's gain toward the
-    receiver(s); `jammers` is the (T, n) mask of the relays that jam.
+    `signal_gains` is (T,), one receiver per trial; `gains` is (T, n), every
+    relay's gain toward the receiver; `jammers` is the (T, n) mask of the
+    relays that jam.
 
     The interference is each row's sum over all n relays with the gains of
     the relays that do not jam set to zero, so a trial's result depends on
@@ -258,9 +270,7 @@ def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,
     """
     if np.any(signal_gains < 0):
         raise ValueError("signal gain must be nonnegative")
-    mask = jammers if gains.ndim == 2 else jammers[:, :, None]
-    interference = np.where(mask, gains, 0.0).sum(axis=1)
-    return sinr_many(signal_gains, interference, config)
+    return sinr_many(signal_gains, np.where(jammers, gains, 0.0).sum(axis=1), config)
 
 
 def sinr_many(signal_gains: np.ndarray, interference_sums: np.ndarray,

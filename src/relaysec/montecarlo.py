@@ -1,7 +1,7 @@
 """Replicated-trial estimation of outage probabilities and load-balance statistics.
 
 Trials are embarrassingly parallel: trial t reads a fixed range of words of
-the seed's counter-based stream (stream layout 2, see
+the seed's counter-based stream (stream layout 3, see
 `channel.sample_realization`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
 single-worker run. All proportions carry Wilson 95% intervals, which stay
@@ -9,9 +9,14 @@ honest at the extreme rates secrecy studies produce.
 
 The trial kernel works in blocks and has no per-trial loop: one call draws a
 block's words and decodes them into `ChannelRealization`s, one vectorised
-pass selects the relays and computes the jammer sets, SINRs and outage
-flags, and the counts are sums over it. A trial's outcome depends only on
-its own words, so block boundaries never change a count.
+pass selects the relays and computes the jammer sets, SINRs, eavesdropper
+intercepts and outage flags, and the counts are sums over it. A trial's
+outcome depends only on its own words, so block boundaries never change a
+count. No eavesdropper gain is drawn: each eavesdropper's uniform decides
+its two intercepts from their exact law given the trial's jammer sets
+(`protocols.execute_two_hop`), so every count is still an indicator count
+with the law a gain-level simulation gives it, and its cost does not grow
+with n m.
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -90,7 +95,7 @@ def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
                           ("t_e2e", f.t_out_e2e), ("t_both", f.t_out_hop1 & f.t_out_hop2),
                           ("s_hop1", f.s_out_hop1), ("s_hop2", f.s_out_hop2),
                           ("s_e2e", f.s_out_e2e), ("s_both", f.s_out_hop1 & f.s_out_hop2),
-                          ("eve_hits_hop1", record.sinr_eves_hop1 >= config.gamma_e),
+                          ("eve_hits_hop1", record.intercept_hop1),
                           ("jam1_sum", jam1), ("jam1_sumsq", jam1 * jam1)):
             c[key] += int(hits.sum())
     return c

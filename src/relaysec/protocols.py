@@ -13,8 +13,15 @@ Everything runs on blocks of T trials, one row per trial: the
 which draws a random-selection trial's relay index with its gains), the (T,)
 selected relays, and arrays with a leading trial axis.
 `select_relay_optimal` picks max-min relays for a block, `execute_two_hop`
-runs the block's transmissions and `classify_outage` turns their SINRs into
-outage flags. A single transmission is a block of one.
+runs the block's transmissions and `classify_outage` turns them into outage
+flags. A single transmission is a block of one.
+
+An eavesdropper's gains are independent of every legitimate gain and enter
+its outcome only through the two jammer sets, so `execute_two_hop` decides
+each eavesdropper's pair of intercepts from their exact law given the sets,
+with one uniform (conditional Monte Carlo; Asmussen & Glynn, *Stochastic
+Simulation*, 2007, ch. V). Every count stays an indicator with the law a
+simulation of the eavesdropper gains would give it.
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ class TransmissionRecord:
     jammers_hop2: np.ndarray     # (T, n) mask of hop-2 jammers
     sinr_relay: np.ndarray       # (T,)
     sinr_dest: np.ndarray        # (T,)
-    sinr_eves_hop1: np.ndarray   # (T, m)
-    sinr_eves_hop2: np.ndarray   # (T, m)
+    intercept_hop1: np.ndarray   # (T, m) bool: eavesdropper i decodes hop 1
+    intercept_hop2: np.ndarray   # (T, m) bool: eavesdropper i decodes hop 2
 
 
 @dataclass(frozen=True)
@@ -131,10 +138,44 @@ def resolve_tau(protocol: ProtocolChoice, config: ScenarioConfig) -> float:
     return max(0.0, interval.tau_min)
 
 
+def _powers(base: float, top: int) -> np.ndarray:
+    """base**j for j = 0..top, each by Python's float power.
+
+    numpy's vectorised power may round an entry differently, and by its
+    place in the array; one scalar power per entry keeps a trial's law
+    independent of its block and of the other trials.
+    """
+    return np.array([base ** j for j in range(top + 1)])
+
+
+def intercept_law(jam1: np.ndarray, jam2: np.ndarray, shared: bool,
+                  config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T,) probabilities A, B, C that one eavesdropper decodes hop 1, hop 2, both.
+
+    Given trial t's jammer sets J1 and J2, with nu = exp(-gamma_e N0/2 / Es)
+    (1 when interference-limited) and q = 1 / (1 + gamma_e):
+    A = nu q^|J1|, B = nu q^|J2|, and with shared legs, where the jammers
+    both sets hold (k of them) reach the eavesdropper over the same gain,
+    C = nu^2 q^(|J1| + |J2| - 2k) / (1 + 2 gamma_e)^k; with independent legs
+    C = A B. An SINR Es g / (Es I + N0/2) reaches gamma_e iff
+    g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent of I.
+    """
+    gamma_e = config.gamma_e
+    nu = math.exp(-gamma_e * config.noise_term / config.es)
+    k1, k2 = jam1.sum(axis=1), jam2.sum(axis=1)
+    q_pow = _powers(1.0 / (1.0 + gamma_e), int((k1 + k2).max(initial=0)))  # every exponent below
+    a, b = nu * q_pow[k1], nu * q_pow[k2]
+    if not shared:
+        return a, b, a * b
+    k = (jam1 & jam2).sum(axis=1)
+    r_pow = _powers(1.0 / (1.0 + 2.0 * gamma_e), int(k.max(initial=0)))
+    return a, b, nu * nu * q_pow[k1 + k2 - 2 * k] * r_pow[k]
+
+
 def execute_two_hop(hop1: ChannelRealization, hop2: ChannelRealization,
                     selected: np.ndarray, tau: float,
                     config: ScenarioConfig) -> TransmissionRecord:
-    """Run T two-hop transmissions through the (T,) `selected` relays and record every SINR.
+    """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
     Hop 1 reads the block `hop1`; hop 2 reads `hop2`, which is `hop1` itself
     when both hops share the channel, or a fresh block when the legs are
@@ -143,31 +184,37 @@ def execute_two_hop(hop1: ChannelRealization, hop2: ChannelRealization,
     Hop 1: S transmits to the selected relay; jammer set 1 is thresholded
     against the selected relay. Hop 2: the selected relay transmits to D;
     jammer set 2 is thresholded against D. Each eavesdropper hears the hop's
-    transmitter as signal and the hop's jammer set as interference.
+    transmitter as signal and the hop's jammer set as interference; its
+    uniform u (`ChannelRealization.eve`) decides both hops from
+    `intercept_law`'s A, B and C: hop 1 is intercepted iff u < A, and hop 2
+    iff u < C or A <= u < A + B - C. So each hop has its exact marginal and
+    the pair its exact joint law.
     """
     rows = np.arange(len(selected))
     to_relay = hop1.gains_to_relay(selected)
     jam1 = jammer_set(to_relay, selected, tau)
     jam2 = jammer_set(hop2.r_d, selected, tau)
+    a, b, c = (p[:, None] for p in intercept_law(jam1, jam2, hop2 is hop1, config))
+    u = hop1.eve
     return TransmissionRecord(
         selected_relay=selected, jammers_hop1=jam1, jammers_hop2=jam2,
         sinr_relay=sinr(hop1.s_r[rows, selected], to_relay, jam1, config),
         sinr_dest=sinr(hop2.r_d[rows, selected], hop2.r_d, jam2, config),
-        sinr_eves_hop1=sinr(hop1.s_e, hop1.r_e, jam1, config),
-        sinr_eves_hop2=sinr(hop2.r_e[rows, selected], hop2.r_e, jam2, config))
+        intercept_hop1=u < a,
+        intercept_hop2=(u < c) | ((u >= a) & (u < a + b - c)))
 
 
 def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> OutageFlags:
     """Apply the decoding thresholds to T transmission records.
 
     A legitimate receiver decodes iff its SINR is strictly greater than
-    gamma_r; an eavesdropper succeeds iff its SINR reaches gamma_e. Both
-    boundary conventions matter only on measure-zero events but are fixed
-    for reproducibility.
+    gamma_r (the boundary matters only on a measure-zero event but is fixed
+    for reproducibility). A hop is in secrecy outage iff some eavesdropper
+    intercepts it.
     """
     t1 = ~(record.sinr_relay > config.gamma_r)
     t2 = ~(record.sinr_dest > config.gamma_r)
-    s1 = np.any(record.sinr_eves_hop1 >= config.gamma_e, axis=1)
-    s2 = np.any(record.sinr_eves_hop2 >= config.gamma_e, axis=1)
+    s1 = record.intercept_hop1.any(axis=1)
+    s2 = record.intercept_hop2.any(axis=1)
     return OutageFlags(t_out_hop1=t1, t_out_hop2=t2, s_out_hop1=s1,
                        s_out_hop2=s2, t_out_e2e=t1 | t2, s_out_e2e=s1 | s2)

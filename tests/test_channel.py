@@ -10,13 +10,13 @@ from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_tw
                       sample_realization, select_relay_optimal, sinr, trial_rng, trial_words)
 
 
-def make_realization(s_r, rr_cond, r_d, s_e, r_e, toward=0):
+def make_realization(s_r, rr_cond, r_d, eve, toward=0):
     """Hand-built batch of one whose relay-pair gains are those toward relay `toward`.
 
-    rr_cond lists every relay-pair gain for j < k, row-major; r_e[j][i] is
-    relay j's gain toward eavesdropper i.
+    rr_cond lists every relay-pair gain for j < k, row-major; eve[i] is
+    eavesdropper i's uniform.
     """
-    n, m = len(s_r), len(s_e)
+    n, m = len(s_r), len(eve)
     pairs = dict(zip(condensed_pairs(n), rr_cond))
     to_relay = [pairs[min(j, toward), max(j, toward)] for j in range(n) if j != toward]
 
@@ -25,7 +25,7 @@ def make_realization(s_r, rr_cond, r_d, s_e, r_e, toward=0):
 
     return ChannelRealization(n=n, m=m, pick=None, s_r=row(s_r, n),
                               to_relay=row(to_relay, n - 1), r_d=row(r_d, n),
-                              s_e=row(s_e, m), r_e=row(r_e, n, m))
+                              eve=row(eve, m))
 
 
 def sample_block(cfg, seed, trials, start=0, kind="optimal-maxmin", legs="shared"):
@@ -89,15 +89,17 @@ M64 = (1 << 64) - 1
 
 def philox_reference(seed, first_word, words):
     """Uniforms of `words` words of seed's stream from `first_word` on, from a fresh Philox."""
-    bits = np.random.Philox(key=(seed & M64) | (2 << 64), counter=first_word // 4)
+    bits = np.random.Philox(key=(seed & M64) | (3 << 64), counter=first_word // 4)
     return (bits.random_raw(words) >> np.uint64(11)) * 2.0 ** -53
 
 
 def trial_reference(cfg, seed, trial, maxmin, independent):
-    """Trial's W words as gains (the relay index word left uniform), and W."""
+    """Trial's W words as gains (the relay index and eavesdropper words left uniform), and W."""
     width = trial_words(cfg, maxmin=maxmin, independent=independent)
     u = philox_reference(seed, trial * width, width)
     g = -np.log1p(-u)
+    read = (3 * cfg.n - 1 if maxmin else 2 * cfg.n + 1) + (cfg.n if independent else 0) + cfg.m
+    g[read - cfg.m:] = u[read - cfg.m:]
     if not maxmin:
         g[0] = u[0]
     return g, width
@@ -134,7 +136,8 @@ class TestTrialStreams:
 
 class TestSampleRealization:
     def test_row_matches_one_exponential_draw(self):
-        # every field of trial t is its slice of -log1p(-u) over words [t W, (t+1) W)
+        # every gain of trial t is its slice of -log1p(-u) over words [t W, (t+1) W),
+        # and the eavesdroppers' uniforms are the last m words it reads
         for n, m, maxmin, independent in itertools.product((1, 2, 7), (0, 1, 3), (True, False),
                                                            (False, True)):
             cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
@@ -147,23 +150,24 @@ class TestSampleRealization:
                 sel = int(g[0] * n)
                 assert hop1.pick[0] == sel
                 head = [[g[0]], hop1.s_r[0, [sel]], hop1.to_relay[0], hop1.r_d[0]]
-            fields = head + [hop1.s_e[0], hop1.r_e[0].ravel()]
             if independent:
-                fields += [hop2.r_d[0], hop2.r_e[0].ravel()]
-            used = np.concatenate(fields)
+                head += [hop2.r_d[0]]
+                assert hop2.eve is hop1.eve
+            used = np.concatenate(head + [hop1.eve[0]])
             assert np.array_equal(used, g[:len(used)])
             assert width - 4 < len(used) <= width
 
     def test_pair_enumeration_n2_m1(self):
-        # one gain per link read: S-R (both under max-min, the relay's under
-        # random), the relay pair, R0-D, R1-D, S-E0, R0-E0, R1-E0
+        # one gain per legitimate link read: S-R (both under max-min, the
+        # relay's under random), the relay pair, R0-D, R1-D; one uniform for E0
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        assert trial_words(cfg, maxmin=True, independent=False) == 8
-        assert trial_words(cfg, maxmin=False, independent=False) == 8
-        assert trial_words(cfg, maxmin=True, independent=True) == 12
+        assert trial_words(cfg, maxmin=True, independent=False) == 8   # 6 words read
+        assert trial_words(cfg, maxmin=False, independent=False) == 8  # 6
+        assert trial_words(cfg, maxmin=True, independent=True) == 8    # 8
+        assert trial_words(cfg, maxmin=False, independent=True) == 8   # 8
         real, _ = sample_block(cfg, 1, 1)
         assert (real.s_r.shape, real.to_relay.shape, real.r_d.shape) == ((1, 2), (1, 1), (1, 2))
-        assert (real.s_e.shape, real.r_e.shape) == ((1, 1), (1, 2, 1))
+        assert real.eve.shape == (1, 1)
 
     def test_pair_enumeration_n1_m0(self):
         # S-R0 and R0-D only: no relay pairs, no eavesdropper links
@@ -171,7 +175,7 @@ class TestSampleRealization:
         for kind in ("optimal-maxmin", "random-uniform"):
             real, _ = sample_block(cfg, 1, 1, kind=kind)
             assert (real.s_r.shape, real.to_relay.shape, real.r_d.shape) == ((1, 1), (1, 0), (1, 1))
-            assert (real.s_e.shape, real.r_e.shape) == ((1, 0), (1, 1, 0))
+            assert real.eve.shape == (1, 0)
             assert math.isnan(real.gains_to_relay(np.array([0]))[0, 0])
 
     def test_same_seed_identical(self):
@@ -179,7 +183,7 @@ class TestSampleRealization:
         for kind in ("optimal-maxmin", "random-uniform"):
             a, _ = sample_block(cfg, 99, 1, start=4, kind=kind)
             b, _ = sample_block(cfg, 99, 3, start=2, kind=kind)
-            for field in ("s_r", "to_relay", "r_d", "s_e", "r_e"):
+            for field in ("s_r", "to_relay", "r_d", "eve"):
                 assert np.array_equal(getattr(a, field)[0], getattr(b, field)[2], equal_nan=True)
 
     def test_substream_independent_of_creation_order(self):
@@ -211,8 +215,7 @@ class TestSampleRealization:
         for n in (2, 4, 7):
             real = ChannelRealization(n=n, m=0, pick=None, s_r=np.ones((n, n)),
                                       to_relay=np.tile(np.arange(1.0, n), (n, 1)),
-                                      r_d=np.ones((n, n)), s_e=np.ones((n, 0)),
-                                      r_e=np.ones((n, n, 0)))
+                                      r_d=np.ones((n, n)), eve=np.ones((n, 0)))
             got = real.gains_to_relay(np.arange(n))  # row j: the gains toward relay j
             for j in range(n):
                 assert math.isnan(got[j, j])
@@ -236,8 +239,9 @@ class TestSampleRealization:
         for kind in ("optimal-maxmin", "random-uniform"):
             hop1, hop2 = sample_block(cfg, 8, 200, kind=kind, legs="independent")
             drawn = hop1.s_r[np.arange(200), hop1.pick] if hop1.pick is not None else hop1.s_r
-            for g in (drawn, hop1.to_relay, hop1.r_d, hop1.s_e, hop1.r_e, hop2.r_d, hop2.r_e):
+            for g in (drawn, hop1.to_relay, hop1.r_d, hop2.r_d):
                 assert np.all(np.isfinite(g)) and np.all(g >= 0)
+            assert np.all((hop1.eve >= 0) & (hop1.eve < 1))
 
 
 def sinr_one(signal, jammer_gains, config):
@@ -282,26 +286,22 @@ class TestSinr:
         with pytest.raises(ValueError):
             sinr_one(-1.0, [], self.CFG_EXACT)
 
-
-    @pytest.mark.parametrize("m", [None, 1, 3])
-    def test_block_matches_per_trial_sums(self, m):
+    def test_block_matches_per_trial_sums(self):
         # the loop version is the reference: a block must reproduce, bit for
         # bit, each trial's own masked sum, and agree with the sum over its
         # jammer set alone to rounding
-        rng = trial_rng(11, m or 0)
+        rng = trial_rng(11, 0)
         t, n = 200, 40
-        trailing = () if m is None else (m,)
-        gains = rng.exponential(size=(t, n) + trailing)
-        signal = rng.exponential(size=(t,) + trailing)
+        gains = rng.exponential(size=(t, n))
+        signal = rng.exponential(size=t)
         jammers = rng.random((t, n)) < rng.random((t, 1))
         got = sinr(signal, gains, jammers, self.CFG_EXACT)
         for row in range(t):
-            mask = jammers[row] if m is None else jammers[row][:, None]
-            interference = np.where(mask, gains[row], 0.0).sum(axis=0)
+            interference = np.where(jammers[row], gains[row], 0.0).sum()
             assert np.array_equal(got[row], signal[row] / (interference + 0.5))
             assert np.array_equal(got[row:row + 1], sinr(signal[row:row + 1], gains[row:row + 1],
                                                          jammers[row:row + 1], self.CFG_EXACT))
-            alone = np.sum(gains[row][jammers[row]], axis=0)
+            alone = np.sum(gains[row][jammers[row]])
             assert np.allclose(got[row], signal[row] / (alone + 0.5), rtol=1e-14, atol=0)
 
 

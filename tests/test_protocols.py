@@ -5,6 +5,7 @@ block with a single row.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
                       tau_protocol1, theorem2_tau_range, trial_rng)
-from relaysec.protocols import TransmissionRecord
+from relaysec.protocols import TransmissionRecord, intercept_law
 
 from .test_channel import make_realization, sample_block
 
@@ -116,8 +117,7 @@ class TestJammerSet:
     def test_hop1_uses_gains_toward_selected_relay(self):
         # relay pair gains (0,1)=0.05, (0,2)=0.5, (1,2)=0.01
         def real(j):
-            return make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], [],
-                                    [[], [], []], toward=j)
+            return make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], [], toward=j)
         assert jammers(toward(real(1), 1), 1, 0.1) == {0, 2}
         assert jammers(toward(real(0), 0), 0, 0.1) == {1}
 
@@ -214,10 +214,11 @@ class TestProtocolChoiceValidation:
 class TestExecuteTwoHop:
     CFG = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0, es=1.0, n0=1.0)
     TAU01 = 0.1
+    # exact noise: nu = exp(-gamma_e (N0/2) / Es) = e^-0.5, and q = 1 / (1 + gamma_e) = 1/2
+    NU = math.exp(-0.5)
 
-    def hand_case(self):
-        return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08],
-                                s_e=[0.7], r_e=[[0.3], [0.04]])
+    def hand_case(self, eve=(0.2,)):
+        return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08], eve=list(eve))
 
     def test_hand_worked_record(self):
         # selected = argmax(min(2,1.5), min(0.5,0.08)) = 0; both other-relay
@@ -230,15 +231,26 @@ class TestExecuteTwoHop:
         assert set(np.flatnonzero(rec.jammers_hop2[0])) == {1}
         assert rec.sinr_relay[0] == pytest.approx(2.0 / (0.05 + 0.5))
         assert rec.sinr_dest[0] == pytest.approx(1.5 / (0.08 + 0.5))
-        assert rec.sinr_eves_hop1[0, 0] == pytest.approx(0.7 / (0.04 + 0.5))
-        assert rec.sinr_eves_hop2[0, 0] == pytest.approx(0.3 / (0.04 + 0.5))
+        # |J1| = |J2| = 1 and relay 1 is in both: A = B = nu / 2 = 0.3033 and,
+        # its gain toward the eavesdropper being one draw, C = nu^2 / 3 = 0.1226
+        a, b, c = intercept_law(rec.jammers_hop1, rec.jammers_hop2, True, self.CFG)
+        assert (a[0], b[0]) == pytest.approx((self.NU / 2, self.NU / 2))
+        assert c[0] == pytest.approx(self.NU ** 2 / 3)
+        assert rec.intercept_hop1.tolist() == [[True]]    # u = 0.2 < A
+        assert rec.intercept_hop2.tolist() == [[False]]   # C <= u < A
+        # one eavesdropper in each cell: both hops, hop 1 only, hop 2 only
+        # (A <= u < A + B - C = 0.4839), neither
+        four = execute_two_hop(**one_trial(self.hand_case(eve=(0.1, 0.2, 0.4, 0.6)), 0),
+                               tau=self.TAU01, config=replace(self.CFG, m=4))
+        assert four.intercept_hop1.tolist() == [[True, True, False, False]]
+        assert four.intercept_hop2.tolist() == [[True, False, True, False]]
 
     def test_hand_worked_outage(self):
         rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=self.TAU01, config=self.CFG)
         flags = classify_outage(rec, self.CFG)
         assert not flags.t_out_hop1[0] and not flags.t_out_hop2[0] and not flags.t_out_e2e[0]
-        assert flags.s_out_hop1[0]          # 1.296 >= 1
-        assert not flags.s_out_hop2[0]      # 0.556 < 1
+        assert flags.s_out_hop1[0]          # u = 0.2 < A = 0.3033
+        assert not flags.s_out_hop2[0]      # C = 0.1226 <= u < A
         assert flags.s_out_e2e[0]
 
     def test_zero_tau_degenerate(self):
@@ -249,54 +261,68 @@ class TestExecuteTwoHop:
     def test_single_relay_unbounded_eve(self):
         cfg = ScenarioConfig(n=1, m=1, gamma_r=1.0, gamma_e=1.0,
                              noise_mode="interference-limited")
-        real = make_realization([1.3], [], [0.9], [0.2], [[0.5]])
+        # u as close to 1 as a draw gets: with no jammer and no noise an
+        # eavesdropper's SINR is unbounded, A = B = C = 1, and it decodes both hops
+        real = make_realization([1.3], [], [0.9], [1.0 - 2.0 ** -53])
         # both rules can only pick relay 0
         assert select_relay_optimal(real.s_r, real.r_d)[0] == 0
         assert sample_block(cfg, 0, 100, kind="random-uniform")[0].pick.tolist() == [0] * 100
         rec = execute_two_hop(**one_trial(real, 0), tau=0.5, config=cfg)
         assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
-        assert rec.sinr_eves_hop1[0, 0] == math.inf
-        assert rec.sinr_eves_hop2[0, 0] == math.inf
+        law = intercept_law(rec.jammers_hop1, rec.jammers_hop2, True, cfg)
+        assert [p.tolist() for p in law] == [[1.0], [1.0], [1.0]]
+        assert rec.intercept_hop1.tolist() == [[True]]
+        assert rec.intercept_hop2.tolist() == [[True]]
 
     def test_independent_legs_hop2_gains(self):
         # hop 2 quantities must come from the substitute realization
-        alt = make_realization([2.0, 0.5], [0.05], [0.9, 4.0], [0.7], [[0.6], [2.0]])
+        alt = make_realization([2.0, 0.5], [0.05], [0.9, 4.0], [0.7])
         rec = execute_two_hop(**one_trial(self.hand_case(), 0, hop2=alt), tau=self.TAU01,
                               config=self.CFG)
         assert rec.selected_relay[0] == 0
         assert not rec.jammers_hop2.any()      # alt r_d gains exceed tau
         assert rec.sinr_dest[0] == pytest.approx(0.9 / 0.5)
-        assert rec.sinr_eves_hop2[0, 0] == pytest.approx(0.6 / 0.5)
         # hop 1 still from the original channel
         assert rec.sinr_relay[0] == pytest.approx(2.0 / (0.05 + 0.5))
+        # A = nu / 2 (relay 1 jams hop 1), B = nu (nobody jams hop 2), and the
+        # legs are independent, so C = A B; the uniform is the hop-1 block's
+        a, b, c = intercept_law(rec.jammers_hop1, rec.jammers_hop2, False, self.CFG)
+        assert (a[0], b[0], c[0]) == pytest.approx((self.NU / 2, self.NU, self.NU ** 2 / 2))
+        assert rec.intercept_hop1.tolist() == [[True]]    # u = 0.2 < A = 0.3033
+        assert rec.intercept_hop2.tolist() == [[False]]   # C = 0.1839 <= u < A
+        hop2_only = execute_two_hop(**one_trial(self.hand_case(eve=(0.5,)), 0, hop2=alt),
+                                    tau=self.TAU01, config=self.CFG)
+        assert hop2_only.intercept_hop1.tolist() == [[False]]
+        assert hop2_only.intercept_hop2.tolist() == [[True]]  # A <= u < A + B - C = 0.7259
 
     def test_block_rows_match_batches_of_one(self):
         # a trial's outcome depends on its own row only, never on its block
         cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
         for kind in ("optimal-maxmin", "random-uniform"):
-            hop1, hop2 = sample_block(cfg, 60, 40, kind=kind, legs="independent")
-            selected = hop1.pick if hop1.pick is not None else select_relay_optimal(hop1.s_r,
-                                                                                     hop1.r_d)
-            whole = execute_two_hop(hop1, hop2, selected, tau=0.3, config=cfg)
-            for t in range(40):
-                one1, one2 = sample_block(cfg, 60, 1, start=t, kind=kind, legs="independent")
-                one = execute_two_hop(one1, one2, selected[t:t + 1], tau=0.3, config=cfg)
-                for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
-                              "sinr_eves_hop1", "sinr_eves_hop2"):
-                    assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
+            for legs in ("shared", "independent"):
+                hop1, hop2 = sample_block(cfg, 60, 40, kind=kind, legs=legs)
+                selected = (hop1.pick if hop1.pick is not None
+                            else select_relay_optimal(hop1.s_r, hop1.r_d))
+                whole = execute_two_hop(hop1, hop2, selected, tau=0.3, config=cfg)
+                for t in range(40):
+                    one1, one2 = sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs)
+                    one = execute_two_hop(one1, one2, selected[t:t + 1], tau=0.3, config=cfg)
+                    for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
+                                  "intercept_hop1", "intercept_hop2"):
+                        assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
 
 
 class TestClassifyOutage:
     CFG = ScenarioConfig(n=3, m=2, gamma_r=1.0, gamma_e=1.0)
 
     def record(self, sr, sd, e1, e2):
-        """A batch of one with the given SINRs and no jammers."""
+        """A batch of one with the given SINRs and intercepts and no jammers."""
         none = np.zeros((1, 3), dtype=bool)
         return TransmissionRecord(selected_relay=np.array([0]), jammers_hop1=none,
                                   jammers_hop2=none, sinr_relay=np.array([sr]),
                                   sinr_dest=np.array([sd]),
-                                  sinr_eves_hop1=np.asarray([e1], dtype=float),
-                                  sinr_eves_hop2=np.asarray([e2], dtype=float))
+                                  intercept_hop1=np.asarray([e1], dtype=bool),
+                                  intercept_hop2=np.asarray([e2], dtype=bool))
 
     def flags(self, record, cfg):
         f = classify_outage(record, cfg)
@@ -304,25 +330,35 @@ class TestClassifyOutage:
 
     def test_tiny_gamma_r_never_outage(self):
         cfg = ScenarioConfig(n=3, m=2, gamma_r=1e-12, gamma_e=1.0)
-        flags = self.flags(self.record(0.01, 0.02, [0.0, 0.0], [0.0, 0.0]), cfg)
+        flags = self.flags(self.record(0.01, 0.02, [False, False], [False, False]), cfg)
         assert not flags["t_out_hop1"] and not flags["t_out_hop2"]
 
     def test_huge_gamma_e_never_secrecy_outage(self):
-        cfg = ScenarioConfig(n=3, m=2, gamma_r=1.0, gamma_e=1e12)
-        flags = self.flags(self.record(5.0, 5.0, [100.0, 3.0], [7.0, 2.0]), cfg)
+        # with noise, nu = exp(-gamma_e N0/2 / Es) underflows to 0, so A = B = C = 0
+        cfg = ScenarioConfig(n=2, m=2, gamma_r=1.0, gamma_e=1e12)
+        real = make_realization([5.0, 5.0], [3.0], [5.0, 5.0], [0.0, 0.5])
+        rec = execute_two_hop(**one_trial(real, 0), tau=1.0, config=cfg)
+        flags = self.flags(rec, cfg)
         assert not flags["s_out_hop1"] and not flags["s_out_hop2"] and not flags["s_out_e2e"]
 
     def test_boundary_conventions(self):
-        # decoding needs strictly greater; interception needs only equality
-        flags = self.flags(self.record(1.0, 2.0, [1.0, 0.2], [0.1, 0.2]), self.CFG)
+        # decoding needs strictly greater; interception needs u < A, so that
+        # hop 1 is intercepted with probability exactly A
+        flags = self.flags(self.record(1.0, 2.0, [True, False], [False, False]), self.CFG)
         assert flags["t_out_hop1"] and not flags["t_out_hop2"]
         assert flags["s_out_hop1"] and not flags["s_out_hop2"]
+        cfg = ScenarioConfig(n=2, m=2, gamma_r=1.0, gamma_e=1.0)
+        a = math.exp(-0.5) * 0.5  # one jammer: A = nu q
+        real = make_realization([2.0, 0.5], [0.05], [1.5, 0.08], [a, np.nextafter(a, 0.0)])
+        rec = execute_two_hop(**one_trial(real, 0), tau=0.1, config=cfg)
+        assert rec.intercept_hop1.tolist() == [[False, True]]
 
     def test_e2e_is_or_of_hops(self):
         rng = trial_rng(40, 0)
         for _ in range(50):
             vals = rng.exponential(size=6)
-            flags = self.flags(self.record(vals[0], vals[1], vals[2:4], vals[4:6]), self.CFG)
+            flags = self.flags(self.record(vals[0], vals[1], vals[2:4] > 1.0, vals[4:6] > 1.0),
+                               self.CFG)
             assert flags["t_out_e2e"] == (flags["t_out_hop1"] or flags["t_out_hop2"])
             assert flags["s_out_e2e"] == (flags["s_out_hop1"] or flags["s_out_hop2"])
 

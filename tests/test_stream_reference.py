@@ -1,13 +1,15 @@
-"""Stream layout 2 against a slow per-trial reference.
+"""Stream layout 3 against a slow per-trial reference.
 
-The reference uses nothing of the library's kernel. For each trial t it
-positions its own Philox at counter t W / 4, draws the trial's W words,
-decodes them by the documented layout and runs the protocol on plain 1-D
-arrays. `_run_trials` must reproduce its counts bit for bit, whatever the
-block size, trial-range split or worker count.
+The reference uses nothing of the library's kernel. For each configuration
+it keys its own Philox, reads the trials' W words in order from counter 0,
+decodes them by the documented layout, runs the protocol on plain 1-D
+arrays and decides every eavesdropper's two intercepts by the four-cell
+rule in scalar Python. `_run_trials` must reproduce its counts bit for bit,
+whatever the block size, trial-range split or worker count.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,19 +28,19 @@ M64 = (1 << 64) - 1
 
 def trial_words(n, m, maxmin, independent):
     """W by the README table: words read, rounded up to a multiple of 4."""
-    read = (3 * n - 1 if maxmin else 2 * n + 1) + m + n * m + (n + n * m if independent else 0)
+    read = (3 * n - 1 if maxmin else 2 * n + 1) + (n if independent else 0) + m
     return -(-read // 4) * 4
 
 
 def interference(gains, jam):
-    """Sum over every relay of its gain toward the receiver(s), 0 where it does not jam."""
-    return np.where(jam if gains.ndim == 1 else jam[:, None], gains, 0.0).sum(axis=0)
+    """Sum over every relay of its gain toward the receiver, 0 where it does not jam."""
+    return np.where(jam, gains, 0.0).sum()
 
 
 def sinr(signal, interference_sum, config):
     """Es g / (Es I + N0/2), and +inf where that denominator is 0."""
     denom = config.es * interference_sum + config.noise_term
-    return np.where(denom > 0.0, config.es * signal / np.where(denom > 0.0, denom, 1.0), np.inf)
+    return config.es * signal / denom if denom > 0.0 else math.inf
 
 
 def with_relay(others, sel, value):
@@ -48,16 +50,27 @@ def with_relay(others, sel, value):
     return out
 
 
+def intercepts(eve, k1, k2, k, shared, config):
+    """Each eavesdropper's (hop 1, hop 2) intercepts by the four-cell rule, as two lists."""
+    ge = config.gamma_e
+    nu = math.exp(-ge * config.noise_term / config.es)
+    q, r = 1.0 / (1.0 + ge), 1.0 / (1.0 + 2.0 * ge)
+    a, b = nu * q ** k1, nu * q ** k2
+    c = nu * nu * q ** (k1 + k2 - 2 * k) * r ** k if shared else a * b
+    hop1 = [u < a for u in eve]
+    hop2 = [u < c or a <= u < a + b - c for u in eve]
+    return hop1, hop2
+
+
 def reference_outcomes(config, kind, legs, tau, seed, trials):
     """(trials, len(_COUNT_KEYS)) per-trial contributions to every count."""
     n, m = config.n, config.m
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
     width = trial_words(n, m, maxmin, independent)
-    key = (seed & M64) | (2 << 64)
+    bits = np.random.Philox(key=(seed & M64) | (3 << 64))
     out = np.zeros((trials, len(_COUNT_KEYS)), dtype=np.int64)
     for t in range(trials):
-        raw = np.random.Philox(key=key, counter=t * width // 4).random_raw(width)
-        u = (raw >> np.uint64(11)) * 2.0 ** -53
+        u = (bits.random_raw(width) >> np.uint64(11)) * 2.0 ** -53
         g = -np.log1p(-u)
         pos = 0
 
@@ -77,20 +90,20 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
             signal1 = take(1)[0]
             toward = take(n - 1)
             r_d = take(n)
-        s_e, r_e = take(m), take(n * m).reshape(n, m)
-        r_d2, r_e2 = (take(n), take(n * m).reshape(n, m)) if independent else (r_d, r_e)
+        r_d2 = take(n) if independent else r_d
+        eve = u[pos:pos + m].tolist()
         to_sel = with_relay(toward, sel, 0.0)
         jam1 = with_relay(toward < tau, sel, False)  # the relay itself never jams
         jam2 = r_d2 < tau
         jam2[sel] = False
         t1 = not sinr(signal1, interference(to_sel, jam1), config) > config.gamma_r
         t2 = not sinr(r_d2[sel], interference(r_d2, jam2), config) > config.gamma_r
-        hits1 = sinr(s_e, interference(r_e, jam1), config) >= config.gamma_e
-        hits2 = sinr(r_e2[sel], interference(r_e2, jam2), config) >= config.gamma_e
-        s1, s2 = bool(hits1.any()), bool(hits2.any())
-        k1 = int(jam1.sum())
+        k1, k2 = int(jam1.sum()), int(jam2.sum())
+        hits1, hits2 = intercepts(eve, k1, k2, int((jam1 & jam2).sum()), not independent,
+                                  config)
+        s1, s2 = any(hits1), any(hits2)
         out[t] = (t1, t2, t1 or t2, t1 and t2, s1, s2, s1 or s2, s1 and s2,
-                  int(hits1.sum()), k1, k1 * k1)
+                  sum(hits1), k1, k1 * k1)
     return out
 
 
