@@ -26,6 +26,7 @@ axis, so everything computed from the gains runs once per block.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,20 +72,39 @@ def _exponential(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
+# one Philox generator per thread, re-keyed by every draw: building one costs
+# more than a small draw, and a generator must not be shared between threads
+_held = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    """The calling thread's generator, built on the thread's first draw.
+
+    Not at import: numpy loads numpy.random only when it is first used.
+    """
+    try:
+        return _held.gen
+    except AttributeError:
+        _held.gen = np.random.Generator(_fresh_philox())
+        return _held.gen
+
+
 class SeedStream:
-    """The random stream of one seed: one Philox, read by word offset.
+    """The random stream of one seed: one Philox key, read by word offset.
 
     The Philox key is [seed mod 2**64, 3] (low word first; 3 is the stream
     layout). Rows of a table that read `words` words each are W =
     `words` rounded up to a multiple of 4 apart: row r owns words
     [r W, (r + 1) W), which start at Philox counter r W / 4. So any range of
     rows is drawn by setting the counter and making one call.
+
+    A stream holds only its key. Every draw sets the calling thread's Philox
+    to that key and counter, so streams are cheap to make and any thread may
+    draw from any stream.
     """
 
     def __init__(self, seed: int):
         self._key = (seed, _LAYOUT)
-        self._bits = _fresh_philox()
-        self._gen = np.random.Generator(self._bits)
 
     def uniforms(self, lo: int, hi: int, words: int) -> np.ndarray:
         """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi).
@@ -93,8 +113,9 @@ class SeedStream:
         word x, one word each.
         """
         width = -(-words // 4) * 4
-        self._bits.state = _philox_state(self._key, lo * width // 4)
-        return self._gen.random((hi - lo) * width).reshape(hi - lo, width)[:, :words]
+        gen = _thread_generator()
+        gen.bit_generator.state = _philox_state(self._key, lo * width // 4)
+        return gen.random((hi - lo) * width).reshape(hi - lo, width)[:, :words]
 
     def exponentials(self, lo: int, hi: int, words: int) -> np.ndarray:
         """(hi - lo, words) unit-mean exponential gains -log1p(-u) of rows [lo, hi)."""

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error (an unwritable --out path included),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,7 +70,9 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _shared_flags(p: argparse.ArgumentParser) -> None:
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, on a parent parser the subcommands copy."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--n", type=int, help="number of candidate relays")
     p.add_argument("--m", type=int, help="number of eavesdroppers")
     p.add_argument("--gamma-r", type=float, dest="gamma_r", help="legitimate SINR threshold")
@@ -90,25 +93,28 @@ def _shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with any of the above settings")
     p.add_argument("--out", help="write the result to this file instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), dest="fmt")
+    return p
 
 
+# built on the first `main` call, not at import, and kept: parsing never
+# changes the parser, and each add_argument costs a HelpFormatter
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaysec",
         description="Two-hop relay security: closed-form bounds and Monte Carlo estimation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_shared_flags()]
 
-    p_bounds = sub.add_parser("bounds", help="evaluate every closed-form bound")
-    _shared_flags(p_bounds)
+    sub.add_parser("bounds", parents=shared, help="evaluate every closed-form bound")
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo outage estimation")
-    _shared_flags(p_sim)
+    p_sim = sub.add_parser("simulate", parents=shared, help="Monte Carlo outage estimation")
     p_sim.add_argument("--legs", choices=LEG_MODES,
                        help="hop channel coupling (default shared)")
     p_sim.add_argument("--workers", type=int, help="parallel worker processes")
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit a results table")
-    _shared_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=shared,
+                             help="sweep one parameter, emit a results table")
     p_sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True)
     p_sweep.add_argument("--values", help="comma-separated values for the swept parameter")
     p_sweep.add_argument("--from", type=float, dest="sweep_from")
@@ -123,14 +129,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--append", action="store_true",
                          help="append rows to an existing CSV with the same header")
 
-    p_tol = sub.add_parser("tolerance", help="search the empirical eavesdropper tolerance")
-    _shared_flags(p_tol)
+    p_tol = sub.add_parser("tolerance", parents=shared,
+                           help="search the empirical eavesdropper tolerance")
     p_tol.add_argument("--m-cap", type=int, dest="m_cap", default=1024)
     p_tol.add_argument("--legs", choices=LEG_MODES)
     p_tol.add_argument("--workers", type=int)
 
-    p_val = sub.add_parser("validate", help="run the oracle identity suite")
-    _shared_flags(p_val)
+    p_val = sub.add_parser("validate", parents=shared, help="run the oracle identity suite")
     p_val.add_argument("--quick", action="store_true",
                        help="fewer trials (tolerances widen automatically)")
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -194,6 +195,37 @@ class OutageEstimate:
         return out
 
 
+def _check_run(trials: int, legs: str) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if legs not in LEG_MODES:
+        raise ValueError(f"legs must be one of {LEG_MODES}, got {legs!r}")
+
+
+def _pool(workers: int, trials: int):
+    """A process pool for `workers` workers sharing `trials` trials; a no-op for one worker."""
+    if workers <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=min(workers, trials))
+
+
+def _estimate(pool, config: ScenarioConfig, protocol: ProtocolChoice, trials: int,
+              seed: int, legs: str, workers: int, trial_start: int = 0) -> OutageEstimate:
+    """`estimate_outage` on `pool`, a pool from `_pool(workers, trials)`, run here if None."""
+    if pool is None:
+        counts = _run_trials(config, protocol, trial_start, trial_start + trials, seed, legs)
+        return OutageEstimate(config=config, protocol=protocol, legs=legs, seed=seed,
+                              trial_start=trial_start, trials=trials, counts=counts)
+    edges = np.linspace(trial_start, trial_start + trials, workers + 1).astype(int)
+    ranges = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    futures = [pool.submit(_run_trials, config, protocol, a, b, seed, legs)
+               for a, b in ranges]
+    return merge_estimates([OutageEstimate(config=config, protocol=protocol, legs=legs,
+                                           seed=seed, trial_start=a, trials=b - a,
+                                           counts=f.result())
+                            for (a, b), f in zip(ranges, futures)])
+
+
 def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
                     trials: int, seed: int, legs: str = "shared",
                     workers: int = 1, trial_start: int = 0) -> OutageEstimate:
@@ -203,24 +235,10 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     the same words of the seed's stream, and workers only partition the
     trial range.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if legs not in LEG_MODES:
-        raise ValueError(f"legs must be one of {LEG_MODES}, got {legs!r}")
+    _check_run(trials, legs)
     resolve_tau(protocol, config)  # surface an infeasible tau policy before any trial
-    if workers <= 1:
-        counts = _run_trials(config, protocol, trial_start, trial_start + trials, seed, legs)
-        return OutageEstimate(config=config, protocol=protocol, legs=legs, seed=seed,
-                              trial_start=trial_start, trials=trials, counts=counts)
-    edges = np.linspace(trial_start, trial_start + trials, workers + 1).astype(int)
-    ranges = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(_run_trials, config, protocol, a, b, seed, legs)
-                   for a, b in ranges]
-        parts = [OutageEstimate(config=config, protocol=protocol, legs=legs, seed=seed,
-                                trial_start=a, trials=b - a, counts=f.result())
-                 for (a, b), f in zip(ranges, futures)]
-    return merge_estimates(parts)
+    with _pool(workers, trials) as pool:
+        return _estimate(pool, config, protocol, trials, seed, legs, workers, trial_start)
 
 
 def merge_estimates(parts: list[OutageEstimate]) -> OutageEstimate:
@@ -265,41 +283,41 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
     count) and doubling-then-bisection, justified by the monotonicity of
     secrecy outage in m. The jamming threshold is resolved once from the
     base configuration and frozen, so policies that depend on m do not move
-    during the search.
+    during the search. With `workers` > 1, one process pool serves every
+    probe.
     """
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     if not 0.0 <= eps_s <= 1.0:
         raise ValueError(f"eps_s must be in [0, 1], got {eps_s}")
+    _check_run(trials, legs)
     frozen = ProtocolChoice(kind=protocol.kind, tau_policy="manual",
                             tau=resolve_tau(protocol, config))
     probes: list[tuple[int, float]] = []
+    with _pool(workers, trials) as pool:
 
-    def ok(m: int) -> bool:
-        est = estimate_outage(replace(config, m=m), frozen, trials, seed,
-                              legs=legs, workers=workers)
-        upper = est.s_e2e.hi
-        probes.append((m, upper))
-        return upper <= eps_s
+        def ok(m: int) -> bool:
+            est = _estimate(pool, replace(config, m=m), frozen, trials, seed, legs, workers)
+            upper = est.s_e2e.hi
+            probes.append((m, upper))
+            return upper <= eps_s
 
-    if not ok(1):
-        return ToleranceResult(0, True, tuple(probes))
-    good, bad = 1, None
-    while good < m_cap:
-        nxt = min(2 * good, m_cap)
-        if ok(nxt):
-            good = nxt
-        else:
-            bad = nxt
-            break
-    if bad is None:
-        return ToleranceResult(good, False, tuple(probes))
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
+        if not ok(1):
+            return ToleranceResult(0, True, tuple(probes))
+        good, bad = 1, None
+        while good < m_cap:
+            nxt = min(2 * good, m_cap)
+            if ok(nxt):
+                good = nxt
+            else:
+                bad = nxt
+                break
+        while bad is not None and bad - good > 1:
+            mid = (good + bad) // 2
+            if ok(mid):
+                good = mid
+            else:
+                bad = mid
     return ToleranceResult(good, False, tuple(probes))
 
 
@@ -348,6 +366,9 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     Epoch e is row e of the seed's stream (`SeedStream`): a max-min epoch
     reads s_r and r_d (2n words), a random one a relay index floor(u n) per
     slot (coherence_len words; a short last epoch reads the first ones).
+
+    `constant_within_epochs` is always true for max-min, which picks from
+    one draw per epoch; it tells you something only for random selection.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
@@ -370,7 +391,7 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
             drawn = np.arange(epoch_len) < in_epoch[:, None]
             counts += np.bincount(picks[drawn], minlength=n)
             constant = constant and bool(np.all((picks == picks[:, :1]) | ~drawn))
-    return LoadBalanceStats(selection_counts=tuple(int(c) for c in counts),
+    return LoadBalanceStats(selection_counts=tuple(counts.tolist()),
                             jain_index=jain_index(counts),
                             entropy=selection_entropy(counts),
                             slots=slots, epochs=epochs, coherence_len=epoch_len,

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_two_hop,
                       sample_realization, select_relay_optimal, sinr, trial_rng, trial_words)
+from relaysec.channel import _thread_generator
 
 
 def make_realization(s_r, rr_cond, r_d, eve, toward=0):
@@ -106,7 +109,7 @@ def trial_reference(cfg, seed, trial, maxmin, independent):
 
 
 class TestTrialStreams:
-    """One held Philox per seed, repositioned for every draw: it reads like a fresh one."""
+    """One held Philox per thread, repositioned for every draw: it reads like a fresh one."""
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
     @pytest.mark.parametrize("trial", [0, 5, 2**40 + 3])
@@ -124,7 +127,7 @@ class TestTrialStreams:
         # whatever state the held Philox is left in, a draw sets all of it
         stream = SeedStream(7)
         stream.uniforms(4, 5, 8)
-        leftover(np.random.Generator(stream._bits))
+        leftover(_thread_generator())
         assert np.array_equal(stream.uniforms(5, 6, 8)[0], philox_reference(7, 40, 8))
 
     def test_out_of_order_reuse(self):
@@ -132,6 +135,62 @@ class TestTrialStreams:
         for row in (5, 0, 5):
             got = stream.uniforms(row, row + 1, 6)[0]
             assert np.array_equal(got, philox_reference(-3, row * 8, 8)[:6])
+
+    def test_interleaved_streams_draw_what_each_draws_alone(self):
+        # streams share their thread's Philox, so each draw must set all of it
+        rows = [(3, 5), (0, 1), (3, 5), (9, 12)]
+        alone = {seed: [SeedStream(seed).uniforms(lo, hi, 7) for lo, hi in rows]
+                 for seed in (11, 12)}
+        a, b = SeedStream(11), SeedStream(12)
+        for i, (lo, hi) in enumerate(rows):
+            assert np.array_equal(a.uniforms(lo, hi, 7), alone[11][i])
+            assert np.array_equal(b.uniforms(lo, hi, 7), alone[12][i])
+
+    def test_draw_in_a_thread_matches_main_thread(self):
+        stream = SeedStream(21)
+        want = stream.uniforms(2, 6, 10)
+        got = []
+        worker = threading.Thread(target=lambda: got.append(stream.uniforms(2, 6, 10)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert np.array_equal(got[0], want)
+
+    def test_concurrent_threads_match_main_thread(self):
+        # more threads than cores re-key their own Philox in a loop, one
+        # stream shared by all and one each, with thread switches forced
+        # often; a Philox shared across threads would hand one thread's
+        # counter to another
+        shared = SeedStream(5)
+        plans = [(SeedStream(30 + i), [(r, r + 2 + i) for r in range(7 * i, 200, 5 + i)])
+                 for i in range(4)]
+        want = [[(own.uniforms(lo, hi, 9), shared.uniforms(lo, hi, 9)) for lo, hi in rows]
+                for own, rows in plans]
+        start = threading.Barrier(len(plans))
+        got = [None] * len(plans)
+
+        def draw(i):
+            own, rows = plans[i]
+            start.wait()
+            got[i] = [(own.uniforms(lo, hi, 9), shared.uniforms(lo, hi, 9))
+                      for _ in range(10) for lo, hi in rows]
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(plans))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, rows in enumerate(want):
+            assert len(got[i]) == 10 * len(rows)
+            for k, (own, other) in enumerate(got[i]):
+                assert np.array_equal(own, rows[k % len(rows)][0])
+                assert np.array_equal(other, rows[k % len(rows)][1])
 
 
 class TestSampleRealization:

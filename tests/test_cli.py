@@ -1,5 +1,6 @@
 """Command-line surface tests: flags, exit codes, determinism, file formats."""
 
+import argparse
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 import relaysec.validation
 from relaysec import eve_intercept_exact
 from relaysec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
-                          SWEEP_COLUMNS, main)
+                          SWEEP_COLUMNS, _build_parser, main)
 
 
 def run_cli(capsys, *argv):
@@ -301,3 +302,95 @@ def test_unwritable_out_usage_error(capsys, tmp_path, argv):
     assert out == ""
     naming = [line for line in err.splitlines() if path in line]
     assert naming == [err.splitlines()[-1]]
+
+
+LEGS = ("shared", "independent")
+
+# (option strings, dest, type, choices, default, required) of every option
+# but --help, as each subcommand declared them before the shared flags moved
+# to one parent parser
+SHARED_OPTIONS = [
+    (("--n",), "n", int, None, None, False),
+    (("--m",), "m", int, None, None, False),
+    (("--gamma-r",), "gamma_r", float, None, None, False),
+    (("--gamma-e",), "gamma_e", float, None, None, False),
+    (("--eps-s",), "eps_s", float, None, None, False),
+    (("--eps-t",), "eps_t", float, None, None, False),
+    (("--es",), "es", float, None, None, False),
+    (("--n0",), "n0", float, None, None, False),
+    (("--noise-mode",), "noise_mode", None, ("exact", "interference-limited"), None, False),
+    (("--protocol",), "kind", None,
+     ("optimal", "optimal-maxmin", "random", "random-uniform"), None, False),
+    (("--tau-policy",), "tau_policy", None,
+     ("manual", "protocol1", "protocol1-formula", "theorem2-max", "theorem2-min"), None, False),
+    (("--tau",), "tau", float, None, None, False),
+    (("--trials",), "trials", int, None, None, False),
+    (("--seed",), "seed", int, None, None, False),
+    (("--coherence-len",), "coherence_len", int, None, None, False),
+    (("--config",), "config", None, None, None, False),
+    (("--out",), "out", None, None, None, False),
+    (("--format",), "fmt", None, ("json", "csv"), None, False),
+]
+OWN_OPTIONS = {
+    "bounds": [],
+    "simulate": [
+        (("--legs",), "legs", None, LEGS, None, False),
+        (("--workers",), "workers", int, None, None, False),
+    ],
+    "sweep": [
+        (("--param",), "param", None,
+         ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t", "tau"), None, True),
+        (("--values",), "values", None, None, None, False),
+        (("--from",), "sweep_from", float, None, None, False),
+        (("--to",), "sweep_to", float, None, None, False),
+        (("--step",), "sweep_step", float, None, None, False),
+        (("--outputs",), "outputs", None, ("bounds", "simulation", "both"), "both", False),
+        (("--load-balance-slots",), "lb_slots", int, None, None, False),
+        (("--legs",), "legs", None, LEGS, None, False),
+        (("--workers",), "workers", int, None, None, False),
+        (("--append",), "append", None, None, False, False),
+    ],
+    "tolerance": [
+        (("--m-cap",), "m_cap", int, None, 1024, False),
+        (("--legs",), "legs", None, LEGS, None, False),
+        (("--workers",), "workers", int, None, None, False),
+    ],
+    "validate": [
+        (("--quick",), "quick", None, None, False, False),
+    ],
+}
+
+
+class TestParser:
+    """The parser is built once per process and reused by every `main` call."""
+
+    def test_every_subcommand_keeps_its_options(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(OWN_OPTIONS)
+        for name, own in OWN_OPTIONS.items():
+            got = [(tuple(a.option_strings), a.dest, a.type,
+                    None if a.choices is None else tuple(a.choices), a.default, a.required)
+                   for a in sub.choices[name]._actions if a.dest != "help"]
+            assert got == SHARED_OPTIONS + own, name
+
+    def test_built_once(self, capsys):
+        run_cli(capsys, *BOUNDS_ARGS)
+        parser = _build_parser()
+        run_cli(capsys, *BOUNDS_ARGS)
+        assert _build_parser() is parser
+
+    @pytest.mark.parametrize("bad", [
+        BOUNDS_ARGS + ["--frequency", "2.4"],  # rejected while parsing
+        BOUNDS_ARGS[:5] + BOUNDS_ARGS[7:],  # rejected after parsing: no --gamma-r
+    ], ids=["unknown_flag", "missing_setting"])
+    def test_usage_error_between_calls_changes_nothing(self, capsys, bad):
+        argv = ["sweep", "--param", "n", "--values", "11,21", "--m", "1", "--gamma-r", "1",
+                "--gamma-e", "1", "--eps-s", "0.3", "--eps-t", "0.3", "--trials", "300",
+                "--seed", "4", "--load-balance-slots", "200"]
+        first = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == EXIT_USAGE
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == first

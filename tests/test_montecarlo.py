@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: estimates vs exact oracles, merging, search, load balance."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from relaysec import (ProtocolChoice, ScenarioConfig, estimate_outage,
                       eve_intercept_exact, expected_jammers, jain_index,
                       load_balance, merge_estimates, selection_entropy,
                       tolerance_search, wilson_interval)
+from relaysec import montecarlo
 from relaysec.montecarlo import _run_trials
 from relaysec.serialize import dumps
 
@@ -131,6 +133,17 @@ class TestMergeEstimates:
         pooled = estimate_outage(IL, RANDOM_TAU01, 4000, 32, workers=4)
         assert single.counts == pooled.counts
 
+    def test_run_trials_in_worker_threads_match_main_thread(self):
+        # each thread draws through its own Philox
+        cfg = replace(IL, m=3)
+        maxmin = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.3)
+        jobs = [(cfg, RANDOM_TAU01, 0, 3000, 61, "shared"),
+                (cfg, maxmin, 500, 2500, 62, "independent")]
+        want = [_run_trials(*job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            got = list(threads.map(lambda job: _run_trials(*job), jobs * 3))
+        assert got == want * 3
+
     def test_mismatched_parts_rejected(self):
         a = estimate_outage(IL, RANDOM_TAU01, 100, 1)
         b = estimate_outage(replace(IL, m=2), RANDOM_TAU01, 100, 1)
@@ -175,6 +188,22 @@ class TestToleranceSearch:
         ms = sorted(by_m)
         for a, b in zip(ms[:-1], ms[1:]):
             assert by_m[b] >= by_m[a] - 0.05  # CI noise slack
+
+    def test_one_pool_serves_every_probe(self, monkeypatch):
+        proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=1.0)
+        single = tolerance_search(IL, proto, 0.3, 2000, m_cap=64, seed=44)
+        pools = []
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        real_pool = montecarlo.ProcessPoolExecutor
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", counting_pool)
+        pooled = tolerance_search(IL, proto, 0.3, 2000, m_cap=64, seed=44, workers=2)
+        assert pooled == single
+        assert len(single.probes) > 2
+        assert len(pools) == 1
 
 
 class TestJainAndEntropy:
