@@ -6,7 +6,7 @@ per-eavesdropper intercept probability, and two-leg combining under
 independent leg sampling. `relaysec validate` runs the same suite from the
 command line with exit code 4 on any failure.
 
-Run: python demos/validate_oracles.py       (about half a minute)
+Run: python demos/validate_oracles.py       (under a second: 0.4-0.7 s on a 2-vCPU Xeon VM)
 """
 
 from relaysec import run_oracle_suite

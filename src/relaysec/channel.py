@@ -20,7 +20,8 @@ range of its 64-bit words, so any range of trials is drawn directly, with
 one call per block. `sample_realization` draws a block of trials and
 decodes it into a `ChannelRealization`, whose arrays carry a leading trial
 axis, so everything computed from the gains runs once per block.
-`trial_rng` hands out a fresh generator for draws outside the trials.
+`trial_rng` hands out a fresh generator for test inputs; no library code
+calls it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """A fresh, independent generator on the (seed, trial) substream.
 
     Philox keyed [trial, seed] (each mod 2**64, low word first), the same
-    for any caller and call order. The trial kernel does not use it: runs
-    read `SeedStream`; this is for draws outside them, such as the MGF
-    oracle check.
+    for any caller and call order. It serves test inputs only: no library
+    code calls it, and every run reads `SeedStream`.
     """
     bits = _fresh_philox()
     bits.state = _philox_state((trial, seed), 0)

@@ -359,6 +359,8 @@ def _cmd_sweep(parser, args) -> int:
 
 
 def _cmd_tolerance(parser, args) -> int:
+    if args.fmt == "csv":
+        parser.error("tolerance prints JSON only; --format csv is not supported")
     merged = _resolve_settings(parser, args, required=("n", "gamma_r", "gamma_e", "eps_s"))
     if merged.get("m") is None:
         merged["m"] = 1  # base m only seeds tau resolution; the search replaces it
@@ -379,14 +381,19 @@ def _cmd_tolerance(parser, args) -> int:
 
 def _cmd_validate(parser, args) -> int:
     merged = _resolve_settings(parser, args, required=())
-    if getattr(args, "trials", None) is not None:
-        trials = args.trials
-    else:
-        trials = 20_000 if args.quick else merged["trials"]
+    trials = 20_000 if args.quick and args.trials is None else merged["trials"]
     mgf_samples = 100_000 if args.quick else 1_000_000
     results = run_oracle_suite(trials=trials, mgf_samples=mgf_samples,
                                seed=merged["seed"])
-    _emit("\n".join(r.line() for r in results), args.out)
+    if args.fmt is None:
+        text = "\n".join(r.line() for r in results)
+    elif args.fmt == "json":
+        text = dumps({"command": "validate", "seed": merged["seed"],
+                      "rows": [vars(r) for r in results]}, indent=2)
+    else:
+        text = "\n".join([csv_line(vars(results[0])),
+                          *(csv_line(vars(r).values()) for r in results)])
+    _emit(text, args.out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 

@@ -55,14 +55,20 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
 
 
 def csv_cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits, None as an empty cell."""
+    """One CSV cell: floats at 17 significant digits, None as an empty cell.
+
+    Text holding a comma, quote or newline is quoted, its quotes doubled (RFC 4180).
+    """
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_line(values) -> str:

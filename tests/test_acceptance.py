@@ -23,7 +23,7 @@ from relaysec import (ProtocolChoice, ScenarioConfig, combine_legs,
                       theorem1_m_max, theorem2_tau_range, theorem3_m_max,
                       tolerance_search)
 from relaysec.serialize import dumps
-from relaysec.validation import check_leg_combining, check_mgf_identity
+from relaysec.validation import leg_checks, mgf_check
 
 SEED = 1021
 
@@ -95,7 +95,7 @@ def test_criterion_01_closed_form_reproduction():
 
 
 def test_criterion_02_mgf_identity():
-    results = [check_mgf_identity(g, 1_000_000, SEED + i)
+    results = [mgf_check(g, 1_000_000, SEED + i)
                for i, g in enumerate((0.5, 1.0, 2.0))]
     ok = all(r.passed for r in results)
     detail = "; ".join(f"g={g}: |{r.observed:.6f}-{r.expected:.6f}|<{r.tolerance:.2g}"
@@ -150,7 +150,8 @@ def test_criterion_05_union_bound():
 
 
 def test_criterion_06_leg_combining_independent_mode():
-    checks = [check_leg_combining(100_000, SEED + 6, outage) for outage in ("t", "s")]
+    est = estimate_outage(IL11, manual(0.3), 100_000, SEED + 6, legs="independent")
+    checks = leg_checks(est)
     ok = all(c.passed for c in checks)
     detail = "; ".join(f"{c.name}: |{c.observed:.5f}-{c.expected:.5f}|<{c.tolerance:.5f}"
                        for c in checks)

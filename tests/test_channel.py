@@ -38,37 +38,33 @@ def sample_block(cfg, seed, trials, start=0, kind="optimal-maxmin", legs="shared
 
 
 class TestSampleGain:
-    """The unit-mean exponential draw every channel gain comes from."""
+    """`SeedStream.exponentials`, the unit-mean draw every channel gain comes from."""
 
     def test_unit_mean(self):
         # law of large numbers: sigma/sqrt(N) = 0.001 at 1e6 draws
-        rng = trial_rng(42, 0)
-        draws = rng.exponential(1.0, size=1_000_000)
+        draws = SeedStream(42).exponentials(0, 1, 1_000_000)[0]
         assert abs(draws.mean() - 1.0) < 0.01
 
     def test_nonnegative_support(self):
-        rng = trial_rng(42, 1)
-        draws = rng.exponential(size=10_000)
+        draws = SeedStream(42).exponentials(1, 2, 10_000)[0]
         assert np.count_nonzero(draws < 0) == 0
 
     def test_mgf_identity_gamma_one(self):
         # E[e^{-X}] = 1/2 exactly for a unit-mean exponential
-        rng = trial_rng(42, 2)
-        vals = np.exp(-rng.exponential(1.0, size=1_000_000))
+        vals = np.exp(-SeedStream(42).exponentials(2, 3, 1_000_000)[0])
         assert abs(vals.mean() - 0.5) < 0.002
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_mgf_identity_three_se(self, gamma):
-        rng = trial_rng(43, int(gamma * 10))
-        vals = np.exp(-gamma * rng.exponential(1.0, size=1_000_000))
+        t = int(gamma * 10)
+        vals = np.exp(-gamma * SeedStream(43).exponentials(t, t + 1, 1_000_000)[0])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.0 / (1.0 + gamma)) < 3 * se
 
     def test_cdf_in_dkw_band(self):
         # sup |F_hat - F| <= sqrt(ln(2/alpha)/(2N)), alpha = 1e-3
         n_samples = 100_000
-        rng = trial_rng(44, 0)
-        draws = np.sort(rng.exponential(1.0, size=n_samples))
+        draws = np.sort(SeedStream(44).exponentials(0, 1, n_samples)[0])
         band = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n_samples))
         grid = np.linspace(0.05, 5.0, 60)
         emp = np.searchsorted(draws, grid, side="right") / n_samples
@@ -76,8 +72,7 @@ class TestSampleGain:
         assert np.max(np.abs(emp - exact)) <= band
 
     def test_independent_successive_draws(self):
-        rng = trial_rng(45, 0)
-        a = np.array([rng.exponential() for _ in range(1000)])
+        a = SeedStream(45).exponentials(0, 1, 1000)[0]
         lag1 = np.corrcoef(a[:-1], a[1:])[0, 1]
         assert abs(lag1) < 0.1
 

@@ -1,15 +1,17 @@
 """Command-line surface tests: flags, exit codes, determinism, file formats."""
 
 import argparse
+import csv
 import json
 import re
 
 import pytest
 
 import relaysec.validation
-from relaysec import eve_intercept_exact
+from relaysec import SeedStream, estimate_outage, eve_intercept_exact, expected_jammers
 from relaysec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                           SWEEP_COLUMNS, _build_parser, main)
+from relaysec.validation import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +270,37 @@ class TestTolerance:
                   "--eps-s", "0.5", "--tau", "0.5", "--trials", "0"])
         assert err.value.code == EXIT_USAGE
 
+    def test_csv_format_usage_error(self, capsys):
+        # tolerance has no table form; it refuses csv rather than print JSON
+        with pytest.raises(SystemExit) as err:
+            main(["tolerance", "--n", "11", "--gamma-r", "1", "--gamma-e", "1",
+                  "--eps-s", "0.5", "--tau", "0.5", "--trials", "20", "--format", "csv"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format csv" in captured.err
+
+
+class SkewedStream(SeedStream):
+    def exponentials(self, lo, hi, words):
+        return 1.1 * super().exponentials(lo, hi, words)
+
+
+ROW_FIELDS = ["name", "passed", "observed", "expected", "tolerance", "detail"]
+
+# the jammer, intercept and leg rows of `validate --quick --trials 4000` as
+# they were when five estimate_outage calls made them
+ESTIMATE_ROWS_QUICK_4000 = [
+    "PASS jammer_count(n=11, tau=0.1): observed=0.9485 expected=0.951626 tol=0.0441 "
+    "trials=4000",
+    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.621 expected=0.614157 tol=0.0301 "
+    "wilson=[0.60586, 0.63591] trials=4000",
+    "PASS leg_combining(t, independent legs): observed=0.49 expected=0.488426 tol=0.021 "
+    "trials=4000",
+    "PASS leg_combining(s, independent legs): observed=0.44125 expected=0.43788 tol=0.021 "
+    "trials=4000",
+]
+
 
 class TestValidate:
     def test_quick_suite_passes(self, capsys):
@@ -285,6 +318,62 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert any(line.startswith("FAIL eve_intercept_exact")
                    for line in out.strip().splitlines())
+
+    @pytest.mark.parametrize("name, wrong, failing", [
+        # an off-by-one candidate count in the binomial jammer mean
+        ("expected_jammers", lambda n, tau: expected_jammers(n + 1, tau),
+         ["jammer_count(n=11, tau=0.1)"]),
+        # the union bound in place of the two-leg combining identity
+        ("combine_legs", lambda p1, p2: p1 + p2,
+         ["leg_combining(t, independent legs)", "leg_combining(s, independent legs)"]),
+        # a sampler whose exponentials have mean 1.1
+        ("SeedStream", SkewedStream,
+         ["mgf_identity(gamma=0.5)", "mgf_identity(gamma=1.0)", "mgf_identity(gamma=2.0)"]),
+    ], ids=["expected_jammers", "combine_legs", "mgf_sampler"])
+    def test_wrong_oracle_fails_its_rows(self, capsys, monkeypatch, name, wrong, failing):
+        monkeypatch.setattr(relaysec.validation, name, wrong)
+        code, out, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000")
+        assert code == EXIT_VALIDATION
+        assert [line[len("FAIL "):line.index(": observed")]
+                for line in out.strip().splitlines() if line.startswith("FAIL")] == failing
+
+    def test_two_estimates_keep_every_estimate_row(self, capsys, monkeypatch):
+        legs = []
+
+        def counted(*args, **kwargs):
+            legs.append(kwargs.get("legs", "shared"))
+            return estimate_outage(*args, **kwargs)
+
+        monkeypatch.setattr(relaysec.validation, "estimate_outage", counted)
+        code, out, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000")
+        assert code == EXIT_OK
+        assert legs == ["shared", "independent"]
+        assert out.strip().splitlines()[3:] == ESTIMATE_ROWS_QUICK_4000
+
+    def test_json_format_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000")
+        code_json, out_json, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000",
+                                         "--format", "json")
+        doc = json.loads(out_json)
+        assert code_json == code == EXIT_OK
+        assert (doc["command"], doc["seed"]) == ("validate", 12345)
+        assert [sorted(row) for row in doc["rows"]] == [sorted(ROW_FIELDS)] * 7
+        # JSON floats round-trip, so the rows rebuild the default lines exactly
+        assert [CheckResult(**row).line() for row in doc["rows"]] == out.strip().splitlines()
+
+    def test_csv_format_table(self, capsys):
+        _, out_json, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000",
+                                 "--format", "json")
+        code, out, _ = run_cli(capsys, "validate", "--quick", "--trials", "4000",
+                               "--format", "csv")
+        assert code == EXIT_OK
+        header, *table = list(csv.reader(out.strip().splitlines()))
+        assert header == ROW_FIELDS
+        rows = json.loads(out_json)["rows"]
+        assert [r[0] for r in table] == [row["name"] for row in rows]
+        assert [r[1] for r in table] == ["true"] * 7
+        assert [float(r[2]) for r in table] == [row["observed"] for row in rows]
+        assert [r[5] for r in table] == [row["detail"] for row in rows]
 
 
 @pytest.mark.parametrize("argv", [

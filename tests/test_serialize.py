@@ -56,6 +56,8 @@ class TestCsv:
         assert csv_cell(0.1) == "0.10000000000000001"
         assert csv_cell(7) == "7"
         assert csv_line([1, None, "ok"]) == "1,,ok"
+        assert csv_line(["f(a, b)", 'say "hi"', "two\nlines"]) == \
+            '"f(a, b)","say ""hi""","two\nlines"'
 
     def test_write_and_append(self, tmp_path):
         path = str(tmp_path / "t.csv")
