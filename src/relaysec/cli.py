@@ -1,11 +1,21 @@
 """Command-line harness: bounds, simulate, sweep, tolerance, validate.
 
-Settings resolve in a fixed precedence: built-in defaults, then a --config
-JSON file (flat object with ScenarioConfig / ProtocolChoice field names in
-snake_case), then explicit flags. A bare --tau forces the manual threshold
-policy. Every run echoes its fully-resolved configuration so results are
-self-describing, and every randomized command has a fixed default seed;
-nothing is ever derived from the clock.
+Every setting is declared once, in `_SETTINGS`: its flag, the keywords of
+its `add_argument` call and its default. A subcommand takes the flags of the
+settings it reads (`bounds` the scenario, budgets and --tau; `validate`
+--trials and --seed; `simulate`, `sweep` and `tolerance` every setting), plus
+--config, --out and --format. A usage error found by a subcommand's parser
+or handler prints that subcommand's usage line; argparse reports an unknown
+flag on the top-level parser.
+
+Settings resolve in a fixed precedence: the table's defaults, then a
+--config JSON file (flat object with ScenarioConfig / ProtocolChoice field
+names in snake_case), then explicit flags. A config file may hold any
+setting of any subcommand, since one file describes a scenario that several
+commands share. A bare --tau forces the manual threshold policy. Every run
+echoes its fully-resolved configuration so results are self-describing, and
+every randomized command has a fixed default seed; nothing is ever derived
+from the clock.
 
 Exit codes: 0 success, 2 usage error (an unwritable --out path included),
 3 infeasible configuration, 4 validation failure.
@@ -22,7 +32,7 @@ import sys
 from .bounds import InfeasibleConfigError, build_bound_report
 from .channel import NOISE_MODES, ScenarioConfig
 from .montecarlo import LEG_MODES, estimate_outage, load_balance, tolerance_search
-from .protocols import ProtocolChoice, resolve_tau
+from .protocols import PROTOCOL_KINDS, TAU_POLICIES, ProtocolChoice, resolve_tau
 from .serialize import csv_line, dumps, write_csv
 from .validation import run_oracle_suite
 
@@ -34,25 +44,37 @@ EXIT_VALIDATION = 4
 DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 100_000
 
-_KIND_ALIASES = {"optimal": "optimal-maxmin", "random": "random-uniform",
-                 "optimal-maxmin": "optimal-maxmin", "random-uniform": "random-uniform"}
-_POLICY_ALIASES = {"protocol1": "protocol1-formula", "protocol1-formula": "protocol1-formula",
-                   "theorem2-max": "theorem2-max", "theorem2-min": "theorem2-min",
-                   "manual": "manual"}
+_KIND_ALIASES = {"optimal": "optimal-maxmin", "random": "random-uniform"}
+_POLICY_ALIASES = {"protocol1": "protocol1-formula"}
+
+# setting -> (flag, add_argument keywords, default). The flags, the keys a
+# config file may hold, the types their values must have (the flag's `type`,
+# str for a flag with choices) and the defaults all come from this table.
+_SETTINGS = {
+    "n": ("--n", {"type": int, "help": "number of candidate relays"}, None),
+    "m": ("--m", {"type": int, "help": "number of eavesdroppers"}, None),
+    "gamma_r": ("--gamma-r", {"type": float, "help": "legitimate SINR threshold"}, None),
+    "gamma_e": ("--gamma-e", {"type": float, "help": "eavesdropper SINR threshold"}, None),
+    "eps_s": ("--eps-s", {"type": float, "help": "secrecy outage budget"}, None),
+    "eps_t": ("--eps-t", {"type": float, "help": "transmission outage budget"}, None),
+    "es": ("--es", {"type": float, "help": "per-node transmit power (default 1)"}, 1.0),
+    "n0": ("--n0", {"type": float, "help": "noise spectral level (default 1)"}, 1.0),
+    "noise_mode": ("--noise-mode", {"choices": NOISE_MODES}, "exact"),
+    "kind": ("--protocol", {"choices": sorted({*_KIND_ALIASES, *PROTOCOL_KINDS}),
+                            "help": "relay selection rule"}, "random-uniform"),
+    "tau_policy": ("--tau-policy", {"choices": sorted({*_POLICY_ALIASES, *TAU_POLICIES})},
+                   "protocol1-formula"),
+    "tau": ("--tau", {"type": float, "help": "manual jamming threshold"}, None),
+    "trials": ("--trials", {"type": int}, DEFAULT_TRIALS),
+    "seed": ("--seed", {"type": int}, DEFAULT_SEED),
+    "coherence_len": ("--coherence-len", {"type": int, "help": "slots per channel epoch"}, 1),
+    "legs": ("--legs", {"choices": LEG_MODES, "help": "hop channel coupling (default shared)"},
+             "shared"),
+    "workers": ("--workers", {"type": int, "help": "parallel worker processes"}, 1),
+}
 
 _SCENARIO_KEYS = ("n", "m", "gamma_r", "gamma_e", "es", "n0", "noise_mode",
                   "coherence_len", "eps_s", "eps_t")
-_PROTOCOL_KEYS = ("kind", "tau_policy", "tau")
-_RUN_KEYS = ("trials", "seed", "legs", "workers")
-# value types a config file must use, as the matching flags parse them;
-# every other key takes a number
-_INT_KEYS = ("n", "m", "coherence_len", "trials", "seed", "workers")
-_STR_KEYS = ("noise_mode", "kind", "tau_policy", "legs")
-
-_DEFAULTS = {"es": 1.0, "n0": 1.0, "noise_mode": "exact", "coherence_len": 1,
-             "kind": "random-uniform", "tau_policy": "protocol1-formula",
-             "trials": DEFAULT_TRIALS, "seed": DEFAULT_SEED,
-             "legs": "shared", "workers": 1}
 
 SWEEP_PARAMS = ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t", "tau")
 
@@ -70,83 +92,11 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, on a parent parser the subcommands copy."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--n", type=int, help="number of candidate relays")
-    p.add_argument("--m", type=int, help="number of eavesdroppers")
-    p.add_argument("--gamma-r", type=float, dest="gamma_r", help="legitimate SINR threshold")
-    p.add_argument("--gamma-e", type=float, dest="gamma_e", help="eavesdropper SINR threshold")
-    p.add_argument("--eps-s", type=float, dest="eps_s", help="secrecy outage budget")
-    p.add_argument("--eps-t", type=float, dest="eps_t", help="transmission outage budget")
-    p.add_argument("--es", type=float, help="per-node transmit power (default 1)")
-    p.add_argument("--n0", type=float, help="noise spectral level (default 1)")
-    p.add_argument("--noise-mode", choices=NOISE_MODES, dest="noise_mode")
-    p.add_argument("--protocol", choices=sorted(_KIND_ALIASES), dest="kind",
-                   help="relay selection rule")
-    p.add_argument("--tau-policy", choices=sorted(_POLICY_ALIASES), dest="tau_policy")
-    p.add_argument("--tau", type=float, help="manual jamming threshold")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--coherence-len", type=int, dest="coherence_len",
-                   help="slots per channel epoch")
-    p.add_argument("--config", help="JSON file with any of the above settings")
-    p.add_argument("--out", help="write the result to this file instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    return p
-
-
-# built on the first `main` call, not at import, and kept: parsing never
-# changes the parser, and each add_argument costs a HelpFormatter
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relaysec",
-        description="Two-hop relay security: closed-form bounds and Monte Carlo estimation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    shared = [_shared_flags()]
-
-    sub.add_parser("bounds", parents=shared, help="evaluate every closed-form bound")
-
-    p_sim = sub.add_parser("simulate", parents=shared, help="Monte Carlo outage estimation")
-    p_sim.add_argument("--legs", choices=LEG_MODES,
-                       help="hop channel coupling (default shared)")
-    p_sim.add_argument("--workers", type=int, help="parallel worker processes")
-
-    p_sweep = sub.add_parser("sweep", parents=shared,
-                             help="sweep one parameter, emit a results table")
-    p_sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True)
-    p_sweep.add_argument("--values", help="comma-separated values for the swept parameter")
-    p_sweep.add_argument("--from", type=float, dest="sweep_from")
-    p_sweep.add_argument("--to", type=float, dest="sweep_to")
-    p_sweep.add_argument("--step", type=float, dest="sweep_step")
-    p_sweep.add_argument("--outputs", choices=("bounds", "simulation", "both"),
-                         default="both")
-    p_sweep.add_argument("--load-balance-slots", type=int, dest="lb_slots",
-                         help="also run this many slots per row and report the Jain index")
-    p_sweep.add_argument("--legs", choices=LEG_MODES)
-    p_sweep.add_argument("--workers", type=int)
-    p_sweep.add_argument("--append", action="store_true",
-                         help="append rows to an existing CSV with the same header")
-
-    p_tol = sub.add_parser("tolerance", parents=shared,
-                           help="search the empirical eavesdropper tolerance")
-    p_tol.add_argument("--m-cap", type=int, dest="m_cap", default=1024)
-    p_tol.add_argument("--legs", choices=LEG_MODES)
-    p_tol.add_argument("--workers", type=int)
-
-    p_val = sub.add_parser("validate", parents=shared, help="run the oracle identity suite")
-    p_val.add_argument("--quick", action="store_true",
-                       help="fewer trials (tolerances widen automatically)")
-
-    return parser
-
-
 def _resolve_settings(parser: argparse.ArgumentParser, args: argparse.Namespace,
                       required: tuple[str, ...]) -> dict:
     """Merge defaults, config-file values and explicit flags (flags win)."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    merged = {key: default for key, (_, _, default) in _SETTINGS.items()}
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_vals = json.load(fh)
@@ -156,8 +106,7 @@ def _resolve_settings(parser: argparse.ArgumentParser, args: argparse.Namespace,
             parser.error(f"config file {args.config} must hold a flat JSON object")
         if "protocol" in file_vals:  # accepted alias for the 'kind' field
             file_vals.setdefault("kind", file_vals.pop("protocol"))
-        known = set(_SCENARIO_KEYS) | set(_PROTOCOL_KEYS) | set(_RUN_KEYS)
-        unknown = set(file_vals) - known
+        unknown = set(file_vals) - set(_SETTINGS)
         if unknown:
             parser.error(f"unknown config file keys: {sorted(unknown)}")
         wrong = sorted(k for k, v in file_vals.items() if not _type_ok(k, v))
@@ -165,19 +114,17 @@ def _resolve_settings(parser: argparse.ArgumentParser, args: argparse.Namespace,
             parser.error(f"config file values of the wrong type: "
                          f"{', '.join(f'{k}={file_vals[k]!r}' for k in wrong)}")
         merged.update(file_vals)
-    for key in (*_SCENARIO_KEYS, *_PROTOCOL_KEYS, *_RUN_KEYS):
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if merged.get("kind") in _KIND_ALIASES:
-        merged["kind"] = _KIND_ALIASES[merged["kind"]]
-    if merged.get("tau_policy") in _POLICY_ALIASES:
-        merged["tau_policy"] = _POLICY_ALIASES[merged["tau_policy"]]
-    if merged.get("tau") is not None:
+    merged["kind"] = _KIND_ALIASES.get(merged["kind"], merged["kind"])
+    merged["tau_policy"] = _POLICY_ALIASES.get(merged["tau_policy"], merged["tau_policy"])
+    if merged["tau"] is not None:
         merged["tau_policy"] = "manual"
     missing = [k for k in required if merged.get(k) is None]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
+        flags = ", ".join(_SETTINGS[k][0] for k in missing)
         parser.error(f"missing required settings: {flags}")
     return merged
 
@@ -188,11 +135,8 @@ def _type_ok(key: str, value) -> bool:
         return True
     if isinstance(value, bool):
         return False
-    if key in _INT_KEYS:
-        return isinstance(value, int)
-    if key in _STR_KEYS:
-        return isinstance(value, str)
-    return isinstance(value, (int, float))
+    parse = _SETTINGS[key][1].get("type", str)
+    return isinstance(value, (int, float) if parse is float else parse)
 
 
 def _objects(local: dict) -> tuple[ScenarioConfig, ProtocolChoice]:
@@ -314,7 +258,7 @@ def _sweep_row(args, local: dict) -> dict:
             row["status"] = "infeasible"
         except ValueError:
             row["status"] = "error"
-    if args.lb_slots and row["status"] in ("ok", "infeasible"):
+    if args.lb_slots is not None and row["status"] in ("ok", "infeasible"):
         row["jain_index"] = load_balance(config, protocol, args.lb_slots,
                                          local["seed"]).jain_index
     return row
@@ -359,8 +303,6 @@ def _cmd_sweep(parser, args) -> int:
 
 
 def _cmd_tolerance(parser, args) -> int:
-    if args.fmt == "csv":
-        parser.error("tolerance prints JSON only; --format csv is not supported")
     merged = _resolve_settings(parser, args, required=("n", "gamma_r", "gamma_e", "eps_s"))
     if merged.get("m") is None:
         merged["m"] = 1  # base m only seeds tau resolution; the search replaces it
@@ -397,18 +339,67 @@ def _cmd_validate(parser, args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 
+# built on the first `main` call, not at import, and kept: parsing never
+# changes the parser, and each add_argument costs a HelpFormatter
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="relaysec",
+        description="Two-hop relay security: closed-form bounds and Monte Carlo estimation.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, summary, keys, formats=("json", "csv")):
+        """A subcommand with the flags of the settings `keys`; it carries its handler
+        and itself, so a usage error in the handler prints this subcommand's usage."""
+        p = sub.add_parser(name, help=summary)
+        for key in keys:
+            flag, kwargs, _ = _SETTINGS[key]
+            p.add_argument(flag, dest=key, **kwargs)
+        p.add_argument("--config", help="JSON file with any of the above settings")
+        p.add_argument("--out", help="write the result to this file instead of stdout")
+        p.add_argument("--format", choices=formats, dest="fmt")
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    command("bounds", _cmd_bounds, "evaluate every closed-form bound",
+            ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t", "tau"))
+    command("simulate", _cmd_simulate, "Monte Carlo outage estimation", _SETTINGS)
+
+    p_sweep = command("sweep", _cmd_sweep, "sweep one parameter, emit a results table",
+                      _SETTINGS)
+    p_sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True)
+    p_sweep.add_argument("--values", help="comma-separated values for the swept parameter")
+    p_sweep.add_argument("--from", type=float, dest="sweep_from")
+    p_sweep.add_argument("--to", type=float, dest="sweep_to")
+    p_sweep.add_argument("--step", type=float, dest="sweep_step")
+    p_sweep.add_argument("--outputs", choices=("bounds", "simulation", "both"),
+                         default="both")
+    p_sweep.add_argument("--load-balance-slots", type=int, dest="lb_slots",
+                         help="also run this many slots per row and report the Jain index")
+    p_sweep.add_argument("--append", action="store_true",
+                         help="append rows to an existing CSV with the same header")
+
+    p_tol = command("tolerance", _cmd_tolerance, "search the empirical eavesdropper tolerance",
+                    _SETTINGS, formats=("json",))
+    p_tol.add_argument("--m-cap", type=int, dest="m_cap", default=1024)
+
+    p_val = command("validate", _cmd_validate, "run the oracle identity suite",
+                    ("trials", "seed"))
+    p_val.add_argument("--quick", action="store_true",
+                       help="fewer trials (tolerances widen automatically)")
+
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {"bounds": _cmd_bounds, "simulate": _cmd_simulate, "sweep": _cmd_sweep,
-               "tolerance": _cmd_tolerance, "validate": _cmd_validate}[args.command]
+    args = _build_parser().parse_args(argv)
     try:
-        return handler(parser, args)
+        return args.handler(args.parser, args)
     except InfeasibleConfigError as exc:
         print(f"infeasible configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except OSError as exc:
         if args.out is None or exc.filename != args.out:
             raise

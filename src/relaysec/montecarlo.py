@@ -195,9 +195,11 @@ class OutageEstimate:
         return out
 
 
-def _check_run(trials: int, legs: str) -> None:
+def _check_run(trials: int, legs: str, workers: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if legs not in LEG_MODES:
         raise ValueError(f"legs must be one of {LEG_MODES}, got {legs!r}")
 
@@ -235,7 +237,7 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     the same words of the seed's stream, and workers only partition the
     trial range.
     """
-    _check_run(trials, legs)
+    _check_run(trials, legs, workers)
     resolve_tau(protocol, config)  # surface an infeasible tau policy before any trial
     with _pool(workers, trials) as pool:
         return _estimate(pool, config, protocol, trials, seed, legs, workers, trial_start)
@@ -290,7 +292,7 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     if not 0.0 <= eps_s <= 1.0:
         raise ValueError(f"eps_s must be in [0, 1], got {eps_s}")
-    _check_run(trials, legs)
+    _check_run(trials, legs, workers)
     frozen = ProtocolChoice(kind=protocol.kind, tau_policy="manual",
                             tau=resolve_tau(protocol, config))
     probes: list[tuple[int, float]] = []

@@ -53,6 +53,13 @@ class TestBounds:
             main(BOUNDS_ARGS + ["--frequency", "2.4"])
         assert err.value.code == EXIT_USAGE
 
+    def test_unread_flag_usage_error(self, capsys):
+        # bounds reads no seed: the flag is refused, not ignored
+        with pytest.raises(SystemExit) as err:
+            main(BOUNDS_ARGS + ["--seed", "3"])
+        assert err.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, *BOUNDS_ARGS, "--format", "csv")
         assert code == EXIT_OK
@@ -143,7 +150,8 @@ class TestSimulate:
         assert err.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("key, value", [("n", 11.5), ("m", 2.0), ("trials", 50.5),
-                                            ("seed", "x")])
+                                            ("seed", "x"), ("workers", 2.0), ("legs", 1),
+                                            ("kind", True), ("gamma_r", "1")])
     def test_wrong_type_config_value_usage_error(self, tmp_path, key, value):
         cfg = {"n": 11, "m": 1, "gamma_r": 1.0, "gamma_e": 1.0, "trials": 50, key: value}
         path = tmp_path / "bad_type.json"
@@ -151,6 +159,14 @@ class TestSimulate:
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--config", str(path)])
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_usage_error(self, capsys, workers):
+        with pytest.raises(SystemExit) as err:
+            main(SIM_ARGS + ["--workers", workers])
+        assert err.value.code == EXIT_USAGE
+        assert "workers must be >= 1" in capsys.readouterr().err
+
 
 class TestSweep:
     BASE = ["sweep", "--param", "n", "--values", "101",
@@ -252,6 +268,12 @@ class TestSweep:
             main(self.TAU_GRID + ["--from", "0", "--to", "0.3", "--step", step])
         assert err.value.code == EXIT_USAGE
 
+    def test_zero_load_balance_slots_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(self.BASE + ["--outputs", "bounds", "--load-balance-slots", "0"])
+        assert err.value.code == EXIT_USAGE
+        assert "slots must be >= 1" in capsys.readouterr().err
+
 
 class TestTolerance:
     def test_unit_budget_hits_cap(self, capsys):
@@ -278,7 +300,7 @@ class TestTolerance:
         assert err.value.code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--format csv" in captured.err
+        assert "--format" in captured.err and "csv" in captured.err
 
 
 class SkewedStream(SeedStream):
@@ -309,6 +331,23 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_scenario_flag_usage_error(self, capsys):
+        # the suite fixes its own scenarios: a scenario flag is refused, not ignored
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--quick", "--trials", "200", "--n", "50"])
+        assert err.value.code == EXIT_USAGE
+        assert "--n 50" in capsys.readouterr().err
+
+    def test_config_file_with_scenario_keys_runs(self, capsys, tmp_path):
+        # one config file may describe a scenario for every command; validate
+        # accepts its keys and reads only trials and seed
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"n": 50, "tau": 0.7}))
+        plain = run_cli(capsys, "validate", "--quick", "--trials", "4000")
+        assert run_cli(capsys, "validate", "--quick", "--trials", "4000",
+                       "--config", str(path)) == plain
+        assert plain[0] == EXIT_OK
 
     def test_injected_wrong_oracle_fails(self, capsys, monkeypatch):
         # an oracle skewed by +0.5 in gamma_e must be caught
@@ -393,11 +432,23 @@ def test_unwritable_out_usage_error(capsys, tmp_path, argv):
     assert naming == [err.splitlines()[-1]]
 
 
+@pytest.mark.parametrize("argv, command", [
+    (BOUNDS_ARGS[:5] + BOUNDS_ARGS[7:], "bounds"),  # a handler's error: no --gamma-r
+    (["tolerance", "--n", "11", "--gamma-r", "1", "--gamma-e", "1", "--eps-s", "0.5",
+      "--tau", "0.5", "--trials", "20", "--format", "csv"], "tolerance"),  # argparse's error
+], ids=["bounds_missing_setting", "tolerance_csv"])
+def test_usage_error_prints_subcommand_usage(capsys, argv, command):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage: relaysec {command} ")
+
+
 LEGS = ("shared", "independent")
 
 # (option strings, dest, type, choices, default, required) of every option
-# but --help, as each subcommand declared them before the shared flags moved
-# to one parent parser
+# but --help, as each subcommand took them when all of them copied one
+# parent parser of shared flags
 SHARED_OPTIONS = [
     (("--n",), "n", int, None, None, False),
     (("--m",), "m", int, None, None, False),
@@ -450,6 +501,17 @@ OWN_OPTIONS = {
 }
 
 
+# the shared flags that bounds and validate do not take: neither reads those
+# settings, and a subcommand takes only the flags of the settings it reads
+DROPPED = {
+    "bounds": {"--es", "--n0", "--noise-mode", "--protocol", "--tau-policy", "--trials",
+               "--seed", "--coherence-len"},
+    "validate": {"--n", "--m", "--gamma-r", "--gamma-e", "--eps-s", "--eps-t", "--es",
+                 "--n0", "--noise-mode", "--protocol", "--tau-policy", "--tau",
+                 "--coherence-len"},
+}
+
+
 class TestParser:
     """The parser is built once per process and reused by every `main` call."""
 
@@ -458,10 +520,19 @@ class TestParser:
                    if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(OWN_OPTIONS)
         for name, own in OWN_OPTIONS.items():
-            got = [(tuple(a.option_strings), a.dest, a.type,
-                    None if a.choices is None else tuple(a.choices), a.default, a.required)
-                   for a in sub.choices[name]._actions if a.dest != "help"]
-            assert got == SHARED_OPTIONS + own, name
+            got = {a.option_strings[0]: (tuple(a.option_strings), a.dest, a.type,
+                                         None if a.choices is None else tuple(a.choices),
+                                         a.default, a.required)
+                   for a in sub.choices[name]._actions if a.dest != "help"}
+            before = {spec[0][0]: spec for spec in SHARED_OPTIONS + own}
+            dropped = DROPPED.get(name, set())
+            assert set(got) == set(before) - dropped, name
+            kept = {flag: spec for flag, spec in before.items() if flag not in dropped}
+            if name == "tolerance":  # it prints JSON only
+                kept["--format"] = (("--format",), "fmt", None, ("json",), None, False)
+            assert got == kept, name
+        assert [len(sub.choices[name]._actions) - 1 for name in ("bounds", "validate")] \
+            == [10, 6]
 
     def test_built_once(self, capsys):
         run_cli(capsys, *BOUNDS_ARGS)

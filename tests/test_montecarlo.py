@@ -78,6 +78,13 @@ class TestEstimateOutage:
         with pytest.raises(InfeasibleConfigError):
             estimate_outage(cfg, proto, 10, 0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_outage(IL, RANDOM_TAU01, 10, 0, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            tolerance_search(IL, RANDOM_TAU01, 0.5, 10, m_cap=2, seed=0, workers=workers)
+
     def test_identical_for_any_seeded_rerun(self):
         a = estimate_outage(IL, RANDOM_TAU01, 2000, 21)
         b = estimate_outage(IL, RANDOM_TAU01, 2000, 21)
