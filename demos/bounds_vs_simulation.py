@@ -43,7 +43,7 @@ def main():
             protocol, TRIALS, SEED)
         print(f"{n:>5} {tau:>9.5f} {report.m_max_theorem1.floor:>9} "
               f"{report.m_max_theorem3.floor:>9} {found.m_max:>12} "
-              f"{at_claim.s_e2e.p:>13.4f}")
+              f"{at_claim.proportion('s_e2e').p:>13.4f}")
     print()
     print("m_max_t1/t3: closed-form tolerances (max-min / random selection)")
     print("m_empirical: largest m whose simulated secrecy outage stays within the")

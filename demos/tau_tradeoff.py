@@ -36,9 +36,10 @@ def main():
         protocol = ProtocolChoice(kind="random-uniform", tau_policy="manual",
                                   tau=float(tau))
         est = estimate_outage(config, protocol, TRIALS, SEED + i)
-        print(f"{tau:>6.3f} {est.t_hop1.p:>9.4f} "
+        p_t, p_s = est.proportion("t_hop1").p, est.proportion("s_hop1").p
+        print(f"{tau:>6.3f} {p_t:>9.4f} "
               f"{reliability_leg_bound(N, GAMMA_R, float(tau)):>8.4f} "
-              f"{est.s_hop1.p:>9.4f} {eve_intercept_exact(N, GAMMA_E, float(tau)):>10.4f} "
+              f"{p_s:>9.4f} {eve_intercept_exact(N, GAMMA_E, float(tau)):>10.4f} "
               f"{secrecy_leg_bound(N, M, GAMMA_E, float(tau)):>9.4f}")
     print()
     print("p_t rises and p_s falls with tau. eve_exact (the exact per-eavesdropper")

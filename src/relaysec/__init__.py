@@ -18,16 +18,16 @@ from .montecarlo import (LoadBalanceStats, OutageEstimate, Proportion,
                          ToleranceResult, estimate_outage, jain_index,
                          load_balance, merge_estimates, selection_entropy,
                          tolerance_search, wilson_interval)
-from .protocols import (OutageFlags, ProtocolChoice, TransmissionRecord,
-                        classify_outage, execute_two_hop, jammer_set,
-                        resolve_tau, select_relay_optimal, tau_protocol1)
+from .protocols import (ProtocolChoice, TransmissionRecord, classify_outage,
+                        execute_two_hop, jammer_set, resolve_tau,
+                        select_relay_optimal, tau_protocol1)
 from .validation import CheckResult, run_oracle_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "ChannelRealization", "CheckResult", "InfeasibleConfigError",
-    "LoadBalanceStats", "MBound", "OutageEstimate", "OutageFlags",
+    "LoadBalanceStats", "MBound", "OutageEstimate",
     "Proportion", "ProtocolChoice", "ScenarioConfig", "SeedStream", "TauInterval",
     "ToleranceResult", "TransmissionRecord", "build_bound_report",
     "classify_outage", "combine_legs", "estimate_outage", "eve_intercept_exact",

@@ -31,7 +31,8 @@ import sys
 
 from .bounds import InfeasibleConfigError, build_bound_report
 from .channel import NOISE_MODES, ScenarioConfig
-from .montecarlo import LEG_MODES, estimate_outage, load_balance, tolerance_search
+from .montecarlo import (CI_SUFFIXES, LEG_MODES, PROPORTIONS, _check_run, estimate_outage,
+                         load_balance, tolerance_search)
 from .protocols import PROTOCOL_KINDS, TAU_POLICIES, ProtocolChoice, resolve_tau
 from .serialize import csv_line, dumps, write_csv
 from .validation import run_oracle_suite
@@ -81,13 +82,7 @@ SWEEP_PARAMS = ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t", "tau")
 SWEEP_COLUMNS = [
     "swept_value",
     "m_max_t1", "m_max_t3", "tau_min", "tau_max", "feasible",
-    "p_t_hop1", "p_t_hop1_ci_lo", "p_t_hop1_ci_hi",
-    "p_t_hop2", "p_t_hop2_ci_lo", "p_t_hop2_ci_hi",
-    "p_t_e2e", "p_t_e2e_ci_lo", "p_t_e2e_ci_hi",
-    "p_s_hop1", "p_s_hop1_ci_lo", "p_s_hop1_ci_hi",
-    "p_s_hop2", "p_s_hop2_ci_lo", "p_s_hop2_ci_hi",
-    "p_s_e2e", "p_s_e2e_ci_lo", "p_s_e2e_ci_hi",
-    "p_eve_single_hop1", "p_eve_single_hop1_ci_lo", "p_eve_single_hop1_ci_hi",
+    *(name + end for name in PROPORTIONS for end in CI_SUFFIXES),
     "jain_index", "status",
 ]
 
@@ -270,6 +265,8 @@ def _cmd_sweep(parser, args) -> int:
     merged = _resolve_settings(parser, args,
                                required=tuple(k for k in need if k != args.param))
     values = _sweep_values(parser, args)
+    if args.outputs != "bounds":  # a setting every row shares is a usage error, not a row status
+        _check_run(merged["trials"], merged["legs"], merged["workers"])
     rows = []
     for v in values:
         swept = int(v) if args.param in ("n", "m") else v

@@ -4,13 +4,15 @@ Trials are embarrassingly parallel: trial t reads a fixed range of words of
 the seed's counter-based stream (stream layout 3, see
 `channel.sample_realization`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
-single-worker run. All proportions carry Wilson 95% intervals, which stay
-honest at the extreme rates secrecy studies produce.
+single-worker run. `OutageEstimate.proportion(key)` reads a count as a
+proportion with its Wilson 95% interval, which stays honest at the extreme
+rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 
 The trial kernel works in blocks and has no per-trial loop: one call draws a
 block's words and decodes them into `ChannelRealization`s, one vectorised
-pass selects the relays and computes the jammer sets, SINRs, eavesdropper
-intercepts and outage flags, and the counts are sums over it. A trial's
+pass selects the relays and computes the jammer sets, SINRs and eavesdropper
+intercepts, and `protocols.classify_outage` gives every count of
+`protocols.COUNT_KEYS` its per-trial terms, which the run sums. A trial's
 outcome depends only on its own words, so block boundaries never change a
 count. No eavesdropper gain is drawn: each eavesdropper's uniform decides
 its two intercepts from their exact law given the trial's jammer sets
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
-from .protocols import (ProtocolChoice, classify_outage, execute_two_hop,
+from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
 LEG_MODES = ("shared", "independent")
@@ -66,9 +68,11 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
 
-_COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
-               "s_hop1", "s_hop2", "s_e2e", "s_both",
-               "eve_hits_hop1", "jam1_sum", "jam1_sumsq")
+# reported proportion -> the count it is a proportion of, in report order
+PROPORTIONS = {"p_t_hop1": "t_hop1", "p_t_hop2": "t_hop2", "p_t_e2e": "t_e2e",
+               "p_s_hop1": "s_hop1", "p_s_hop2": "s_hop2", "p_s_e2e": "s_e2e",
+               "p_eve_single_hop1": "eve_hits_hop1"}
+CI_SUFFIXES = ("", "_ci_lo", "_ci_hi")  # a proportion's point estimate and Wilson bounds
 
 
 # Words drawn per block, 2 MB of uniforms: trial_words words a trial, and
@@ -84,21 +88,14 @@ def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
     stream = SeedStream(seed)
-    c = dict.fromkeys(_COUNT_KEYS, 0)
+    c = dict.fromkeys(COUNT_KEYS, 0)
     for lo in range(start, stop, size):
         hop1, hop2 = sample_realization(config, stream, lo, min(lo + size, stop),
                                         maxmin=maxmin, independent=independent)
         selected = select_relay_optimal(hop1.s_r, hop1.r_d) if maxmin else hop1.pick
         record = execute_two_hop(hop1, hop2, selected, tau, config)
-        f = classify_outage(record, config)
-        jam1 = record.jammers_hop1.sum(axis=1)
-        for key, hits in (("t_hop1", f.t_out_hop1), ("t_hop2", f.t_out_hop2),
-                          ("t_e2e", f.t_out_e2e), ("t_both", f.t_out_hop1 & f.t_out_hop2),
-                          ("s_hop1", f.s_out_hop1), ("s_hop2", f.s_out_hop2),
-                          ("s_e2e", f.s_out_e2e), ("s_both", f.s_out_hop1 & f.s_out_hop2),
-                          ("eve_hits_hop1", record.intercept_hop1),
-                          ("jam1_sum", jam1), ("jam1_sumsq", jam1 * jam1)):
-            c[key] += int(hits.sum())
+        for key, terms in classify_outage(record, config).items():
+            c[key] += int(terms.sum())
     return c
 
 
@@ -118,42 +115,16 @@ class OutageEstimate:
     trials: int
     counts: dict
 
-    def _prop(self, key: str) -> Proportion:
-        k = self.counts[key]
-        lo, hi = wilson_interval(k, self.trials)
-        return Proportion(k / self.trials, lo, hi)
+    def proportion(self, key: str) -> Proportion | None:
+        """Count `key` as a proportion of the trials, with its Wilson interval.
 
-    @property
-    def t_hop1(self) -> Proportion:
-        return self._prop("t_hop1")
-
-    @property
-    def t_hop2(self) -> Proportion:
-        return self._prop("t_hop2")
-
-    @property
-    def t_e2e(self) -> Proportion:
-        return self._prop("t_e2e")
-
-    @property
-    def s_hop1(self) -> Proportion:
-        return self._prop("s_hop1")
-
-    @property
-    def s_hop2(self) -> Proportion:
-        return self._prop("s_hop2")
-
-    @property
-    def s_e2e(self) -> Proportion:
-        return self._prop("s_e2e")
-
-    @property
-    def eve_single_hop1(self) -> Proportion | None:
-        """Per-eavesdropper hop-1 intercept rate, pooled over all eavesdroppers."""
-        denom = self.trials * self.config.m
+        `eve_hits_hop1` is a proportion of trials * m, one per eavesdropper
+        and trial (pooled over the eavesdroppers); None when m = 0.
+        """
+        denom = self.trials * self.config.m if key == "eve_hits_hop1" else self.trials
         if denom == 0:
             return None
-        k = self.counts["eve_hits_hop1"]
+        k = self.counts[key]
         lo, hi = wilson_interval(k, denom)
         return Proportion(k / denom, lo, hi)
 
@@ -181,14 +152,9 @@ class OutageEstimate:
 
     def as_dict(self) -> dict:
         out = {"trials": self.trials, "seed": self.seed, "legs": self.legs}
-        for key, prop in (("p_t_hop1", self.t_hop1), ("p_t_hop2", self.t_hop2),
-                          ("p_t_e2e", self.t_e2e), ("p_s_hop1", self.s_hop1),
-                          ("p_s_hop2", self.s_hop2), ("p_s_e2e", self.s_e2e),
-                          ("p_eve_single_hop1", self.eve_single_hop1)):
-            if prop is None:
-                out[key] = out[f"{key}_ci_lo"] = out[f"{key}_ci_hi"] = None
-            else:
-                out[key], out[f"{key}_ci_lo"], out[f"{key}_ci_hi"] = prop
+        for name, key in PROPORTIONS.items():
+            out.update(zip((name + end for end in CI_SUFFIXES),
+                           self.proportion(key) or (None,) * 3))
         out["mean_jammers_hop1"] = self.mean_jammers_hop1
         out["corr_t_hops"] = self.hop_correlation("t")
         out["corr_s_hops"] = self.hop_correlation("s")
@@ -244,27 +210,29 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
 
 
 def merge_estimates(parts: list[OutageEstimate]) -> OutageEstimate:
-    """Pool estimates taken over disjoint trial ranges of one configuration.
+    """Pool estimates whose trial ranges tile one range of one configuration.
 
     Merging is exact (counts add), so the result equals a single run over
-    the union of the ranges. Parts with mismatched configuration, protocol,
-    leg mode or seed are rejected.
+    that range. Parts with mismatched configuration, protocol, leg mode or
+    seed are rejected, and so are parts whose ranges, in any order, overlap
+    or leave a gap.
     """
     if not parts:
         raise ValueError("nothing to merge")
+    parts = sorted(parts, key=lambda p: p.trial_start)
     head = parts[0]
-    for p in parts[1:]:
+    for prev, p in zip(parts, parts[1:]):
         if (p.config, p.protocol, p.legs, p.seed) != (head.config, head.protocol,
                                                       head.legs, head.seed):
             raise ValueError("cannot merge estimates from different runs")
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    for p in parts:
-        for k in _COUNT_KEYS:
-            counts[k] += p.counts[k]
+        if p.trial_start != prev.trial_start + prev.trials:
+            raise ValueError(f"trial ranges must tile one range: [{prev.trial_start}, "
+                             f"{prev.trial_start + prev.trials}) is followed by a range "
+                             f"starting at {p.trial_start}")
     return OutageEstimate(config=head.config, protocol=head.protocol, legs=head.legs,
-                          seed=head.seed,
-                          trial_start=min(p.trial_start for p in parts),
-                          trials=sum(p.trials for p in parts), counts=counts)
+                          seed=head.seed, trial_start=head.trial_start,
+                          trials=sum(p.trials for p in parts),
+                          counts={k: sum(p.counts[k] for p in parts) for k in head.counts})
 
 
 @dataclass(frozen=True)
@@ -300,7 +268,7 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
 
         def ok(m: int) -> bool:
             est = _estimate(pool, replace(config, m=m), frozen, trials, seed, legs, workers)
-            upper = est.s_e2e.hi
+            upper = est.proportion("s_e2e").hi
             probes.append((m, upper))
             return upper <= eps_s
 

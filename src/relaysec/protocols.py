@@ -13,8 +13,9 @@ Everything runs on blocks of T trials, one row per trial: the
 which draws a random-selection trial's relay index with its gains), the (T,)
 selected relays, and arrays with a leading trial axis.
 `select_relay_optimal` picks max-min relays for a block, `execute_two_hop`
-runs the block's transmissions and `classify_outage` turns them into outage
-flags. A single transmission is a block of one.
+runs the block's transmissions and `classify_outage` maps each count name
+of `COUNT_KEYS` to its (T,) per-trial terms, which a run sums. A single
+transmission is a block of one.
 
 An eavesdropper's gains are independent of every legitimate gain and enter
 its outcome only through the two jammer sets, so `execute_two_hop` decides
@@ -69,18 +70,6 @@ class TransmissionRecord:
     sinr_dest: np.ndarray        # (T,)
     intercept_hop1: np.ndarray   # (T, m) bool: eavesdropper i decodes hop 1
     intercept_hop2: np.ndarray   # (T, m) bool: eavesdropper i decodes hop 2
-
-
-@dataclass(frozen=True)
-class OutageFlags:
-    """Per-hop and end-to-end outage classification of T transmissions, (T,) each."""
-
-    t_out_hop1: np.ndarray
-    t_out_hop2: np.ndarray
-    s_out_hop1: np.ndarray
-    s_out_hop2: np.ndarray
-    t_out_e2e: np.ndarray
-    s_out_e2e: np.ndarray
 
 
 def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
@@ -204,8 +193,16 @@ def execute_two_hop(hop1: ChannelRealization, hop2: ChannelRealization,
         intercept_hop2=(u < c) | ((u >= a) & (u < a + b - c)))
 
 
-def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> OutageFlags:
-    """Apply the decoding thresholds to T transmission records.
+# Every count a run keeps, in report order: transmission (t) and secrecy (s)
+# outage on hop 1, hop 2, either hop (e2e) and both hops; hop-1 intercepts
+# summed over the eavesdroppers; the hop-1 jammer count |J1| and its square.
+COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
+              "s_hop1", "s_hop2", "s_e2e", "s_both",
+              "eve_hits_hop1", "jam1_sum", "jam1_sumsq")
+
+
+def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> dict[str, np.ndarray]:
+    """Each count of `COUNT_KEYS` mapped to its (T,) per-trial term.
 
     A legitimate receiver decodes iff its SINR is strictly greater than
     gamma_r (the boundary matters only on a measure-zero event but is fixed
@@ -216,5 +213,6 @@ def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> Outag
     t2 = ~(record.sinr_dest > config.gamma_r)
     s1 = record.intercept_hop1.any(axis=1)
     s2 = record.intercept_hop2.any(axis=1)
-    return OutageFlags(t_out_hop1=t1, t_out_hop2=t2, s_out_hop1=s1,
-                       s_out_hop2=s2, t_out_e2e=t1 | t2, s_out_e2e=s1 | s2)
+    jam1 = record.jammers_hop1.sum(axis=1)
+    return dict(zip(COUNT_KEYS, (t1, t2, t1 | t2, t1 & t2, s1, s2, s1 | s2, s1 & s2,
+                                 record.intercept_hop1.sum(axis=1), jam1, jam1 * jam1)))

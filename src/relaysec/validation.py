@@ -67,7 +67,7 @@ def intercept_check(est: OutageEstimate) -> CheckResult:
     if config.noise_mode != "interference-limited" or config.m < 1:
         raise ValueError("intercept_check needs interference-limited noise and m >= 1")
     tau = resolve_tau(est.protocol, config)
-    prop = est.eve_single_hop1
+    prop = est.proportion("eve_hits_hop1")
     expected = eve_intercept_exact(config.n, config.gamma_e, tau)
     return CheckResult(f"eve_intercept_exact(n={config.n}, tau={tau})",
                        prop.lo <= expected <= prop.hi,

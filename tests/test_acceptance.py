@@ -109,7 +109,7 @@ def test_criterion_03_exact_intercept_oracle():
     details, ok = [], True
     for tau in (0.1, 1.0):
         est = estimate_outage(IL11, manual(tau), 1_000_000, SEED + 3)
-        prop = est.eve_single_hop1
+        prop = est.proportion("eve_hits_hop1")
         exact = eve_intercept_exact(11, 1.0, tau)
         ok &= prop.lo <= exact <= prop.hi
         details.append(f"tau={tau}: hat={prop.p:.5f} in "
@@ -138,8 +138,8 @@ def test_criterion_05_union_bound():
     for m in (1, 2, 5):
         cfg = replace(IL11, m=m)
         est = estimate_outage(cfg, manual(1.0), 100_000, SEED + 5)
-        p_s1 = est.s_hop1.p
-        p_single = est.eve_single_hop1.p
+        p_s1 = est.proportion("s_hop1").p
+        p_single = est.proportion("eve_hits_hop1").p
         se_s1 = math.sqrt(p_s1 * (1 - p_s1) / est.trials)
         se_single = math.sqrt(p_single * (1 - p_single) / (est.trials * m))
         slack = 3.0 * math.sqrt(se_s1 ** 2 + (m * se_single) ** 2)
@@ -181,10 +181,12 @@ def test_criterion_08_monotonicity_suite():
                  for i, t in enumerate(taus)]
     ok = True
     for a, b in zip(estimates[:-1], estimates[1:]):
-        slack_t = (a.t_hop1.hi - a.t_hop1.lo + b.t_hop1.hi - b.t_hop1.lo) / 2
-        slack_s = (a.s_hop1.hi - a.s_hop1.lo + b.s_hop1.hi - b.s_hop1.lo) / 2
-        ok &= b.t_hop1.p >= a.t_hop1.p - slack_t
-        ok &= b.s_hop1.p <= a.s_hop1.p + slack_s
+        ta, tb = a.proportion("t_hop1"), b.proportion("t_hop1")
+        sa, sb = a.proportion("s_hop1"), b.proportion("s_hop1")
+        slack_t = (ta.hi - ta.lo + tb.hi - tb.lo) / 2
+        slack_s = (sa.hi - sa.lo + sb.hi - sb.lo) / 2
+        ok &= tb.p >= ta.p - slack_t
+        ok &= sb.p <= sa.p + slack_s
 
     # analytic monotonicity holds exactly on randomized grids
     rng = np.random.default_rng(SEED + 8)

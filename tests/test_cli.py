@@ -89,6 +89,32 @@ SIM_ARGS = ["simulate", "--protocol", "random", "--tau-policy", "manual",
             "--trials", "3000", "--seed", "7"]
 
 
+# the output schema, written out: a renamed or reordered field must fail here
+RESULT_FIELDS = (
+    "trials,seed,legs,"
+    "p_t_hop1,p_t_hop1_ci_lo,p_t_hop1_ci_hi,p_t_hop2,p_t_hop2_ci_lo,p_t_hop2_ci_hi,"
+    "p_t_e2e,p_t_e2e_ci_lo,p_t_e2e_ci_hi,p_s_hop1,p_s_hop1_ci_lo,p_s_hop1_ci_hi,"
+    "p_s_hop2,p_s_hop2_ci_lo,p_s_hop2_ci_hi,p_s_e2e,p_s_e2e_ci_lo,p_s_e2e_ci_hi,"
+    "p_eve_single_hop1,p_eve_single_hop1_ci_lo,p_eve_single_hop1_ci_hi,"
+    "mean_jammers_hop1,corr_t_hops,corr_s_hops")
+SWEEP_HEADER = (
+    "swept_value,m_max_t1,m_max_t3,tau_min,tau_max,feasible,"
+    "p_t_hop1,p_t_hop1_ci_lo,p_t_hop1_ci_hi,p_t_hop2,p_t_hop2_ci_lo,p_t_hop2_ci_hi,"
+    "p_t_e2e,p_t_e2e_ci_lo,p_t_e2e_ci_hi,p_s_hop1,p_s_hop1_ci_lo,p_s_hop1_ci_hi,"
+    "p_s_hop2,p_s_hop2_ci_lo,p_s_hop2_ci_hi,p_s_e2e,p_s_e2e_ci_lo,p_s_e2e_ci_hi,"
+    "p_eve_single_hop1,p_eve_single_hop1_ci_lo,p_eve_single_hop1_ci_hi,"
+    "jain_index,status")
+
+
+def test_output_schema(capsys):
+    _, out, _ = run_cli(capsys, *SIM_ARGS, "--format", "json")
+    assert set(json.loads(out)["result"]) == set(RESULT_FIELDS.split(","))
+    _, out, _ = run_cli(capsys, *SIM_ARGS, "--format", "csv")
+    assert out.splitlines()[0] == RESULT_FIELDS
+    _, out, _ = run_cli(capsys, *TestSweep.BASE)
+    assert out.splitlines()[0] == SWEEP_HEADER
+
+
 class TestSimulate:
     def test_deterministic_output_bytes(self, capsys):
         code1, out1, _ = run_cli(capsys, *SIM_ARGS)
@@ -267,6 +293,18 @@ class TestSweep:
         with pytest.raises(SystemExit) as err:
             main(self.TAU_GRID + ["--from", "0", "--to", "0.3", "--step", step])
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("setting", ["workers", "trials"])
+    def test_bad_run_setting_usage_error(self, capsys, setting):
+        # a setting every row shares fails the command, not each row's status
+        argv = ["sweep", "--param", "n", "--values", "11,21", "--m", "1", "--gamma-r", "1",
+                "--gamma-e", "1", "--eps-s", "0.5", "--eps-t", "0.5", "--trials", "100",
+                "--outputs", "simulation", f"--{setting}", "0"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{setting} must be >= 1" in captured.err and captured.out == ""
 
     def test_zero_load_balance_slots_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

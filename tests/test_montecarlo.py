@@ -40,17 +40,17 @@ class TestEstimateOutage:
     def test_no_eavesdroppers_zero_secrecy_outage(self):
         cfg = replace(IL, m=0)
         est = estimate_outage(cfg, RANDOM_TAU01, 500, 3)
-        assert est.s_e2e.p == 0.0
-        assert est.eve_single_hop1 is None
+        assert est.proportion("s_e2e").p == 0.0
+        assert est.proportion("eve_hits_hop1") is None
 
     def test_tiny_gamma_r_never_transmission_outage(self):
         cfg = ScenarioConfig(n=5, m=0, gamma_r=1e-12, gamma_e=1.0)
         est = estimate_outage(cfg, RANDOM_TAU01, 2000, 3)
-        assert est.t_e2e.p == 0.0
+        assert est.proportion("t_e2e").p == 0.0
 
     def test_eve_intercept_matches_exact_oracle(self):
         est = estimate_outage(IL, RANDOM_TAU01, 20_000, 11)
-        prop = est.eve_single_hop1
+        prop = est.proportion("eve_hits_hop1")
         assert prop.lo <= eve_intercept_exact(11, 1.0, 0.1) <= prop.hi
 
     def test_mean_jammers_matches_binomial(self):
@@ -67,8 +67,8 @@ class TestEstimateOutage:
 
     def test_estimates_in_unit_interval_with_ci(self):
         est = estimate_outage(IL, RANDOM_TAU01, 3000, 14)
-        for prop in (est.t_hop1, est.t_hop2, est.t_e2e, est.s_hop1, est.s_hop2,
-                     est.s_e2e, est.eve_single_hop1):
+        for key in montecarlo.PROPORTIONS.values():
+            prop = est.proportion(key)
             assert 0.0 <= prop.lo <= prop.p <= prop.hi <= 1.0
 
     def test_infeasible_policy_raised_before_trials(self):
@@ -95,7 +95,7 @@ class TestEstimateOutage:
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.3)
         lenient = estimate_outage(replace(IL, gamma_r=0.5), proto, 8000, 15)
         strict = estimate_outage(replace(IL, gamma_r=2.0), proto, 8000, 15)
-        assert strict.t_e2e.p > lenient.t_e2e.p
+        assert strict.proportion("t_e2e").p > lenient.proportion("t_e2e").p
 
     def test_hop_correlation_reported(self):
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.3)
@@ -127,7 +127,9 @@ class TestMergeEstimates:
 
     def test_merge_commutative(self):
         a, b = self.parts(2, 4000)
-        assert merge_estimates([a, b]).counts == merge_estimates([b, a]).counts
+        forward, backward = merge_estimates([a, b]), merge_estimates([b, a])
+        assert forward.counts == backward.counts
+        assert (backward.trial_start, backward.trials) == (0, 4000)
 
     def test_four_way_split_bit_identical(self):
         whole = estimate_outage(IL, RANDOM_TAU01, 10_000, 31)
@@ -157,8 +159,22 @@ class TestMergeEstimates:
         with pytest.raises(ValueError):
             merge_estimates([a, b])
         c = estimate_outage(IL, RANDOM_TAU01, 100, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different runs"):
             merge_estimates([a, c])
+
+    def test_overlapping_parts_rejected(self):
+        a = estimate_outage(IL, RANDOM_TAU01, 100, 1)
+        with pytest.raises(ValueError, match="tile one range"):
+            merge_estimates([a, a])
+        wide = estimate_outage(IL, RANDOM_TAU01, 100, 1, trial_start=50)
+        with pytest.raises(ValueError, match="tile one range"):
+            merge_estimates([wide, a])
+
+    def test_gap_between_parts_rejected(self):
+        a = estimate_outage(IL, RANDOM_TAU01, 100, 1)
+        later = estimate_outage(IL, RANDOM_TAU01, 100, 1, trial_start=200)
+        with pytest.raises(ValueError, match="tile one range"):
+            merge_estimates([a, later])
 
 
 class TestToleranceSearch:
@@ -184,7 +200,7 @@ class TestToleranceSearch:
         scan = []
         for m in range(1, res.m_max + 2):
             est = estimate_outage(replace(IL, m=m), proto, 4000, 43)
-            scan.append(est.s_e2e.hi <= budget)
+            scan.append(est.proportion("s_e2e").hi <= budget)
         assert all(scan[:res.m_max])
         assert not scan[res.m_max]
 

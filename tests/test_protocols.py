@@ -247,11 +247,14 @@ class TestExecuteTwoHop:
 
     def test_hand_worked_outage(self):
         rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=self.TAU01, config=self.CFG)
-        flags = classify_outage(rec, self.CFG)
-        assert not flags.t_out_hop1[0] and not flags.t_out_hop2[0] and not flags.t_out_e2e[0]
-        assert flags.s_out_hop1[0]          # u = 0.2 < A = 0.3033
-        assert not flags.s_out_hop2[0]      # C = 0.1226 <= u < A
-        assert flags.s_out_e2e[0]
+        terms = {k: v.tolist() for k, v in classify_outage(rec, self.CFG).items()}
+        assert terms == {"t_hop1": [False], "t_hop2": [False], "t_e2e": [False],
+                         "t_both": [False],
+                         # u = 0.2 < A = 0.3033, and C = 0.1226 <= u < A
+                         "s_hop1": [True], "s_hop2": [False], "s_e2e": [True],
+                         "s_both": [False],
+                         # one intercept; relay 1 alone jams hop 1
+                         "eve_hits_hop1": [1], "jam1_sum": [1], "jam1_sumsq": [1]}
 
     def test_zero_tau_degenerate(self):
         rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=0.0, config=self.CFG)
@@ -325,13 +328,12 @@ class TestClassifyOutage:
                                   intercept_hop2=np.asarray([e2], dtype=bool))
 
     def flags(self, record, cfg):
-        f = classify_outage(record, cfg)
-        return {k: bool(v[0]) for k, v in vars(f).items()}
+        return {k: v[0] for k, v in classify_outage(record, cfg).items()}
 
     def test_tiny_gamma_r_never_outage(self):
         cfg = ScenarioConfig(n=3, m=2, gamma_r=1e-12, gamma_e=1.0)
         flags = self.flags(self.record(0.01, 0.02, [False, False], [False, False]), cfg)
-        assert not flags["t_out_hop1"] and not flags["t_out_hop2"]
+        assert not flags["t_hop1"] and not flags["t_hop2"]
 
     def test_huge_gamma_e_never_secrecy_outage(self):
         # with noise, nu = exp(-gamma_e N0/2 / Es) underflows to 0, so A = B = C = 0
@@ -339,14 +341,14 @@ class TestClassifyOutage:
         real = make_realization([5.0, 5.0], [3.0], [5.0, 5.0], [0.0, 0.5])
         rec = execute_two_hop(**one_trial(real, 0), tau=1.0, config=cfg)
         flags = self.flags(rec, cfg)
-        assert not flags["s_out_hop1"] and not flags["s_out_hop2"] and not flags["s_out_e2e"]
+        assert not flags["s_hop1"] and not flags["s_hop2"] and not flags["s_e2e"]
 
     def test_boundary_conventions(self):
         # decoding needs strictly greater; interception needs u < A, so that
         # hop 1 is intercepted with probability exactly A
         flags = self.flags(self.record(1.0, 2.0, [True, False], [False, False]), self.CFG)
-        assert flags["t_out_hop1"] and not flags["t_out_hop2"]
-        assert flags["s_out_hop1"] and not flags["s_out_hop2"]
+        assert flags["t_hop1"] and not flags["t_hop2"]
+        assert flags["s_hop1"] and not flags["s_hop2"]
         cfg = ScenarioConfig(n=2, m=2, gamma_r=1.0, gamma_e=1.0)
         a = math.exp(-0.5) * 0.5  # one jammer: A = nu q
         real = make_realization([2.0, 0.5], [0.05], [1.5, 0.08], [a, np.nextafter(a, 0.0)])
@@ -359,10 +361,13 @@ class TestClassifyOutage:
             vals = rng.exponential(size=6)
             flags = self.flags(self.record(vals[0], vals[1], vals[2:4] > 1.0, vals[4:6] > 1.0),
                                self.CFG)
-            assert flags["t_out_e2e"] == (flags["t_out_hop1"] or flags["t_out_hop2"])
-            assert flags["s_out_e2e"] == (flags["s_out_hop1"] or flags["s_out_hop2"])
+            assert flags["t_e2e"] == (flags["t_hop1"] or flags["t_hop2"])
+            assert flags["s_e2e"] == (flags["s_hop1"] or flags["s_hop2"])
+            assert flags["t_both"] == (flags["t_hop1"] and flags["t_hop2"])
+            assert flags["s_both"] == (flags["s_hop1"] and flags["s_hop2"])
+            assert flags["eve_hits_hop1"] == np.sum(vals[2:4] > 1.0)
 
     def test_no_eavesdroppers_no_secrecy_outage(self):
         cfg = ScenarioConfig(n=3, m=0, gamma_r=1.0, gamma_e=1.0)
         flags = self.flags(self.record(5.0, 5.0, [], []), cfg)
-        assert not flags["s_out_e2e"]
+        assert not flags["s_e2e"]

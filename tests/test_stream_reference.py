@@ -16,7 +16,8 @@ import pytest
 
 from relaysec import ProtocolChoice, ScenarioConfig, estimate_outage, merge_estimates
 from relaysec import montecarlo
-from relaysec.montecarlo import _COUNT_KEYS, _run_trials
+from relaysec.montecarlo import _run_trials
+from relaysec.protocols import COUNT_KEYS
 
 SEED, TRIALS, CUT = 424242, 2000, 777
 WINDOW = range(CUT - 40, CUT + 40)  # trials run again in blocks of one
@@ -63,12 +64,12 @@ def intercepts(eve, k1, k2, k, shared, config):
 
 
 def reference_outcomes(config, kind, legs, tau, seed, trials):
-    """(trials, len(_COUNT_KEYS)) per-trial contributions to every count."""
+    """(trials, len(COUNT_KEYS)) per-trial contributions to every count."""
     n, m = config.n, config.m
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
     width = trial_words(n, m, maxmin, independent)
     bits = np.random.Philox(key=(seed & M64) | (3 << 64))
-    out = np.zeros((trials, len(_COUNT_KEYS)), dtype=np.int64)
+    out = np.zeros((trials, len(COUNT_KEYS)), dtype=np.int64)
     for t in range(trials):
         u = (bits.random_raw(width) >> np.uint64(11)) * 2.0 ** -53
         g = -np.log1p(-u)
@@ -108,7 +109,7 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
 
 
 def as_tuple(counts):
-    return tuple(counts[k] for k in _COUNT_KEYS)
+    return tuple(counts[k] for k in COUNT_KEYS)
 
 
 @pytest.mark.parametrize("n", sorted({key[0] for key in GRID}))
