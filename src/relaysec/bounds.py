@@ -16,6 +16,7 @@ oracle those approximations are measured against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,10 +26,11 @@ class InfeasibleConfigError(ValueError):
 
 
 class MBound(NamedTuple):
-    """An eavesdropper-tolerance bound: the real value and the usable integer."""
+    """An eavesdropper-tolerance bound: the real value and the usable integer
+    (both math.inf past the largest float)."""
 
     value: float
-    floor: int
+    floor: int | float
 
 
 @dataclass(frozen=True)
@@ -41,32 +43,56 @@ class TauInterval:
     reason: str | None = None
 
 
+# The input rules of the whole package, one definition each. Every check is
+# written `if not <holds>`, so a NaN fails it.
+
+def check_positive(name: str, value) -> None:
+    """ValueError unless value > 0."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def check_at_least(name: str, value, low, integer: bool = False) -> None:
+    """ValueError unless value >= low and, with `integer`, an int or numpy integer (not a bool)."""
+    # an int passes before the Integral check, which costs about 0.6 us
+    if integer and type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_unit(name: str, value, open_top: bool = False) -> None:
+    """ValueError unless value is in [0, 1], or in [0, 1) with `open_top`."""
+    if not (0.0 <= value < 1.0 if open_top else 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be in [0, 1{')' if open_top else ']'}, got {value}")
+
+
 def per_leg_budget(eps: float) -> float:
     """Per-hop outage allowance 1 - sqrt(1 - eps) implied by two-hop combining."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
+    check_unit("eps", eps)
     return 1.0 - math.sqrt(1.0 - eps)
 
 
 def combine_legs(p1: float, p2: float) -> float:
     """End-to-end outage of two independent legs: p1 + p2 - p1*p2."""
-    for p in (p1, p2):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"leg probability must be in [0, 1], got {p}")
+    check_unit("p1", p1)
+    check_unit("p2", p2)
     return p1 + p2 - p1 * p2
 
 
 def expected_jammers(n: int, tau: float) -> float:
     """Expected noise-generator count (n-1)(1 - e^{-tau}) among the non-selected relays."""
-    _check_n_tau(n, tau)
+    check_at_least("n", n, 1)
+    check_at_least("tau", tau, 0)
     return (n - 1) * (1.0 - math.exp(-tau))
 
 
 def reliability_leg_bound(n: int, gamma_r: float, tau: float) -> float:
     """Per-hop transmission-outage ceiling 1 - e^{-gamma_r (n-1)(1-e^{-tau}) tau}."""
-    _check_n_tau(n, tau)
-    if gamma_r <= 0:
-        raise ValueError(f"gamma_r must be > 0, got {gamma_r}")
+    check_at_least("n", n, 1)
+    check_at_least("tau", tau, 0)
+    check_positive("gamma_r", gamma_r)
     if n == 1 or tau == 0.0:
         return 0.0
     return 1.0 - math.exp(-gamma_r * (n - 1) * (1.0 - math.exp(-tau)) * tau)
@@ -79,11 +105,8 @@ def secrecy_leg_bound(n: int, m: int, gamma_e: float, tau: float) -> float:
     result can exceed 1; callers flag such values as vacuous rather than
     clamping them.
     """
-    _check_n_tau(n, tau)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if gamma_e <= 0:
-        raise ValueError(f"gamma_e must be > 0, got {gamma_e}")
+    check_at_least("m", m, 0)
+    check_positive("gamma_e", gamma_e)
     return m * (1.0 / (1.0 + gamma_e)) ** expected_jammers(n, tau)
 
 
@@ -95,9 +118,9 @@ def eve_intercept_exact(n: int, gamma_e: float, tau: float) -> float:
     probability is (e^{-tau} + (1-e^{-tau})/(1+gamma_e))^{n-1}. This is the
     oracle the expectation-substituted secrecy bound is compared against.
     """
-    _check_n_tau(n, tau)
-    if gamma_e <= 0:
-        raise ValueError(f"gamma_e must be > 0, got {gamma_e}")
+    check_at_least("n", n, 1)
+    check_at_least("tau", tau, 0)
+    check_positive("gamma_e", gamma_e)
     p = 1.0 - math.exp(-tau)
     return ((1.0 - p) + p / (1.0 + gamma_e)) ** (n - 1)
 
@@ -107,13 +130,10 @@ def theorem1_m_max(n: int, gamma_r: float, gamma_e: float, eps_s: float) -> MBou
 
     (1 - sqrt(1 - eps_s)) * (1 + gamma_e)^sqrt(n ln n / (32 gamma_r)).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if gamma_r <= 0 or gamma_e <= 0:
-        raise ValueError("thresholds must be > 0")
-    value = per_leg_budget(eps_s) * (1.0 + gamma_e) ** math.sqrt(
-        n * math.log(n) / (32.0 * gamma_r))
-    return MBound(value, max(0, math.floor(value)))
+    check_at_least("n", n, 1)
+    check_positive("gamma_r", gamma_r)
+    check_positive("gamma_e", gamma_e)
+    return _m_bound(per_leg_budget(eps_s), gamma_e, math.sqrt(n * math.log(n) / (32.0 * gamma_r)))
 
 
 def theorem2_tau_range(n: int, m: int, gamma_r: float, gamma_e: float,
@@ -125,12 +145,11 @@ def theorem2_tau_range(n: int, m: int, gamma_r: float, gamma_e: float,
     largest threshold whose self-interference still meets the per-leg
     reliability budget. Infeasibility is a first-class result, not an error.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if gamma_r <= 0 or gamma_e <= 0:
-        raise ValueError("thresholds must be > 0")
-    if not 0.0 <= eps_t < 1.0:
-        raise ValueError(f"eps_t must be in [0, 1), got {eps_t}")
+    check_at_least("n", n, 1)
+    check_at_least("m", m, 0)
+    check_positive("gamma_r", gamma_r)
+    check_positive("gamma_e", gamma_e)
+    check_unit("eps_t", eps_t, open_top=True)
     budget_s = per_leg_budget(eps_s)
     if n == 1:
         if m == 0:
@@ -160,15 +179,23 @@ def theorem3_m_max(n: int, gamma_r: float, gamma_e: float,
 
     (1 - sqrt(1 - eps_s)) * (1 + gamma_e)^sqrt(-(n-1) ln(1 - eps_t) / (2 gamma_r)).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if gamma_r <= 0 or gamma_e <= 0:
-        raise ValueError("thresholds must be > 0")
-    if not 0.0 <= eps_t < 1.0:
-        raise ValueError(f"eps_t must be in [0, 1), got {eps_t}")
-    value = per_leg_budget(eps_s) * (1.0 + gamma_e) ** math.sqrt(
-        -(n - 1) * math.log1p(-eps_t) / (2.0 * gamma_r))
-    return MBound(value, max(0, math.floor(value)))
+    check_at_least("n", n, 1)
+    check_positive("gamma_r", gamma_r)
+    check_positive("gamma_e", gamma_e)
+    check_unit("eps_t", eps_t, open_top=True)
+    return _m_bound(per_leg_budget(eps_s), gamma_e,
+                    math.sqrt(-(n - 1) * math.log1p(-eps_t) / (2.0 * gamma_r)))
+
+
+def _m_bound(budget: float, gamma_e: float, exponent: float) -> MBound:
+    """budget * (1 + gamma_e)^exponent; math.inf past the largest float, 0 on a 0 budget."""
+    if budget == 0.0:
+        return MBound(0.0, 0)
+    try:
+        value = budget * (1.0 + gamma_e) ** exponent
+    except OverflowError:
+        value = math.inf
+    return MBound(value, math.inf if value == math.inf else max(0, math.floor(value)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +267,3 @@ def build_bound_report(n: int, m: int, gamma_r: float, gamma_e: float,
         secrecy_leg_vacuous=sec_leg > 1.0,
     )
 
-
-def _check_n_tau(n: int, tau: float) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")

@@ -32,6 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import check_at_least, check_positive, check_unit
+
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
@@ -144,26 +146,19 @@ class ScenarioConfig:
     eps_t: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.gamma_r <= 0:
-            raise ValueError(f"gamma_r must be > 0, got {self.gamma_r}")
-        if self.gamma_e <= 0:
-            raise ValueError(f"gamma_e must be > 0, got {self.gamma_e}")
-        if self.es <= 0:
-            raise ValueError(f"es must be > 0, got {self.es}")
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be >= 0, got {self.n0}")
+        check_at_least("n", self.n, 1, integer=True)
+        check_at_least("m", self.m, 0, integer=True)
+        check_positive("gamma_r", self.gamma_r)
+        check_positive("gamma_e", self.gamma_e)
+        check_positive("es", self.es)
+        check_at_least("n0", self.n0, 0)
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")
-        if self.coherence_len < 1:
-            raise ValueError(f"coherence_len must be >= 1, got {self.coherence_len}")
-        for name in ("eps_s", "eps_t"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        check_at_least("coherence_len", self.coherence_len, 1, integer=True)
+        if self.eps_s is not None:
+            check_unit("eps_s", self.eps_s)
+        if self.eps_t is not None:
+            check_unit("eps_t", self.eps_t)
 
     @property
     def noise_term(self) -> float:

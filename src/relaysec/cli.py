@@ -17,8 +17,9 @@ echoes its fully-resolved configuration so results are self-describing, and
 every randomized command has a fixed default seed; nothing is ever derived
 from the clock.
 
-Exit codes: 0 success, 2 usage error (an unwritable --out path included),
-3 infeasible configuration, 4 validation failure.
+Exit codes: 0 success (a reader closing stdout early included), 2 usage
+error (an unwritable --out path included), 3 infeasible configuration,
+4 validation failure.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .bounds import InfeasibleConfigError, build_bound_report
 from .channel import NOISE_MODES, ScenarioConfig
-from .montecarlo import (CI_SUFFIXES, LEG_MODES, PROPORTIONS, _check_run, estimate_outage,
-                         load_balance, tolerance_search)
+from .montecarlo import (CI_SUFFIXES, LEG_MODES, PROPORTIONS, estimate_outage, load_balance,
+                         tolerance_search)
 from .protocols import PROTOCOL_KINDS, TAU_POLICIES, ProtocolChoice, resolve_tau
 from .serialize import csv_line, dumps, write_csv
 from .validation import run_oracle_suite
@@ -191,6 +193,7 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _sweep_values(parser, args) -> list[float]:
+    """The swept values, an integral n or m as an int; ScenarioConfig checks them."""
     if args.values:
         try:
             vals = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -210,26 +213,17 @@ def _sweep_values(parser, args) -> list[float]:
         parser.error("sweep needs --values or --from/--to/--step")
     if not vals:
         parser.error("sweep value list is empty")
-    lo = {"n": 1, "m": 0, "gamma_r": 1e-300, "gamma_e": 1e-300,
-          "eps_s": 0.0, "eps_t": 0.0, "tau": 0.0}[args.param]
-    hi = {"eps_s": 1.0, "eps_t": 1.0}.get(args.param, float("inf"))
-    for v in vals:
-        if not lo <= v <= hi:
-            parser.error(f"swept value {v} outside the valid domain of {args.param}")
-        if args.param in ("n", "m") and v != int(v):
-            parser.error(f"swept value {v} must be an integer for {args.param}")
+    if args.param in ("n", "m"):
+        vals = [int(v) if v.is_integer() else v for v in vals]
     return vals
 
 
-def _sweep_row(args, local: dict) -> dict:
-    """One sweep row; failures land in the status column, never abort the sweep."""
+def _sweep_row(args, local: dict, config: ScenarioConfig, protocol: ProtocolChoice) -> dict:
+    """One sweep row: status `error` if a bound is undefined at its value,
+    `infeasible` if its theorem-2 window is empty; any other failure ends the sweep."""
     row = dict.fromkeys(SWEEP_COLUMNS)
+    row["swept_value"] = local[args.param]
     row["status"] = "ok"
-    try:
-        config, protocol = _objects(local)
-    except ValueError:
-        row["status"] = "error"
-        return row
     if args.outputs in ("bounds", "both"):
         try:
             report = build_bound_report(config.n, config.m, config.gamma_r,
@@ -251,8 +245,6 @@ def _sweep_row(args, local: dict) -> dict:
                     row[k] = val
         except InfeasibleConfigError:
             row["status"] = "infeasible"
-        except ValueError:
-            row["status"] = "error"
     if args.lb_slots is not None and row["status"] in ("ok", "infeasible"):
         row["jain_index"] = load_balance(config, protocol, args.lb_slots,
                                          local["seed"]).jain_index
@@ -264,21 +256,12 @@ def _cmd_sweep(parser, args) -> int:
         else ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t")
     merged = _resolve_settings(parser, args,
                                required=tuple(k for k in need if k != args.param))
-    values = _sweep_values(parser, args)
-    if args.outputs != "bounds":  # a setting every row shares is a usage error, not a row status
-        _check_run(merged["trials"], merged["legs"], merged["workers"])
-    rows = []
-    for v in values:
-        swept = int(v) if args.param in ("n", "m") else v
-        local = dict(merged)
-        if args.param == "tau":
-            local["tau"] = v
-            local["tau_policy"] = "manual"
-        else:
-            local[args.param] = swept
-        row = _sweep_row(args, local)
-        row["swept_value"] = swept
-        rows.append(row)
+    manual = {"tau_policy": "manual"} if args.param == "tau" else {}
+    settings = [{**merged, **manual, args.param: v} for v in _sweep_values(parser, args)]
+    # every row's inputs are checked before any row runs: a bad value, swept
+    # or shared, is a usage error
+    objects = [_objects(local) for local in settings]
+    rows = [_sweep_row(args, local, *objs) for local, objs in zip(settings, objects)]
 
     echo = {"command": "sweep", "param": args.param, "outputs": args.outputs,
             "config": _config_echo(merged),
@@ -397,6 +380,11 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except ValueError as exc:
         args.parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout early, a normal end; point stdout at devnull
+        # so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         if args.out is None or exc.filename != args.out:
             raise

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import check_at_least, check_unit
 from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
 from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
@@ -162,10 +163,8 @@ class OutageEstimate:
 
 
 def _check_run(trials: int, legs: str, workers: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_at_least("trials", trials, 1, integer=True)
+    check_at_least("workers", workers, 1, integer=True)
     if legs not in LEG_MODES:
         raise ValueError(f"legs must be one of {LEG_MODES}, got {legs!r}")
 
@@ -256,10 +255,8 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
     during the search. With `workers` > 1, one process pool serves every
     probe.
     """
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    if not 0.0 <= eps_s <= 1.0:
-        raise ValueError(f"eps_s must be in [0, 1], got {eps_s}")
+    check_at_least("m_cap", m_cap, 1, integer=True)
+    check_unit("eps_s", eps_s)
     _check_run(trials, legs, workers)
     frozen = ProtocolChoice(kind=protocol.kind, tau_policy="manual",
                             tau=resolve_tau(protocol, config))
@@ -340,8 +337,7 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     `constant_within_epochs` is always true for max-min, which picks from
     one draw per epoch; it tells you something only for random selection.
     """
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
+    check_at_least("slots", slots, 1, integer=True)
     n, epoch_len = config.n, config.coherence_len
     maxmin = protocol.kind == "optimal-maxmin"
     words = 2 * n if maxmin else epoch_len

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import InfeasibleConfigError, theorem2_tau_range
+from .bounds import InfeasibleConfigError, check_at_least, check_positive, theorem2_tau_range
 from .channel import ChannelRealization, ScenarioConfig, sinr
 
 PROTOCOL_KINDS = ("optimal-maxmin", "random-uniform")
@@ -53,8 +53,9 @@ class ProtocolChoice:
         if self.tau_policy not in TAU_POLICIES:
             raise ValueError(f"tau_policy must be one of {TAU_POLICIES}, got {self.tau_policy!r}")
         if self.tau_policy == "manual":
-            if self.tau is None or self.tau < 0:
+            if self.tau is None:
                 raise ValueError("manual tau policy requires tau >= 0")
+            check_at_least("tau", self.tau, 0)
         elif self.tau is not None:
             raise ValueError(f"tau is only meaningful with the manual policy, got {self.tau}")
 
@@ -87,8 +88,7 @@ def jammer_set(gains: np.ndarray, selected: np.ndarray, tau: float) -> np.ndarra
     selected relay on hop 1, D on hop 2). Every relay below tau jams except
     the trial's selected relay.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    check_at_least("tau", tau, 0)
     jam = gains < tau
     jam[np.arange(len(jam)), selected] = False
     return jam
@@ -96,10 +96,8 @@ def jammer_set(gains: np.ndarray, selected: np.ndarray, tau: float) -> np.ndarra
 
 def tau_protocol1(n: int, gamma_r: float) -> float:
     """Jamming threshold sqrt(ln n / (8 n gamma_r)) used with max-min selection."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if gamma_r <= 0:
-        raise ValueError(f"gamma_r must be > 0, got {gamma_r}")
+    check_at_least("n", n, 1)
+    check_positive("gamma_r", gamma_r)
     return math.sqrt(math.log(n) / (8.0 * n * gamma_r))
 
 

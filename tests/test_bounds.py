@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from relaysec import (InfeasibleConfigError, build_bound_report, combine_legs,
-                      eve_intercept_exact, expected_jammers, per_leg_budget,
-                      reliability_leg_bound, secrecy_leg_bound, theorem1_m_max,
-                      theorem2_tau_range, theorem3_m_max)
+from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
+                      build_bound_report, combine_legs, eve_intercept_exact, expected_jammers,
+                      per_leg_budget, reliability_leg_bound, secrecy_leg_bound, theorem1_m_max,
+                      theorem2_tau_range, theorem3_m_max, tolerance_search)
 
 
 class TestPerLegBudget:
@@ -135,6 +135,12 @@ class TestTheorem1:
         assert value == pytest.approx(1358.6868498105023, rel=1e-12)
         assert floor == 1358
 
+    def test_unbounded_is_infinite(self):
+        # (1 + 1e6)^465 is past the largest float
+        for gamma_e in (1e6, math.inf):
+            assert theorem1_m_max(1001, 0.001, gamma_e, 0.5) == (math.inf, math.inf)
+            assert theorem1_m_max(1001, 0.001, gamma_e, 0.0) == (0.0, 0)
+
 
 class TestTheorem2:
     def test_tau_min_zero_when_m_equals_budget(self):
@@ -204,6 +210,11 @@ class TestTheorem3:
     def test_eps_t_one_rejected(self):
         with pytest.raises(ValueError):
             theorem3_m_max(101, 1.0, 1.0, 0.3, 1.0)
+
+    def test_unbounded_is_infinite(self):
+        for gamma_e in (1e6, math.inf):
+            assert theorem3_m_max(1001, 0.001, gamma_e, 0.5, 0.5) == (math.inf, math.inf)
+            assert theorem3_m_max(1001, 0.001, gamma_e, 0.0, 0.5) == (0.0, 0)
 
 
 class TestMonotonicity:
@@ -284,3 +295,40 @@ class TestBoundReport:
 class TestInfeasibleError:
     def test_is_value_error(self):
         assert issubclass(InfeasibleConfigError, ValueError)
+
+
+NAN = float("nan")
+
+# valid positional arguments of every checked entry point
+VALID_ARGS = {
+    ScenarioConfig: (11, 1, 1.0, 1.0, 1.0, 1.0, "exact", 1, 0.3, 0.3),
+    ProtocolChoice: ("random-uniform", "manual", 0.1),
+    tolerance_search: (ScenarioConfig(11, 1, 1.0, 1.0),
+                       ProtocolChoice(tau_policy="manual", tau=0.1), 0.3, 50, 1, 1),
+    per_leg_budget: (0.3,),
+    combine_legs: (0.1, 0.2),
+    expected_jammers: (11, 0.1),
+    reliability_leg_bound: (11, 1.0, 0.1),
+    secrecy_leg_bound: (11, 1, 1.0, 0.1),
+    eve_intercept_exact: (11, 1.0, 0.1),
+    theorem1_m_max: (11, 1.0, 1.0, 0.3),
+    theorem2_tau_range: (11, 1, 1.0, 1.0, 0.3, 0.3),
+    theorem3_m_max: (11, 1.0, 1.0, 0.3, 0.3),
+    build_bound_report: (11, 1, 1.0, 1.0, 0.3, 0.3, 0.1),
+}
+# NaN goes into every float field of ScenarioConfig, the manual tau, the
+# tolerance budget and every argument of the closed forms
+NAN_AT = {ScenarioConfig: (2, 3, 4, 5, 8, 9), ProtocolChoice: (2,), tolerance_search: (2,)}
+REFUSED = [*((f, i, NAN) for f, args in VALID_ARGS.items()
+             for i in NAN_AT.get(f, range(len(args)))),
+           (ScenarioConfig, 0, 11.5), (ScenarioConfig, 0, True)]
+
+
+@pytest.mark.parametrize("func, index, bad", REFUSED,
+                         ids=[f"{f.__name__}-{i}-{bad}" for f, i, bad in REFUSED])
+def test_invalid_input_refused(func, index, bad):
+    args = list(VALID_ARGS[func])
+    func(*args)
+    args[index] = bad
+    with pytest.raises(ValueError):
+        func(*args)

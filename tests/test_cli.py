@@ -3,10 +3,15 @@
 import argparse
 import csv
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import relaysec
 import relaysec.validation
 from relaysec import SeedStream, estimate_outage, eve_intercept_exact, expected_jammers
 from relaysec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
@@ -260,12 +265,15 @@ class TestSweep:
             assert float(b["p_t_hop1"]) >= float(a["p_t_hop1"]) - slack_t
             assert float(b["p_s_hop1"]) <= float(a["p_s_hop1"]) + slack_s
 
-    def test_out_of_domain_value_usage_error(self):
-        argv = list(self.BASE)
-        argv[argv.index("--values") + 1] = "0"     # n = 0 invalid
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == EXIT_USAGE
+    def test_out_of_domain_value_usage_error(self, capsys):
+        for value in ("0", "inf", "11.5"):     # n must be an integer >= 1
+            argv = list(self.BASE)
+            argv[argv.index("--values") + 1] = value
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert "n must be" in captured.err and captured.out == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, *self.BASE, "--format", "json")
@@ -294,17 +302,53 @@ class TestSweep:
             main(self.TAU_GRID + ["--from", "0", "--to", "0.3", "--step", step])
         assert err.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("setting", ["workers", "trials"])
-    def test_bad_run_setting_usage_error(self, capsys, setting):
+    @pytest.mark.parametrize("budgets, extra, message", [
+        (True, ["--workers", "0"], "workers must be >= 1"),
+        (True, ["--trials", "0"], "trials must be >= 1"),
+        (True, ["--es", "0"], "es must be > 0"),
+        (True, ["--coherence-len", "0"], "coherence_len must be >= 1"),
+        (True, ["--gamma-r", "nan"], "gamma_r must be > 0"),
+        (False, ["--tau-policy", "theorem2-max"], "requires eps_s and eps_t"),
+    ], ids=["workers", "trials", "es", "coherence_len", "gamma_r_nan", "theorem2_no_budgets"])
+    def test_bad_run_setting_usage_error(self, capsys, budgets, extra, message):
         # a setting every row shares fails the command, not each row's status
         argv = ["sweep", "--param", "n", "--values", "11,21", "--m", "1", "--gamma-r", "1",
-                "--gamma-e", "1", "--eps-s", "0.5", "--eps-t", "0.5", "--trials", "100",
-                "--outputs", "simulation", f"--{setting}", "0"]
+                "--gamma-e", "1", "--trials", "100", "--outputs", "simulation", *extra]
+        if budgets:
+            argv += ["--eps-s", "0.5", "--eps-t", "0.5"]
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == EXIT_USAGE
         captured = capsys.readouterr()
-        assert f"{setting} must be >= 1" in captured.err and captured.out == ""
+        assert message in captured.err and captured.out == ""
+
+    def test_unbounded_tolerance_is_infinity(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--param", "gamma_e", "--values", "1e6,inf",
+                               "--n", "1001", "--m", "1", "--gamma-r", "0.001",
+                               "--eps-s", "0.5", "--eps-t", "0.5", "--outputs", "bounds")
+        assert code == EXIT_OK
+        for line in out.strip().splitlines()[1:]:
+            row = dict(zip(SWEEP_COLUMNS, line.split(",")))
+            assert (row["m_max_t1"], row["m_max_t3"], row["status"]) == ("Infinity", "Infinity",
+                                                                         "ok")
+
+    def test_closed_stdout_is_a_normal_end(self):
+        # 2000 rows overfill the pipe, so the sweep is still printing when the
+        # reader closes it
+        argv = ["sweep", "--param", "tau", "--from", "0.001", "--to", "2", "--step", "0.001",
+                "--n", "21", "--m", "1", "--gamma-r", "1", "--gamma-e", "1",
+                "--eps-s", "0.5", "--eps-t", "0.5", "--outputs", "bounds"]
+        src = str(pathlib.Path(relaysec.__file__).parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "relaysec.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline().decode() == ",".join(SWEEP_COLUMNS) + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        # stderr holds the sweep's config echo and nothing else
+        assert len(err.splitlines()) == 1 and json.loads(err)["command"] == "sweep"
 
     def test_zero_load_balance_slots_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
