@@ -1,10 +1,14 @@
 """Why random relay selection exists: load balance under slow fading.
 
-Under quasi-static fading (long coherence epochs) max-min selection keeps
-returning to whichever relays currently enjoy good channels, concentrating
-transmit duty on a few nodes. Random selection spreads the load evenly no
-matter how slowly the channel moves. This script compares selection counts,
-Jain fairness and selection entropy for both rules at two coherence lengths.
+Every link's gain is iid with equal path loss, so max-min's pick is uniform
+in law over the relays, as random selection's is. The two differ only in
+time: max-min picks from the channel, so within a coherence epoch it sends
+every slot through one relay, while random selection draws a relay per
+slot. Over fast fading both balance the load alike; over long epochs
+max-min's counts are L Multinomial(epochs, 1/n) (L slots an epoch) against
+random's Multinomial(slots, 1/n), so its load is visibly less even. This
+script compares selection counts, Jain fairness and selection entropy for
+both rules at two coherence lengths.
 
 Run: python demos/load_balance.py       (a few seconds)
 """

@@ -52,14 +52,16 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def check_at_least(name: str, value, low, integer: bool = False) -> None:
-    """ValueError unless value >= low and, with `integer`, an int or numpy integer (not a bool)."""
+def check_at_least(name: str, value, low, integer: bool = False, finite: bool = False) -> None:
+    """ValueError unless value >= low; with `integer` an integer (not bool), with `finite` < inf."""
     # an int passes before the Integral check, which costs about 0.6 us
     if integer and type(value) is not int and (
             isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not value >= low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if finite and value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_unit(name: str, value, open_top: bool = False) -> None:
@@ -83,14 +85,14 @@ def combine_legs(p1: float, p2: float) -> float:
 
 def expected_jammers(n: int, tau: float) -> float:
     """Expected noise-generator count (n-1)(1 - e^{-tau}) among the non-selected relays."""
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_at_least("tau", tau, 0)
     return (n - 1) * (1.0 - math.exp(-tau))
 
 
 def reliability_leg_bound(n: int, gamma_r: float, tau: float) -> float:
     """Per-hop transmission-outage ceiling 1 - e^{-gamma_r (n-1)(1-e^{-tau}) tau}."""
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_at_least("tau", tau, 0)
     check_positive("gamma_r", gamma_r)
     if n == 1 or tau == 0.0:
@@ -118,7 +120,7 @@ def eve_intercept_exact(n: int, gamma_e: float, tau: float) -> float:
     probability is (e^{-tau} + (1-e^{-tau})/(1+gamma_e))^{n-1}. This is the
     oracle the expectation-substituted secrecy bound is compared against.
     """
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_at_least("tau", tau, 0)
     check_positive("gamma_e", gamma_e)
     p = 1.0 - math.exp(-tau)
@@ -130,7 +132,7 @@ def theorem1_m_max(n: int, gamma_r: float, gamma_e: float, eps_s: float) -> MBou
 
     (1 - sqrt(1 - eps_s)) * (1 + gamma_e)^sqrt(n ln n / (32 gamma_r)).
     """
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_positive("gamma_r", gamma_r)
     check_positive("gamma_e", gamma_e)
     return _m_bound(per_leg_budget(eps_s), gamma_e, math.sqrt(n * math.log(n) / (32.0 * gamma_r)))
@@ -145,7 +147,7 @@ def theorem2_tau_range(n: int, m: int, gamma_r: float, gamma_e: float,
     largest threshold whose self-interference still meets the per-leg
     reliability budget. Infeasibility is a first-class result, not an error.
     """
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_at_least("m", m, 0)
     check_positive("gamma_r", gamma_r)
     check_positive("gamma_e", gamma_e)
@@ -179,7 +181,7 @@ def theorem3_m_max(n: int, gamma_r: float, gamma_e: float,
 
     (1 - sqrt(1 - eps_s)) * (1 + gamma_e)^sqrt(-(n-1) ln(1 - eps_t) / (2 gamma_r)).
     """
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_positive("gamma_r", gamma_r)
     check_positive("gamma_e", gamma_e)
     check_unit("eps_t", eps_t, open_top=True)

@@ -10,25 +10,23 @@ nothing ever measures them. One realization spans both hops of a
 transmission.
 
 Only the legitimate gains a transmission reads are drawn, and no
-eavesdropper gain at all (stream layout 3): an eavesdropper's gains are
-independent of everything the legitimate nodes draw and reach its outcome
-only through the jammer sets, so each eavesdropper draws one uniform that
-decides both of its hops from their exact law given those sets (see
-`protocols.execute_two_hop`). Every draw of a run comes from one
-counter-based Philox stream per seed (`SeedStream`); trial t owns a fixed
-range of its 64-bit words, so any range of trials is drawn directly, with
-one call per block. `sample_realization` draws a block of trials and
-decodes it into a `ChannelRealization`, whose arrays carry a leading trial
-axis, so everything computed from the gains runs once per block.
-`trial_rng` hands out a fresh generator for test inputs; no library code
-calls it.
+eavesdropper gain at all (stream layout 3): each eavesdropper draws one
+uniform that decides both of its hops (`protocols.execute_two_hop`). Every
+draw of a run comes from one counter-based Philox stream per seed
+(`SeedStream`); trial t owns a fixed range of its 64-bit words, so any range
+of trials is drawn with one call. `sample_realization` draws a block of
+trials into a `ChannelRealization` of uniforms. A gain -log1p(-u) increases
+with its uniform u, so thresholds (`uniform_threshold`) and maxima are
+decided on the uniforms, and only the gains an SINR reads are computed
+(`gain`). `trial_rng` hands out a fresh generator for test inputs only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +65,27 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _exponential(u: np.ndarray) -> np.ndarray:
-    """-log1p(-u) in place: unit-mean exponentials from uniforms in [0, 1)."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    return np.negative(u, out=u)
+def gain(u, out: np.ndarray | None = None) -> np.ndarray:
+    """Gains -log1p(-u) of uniforms u, into `out` (may be u); numpy's log1p, never libm's."""
+    out = np.negative(u, out=out)
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
+
+
+@functools.lru_cache(maxsize=256)
+def uniform_threshold(tau: float) -> float:
+    """u_tau, the smallest uniform k 2**-53 whose gain is >= tau (1.0 if none is).
+
+    The gain increases with u: a gain is below tau iff its uniform is below u_tau.
+    """
+    check_at_least("tau", tau, 0)
+    top = 1 << 53
+    k = min(math.ceil(-math.expm1(-tau) * top), top)  # a step or two from the answer
+    while k > 0 and gain([(k - 1) / top])[0] >= tau:
+        k -= 1
+    while k < top and gain([k / top])[0] < tau:
+        k += 1
+    return k / top
 
 
 # one Philox generator per thread, re-keyed by every draw: building one costs
@@ -122,7 +136,8 @@ class SeedStream:
     def exponentials(self, lo: int, hi: int, words: int) -> np.ndarray:
         """(hi - lo, words) unit-mean exponential gains -log1p(-u) of rows [lo, hi)."""
         # whole rows, padding and all: in place over contiguous rows is the faster pass
-        return _exponential(self.uniforms(lo, hi, -(-words // 4) * 4))[:, :words]
+        u = self.uniforms(lo, hi, -(-words // 4) * 4)
+        return gain(u, out=u)[:, :words]
 
 
 @dataclass(frozen=True)
@@ -166,15 +181,19 @@ class ScenarioConfig:
         return 0.0 if self.noise_mode == "interference-limited" else self.n0 / 2.0
 
 
-def _trial_fields(config: ScenarioConfig, maxmin: bool, independent: bool) -> list:
-    """(field, words) in the order one trial draws them (stream layout 3)."""
-    n, m = config.n, config.m
+@functools.lru_cache(maxsize=256)
+def _layout(n: int, m: int, maxmin: bool, independent: bool) -> dict:
+    """Each field's columns among a trial's words (stream layout 3; see ChannelRealization)."""
     if maxmin:
-        head = [("s_r", n), ("r_d", n), ("to_relay", n - 1)]
+        sizes = [("s_r", n), ("r_d", n), ("to_relay", n - 1)]
     else:
-        head = [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)]
-    hop2 = [("r_d2", n)] if independent else []
-    return head + hop2 + [("eve", m)]
+        sizes = [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)]
+    fields, o = {}, 0
+    for name, size in sizes + [("r_d2", n)] * independent + [("eve", m)]:
+        fields[name], o = slice(o, o + size), o + size
+    hop1, hop2 = fields["to_relay"], fields.setdefault("r_d2", fields["r_d"])
+    fields["receivers"] = slice(min(hop1.start, hop2.start), max(hop1.stop, hop2.stop))
+    return fields
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
@@ -183,92 +202,66 @@ def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> i
     Random selection reads 2n + 1 + m words and max-min 3n - 1 + m;
     independent legs add n for hop 2.
     """
-    words = sum(size for _, size in _trial_fields(config, maxmin, independent))
-    return -(-words // 4) * 4
+    return -(-_layout(config.n, config.m, maxmin, independent)["eve"].stop // 4) * 4
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
-                       maxmin: bool, independent: bool
-                       ) -> tuple[ChannelRealization, ChannelRealization]:
-    """Draw trials [lo, hi) of `stream` and return their hop-1 and hop-2 blocks.
+                       maxmin: bool, independent: bool) -> ChannelRealization:
+    """Draw trials [lo, hi) of `stream`: trial t's words [t W, (t + 1) W), W = `trial_words`.
 
-    Trial t reads its words [t W, (t + 1) W) (W from `trial_words`) in this
-    order:
-
-    random selection  relay index floor(u n), s_r of that relay, the n - 1
-                      gains toward it, r_d (n)
-    max-min           s_r (n), r_d (n), the n - 1 gains toward the relay
-                      with the largest min(s_r, r_d)
-
-    then hop 2's r_d (n) with independent legs, then one uniform per
-    eavesdropper (m). Every word between the relay index and the
-    eavesdroppers' uniforms is a unit-mean exponential gain. With
-    independent legs the hop-2 block is the hop-1 block with r_d replaced;
-    with shared legs the two blocks are one object.
+    A trial reads, under random selection, a relay index floor(u n), s_r of
+    that relay, the n - 1 gains toward it and r_d (n); under max-min, s_r
+    (n), r_d (n) and the n - 1 gains toward the relay with the largest
+    min(s_r, r_d). Then hop 2's r_d (n) with independent legs, then one
+    uniform per eavesdropper (m).
     """
-    n, m = config.n, config.m
-    # whole rows of W words, padding included, so the conversion below runs
-    # in place over one contiguous array
-    draws = stream.uniforms(lo, hi, trial_words(config, maxmin=maxmin, independent=independent))
-    rows = len(draws)
-    drawn, o = {}, 0
-    for name, size in _trial_fields(config, maxmin, independent):
-        drawn[name] = draws[:, o:o + size]
-        o += size
-    # the relay index and the eavesdroppers' uniforms are read out before
-    # every word turns into a gain in place
-    pick = None if maxmin else (drawn["pick"][:, 0] * n).astype(np.intp)
-    eve = drawn["eve"].copy()
-    _exponential(draws)
-    s_r = drawn["s_r"]
-    if pick is not None:
-        s_r = np.full((rows, n), math.nan)
-        s_r[np.arange(rows), pick] = drawn["s_r"][:, 0]
-    hop1 = ChannelRealization(n=n, m=m, pick=pick, s_r=s_r, to_relay=drawn["to_relay"],
-                              r_d=drawn["r_d"], eve=eve)
-    if not independent:
-        return hop1, hop1
-    return hop1, replace(hop1, r_d=drawn["r_d2"])
+    return ChannelRealization(
+        n=config.n, m=config.m, maxmin=maxmin, independent=independent,
+        words=stream.uniforms(lo, hi, trial_words(config, maxmin=maxmin, independent=independent)))
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """T sampled sets of power gains |h|^2 among S, the relays and D, with eavesdropper uniforms.
+    """T trials' uniforms: row t of `words` is trial t's words (see `sample_realization`).
 
-    Row t of every array belongs to trial t. Only what a transmission reads
-    is drawn, so the relay-to-relay gains are those toward one relay per
-    trial, the relay it transmits through:
+    real[field] is the (T, size) view of a field, each uniform u standing
+    for the reciprocal power gain -log1p(-u) between two nodes:
 
-    pick[t]          relay drawn by random selection (None under max-min)
-    s_r[t, j]        gain S <-> R_j; under random selection only the picked
-                     relay's entry is drawn and the others are NaN
-    to_relay[t, :]   gains R_j <-> the trial's relay, j in increasing order,
-                     that relay left out (n - 1 of them; reciprocal)
-    r_d[t, j]        gain R_j <-> D (reciprocal)
-    eve[t, i]        uniform in [0, 1) that decides eavesdropper E_i's
-                     intercepts on both hops (protocols.execute_two_hop)
+    "s_r"        S <-> R_j; under random selection the picked relay's only
+    "to_relay"   R_j <-> the trial's relay, j increasing, that relay left out
+    "r_d"        R_j <-> D, as max-min selection reads it
+    "r_d2"       R_j <-> D on hop 2: r_d, or a fresh draw with independent legs
+    "eve"        eavesdropper E_i's uniform, which decides both its hops
+    "receivers"  the run of words holding to_relay and r_d2
     """
 
     n: int
     m: int
-    pick: np.ndarray | None
-    s_r: np.ndarray
-    to_relay: np.ndarray
-    r_d: np.ndarray
-    eve: np.ndarray
+    maxmin: bool
+    independent: bool
+    words: np.ndarray
+
+    @functools.cached_property
+    def fields(self) -> dict:
+        return _layout(self.n, self.m, self.maxmin, self.independent)
+
+    def __getitem__(self, field: str) -> np.ndarray:
+        return self.words[:, self.fields[field]]
+
+    @property
+    def pick(self) -> np.ndarray | None:
+        """(T,) relay floor(u n) drawn by random selection; None under max-min."""
+        return None if self.maxmin else (self.words[:, 0] * self.n).astype(np.intp)
 
     def gains_to_relay(self, selected: np.ndarray) -> np.ndarray:
         """(T, n) gains from every relay toward trial t's relay selected[t]; that relay is NaN.
 
-        `selected` must be the relays the gains were drawn toward; row t's
-        n - 1 gains fill the other columns in order.
+        The gain-level view tests check the kernel against; the kernel never builds it.
         """
-        rows = np.arange(len(selected))
-        out = np.empty((len(selected), self.n))
-        others = np.ones(out.shape, dtype=bool)
-        others[rows, selected] = False
-        out[others] = self.to_relay.reshape(-1)
-        out[rows, selected] = math.nan
+        out = np.full((len(selected), self.n), math.nan)
+        cols = np.arange(self.n - 1)
+        out[np.arange(len(selected))[:, None], cols + (cols >= selected[:, None])] = gain(
+            self["to_relay"])
         return out
 
 
@@ -276,13 +269,9 @@ def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,
          config: ScenarioConfig) -> np.ndarray:
     """SINR in each of T trials: Es*g / (Es*sum of the jammers' gains + N0/2).
 
-    `signal_gains` is (T,), one receiver per trial; `gains` is (T, n), every
-    relay's gain toward the receiver; `jammers` is the (T, n) mask of the
-    relays that jam.
-
-    The interference is each row's sum over all n relays with the gains of
-    the relays that do not jam set to zero, so a trial's result depends on
-    its own row only, never on its block.
+    `signal_gains` is (T,); `gains` is (T, n), every relay's gain toward the
+    receiver; `jammers` is the (T, n) mask of the relays that jam. The
+    kernel builds no masks: this is the gain-level form tests check it by.
     """
     if np.any(signal_gains < 0):
         raise ValueError("signal gain must be nonnegative")
@@ -297,7 +286,7 @@ def sinr_many(signal_gains: np.ndarray, interference_sums: np.ndarray,
     denominator yields +inf, which counts as above any finite threshold.
     """
     denom = config.es * interference_sums + config.noise_term
+    if config.noise_term > 0.0:
+        return config.es * signal_gains / denom
     out = np.full(denom.shape, math.inf)
-    nz = denom > 0.0
-    out[nz] = config.es * signal_gains[nz] / denom[nz]
-    return out
+    return np.divide(config.es * signal_gains, denom, out=out, where=denom > 0.0)

@@ -8,17 +8,13 @@ single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme
 rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 
-The trial kernel works in blocks and has no per-trial loop: one call draws a
-block's words and decodes them into `ChannelRealization`s, one vectorised
-pass selects the relays and computes the jammer sets, SINRs and eavesdropper
-intercepts, and `protocols.classify_outage` gives every count of
-`protocols.COUNT_KEYS` its per-trial terms, which the run sums. A trial's
+The trial kernel works in blocks with no per-trial loop: per block, one
+draw, one selection and one `protocols.execute_two_hop` pass. A trial's
 outcome depends only on its own words, so block boundaries never change a
 count. No eavesdropper gain is drawn: each eavesdropper's uniform decides
-its two intercepts from their exact law given the trial's jammer sets
-(`protocols.execute_two_hop`), so every count is still an indicator count
-with the law a gain-level simulation gives it, and its cost does not grow
-with n m.
+its two intercepts from their exact law given the trial's jammer sets, so
+every count is still an indicator count with the law a gain-level
+simulation gives it, and its cost does not grow with n m.
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -39,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import check_at_least, check_unit
-from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
+from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words, uniform_threshold
 from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
@@ -84,19 +80,19 @@ _BLOCK_WORDS = 1 << 18
 def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
                 start: int, stop: int, seed: int, legs: str) -> dict[str, int]:
     """Run trials [start, stop) of `seed` and return raw outcome counts."""
-    tau = resolve_tau(protocol, config)
+    u_tau = uniform_threshold(resolve_tau(protocol, config))
     maxmin = protocol.kind == "optimal-maxmin"
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
     stream = SeedStream(seed)
     c = dict.fromkeys(COUNT_KEYS, 0)
     for lo in range(start, stop, size):
-        hop1, hop2 = sample_realization(config, stream, lo, min(lo + size, stop),
-                                        maxmin=maxmin, independent=independent)
-        selected = select_relay_optimal(hop1.s_r, hop1.r_d) if maxmin else hop1.pick
-        record = execute_two_hop(hop1, hop2, selected, tau, config)
-        for key, terms in classify_outage(record, config).items():
-            c[key] += int(terms.sum())
+        real = sample_realization(config, stream, lo, min(lo + size, stop),
+                                  maxmin=maxmin, independent=independent)
+        selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
+        record = execute_two_hop(real, selected, u_tau, config)
+        for key, count in classify_outage(record, config).items():
+            c[key] += count
     return c
 
 
@@ -203,7 +199,8 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     trial range.
     """
     _check_run(trials, legs, workers)
-    resolve_tau(protocol, config)  # surface an infeasible tau policy before any trial
+    if workers > 1:
+        resolve_tau(protocol, config)  # an infeasible tau policy fails before any worker starts
     with _pool(workers, trials) as pool:
         return _estimate(pool, config, protocol, trials, seed, legs, workers, trial_start)
 
@@ -349,11 +346,11 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     for lo in range(0, epochs, size):
         hi = min(lo + size, epochs)
         in_epoch = np.minimum(epoch_len, slots - np.arange(lo, hi) * epoch_len)
+        u = stream.uniforms(lo, hi, words)
         if maxmin:
-            gains = stream.exponentials(lo, hi, words)
-            np.add.at(counts, select_relay_optimal(gains[:, :n], gains[:, n:]), in_epoch)
+            np.add.at(counts, select_relay_optimal(u[:, :n], u[:, n:]), in_epoch)
         else:
-            picks = (stream.uniforms(lo, hi, words) * n).astype(np.intp)
+            picks = (u * n).astype(np.intp)
             drawn = np.arange(epoch_len) < in_epoch[:, None]
             counts += np.bincount(picks[drawn], minlength=n)
             constant = constant and bool(np.all((picks == picks[:, :1]) | ~drawn))

@@ -8,32 +8,32 @@ eavesdropper positions but quiet at the receiver. Two selection rules are
 supported: the max-min optimal rule and uniform random selection; both reuse
 the same threshold jamming, differing only in where tau comes from.
 
-Everything runs on blocks of T trials, one row per trial: the
-`ChannelRealization` blocks the trials drew (see `channel.sample_realization`,
-which draws a random-selection trial's relay index with its gains), the (T,)
-selected relays, and arrays with a leading trial axis.
-`select_relay_optimal` picks max-min relays for a block, `execute_two_hop`
-runs the block's transmissions and `classify_outage` maps each count name
-of `COUNT_KEYS` to its (T,) per-trial terms, which a run sums. A single
-transmission is a block of one.
+Everything runs on blocks of T trials: the `ChannelRealization` of uniforms
+a block drew and its (T,) selected relays. A gain increases with its
+uniform, so selection and jamming are decided on the uniforms;
+`execute_two_hop` computes only the gains an SINR reads and reduces the
+block to a few numbers per trial, and `classify_outage` counts the block
+under every name of `COUNT_KEYS`. A single transmission is a block of one.
 
 An eavesdropper's gains are independent of every legitimate gain and enter
-its outcome only through the two jammer sets, so `execute_two_hop` decides
-each eavesdropper's pair of intercepts from their exact law given the sets,
-with one uniform (conditional Monte Carlo; Asmussen & Glynn, *Stochastic
-Simulation*, 2007, ch. V). Every count stays an indicator with the law a
-simulation of the eavesdropper gains would give it.
+its outcome only through the two jammer sets, so one uniform decides its
+pair of intercepts from their exact law given the sets (conditional Monte
+Carlo; Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V): every count
+keeps the law a simulation of the eavesdropper gains would give it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import InfeasibleConfigError, check_at_least, check_positive, theorem2_tau_range
-from .channel import ChannelRealization, ScenarioConfig, sinr
+# sinr is not called here: the benchmark tracer's tests read it from this module
+from .channel import ChannelRealization, ScenarioConfig, gain, sinr, sinr_many  # noqa: F401
 
 PROTOCOL_KINDS = ("optimal-maxmin", "random-uniform")
 TAU_POLICIES = ("protocol1-formula", "theorem2-max", "theorem2-min", "manual")
@@ -60,43 +60,41 @@ class ProtocolChoice:
             raise ValueError(f"tau is only meaningful with the manual policy, got {self.tau}")
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """Everything observed during T two-hop transmissions, one row per trial."""
+class TransmissionRecord(NamedTuple):
+    """What T two-hop transmissions came to; row t is trial t, column h hop h + 1."""
 
     selected_relay: np.ndarray   # (T,) relay index
-    jammers_hop1: np.ndarray     # (T, n) mask of hop-1 jammers
-    jammers_hop2: np.ndarray     # (T, n) mask of hop-2 jammers
-    sinr_relay: np.ndarray       # (T,)
-    sinr_dest: np.ndarray        # (T,)
-    intercept_hop1: np.ndarray   # (T, m) bool: eavesdropper i decodes hop 1
-    intercept_hop2: np.ndarray   # (T, m) bool: eavesdropper i decodes hop 2
+    jammers: np.ndarray          # (T, 2) |J1|, |J2|: the relays that jam each hop
+    jammers_both: np.ndarray     # (T,) |J1 & J2|
+    sinr: np.ndarray             # (T, 2) SINR at the selected relay, at D
+    intercepts: np.ndarray       # (T, 2) eavesdroppers that decode each hop
 
 
 def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
-    """(T,) relay with the largest min(gain to S, gain to D) in each trial.
+    """(T,) relay with the largest min(gain to S, gain to D) in each trial, ties to the lowest.
 
-    `s_r` and `r_d` are (T, n). Ties go to the lowest index.
+    `s_r` and `r_d` are (T, n) gains or their uniforms: both pick alike.
     """
     return np.argmax(np.minimum(s_r, r_d), axis=1)
 
 
-def jammer_set(gains: np.ndarray, selected: np.ndarray, tau: float) -> np.ndarray:
-    """(T, n) mask of the relays that jam in each of T trials.
+def jammer_set(real: ChannelRealization, selected: np.ndarray, u_tau: float) -> np.ndarray:
+    """(T, L) mask over real["receivers"]: the to_relay and r_d2 words whose relays jam.
 
-    `gains[t, j]` is relay j's gain toward the hop's legitimate receiver (the
-    selected relay on hop 1, D on hop 2). Every relay below tau jams except
-    the trial's selected relay.
+    A relay jams a hop when its gain toward the hop's receiver is below tau, its uniform
+    below u_tau = `channel.uniform_threshold(tau)`; the selected relay never jams.
     """
-    check_at_least("tau", tau, 0)
-    jam = gains < tau
-    jam[np.arange(len(jam)), selected] = False
+    run, hop1, hop2 = (real.fields[f] for f in ("receivers", "to_relay", "r_d2"))
+    jam = real["receivers"] < u_tau
+    if hop1.stop < hop2.start:  # r_d lies between them, read by neither hop
+        jam[:, hop1.stop - run.start:hop2.start - run.start] = False
+    jam[np.arange(len(selected)), selected + (hop2.start - run.start)] = False
     return jam
 
 
 def tau_protocol1(n: int, gamma_r: float) -> float:
     """Jamming threshold sqrt(ln n / (8 n gamma_r)) used with max-min selection."""
-    check_at_least("n", n, 1)
+    check_at_least("n", n, 1, finite=True)
     check_positive("gamma_r", gamma_r)
     return math.sqrt(math.log(n) / (8.0 * n * gamma_r))
 
@@ -125,70 +123,80 @@ def resolve_tau(protocol: ProtocolChoice, config: ScenarioConfig) -> float:
     return max(0.0, interval.tau_min)
 
 
+@functools.lru_cache(maxsize=256)
 def _powers(base: float, top: int) -> np.ndarray:
-    """base**j for j = 0..top, each by Python's float power.
+    """base**j for j = 0..top, each by Python's float power (cached: do not write to it).
 
-    numpy's vectorised power may round an entry differently, and by its
-    place in the array; one scalar power per entry keeps a trial's law
-    independent of its block and of the other trials.
+    numpy's vectorised power may round an entry differently, by its place
+    in the array; scalar powers keep a trial's law independent of its block.
     """
     return np.array([base ** j for j in range(top + 1)])
 
 
-def intercept_law(jam1: np.ndarray, jam2: np.ndarray, shared: bool,
+def intercept_law(jammers: np.ndarray, both: np.ndarray, shared: bool,
                   config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T,) probabilities A, B, C that one eavesdropper decodes hop 1, hop 2, both.
 
-    Given trial t's jammer sets J1 and J2, with nu = exp(-gamma_e N0/2 / Es)
-    (1 when interference-limited) and q = 1 / (1 + gamma_e):
-    A = nu q^|J1|, B = nu q^|J2|, and with shared legs, where the jammers
-    both sets hold (k of them) reach the eavesdropper over the same gain,
-    C = nu^2 q^(|J1| + |J2| - 2k) / (1 + 2 gamma_e)^k; with independent legs
+    Given trial t's jammer counts (K1, K2) = `jammers[t]` and k = `both[t]`
+    = |J1 & J2|, with nu = exp(-gamma_e N0/2 / Es) (1 when
+    interference-limited) and q = 1 / (1 + gamma_e): A = nu q^K1,
+    B = nu q^K2, and with shared legs, where the k jammers both sets hold
+    reach the eavesdropper over the same gain,
+    C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
     C = A B. An SINR Es g / (Es I + N0/2) reaches gamma_e iff
     g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent of I.
     """
     gamma_e = config.gamma_e
     nu = math.exp(-gamma_e * config.noise_term / config.es)
-    k1, k2 = jam1.sum(axis=1), jam2.sum(axis=1)
-    q_pow = _powers(1.0 / (1.0 + gamma_e), int((k1 + k2).max(initial=0)))  # every exponent below
-    a, b = nu * q_pow[k1], nu * q_pow[k2]
+    total = jammers[:, 0] + jammers[:, 1]
+    q_pow = _powers(1.0 / (1.0 + gamma_e), int(total.max()))  # every exponent below
+    a, b = (nu * q_pow[jammers]).T
     if not shared:
         return a, b, a * b
-    k = (jam1 & jam2).sum(axis=1)
-    r_pow = _powers(1.0 / (1.0 + 2.0 * gamma_e), int(k.max(initial=0)))
-    return a, b, nu * nu * q_pow[k1 + k2 - 2 * k] * r_pow[k]
+    r_pow = _powers(1.0 / (1.0 + 2.0 * gamma_e), int(both.max()))
+    return a, b, nu * nu * q_pow[total - 2 * both] * r_pow[both]
 
 
-def execute_two_hop(hop1: ChannelRealization, hop2: ChannelRealization,
-                    selected: np.ndarray, tau: float,
+def execute_two_hop(real: ChannelRealization, selected: np.ndarray, u_tau: float,
                     config: ScenarioConfig) -> TransmissionRecord:
     """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
-    Hop 1 reads the block `hop1`; hop 2 reads `hop2`, which is `hop1` itself
-    when both hops share the channel, or a fresh block when the legs are
-    independent.
+    Hop 1: S transmits to the selected relay, hop 2 the relay to D over
+    r_d2, each jammed by its set from `jammer_set`. One pass over the mask's
+    flat indices puts every jammer in its (trial, hop) cell. Each SINR is
+    Es g / (Es I + N0/2), I the jammers' gains added in relay order.
 
-    Hop 1: S transmits to the selected relay; jammer set 1 is thresholded
-    against the selected relay. Hop 2: the selected relay transmits to D;
-    jammer set 2 is thresholded against D. Each eavesdropper hears the hop's
-    transmitter as signal and the hop's jammer set as interference; its
-    uniform u (`ChannelRealization.eve`) decides both hops from
-    `intercept_law`'s A, B and C: hop 1 is intercepted iff u < A, and hop 2
-    iff u < C or A <= u < A + B - C. So each hop has its exact marginal and
-    the pair its exact joint law.
+    Each eavesdropper's uniform u decides both hops from `intercept_law`'s
+    A, B and C: hop 1 is intercepted iff u < A, and hop 2 iff u < C or
+    A <= u < A + B - C. So each hop has its exact marginal and the pair its
+    exact joint law.
     """
-    rows = np.arange(len(selected))
-    to_relay = hop1.gains_to_relay(selected)
-    jam1 = jammer_set(to_relay, selected, tau)
-    jam2 = jammer_set(hop2.r_d, selected, tau)
-    a, b, c = (p[:, None] for p in intercept_law(jam1, jam2, hop2 is hop1, config))
-    u = hop1.eve
-    return TransmissionRecord(
-        selected_relay=selected, jammers_hop1=jam1, jammers_hop2=jam2,
-        sinr_relay=sinr(hop1.s_r[rows, selected], to_relay, jam1, config),
-        sinr_dest=sinr(hop2.r_d[rows, selected], hop2.r_d, jam2, config),
-        intercept_hop1=u < a,
-        intercept_hop2=(u < c) | ((u >= a) & (u < a + b - c)))
+    t = len(selected)
+    rows = np.arange(t)
+    run, hop1, hop2 = (real.fields[f] for f in ("receivers", "to_relay", "r_d2"))
+    jam = jammer_set(real, selected, u_tau)
+    row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
+    # hop 2's words come first only under max-min with shared legs (r_d, to_relay)
+    on2 = col < hop2.stop - run.start if hop2.start < hop1.start else col >= hop2.start - run.start
+    cell = 2 * row + on2
+    # the jammers' gains, then the signals': S to the selected relay, the relay to D
+    gains = gain(np.concatenate((real["receivers"][row, col],
+                                 real["s_r"][rows, selected * real.maxmin],  # one if random
+                                 real["r_d2"][rows, selected])))
+    sums = np.bincount(cell, gains[:-2 * t], 2 * t).reshape(t, 2)
+    sizes = np.bincount(cell, minlength=2 * t).reshape(t, 2)
+    # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
+    first = ~on2
+    row1, col1 = row[first], col[first] - (hop1.start - run.start)
+    col1 += col1 >= selected[row1]  # to_relay leaves the selected relay out
+    both = np.bincount(row1[jam[row1, col1 + (hop2.start - run.start)]], minlength=t)
+    a, b, c = (p[:, None] for p in intercept_law(sizes, both, not real.independent, config))
+    hits = np.empty((t, 2, real.m), dtype=bool)
+    hit1 = np.less(real["eve"], a, out=hits[:, 0])
+    np.less(real["eve"], np.where(hit1, c, np.maximum(c, a + b - c)), out=hits[:, 1])
+    return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
+                              sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
+                              intercepts=hits.sum(axis=2))
 
 
 # Every count a run keeps, in report order: transmission (t) and secrecy (s)
@@ -198,19 +206,22 @@ COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
               "s_hop1", "s_hop2", "s_e2e", "s_both",
               "eve_hits_hop1", "jam1_sum", "jam1_sumsq")
 
+# row i marks the outage codes t1 + 2 t2 + 4 s1 + 8 s2 that count toward COUNT_KEYS[i]
+_CODE_BITS = 1 << np.arange(4)
+_T1, _T2, _S1, _S2 = (np.arange(16) & bit > 0 for bit in _CODE_BITS)
+_OUTAGE_CODES = np.array([_T1, _T2, _T1 | _T2, _T1 & _T2, _S1, _S2, _S1 | _S2, _S1 & _S2])
 
-def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> dict[str, np.ndarray]:
-    """Each count of `COUNT_KEYS` mapped to its (T,) per-trial term.
 
-    A legitimate receiver decodes iff its SINR is strictly greater than
-    gamma_r (the boundary matters only on a measure-zero event but is fixed
-    for reproducibility). A hop is in secrecy outage iff some eavesdropper
-    intercepts it.
+def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> dict[str, int]:
+    """Each count of `COUNT_KEYS` over the record's trials.
+
+    A receiver decodes iff its SINR is strictly greater than gamma_r (a
+    measure-zero boundary, fixed for reproducibility). A hop is in secrecy
+    outage iff some eavesdropper intercepts it.
     """
-    t1 = ~(record.sinr_relay > config.gamma_r)
-    t2 = ~(record.sinr_dest > config.gamma_r)
-    s1 = record.intercept_hop1.any(axis=1)
-    s2 = record.intercept_hop2.any(axis=1)
-    jam1 = record.jammers_hop1.sum(axis=1)
-    return dict(zip(COUNT_KEYS, (t1, t2, t1 | t2, t1 & t2, s1, s2, s1 | s2, s1 & s2,
-                                 record.intercept_hop1.sum(axis=1), jam1, jam1 * jam1)))
+    outage = np.concatenate((~(record.sinr > config.gamma_r), record.intercepts > 0), axis=1)
+    codes = np.bincount(outage @ _CODE_BITS, minlength=16)
+    jam1 = record.jammers[:, 0]
+    return dict(zip(COUNT_KEYS, [*(_OUTAGE_CODES @ codes).tolist(),
+                                 int(record.intercepts[:, 0].sum()), int(jam1.sum()),
+                                 int(jam1 @ jam1)]))

@@ -15,7 +15,7 @@ from scipy import optimize, stats
 from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       build_bound_report, combine_legs, eve_intercept_exact, expected_jammers,
                       per_leg_budget, reliability_leg_bound, secrecy_leg_bound, theorem1_m_max,
-                      theorem2_tau_range, theorem3_m_max, tolerance_search)
+                      tau_protocol1, theorem2_tau_range, theorem3_m_max, tolerance_search)
 
 
 class TestPerLegBudget:
@@ -315,12 +315,17 @@ VALID_ARGS = {
     theorem2_tau_range: (11, 1, 1.0, 1.0, 0.3, 0.3),
     theorem3_m_max: (11, 1.0, 1.0, 0.3, 0.3),
     build_bound_report: (11, 1, 1.0, 1.0, 0.3, 0.3, 0.1),
+    tau_protocol1: (11, 1.0),
 }
 # NaN goes into every float field of ScenarioConfig, the manual tau, the
 # tolerance budget and every argument of the closed forms
 NAN_AT = {ScenarioConfig: (2, 3, 4, 5, 8, 9), ProtocolChoice: (2,), tolerance_search: (2,)}
+# every closed form of a relay count n refuses an infinite one
+INF_N = (expected_jammers, reliability_leg_bound, secrecy_leg_bound, eve_intercept_exact,
+         theorem1_m_max, theorem2_tau_range, theorem3_m_max, build_bound_report, tau_protocol1)
 REFUSED = [*((f, i, NAN) for f, args in VALID_ARGS.items()
              for i in NAN_AT.get(f, range(len(args)))),
+           *((f, 0, math.inf) for f in INF_N),
            (ScenarioConfig, 0, 11.5), (ScenarioConfig, 0, True)]
 
 

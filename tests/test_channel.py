@@ -9,30 +9,34 @@ import numpy as np
 import pytest
 
 from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_two_hop,
-                      sample_realization, select_relay_optimal, sinr, trial_rng, trial_words)
-from relaysec.channel import _thread_generator
+                      sample_realization, select_relay_optimal, sinr, trial_rng, trial_words,
+                      uniform_threshold)
+from relaysec.channel import _thread_generator, gain
 
 
-def make_realization(s_r, rr_cond, r_d, eve, toward=0):
-    """Hand-built batch of one whose relay-pair gains are those toward relay `toward`.
+def uniforms_of(gains):
+    """The uniforms whose gains -log1p(-u) are `gains`, to rounding."""
+    return -np.expm1(-np.asarray(gains, dtype=float))
 
-    rr_cond lists every relay-pair gain for j < k, row-major; eve[i] is
-    eavesdropper i's uniform.
+
+def make_realization(s_r, rr_cond, r_d, eve, toward=0, r_d2=None):
+    """Hand-built max-min block of one whose relay-pair gains are those toward relay `toward`.
+
+    rr_cond lists every relay-pair gain for j < k, row-major; every gain is
+    stored as its uniform, in the max-min layout. eve[i] is eavesdropper
+    i's uniform. With `r_d2` the legs are independent and hop 2 reads it.
     """
     n, m = len(s_r), len(eve)
     pairs = dict(zip(condensed_pairs(n), rr_cond))
     to_relay = [pairs[min(j, toward), max(j, toward)] for j in range(n) if j != toward]
-
-    def row(values, *shape):
-        return np.asarray(values, dtype=float).reshape(1, *shape)
-
-    return ChannelRealization(n=n, m=m, pick=None, s_r=row(s_r, n),
-                              to_relay=row(to_relay, n - 1), r_d=row(r_d, n),
-                              eve=row(eve, m))
+    gains = [*s_r, *r_d, *to_relay, *(r_d2 or [])]
+    words = np.concatenate((uniforms_of(gains), np.asarray(eve, dtype=float)))
+    return ChannelRealization(n=n, m=m, maxmin=True, independent=r_d2 is not None,
+                              words=words[None])
 
 
 def sample_block(cfg, seed, trials, start=0, kind="optimal-maxmin", legs="shared"):
-    """Hop-1 and hop-2 blocks of trials [start, start + trials) of `seed`'s stream."""
+    """The block of trials [start, start + trials) of `seed`'s stream."""
     return sample_realization(cfg, SeedStream(seed), start, start + trials,
                               maxmin=kind == "optimal-maxmin", independent=legs == "independent")
 
@@ -92,15 +96,9 @@ def philox_reference(seed, first_word, words):
 
 
 def trial_reference(cfg, seed, trial, maxmin, independent):
-    """Trial's W words as gains (the relay index and eavesdropper words left uniform), and W."""
+    """Trial's W words as uniforms, and W."""
     width = trial_words(cfg, maxmin=maxmin, independent=independent)
-    u = philox_reference(seed, trial * width, width)
-    g = -np.log1p(-u)
-    read = (3 * cfg.n - 1 if maxmin else 2 * cfg.n + 1) + (cfg.n if independent else 0) + cfg.m
-    g[read - cfg.m:] = u[read - cfg.m:]
-    if not maxmin:
-        g[0] = u[0]
-    return g, width
+    return philox_reference(seed, trial * width, width), width
 
 
 class TestTrialStreams:
@@ -190,25 +188,25 @@ class TestTrialStreams:
 
 class TestSampleRealization:
     def test_row_matches_one_exponential_draw(self):
-        # every gain of trial t is its slice of -log1p(-u) over words [t W, (t+1) W),
-        # and the eavesdroppers' uniforms are the last m words it reads
+        # every field of trial t is its slice of the uniforms of words
+        # [t W, (t+1) W), the eavesdroppers' uniforms the last m words it reads
         for n, m, maxmin, independent in itertools.product((1, 2, 7), (0, 1, 3), (True, False),
                                                            (False, True)):
             cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
-            hop1, hop2 = sample_realization(cfg, SeedStream(5), 3, 4, maxmin=maxmin,
-                                            independent=independent)
-            g, width = trial_reference(cfg, 5, 3, maxmin, independent)
+            real = sample_realization(cfg, SeedStream(5), 3, 4, maxmin=maxmin,
+                                      independent=independent)
+            u, width = trial_reference(cfg, 5, 3, maxmin, independent)
             if maxmin:
-                head = [hop1.s_r[0], hop1.r_d[0], hop1.to_relay[0]]
+                head = [real["s_r"][0], real["r_d"][0], real["to_relay"][0]]
             else:
-                sel = int(g[0] * n)
-                assert hop1.pick[0] == sel
-                head = [[g[0]], hop1.s_r[0, [sel]], hop1.to_relay[0], hop1.r_d[0]]
+                assert real.pick[0] == int(u[0] * n)
+                head = [[u[0]], real["s_r"][0], real["to_relay"][0], real["r_d"][0]]
             if independent:
-                head += [hop2.r_d[0]]
-                assert hop2.eve is hop1.eve
-            used = np.concatenate(head + [hop1.eve[0]])
-            assert np.array_equal(used, g[:len(used)])
+                head += [real["r_d2"][0]]
+            else:
+                assert np.array_equal(real["r_d2"], real["r_d"])
+            used = np.concatenate(head + [real["eve"][0]])
+            assert np.array_equal(used, u[:len(used)])
             assert width - 4 < len(used) <= width
 
     def test_pair_enumeration_n2_m1(self):
@@ -219,26 +217,27 @@ class TestSampleRealization:
         assert trial_words(cfg, maxmin=False, independent=False) == 8  # 6
         assert trial_words(cfg, maxmin=True, independent=True) == 8    # 8
         assert trial_words(cfg, maxmin=False, independent=True) == 8   # 8
-        real, _ = sample_block(cfg, 1, 1)
-        assert (real.s_r.shape, real.to_relay.shape, real.r_d.shape) == ((1, 2), (1, 1), (1, 2))
-        assert real.eve.shape == (1, 1)
+        real = sample_block(cfg, 1, 1)
+        assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 2), (1, 1), (1, 2))
+        assert real["eve"].shape == (1, 1)
+        assert sample_block(cfg, 1, 1, kind="random-uniform")["s_r"].shape == (1, 1)
 
     def test_pair_enumeration_n1_m0(self):
         # S-R0 and R0-D only: no relay pairs, no eavesdropper links
         cfg = ScenarioConfig(n=1, m=0, gamma_r=1.0, gamma_e=1.0)
         for kind in ("optimal-maxmin", "random-uniform"):
-            real, _ = sample_block(cfg, 1, 1, kind=kind)
-            assert (real.s_r.shape, real.to_relay.shape, real.r_d.shape) == ((1, 1), (1, 0), (1, 1))
-            assert real.eve.shape == (1, 0)
+            real = sample_block(cfg, 1, 1, kind=kind)
+            assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 1), (1, 0), (1, 1))
+            assert real["eve"].shape == (1, 0)
             assert math.isnan(real.gains_to_relay(np.array([0]))[0, 0])
 
     def test_same_seed_identical(self):
         cfg = ScenarioConfig(n=5, m=3, gamma_r=1.0, gamma_e=1.0)
         for kind in ("optimal-maxmin", "random-uniform"):
-            a, _ = sample_block(cfg, 99, 1, start=4, kind=kind)
-            b, _ = sample_block(cfg, 99, 3, start=2, kind=kind)
+            a = sample_block(cfg, 99, 1, start=4, kind=kind)
+            b = sample_block(cfg, 99, 3, start=2, kind=kind)
             for field in ("s_r", "to_relay", "r_d", "eve"):
-                assert np.array_equal(getattr(a, field)[0], getattr(b, field)[2], equal_nan=True)
+                assert np.array_equal(a[field][0], b[field][2])
 
     def test_substream_independent_of_creation_order(self):
         direct = trial_rng(7, 5).exponential()
@@ -258,44 +257,71 @@ class TestSampleRealization:
         # one draw per legitimate link: the S-R and R-D gains max-min selection
         # measured are the ones hop 1 and hop 2 transmit over
         cfg = ScenarioConfig(n=4, m=2, gamma_r=1.0, gamma_e=1.0, n0=2.0)
-        real, _ = sample_block(cfg, 3, 50)
-        sel = select_relay_optimal(real.s_r, real.r_d)
-        rec = execute_two_hop(real, real, sel, 0.0, cfg)  # tau = 0: nobody jams, N0/2 = 1
+        real = sample_block(cfg, 3, 50)
+        sel = select_relay_optimal(real["s_r"], real["r_d"])
+        rec = execute_two_hop(real, sel, uniform_threshold(0.0), cfg)  # nobody jams, N0/2 = 1
         rows = np.arange(50)
-        assert np.array_equal(rec.sinr_relay, real.s_r[rows, sel])
-        assert np.array_equal(rec.sinr_dest, real.r_d[rows, sel])
+        assert np.array_equal(rec.sinr[:, 0], -np.log1p(-real["s_r"][rows, sel]))
+        assert np.array_equal(rec.sinr[:, 1], -np.log1p(-real["r_d"][rows, sel]))
 
     def test_gains_to_relay_matches_pairs(self):
         for n in (2, 4, 7):
-            real = ChannelRealization(n=n, m=0, pick=None, s_r=np.ones((n, n)),
-                                      to_relay=np.tile(np.arange(1.0, n), (n, 1)),
-                                      r_d=np.ones((n, n)), eve=np.ones((n, 0)))
+            toward = uniforms_of(np.arange(1.0, n))
+            words = np.hstack((np.full((n, 2 * n), 0.5), np.tile(toward, (n, 1))))
+            real = ChannelRealization(n=n, m=0, maxmin=True, independent=False, words=words)
             got = real.gains_to_relay(np.arange(n))  # row j: the gains toward relay j
             for j in range(n):
                 assert math.isnan(got[j, j])
-                assert got[j, :j].tolist() == list(range(1, j + 1))
-                assert got[j, j + 1:].tolist() == list(range(j + 1, n))
+                assert got[j, :j].tolist() == pytest.approx(list(range(1, j + 1)), rel=1e-15)
+                assert got[j, j + 1:].tolist() == pytest.approx(list(range(j + 1, n)), rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_block_gains_to_relay_matches_condensed_reference(self, n):
         # every row picks its own relay: first, middle and last, in turn
         cfg = ScenarioConfig(n=n, m=1, gamma_r=1.0, gamma_e=1.0)
-        real, _ = sample_block(cfg, 12, 9)
+        real = sample_block(cfg, 12, 9)
         selected = np.array([0, n // 2, n - 1] * 3)
         got = real.gains_to_relay(selected)
         assert got.shape == (9, n)
         for row, j in enumerate(selected):
-            want = np.insert(real.to_relay[row], j, math.nan)
+            want = np.insert(-np.log1p(-real["to_relay"][row]), j, math.nan)
             assert np.array_equal(got[row], want, equal_nan=True)
 
     def test_all_gains_finite_nonnegative(self):
         cfg = ScenarioConfig(n=6, m=3, gamma_r=1.0, gamma_e=1.0)
         for kind in ("optimal-maxmin", "random-uniform"):
-            hop1, hop2 = sample_block(cfg, 8, 200, kind=kind, legs="independent")
-            drawn = hop1.s_r[np.arange(200), hop1.pick] if hop1.pick is not None else hop1.s_r
-            for g in (drawn, hop1.to_relay, hop1.r_d, hop2.r_d):
-                assert np.all(np.isfinite(g)) and np.all(g >= 0)
-            assert np.all((hop1.eve >= 0) & (hop1.eve < 1))
+            real = sample_block(cfg, 8, 200, kind=kind, legs="independent")
+            for u in (real["s_r"], real["to_relay"], real["r_d"], real["r_d2"], real["eve"]):
+                assert np.all((u >= 0) & (u < 1))
+                assert np.all(np.isfinite(gain(u))) and np.all(gain(u) >= 0)
+
+
+# the golden grid's thresholds, 0, and one above every gain a uniform can give
+THRESHOLDS = [0.0, 0.0191, 0.0415, 0.1, 1.0, 40.0]
+
+
+class TestUniformThreshold:
+    """u_tau: a relay jams iff its uniform is below it, as iff its gain is below tau."""
+
+    @pytest.mark.parametrize("tau", THRESHOLDS)
+    def test_agrees_with_gain_threshold_around_it(self, tau):
+        # every grid uniform k 2**-53 within 2**16 steps of u_tau; the
+        # comparison rests on numpy's log1p being monotone there
+        u_tau = uniform_threshold(tau)
+        k_tau = int(u_tau * 2.0 ** 53)
+        assert k_tau * 2.0 ** -53 == u_tau
+        k = np.arange(max(k_tau - 2 ** 16, 0), min(k_tau + 2 ** 16, 2 ** 53 - 1) + 1)
+        u = k * 2.0 ** -53
+        assert np.array_equal(u < u_tau, -np.log1p(-u) < tau)
+
+    def test_extremes(self):
+        assert uniform_threshold(0.0) == 0.0         # no gain is below 0
+        assert uniform_threshold(40.0) == 1.0        # every gain is below 40
+        assert uniform_threshold(math.inf) == 1.0
+        with pytest.raises(ValueError):
+            uniform_threshold(-0.1)
+        with pytest.raises(ValueError):
+            uniform_threshold(math.nan)
 
 
 def sinr_one(signal, jammer_gains, config):

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from relaysec import (ProtocolChoice, ScenarioConfig, SeedStream, estimate_outage,
-                      execute_two_hop, sample_realization, select_relay_optimal, trial_rng)
+                      execute_two_hop, sample_realization, select_relay_optimal, trial_rng,
+                      uniform_threshold)
 from relaysec.channel import sinr_many
 
 Z = 6.0
@@ -33,10 +34,12 @@ OUTAGES = ("t_hop1", "t_hop2", "t_e2e", "t_both", "s_hop1", "s_hop2", "s_e2e", "
 def simulate_gains(n, kind, legs, noise, tau, trials, seed):
     """{(m, gamma_e): outcome counts} with every eavesdropper gain drawn.
 
-    The legitimate gains, relays and jammer sets come from the library's own
-    draw of `seed` with no eavesdropper; the gains of max(MS) eavesdroppers
-    from `trial_rng(seed, chunk)`, the first m of them serving m. Every
-    eavesdropper's SINR is computed and thresholded at each gamma_e.
+    The legitimate gains and relays come from the library's own draw of
+    `seed` with no eavesdropper, and the jammer sets from thresholding those
+    gains at tau (the kernel's jammer counts must agree); the gains of
+    max(MS) eavesdroppers from `trial_rng(seed, chunk)`, the first m of them
+    serving m. Every eavesdropper's SINR is computed and thresholded at each
+    gamma_e.
     """
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
     config = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0, noise_mode=noise)
@@ -45,20 +48,24 @@ def simulate_gains(n, kind, legs, noise, tau, trials, seed):
               for m in MS for g in GAMMA_ES}
     for chunk, lo in enumerate(range(0, trials, CHUNK)):
         hi = min(lo + CHUNK, trials)
-        hop1, hop2 = sample_realization(config, stream, lo, hi, maxmin=maxmin,
-                                        independent=independent)
-        selected = select_relay_optimal(hop1.s_r, hop1.r_d) if maxmin else hop1.pick
-        record = execute_two_hop(hop1, hop2, selected, tau, config)
-        t1 = ~(record.sinr_relay > config.gamma_r)
-        t2 = ~(record.sinr_dest > config.gamma_r)
+        real = sample_realization(config, stream, lo, hi, maxmin=maxmin, independent=independent)
+        selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
+        record = execute_two_hop(real, selected, uniform_threshold(tau), config)
+        t1, t2 = (~(record.sinr > config.gamma_r)).T
+        rows = np.arange(hi - lo)
+        jam1 = real.gains_to_relay(selected) < tau  # the selected relay's NaN never jams
+        jam2 = -np.log1p(-real["r_d2"]) < tau
+        jam2[rows, selected] = False
+        assert np.array_equal(record.jammers, np.stack((jam1.sum(axis=1), jam2.sum(axis=1)), 1))
+        assert np.array_equal(record.jammers_both, (jam1 & jam2).sum(axis=1))
         rng = trial_rng(seed, chunk)
         s_e = rng.standard_exponential((hi - lo, eves))
         r_e = rng.standard_exponential((hi - lo, n, eves))
         r_e2 = rng.standard_exponential((hi - lo, n, eves)) if independent else r_e
         # the hop's signal over the interference of the hop's jammers, each eavesdropper
-        signal1, signal2 = s_e, r_e2[np.arange(hi - lo), selected]
-        interference1 = np.einsum("tn,tnm->tm", record.jammers_hop1.astype(float), r_e)
-        interference2 = np.einsum("tn,tnm->tm", record.jammers_hop2.astype(float), r_e2)
+        signal1, signal2 = s_e, r_e2[rows, selected]
+        interference1 = np.einsum("tn,tnm->tm", jam1.astype(float), r_e)
+        interference2 = np.einsum("tn,tnm->tm", jam2.astype(float), r_e2)
         for g in GAMMA_ES:
             hits1 = sinr_many(signal1, interference1, config) >= g
             hits2 = sinr_many(signal2, interference2, config) >= g

@@ -14,7 +14,7 @@ from scipy import stats
 from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
-                      tau_protocol1, theorem2_tau_range, trial_rng)
+                      tau_protocol1, theorem2_tau_range, trial_rng, uniform_threshold)
 from relaysec.protocols import TransmissionRecord, intercept_law
 
 from .test_channel import make_realization, sample_block
@@ -25,9 +25,9 @@ def select_one(s_r, r_d):
     return select_relay_optimal(np.array([s_r], dtype=float), np.array([r_d], dtype=float))[0]
 
 
-def one_trial(real, selected, hop2=None):
-    """execute_two_hop's block arguments for one transmission on `real` (hop 2 on `hop2`)."""
-    return dict(hop1=real, hop2=real if hop2 is None else hop2, selected=np.array([selected]))
+def run_one(real, selected, tau, config):
+    """execute_two_hop on a block of one through relay `selected` at threshold tau."""
+    return execute_two_hop(real, np.array([selected]), uniform_threshold(tau), config)
 
 
 def toward(real, j):
@@ -35,10 +35,20 @@ def toward(real, j):
     return real.gains_to_relay(np.array([j]))[0]
 
 
+def jamming(real, selected, tau):
+    """The relays that jam hop 1 and hop 2 of a block of one, as two sets."""
+    mask = jammer_set(real, np.array([selected]), uniform_threshold(tau))[0]
+    run, hop1, hop2 = (real.fields[k] for k in ("receivers", "to_relay", "r_d2"))
+    on1 = np.flatnonzero(mask[hop1.start - run.start:hop1.stop - run.start])
+    on2 = np.flatnonzero(mask[hop2.start - run.start:hop2.stop - run.start])
+    return {int(c + (c >= selected)) for c in on1}, {int(j) for j in on2}
+
+
 def jammers(gains, selected, tau):
-    """Jamming relays of a single trial, as a set of indices."""
-    mask = jammer_set(np.asarray(gains, dtype=float)[None], [selected], tau)
-    return set(np.flatnonzero(mask[0]))
+    """Jamming relays of a single trial whose gains toward D are `gains`, as a set."""
+    n = len(gains)
+    real = make_realization([1.0] * n, [1.0] * (n * (n - 1) // 2), gains, [], toward=selected)
+    return jamming(real, selected, tau)[1]
 
 
 class TestSelectRelayOptimal:
@@ -64,8 +74,8 @@ class TestSelectRelayOptimal:
     def test_selection_uniform_over_fresh_fading(self):
         # i.i.d. gains make the argmax symmetric across relays
         cfg = ScenarioConfig(n=8, m=0, gamma_r=1.0, gamma_e=1.0)
-        real, _ = sample_block(cfg, 22, 20_000)
-        counts = np.bincount(select_relay_optimal(real.s_r, real.r_d), minlength=8)
+        real = sample_block(cfg, 22, 20_000)
+        counts = np.bincount(select_relay_optimal(real["s_r"], real["r_d"]), minlength=8)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_block_matches_per_row_argmax(self):
@@ -77,6 +87,18 @@ class TestSelectRelayOptimal:
         mins = np.minimum(s_r, r_d)
         assert sum(np.count_nonzero(row == row.max()) > 1 for row in mins) > 50
         assert select_relay_optimal(s_r, r_d).tolist() == [int(np.argmax(row)) for row in mins]
+
+    @pytest.mark.parametrize("n, trials", [(2, 5000), (11, 2000), (1001, 50)])
+    def test_uniforms_pick_as_their_gains(self, n, trials):
+        # the kernel selects on the uniforms; -log1p(-u) increases with u, so
+        # the pick is the gains' pick, ties included (uniforms on a coarse
+        # grid make ties common)
+        cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
+        real = sample_block(cfg, 24 + n, trials)
+        coarse = np.floor(real.words * 4) / 4
+        for s_r, r_d in ((real["s_r"], real["r_d"]), (coarse[:, :n], coarse[:, n:2 * n])):
+            assert np.array_equal(select_relay_optimal(s_r, r_d),
+                                  select_relay_optimal(-np.log1p(-s_r), -np.log1p(-r_d)))
 
 
 class TestSelectRelayRandom:
@@ -118,15 +140,16 @@ class TestJammerSet:
         # relay pair gains (0,1)=0.05, (0,2)=0.5, (1,2)=0.01
         def real(j):
             return make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], [], toward=j)
-        assert jammers(toward(real(1), 1), 1, 0.1) == {0, 2}
-        assert jammers(toward(real(0), 0), 0, 0.1) == {1}
+        assert jamming(real(1), 1, 0.1)[0] == {0, 2}
+        assert jamming(real(0), 0, 0.1)[0] == {1}
+        assert {j for j, g in enumerate(toward(real(1), 1)) if g < 0.1} == {0, 2}
 
     def test_monotone_in_tau(self):
         cfg = ScenarioConfig(n=9, m=0, gamma_r=1.0, gamma_e=1.0)
-        real, _ = sample_block(cfg, 30, 1)
-        sel = select_relay_optimal(real.s_r, real.r_d)[0]
+        real = sample_block(cfg, 30, 1)
+        sel = select_relay_optimal(real["s_r"], real["r_d"])[0]
         taus = [0.0, 0.05, 0.2, 0.8, 2.0]
-        sets = [jammers(toward(real, sel), sel, t) for t in taus]
+        sets = [jamming(real, sel, t)[0] for t in taus]
         for small, large in zip(sets[:-1], sets[1:]):
             assert small <= large
 
@@ -134,8 +157,10 @@ class TestJammerSet:
         # |set| ~ Binomial(n-1, 1-e^-tau)
         n, tau, trials = 11, 0.3, 20_000
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
-        r_d = sample_block(cfg, 31, trials)[0].r_d
-        sizes = jammer_set(r_d, np.zeros(trials, dtype=int), tau).sum(axis=1)
+        real = sample_block(cfg, 31, trials)
+        mask = jammer_set(real, np.zeros(trials, dtype=int), uniform_threshold(tau))
+        run, hop2 = real.fields["receivers"], real.fields["r_d2"]
+        sizes = mask[:, hop2.start - run.start:hop2.stop - run.start].sum(axis=1)
         expected = (n - 1) * (1.0 - math.exp(-tau))
         se = sizes.std(ddof=1) / math.sqrt(trials)
         assert abs(sizes.mean() - expected) < 3 * se
@@ -217,49 +242,48 @@ class TestExecuteTwoHop:
     # exact noise: nu = exp(-gamma_e (N0/2) / Es) = e^-0.5, and q = 1 / (1 + gamma_e) = 1/2
     NU = math.exp(-0.5)
 
-    def hand_case(self, eve=(0.2,)):
-        return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08], eve=list(eve))
+    def hand_case(self, eve=(0.2,), r_d2=None):
+        return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08], eve=list(eve),
+                                r_d2=r_d2)
 
     def test_hand_worked_record(self):
         # selected = argmax(min(2,1.5), min(0.5,0.08)) = 0; both other-relay
         # gains 0.05 and 0.08 sit below tau = 0.1, so relay 1 jams both hops.
         real = self.hand_case()
-        assert select_relay_optimal(real.s_r, real.r_d)[0] == 0
-        rec = execute_two_hop(**one_trial(real, 0), tau=self.TAU01, config=self.CFG)
+        assert select_relay_optimal(real["s_r"], real["r_d"])[0] == 0
+        assert jamming(real, 0, self.TAU01) == ({1}, {1})
+        rec = run_one(real, 0, self.TAU01, self.CFG)
         assert rec.selected_relay[0] == 0
-        assert set(np.flatnonzero(rec.jammers_hop1[0])) == {1}
-        assert set(np.flatnonzero(rec.jammers_hop2[0])) == {1}
-        assert rec.sinr_relay[0] == pytest.approx(2.0 / (0.05 + 0.5))
-        assert rec.sinr_dest[0] == pytest.approx(1.5 / (0.08 + 0.5))
+        assert rec.jammers.tolist() == [[1, 1]] and rec.jammers_both.tolist() == [1]
+        assert rec.sinr[0].tolist() == pytest.approx([2.0 / (0.05 + 0.5), 1.5 / (0.08 + 0.5)])
         # |J1| = |J2| = 1 and relay 1 is in both: A = B = nu / 2 = 0.3033 and,
         # its gain toward the eavesdropper being one draw, C = nu^2 / 3 = 0.1226
-        a, b, c = intercept_law(rec.jammers_hop1, rec.jammers_hop2, True, self.CFG)
+        a, b, c = intercept_law(rec.jammers, rec.jammers_both, True, self.CFG)
         assert (a[0], b[0]) == pytest.approx((self.NU / 2, self.NU / 2))
         assert c[0] == pytest.approx(self.NU ** 2 / 3)
-        assert rec.intercept_hop1.tolist() == [[True]]    # u = 0.2 < A
-        assert rec.intercept_hop2.tolist() == [[False]]   # C <= u < A
-        # one eavesdropper in each cell: both hops, hop 1 only, hop 2 only
+        assert rec.intercepts.tolist() == [[1, 0]]   # u = 0.2 < A; C <= u < A
+        # an eavesdropper in each cell: both hops, hop 1 only, hop 2 only
         # (A <= u < A + B - C = 0.4839), neither
-        four = execute_two_hop(**one_trial(self.hand_case(eve=(0.1, 0.2, 0.4, 0.6)), 0),
-                               tau=self.TAU01, config=replace(self.CFG, m=4))
-        assert four.intercept_hop1.tolist() == [[True, True, False, False]]
-        assert four.intercept_hop2.tolist() == [[True, False, True, False]]
+        cells = [run_one(self.hand_case(eve=(u,)), 0, self.TAU01, self.CFG).intercepts.tolist()
+                 for u in (0.1, 0.2, 0.4, 0.6)]
+        assert cells == [[[1, 1]], [[1, 0]], [[0, 1]], [[0, 0]]]
+        four = run_one(self.hand_case(eve=(0.1, 0.2, 0.4, 0.6)), 0, self.TAU01,
+                       replace(self.CFG, m=4))
+        assert four.intercepts.tolist() == [[2, 2]]
 
     def test_hand_worked_outage(self):
-        rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=self.TAU01, config=self.CFG)
-        terms = {k: v.tolist() for k, v in classify_outage(rec, self.CFG).items()}
-        assert terms == {"t_hop1": [False], "t_hop2": [False], "t_e2e": [False],
-                         "t_both": [False],
-                         # u = 0.2 < A = 0.3033, and C = 0.1226 <= u < A
-                         "s_hop1": [True], "s_hop2": [False], "s_e2e": [True],
-                         "s_both": [False],
-                         # one intercept; relay 1 alone jams hop 1
-                         "eve_hits_hop1": [1], "jam1_sum": [1], "jam1_sumsq": [1]}
+        rec = run_one(self.hand_case(), 0, self.TAU01, self.CFG)
+        assert classify_outage(rec, self.CFG) == {
+            "t_hop1": 0, "t_hop2": 0, "t_e2e": 0, "t_both": 0,
+            # u = 0.2 < A = 0.3033, and C = 0.1226 <= u < A
+            "s_hop1": 1, "s_hop2": 0, "s_e2e": 1, "s_both": 0,
+            # one intercept; relay 1 alone jams hop 1
+            "eve_hits_hop1": 1, "jam1_sum": 1, "jam1_sumsq": 1}
 
     def test_zero_tau_degenerate(self):
-        rec = execute_two_hop(**one_trial(self.hand_case(), 0), tau=0.0, config=self.CFG)
-        assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
-        assert rec.sinr_relay[0] == pytest.approx(2.0 / 0.5)
+        rec = run_one(self.hand_case(), 0, 0.0, self.CFG)
+        assert rec.jammers.tolist() == [[0, 0]] and rec.jammers_both.tolist() == [0]
+        assert rec.sinr[0, 0] == pytest.approx(2.0 / 0.5)
 
     def test_single_relay_unbounded_eve(self):
         cfg = ScenarioConfig(n=1, m=1, gamma_r=1.0, gamma_e=1.0,
@@ -268,50 +292,46 @@ class TestExecuteTwoHop:
         # eavesdropper's SINR is unbounded, A = B = C = 1, and it decodes both hops
         real = make_realization([1.3], [], [0.9], [1.0 - 2.0 ** -53])
         # both rules can only pick relay 0
-        assert select_relay_optimal(real.s_r, real.r_d)[0] == 0
-        assert sample_block(cfg, 0, 100, kind="random-uniform")[0].pick.tolist() == [0] * 100
-        rec = execute_two_hop(**one_trial(real, 0), tau=0.5, config=cfg)
-        assert not rec.jammers_hop1.any() and not rec.jammers_hop2.any()
-        law = intercept_law(rec.jammers_hop1, rec.jammers_hop2, True, cfg)
+        assert select_relay_optimal(real["s_r"], real["r_d"])[0] == 0
+        assert sample_block(cfg, 0, 100, kind="random-uniform").pick.tolist() == [0] * 100
+        rec = run_one(real, 0, 0.5, cfg)
+        assert rec.jammers.tolist() == [[0, 0]]
+        law = intercept_law(rec.jammers, rec.jammers_both, True, cfg)
         assert [p.tolist() for p in law] == [[1.0], [1.0], [1.0]]
-        assert rec.intercept_hop1.tolist() == [[True]]
-        assert rec.intercept_hop2.tolist() == [[True]]
+        assert rec.intercepts.tolist() == [[1, 1]]
 
     def test_independent_legs_hop2_gains(self):
-        # hop 2 quantities must come from the substitute realization
-        alt = make_realization([2.0, 0.5], [0.05], [0.9, 4.0], [0.7])
-        rec = execute_two_hop(**one_trial(self.hand_case(), 0, hop2=alt), tau=self.TAU01,
-                              config=self.CFG)
+        # hop 2 quantities must come from hop 2's own r_d
+        real = self.hand_case(r_d2=[0.9, 4.0])
+        rec = run_one(real, 0, self.TAU01, self.CFG)
         assert rec.selected_relay[0] == 0
-        assert not rec.jammers_hop2.any()      # alt r_d gains exceed tau
-        assert rec.sinr_dest[0] == pytest.approx(0.9 / 0.5)
-        # hop 1 still from the original channel
-        assert rec.sinr_relay[0] == pytest.approx(2.0 / (0.05 + 0.5))
+        assert jamming(real, 0, self.TAU01) == ({1}, set())  # hop 2's gains exceed tau
+        assert rec.sinr[0, 1] == pytest.approx(0.9 / 0.5)
+        # hop 1 still from the first channel
+        assert rec.sinr[0, 0] == pytest.approx(2.0 / (0.05 + 0.5))
         # A = nu / 2 (relay 1 jams hop 1), B = nu (nobody jams hop 2), and the
-        # legs are independent, so C = A B; the uniform is the hop-1 block's
-        a, b, c = intercept_law(rec.jammers_hop1, rec.jammers_hop2, False, self.CFG)
+        # legs are independent, so C = A B
+        a, b, c = intercept_law(rec.jammers, rec.jammers_both, False, self.CFG)
         assert (a[0], b[0], c[0]) == pytest.approx((self.NU / 2, self.NU, self.NU ** 2 / 2))
-        assert rec.intercept_hop1.tolist() == [[True]]    # u = 0.2 < A = 0.3033
-        assert rec.intercept_hop2.tolist() == [[False]]   # C = 0.1839 <= u < A
-        hop2_only = execute_two_hop(**one_trial(self.hand_case(eve=(0.5,)), 0, hop2=alt),
-                                    tau=self.TAU01, config=self.CFG)
-        assert hop2_only.intercept_hop1.tolist() == [[False]]
-        assert hop2_only.intercept_hop2.tolist() == [[True]]  # A <= u < A + B - C = 0.7259
+        assert rec.intercepts.tolist() == [[1, 0]]   # u = 0.2 < A = 0.3033; C = 0.1839 <= u < A
+        hop2_only = run_one(self.hand_case(eve=(0.5,), r_d2=[0.9, 4.0]), 0, self.TAU01,
+                            self.CFG)
+        assert hop2_only.intercepts.tolist() == [[0, 1]]  # A <= u < A + B - C = 0.7259
 
     def test_block_rows_match_batches_of_one(self):
         # a trial's outcome depends on its own row only, never on its block
         cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
+        u_tau = uniform_threshold(0.3)
         for kind in ("optimal-maxmin", "random-uniform"):
             for legs in ("shared", "independent"):
-                hop1, hop2 = sample_block(cfg, 60, 40, kind=kind, legs=legs)
-                selected = (hop1.pick if hop1.pick is not None
-                            else select_relay_optimal(hop1.s_r, hop1.r_d))
-                whole = execute_two_hop(hop1, hop2, selected, tau=0.3, config=cfg)
+                real = sample_block(cfg, 60, 40, kind=kind, legs=legs)
+                selected = (real.pick if real.pick is not None
+                            else select_relay_optimal(real["s_r"], real["r_d"]))
+                whole = execute_two_hop(real, selected, u_tau, cfg)
                 for t in range(40):
-                    one1, one2 = sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs)
-                    one = execute_two_hop(one1, one2, selected[t:t + 1], tau=0.3, config=cfg)
-                    for field in ("jammers_hop1", "jammers_hop2", "sinr_relay", "sinr_dest",
-                                  "intercept_hop1", "intercept_hop2"):
+                    one = execute_two_hop(sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs),
+                                          selected[t:t + 1], u_tau, cfg)
+                    for field in ("jammers", "jammers_both", "sinr", "intercepts"):
                         assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
 
 
@@ -320,47 +340,40 @@ class TestClassifyOutage:
 
     def record(self, sr, sd, e1, e2):
         """A batch of one with the given SINRs and intercepts and no jammers."""
-        none = np.zeros((1, 3), dtype=bool)
-        return TransmissionRecord(selected_relay=np.array([0]), jammers_hop1=none,
-                                  jammers_hop2=none, sinr_relay=np.array([sr]),
-                                  sinr_dest=np.array([sd]),
-                                  intercept_hop1=np.asarray([e1], dtype=bool),
-                                  intercept_hop2=np.asarray([e2], dtype=bool))
-
-    def flags(self, record, cfg):
-        return {k: v[0] for k, v in classify_outage(record, cfg).items()}
+        return TransmissionRecord(selected_relay=np.array([0]), jammers=np.zeros((1, 2), int),
+                                  jammers_both=np.zeros(1, int), sinr=np.array([[sr, sd]]),
+                                  intercepts=np.array([[np.sum(e1), np.sum(e2)]], dtype=int))
 
     def test_tiny_gamma_r_never_outage(self):
         cfg = ScenarioConfig(n=3, m=2, gamma_r=1e-12, gamma_e=1.0)
-        flags = self.flags(self.record(0.01, 0.02, [False, False], [False, False]), cfg)
+        flags = classify_outage(self.record(0.01, 0.02, [False, False], [False, False]), cfg)
         assert not flags["t_hop1"] and not flags["t_hop2"]
 
     def test_huge_gamma_e_never_secrecy_outage(self):
         # with noise, nu = exp(-gamma_e N0/2 / Es) underflows to 0, so A = B = C = 0
         cfg = ScenarioConfig(n=2, m=2, gamma_r=1.0, gamma_e=1e12)
         real = make_realization([5.0, 5.0], [3.0], [5.0, 5.0], [0.0, 0.5])
-        rec = execute_two_hop(**one_trial(real, 0), tau=1.0, config=cfg)
-        flags = self.flags(rec, cfg)
+        flags = classify_outage(run_one(real, 0, 1.0, cfg), cfg)
         assert not flags["s_hop1"] and not flags["s_hop2"] and not flags["s_e2e"]
 
     def test_boundary_conventions(self):
         # decoding needs strictly greater; interception needs u < A, so that
         # hop 1 is intercepted with probability exactly A
-        flags = self.flags(self.record(1.0, 2.0, [True, False], [False, False]), self.CFG)
+        flags = classify_outage(self.record(1.0, 2.0, [True, False], [False, False]), self.CFG)
         assert flags["t_hop1"] and not flags["t_hop2"]
         assert flags["s_hop1"] and not flags["s_hop2"]
-        cfg = ScenarioConfig(n=2, m=2, gamma_r=1.0, gamma_e=1.0)
+        cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
         a = math.exp(-0.5) * 0.5  # one jammer: A = nu q
-        real = make_realization([2.0, 0.5], [0.05], [1.5, 0.08], [a, np.nextafter(a, 0.0)])
-        rec = execute_two_hop(**one_trial(real, 0), tau=0.1, config=cfg)
-        assert rec.intercept_hop1.tolist() == [[False, True]]
+        hits = [run_one(make_realization([2.0, 0.5], [0.05], [1.5, 0.08], [u]), 0, 0.1,
+                        cfg).intercepts[0, 0] for u in (a, np.nextafter(a, 0.0))]
+        assert hits == [0, 1]
 
     def test_e2e_is_or_of_hops(self):
         rng = trial_rng(40, 0)
         for _ in range(50):
             vals = rng.exponential(size=6)
-            flags = self.flags(self.record(vals[0], vals[1], vals[2:4] > 1.0, vals[4:6] > 1.0),
-                               self.CFG)
+            flags = classify_outage(self.record(vals[0], vals[1], vals[2:4] > 1.0,
+                                                vals[4:6] > 1.0), self.CFG)
             assert flags["t_e2e"] == (flags["t_hop1"] or flags["t_hop2"])
             assert flags["s_e2e"] == (flags["s_hop1"] or flags["s_hop2"])
             assert flags["t_both"] == (flags["t_hop1"] and flags["t_hop2"])
@@ -369,5 +382,5 @@ class TestClassifyOutage:
 
     def test_no_eavesdroppers_no_secrecy_outage(self):
         cfg = ScenarioConfig(n=3, m=0, gamma_r=1.0, gamma_e=1.0)
-        flags = self.flags(self.record(5.0, 5.0, [], []), cfg)
+        flags = classify_outage(self.record(5.0, 5.0, [], []), cfg)
         assert not flags["s_e2e"]

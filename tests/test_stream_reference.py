@@ -5,7 +5,8 @@ it keys its own Philox, reads the trials' W words in order from counter 0,
 decodes them by the documented layout, runs the protocol on plain 1-D
 arrays and decides every eavesdropper's two intercepts by the four-cell
 rule in scalar Python. `_run_trials` must reproduce its counts bit for bit,
-whatever the block size, trial-range split or worker count.
+whatever the block size, trial-range split or worker count. The four-worker
+runs share one process pool.
 """
 
 import itertools
@@ -34,8 +35,11 @@ def trial_words(n, m, maxmin, independent):
 
 
 def interference(gains, jam):
-    """Sum over every relay of its gain toward the receiver, 0 where it does not jam."""
-    return np.where(jam, gains, 0.0).sum()
+    """The jammers' gains toward the receiver, added one at a time in relay order."""
+    total = 0.0
+    for g in gains[jam]:
+        total += g
+    return total
 
 
 def sinr(signal, interference_sum, config):
@@ -112,8 +116,14 @@ def as_tuple(counts):
     return tuple(counts[k] for k in COUNT_KEYS)
 
 
+@pytest.fixture(scope="module")
+def pool():
+    with montecarlo._pool(4, TRIALS) as shared:
+        yield shared
+
+
 @pytest.mark.parametrize("n", sorted({key[0] for key in GRID}))
-def test_kernel_matches_per_trial_reference(n, monkeypatch):
+def test_kernel_matches_per_trial_reference(n, monkeypatch, pool):
     wrong = []
     for key in GRID:
         if key[0] != n:
@@ -127,7 +137,7 @@ def test_kernel_matches_per_trial_reference(n, monkeypatch):
         split = merge_estimates([estimate_outage(config, protocol, b - a, SEED, legs=legs,
                                                  trial_start=a)
                                  for a, b in ((0, CUT), (CUT, TRIALS))])
-        pooled = estimate_outage(config, protocol, TRIALS, SEED, legs=legs, workers=4)
+        pooled = montecarlo._estimate(pool, config, protocol, TRIALS, SEED, legs, workers=4)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_BLOCK_WORDS", 1)
             ones = as_tuple(_run_trials(config, protocol, WINDOW.start, WINDOW.stop, SEED, legs))
