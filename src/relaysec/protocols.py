@@ -196,7 +196,7 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, u_tau: float
     np.less(real["eve"], np.where(hit1, c, np.maximum(c, a + b - c)), out=hits[:, 1])
     return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
                               sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
-                              intercepts=hits.sum(axis=2))
+                              intercepts=hits @ np.ones(real.m, dtype=np.intp))
 
 
 # Every count a run keeps, in report order: transmission (t) and secrecy (s)
