@@ -65,11 +65,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def gain(u, out: np.ndarray | None = None) -> np.ndarray:
-    """Gains -log1p(-u) of uniforms u, into `out` (may be u); numpy's log1p, never libm's."""
-    out = np.negative(u, out=out)
-    np.log1p(out, out=out)
-    return np.negative(out, out=out)
+def gain(u) -> np.ndarray:
+    """Unit-mean exponential gains -log1p(-u) of uniforms u; numpy's log1p, never libm's."""
+    g = np.negative(u)
+    np.log1p(g, out=g)
+    return np.negative(g, out=g)
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,12 +132,6 @@ class SeedStream:
         gen = _thread_generator()
         gen.bit_generator.state = _philox_state(self._key, lo * width // 4)
         return gen.random((hi - lo) * width).reshape(hi - lo, width)[:, :words]
-
-    def exponentials(self, lo: int, hi: int, words: int) -> np.ndarray:
-        """(hi - lo, words) unit-mean exponential gains -log1p(-u) of rows [lo, hi)."""
-        # whole rows, padding and all: in place over contiguous rows is the faster pass
-        u = self.uniforms(lo, hi, -(-words // 4) * 4)
-        return gain(u, out=u)[:, :words]
 
 
 @dataclass(frozen=True)
@@ -258,10 +252,10 @@ class ChannelRealization:
 
         The gain-level view tests check the kernel against; the kernel never builds it.
         """
-        out = np.full((len(selected), self.n), math.nan)
         cols = np.arange(self.n - 1)
-        out[np.arange(len(selected))[:, None], cols + (cols >= selected[:, None])] = gain(
-            self["to_relay"])
+        cols = cols + (cols >= selected[:, None])  # each row skips its own relay
+        out = np.full((len(selected), self.n), math.nan)
+        out[np.arange(len(selected))[:, None], cols] = gain(self["to_relay"])
         return out
 
 
@@ -286,7 +280,5 @@ def sinr_many(signal_gains: np.ndarray, interference_sums: np.ndarray,
     denominator yields +inf, which counts as above any finite threshold.
     """
     denom = config.es * interference_sums + config.noise_term
-    if config.noise_term > 0.0:
-        return config.es * signal_gains / denom
     out = np.full(denom.shape, math.inf)
     return np.divide(config.es * signal_gains, denom, out=out, where=denom > 0.0)

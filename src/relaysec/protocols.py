@@ -125,12 +125,14 @@ def resolve_tau(protocol: ProtocolChoice, config: ScenarioConfig) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _powers(base: float, top: int) -> np.ndarray:
-    """base**j for j = 0..top, each by Python's float power (cached: do not write to it).
+    """base**j for j = 0..top, each by Python's float power; cached, so read-only.
 
     numpy's vectorised power may round an entry differently, by its place
     in the array; scalar powers keep a trial's law independent of its block.
     """
-    return np.array([base ** j for j in range(top + 1)])
+    table = np.array([base ** j for j in range(top + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def intercept_law(jammers: np.ndarray, both: np.ndarray, shared: bool,
@@ -181,9 +183,9 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, u_tau: float
     cell = 2 * row + on2
     # the jammers' gains, then the signals': S to the selected relay, the relay to D
     gains = gain(np.concatenate((real["receivers"][row, col],
-                                 real["s_r"][rows, selected * real.maxmin],  # one if random
+                                 real["s_r"][rows, selected * real.maxmin],  # random: 1 column
                                  real["r_d2"][rows, selected])))
-    sums = np.bincount(cell, gains[:-2 * t], 2 * t).reshape(t, 2)
+    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
     sizes = np.bincount(cell, minlength=2 * t).reshape(t, 2)
     # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
     first = ~on2

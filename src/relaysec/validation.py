@@ -2,9 +2,9 @@
 
 Each row compares a simulated quantity with an exact closed form (no Jensen
 or Taylor step), so a FAIL means a bug, not an approximation artifact.
-`mgf_check` reads one row of `SeedStream.exponentials`, the sampler every
-channel gain comes from; the other checks read an estimate and raise
-ValueError when it does not meet their precondition. `run_oracle_suite`
+`mgf_check` reads the gains (`channel.gain`) of one row of uniforms, the
+sampler every channel gain comes from; the other checks read an estimate and
+raise ValueError when it does not meet their precondition. `run_oracle_suite`
 runs two estimates: a shared-legs one feeds the jammer and intercept rows,
 an independent-legs one both leg rows. Tolerances are standard-error based,
 so fewer trials widen them without changing the pass criterion.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import combine_legs, eve_intercept_exact, expected_jammers
-from .channel import ScenarioConfig, SeedStream
+from .channel import ScenarioConfig, SeedStream, gain
 from .montecarlo import OutageEstimate, estimate_outage
 from .protocols import ProtocolChoice, resolve_tau
 
@@ -41,8 +41,8 @@ class CheckResult:
 
 
 def mgf_check(gamma: float, samples: int, seed: int) -> CheckResult:
-    """mean(e^{-gamma X}) over row 0 of seed's exponentials against the exact 1/(1+gamma)."""
-    vals = np.exp(-gamma * SeedStream(seed).exponentials(0, 1, samples)[0])
+    """mean(e^{-gamma X}) over the gains of seed's row 0 against the exact 1/(1+gamma)."""
+    vals = np.exp(-gamma * gain(SeedStream(seed).uniforms(0, 1, samples)[0]))
     mean, expected = float(vals.mean()), 1.0 / (1.0 + gamma)
     tol = 3.0 * float(vals.std(ddof=1)) / math.sqrt(samples)
     return CheckResult(f"mgf_identity(gamma={gamma})", abs(mean - expected) <= tol,

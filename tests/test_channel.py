@@ -41,34 +41,39 @@ def sample_block(cfg, seed, trials, start=0, kind="optimal-maxmin", legs="shared
                               maxmin=kind == "optimal-maxmin", independent=legs == "independent")
 
 
+def row_gains(seed, row, size):
+    """The gains of `size` uniforms of `seed`'s row `row`: the draw every channel gain is."""
+    return gain(SeedStream(seed).uniforms(row, row + 1, size)[0])
+
+
 class TestSampleGain:
-    """`SeedStream.exponentials`, the unit-mean draw every channel gain comes from."""
+    """`gain` over `SeedStream.uniforms`, the unit-mean draw every channel gain comes from."""
 
     def test_unit_mean(self):
         # law of large numbers: sigma/sqrt(N) = 0.001 at 1e6 draws
-        draws = SeedStream(42).exponentials(0, 1, 1_000_000)[0]
+        draws = row_gains(42, 0, 1_000_000)
         assert abs(draws.mean() - 1.0) < 0.01
 
     def test_nonnegative_support(self):
-        draws = SeedStream(42).exponentials(1, 2, 10_000)[0]
+        draws = row_gains(42, 1, 10_000)
         assert np.count_nonzero(draws < 0) == 0
 
     def test_mgf_identity_gamma_one(self):
         # E[e^{-X}] = 1/2 exactly for a unit-mean exponential
-        vals = np.exp(-SeedStream(42).exponentials(2, 3, 1_000_000)[0])
+        vals = np.exp(-row_gains(42, 2, 1_000_000))
         assert abs(vals.mean() - 0.5) < 0.002
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_mgf_identity_three_se(self, gamma):
         t = int(gamma * 10)
-        vals = np.exp(-gamma * SeedStream(43).exponentials(t, t + 1, 1_000_000)[0])
+        vals = np.exp(-gamma * row_gains(43, t, 1_000_000))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.0 / (1.0 + gamma)) < 3 * se
 
     def test_cdf_in_dkw_band(self):
         # sup |F_hat - F| <= sqrt(ln(2/alpha)/(2N)), alpha = 1e-3
         n_samples = 100_000
-        draws = np.sort(SeedStream(44).exponentials(0, 1, n_samples)[0])
+        draws = np.sort(row_gains(44, 0, n_samples))
         band = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n_samples))
         grid = np.linspace(0.05, 5.0, 60)
         emp = np.searchsorted(draws, grid, side="right") / n_samples
@@ -76,7 +81,7 @@ class TestSampleGain:
         assert np.max(np.abs(emp - exact)) <= band
 
     def test_independent_successive_draws(self):
-        a = SeedStream(45).exponentials(0, 1, 1000)[0]
+        a = row_gains(45, 0, 1000)
         lag1 = np.corrcoef(a[:-1], a[1:])[0, 1]
         assert abs(lag1) < 0.1
 

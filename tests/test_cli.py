@@ -13,7 +13,8 @@ import pytest
 
 import relaysec
 import relaysec.validation
-from relaysec import SeedStream, estimate_outage, eve_intercept_exact, expected_jammers
+from relaysec import estimate_outage, eve_intercept_exact, expected_jammers
+from relaysec.channel import gain
 from relaysec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                           SWEEP_COLUMNS, _build_parser, main)
 from relaysec.validation import CheckResult
@@ -385,11 +386,6 @@ class TestTolerance:
         assert "--format" in captured.err and "csv" in captured.err
 
 
-class SkewedStream(SeedStream):
-    def exponentials(self, lo, hi, words):
-        return 1.1 * super().exponentials(lo, hi, words)
-
-
 ROW_FIELDS = ["name", "passed", "observed", "expected", "tolerance", "detail"]
 
 # the jammer, intercept and leg rows of `validate --quick --trials 4000` as
@@ -447,8 +443,8 @@ class TestValidate:
         # the union bound in place of the two-leg combining identity
         ("combine_legs", lambda p1, p2: p1 + p2,
          ["leg_combining(t, independent legs)", "leg_combining(s, independent legs)"]),
-        # a sampler whose exponentials have mean 1.1
-        ("SeedStream", SkewedStream,
+        # a sampler whose gains have mean 1.1
+        ("gain", lambda u: 1.1 * gain(u),
          ["mgf_identity(gamma=0.5)", "mgf_identity(gamma=1.0)", "mgf_identity(gamma=2.0)"]),
     ], ids=["expected_jammers", "combine_legs", "mgf_sampler"])
     def test_wrong_oracle_fails_its_rows(self, capsys, monkeypatch, name, wrong, failing):
