@@ -9,9 +9,10 @@ proportion with its Wilson 95% interval, which stays honest at the extreme
 rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 
 The trial kernel works in blocks with no per-trial loop: per block, one
-draw, one selection and one `protocols.execute_two_hop` pass. A trial's
-outcome depends only on its own words, so block boundaries never change a
-count. No eavesdropper gain is drawn: each eavesdropper's uniform decides
+draw, one selection and one `protocols.execute_two_hop` pass, which decide
+on the uniforms (u_tau is computed once per call) and add each trial's
+jammer gains in relay order. A trial's outcome depends only on its own
+words, so block boundaries never change a count. No eavesdropper gain is drawn: each eavesdropper's uniform decides
 its two intercepts from their exact law given the trial's jammer sets, so
 every count is still an indicator count with the law a gain-level
 simulation gives it, and its cost does not grow with n m.
