@@ -12,8 +12,8 @@ from .bounds import (BoundReport, InfeasibleConfigError, MBound, TauInterval,
                      expected_jammers, per_leg_budget, reliability_leg_bound,
                      secrecy_leg_bound, theorem1_m_max, theorem2_tau_range,
                      theorem3_m_max)
-from .channel import (ChannelRealization, ScenarioConfig, SeedStream, sample_realization,
-                      sinr, trial_rng, trial_words, uniform_threshold)
+from .channel import (ChannelRealization, ScenarioConfig, SeedStream,
+                      sample_realization, sinr, trial_rng, trial_words)
 from .montecarlo import (LoadBalanceStats, OutageEstimate, Proportion,
                          ToleranceResult, estimate_outage, jain_index,
                          load_balance, merge_estimates, selection_entropy,
@@ -37,5 +37,5 @@ __all__ = [
     "secrecy_leg_bound", "select_relay_optimal",
     "selection_entropy", "sinr", "tau_protocol1", "theorem1_m_max",
     "theorem2_tau_range", "theorem3_m_max", "tolerance_search", "trial_rng",
-    "trial_words", "uniform_threshold", "wilson_interval",
+    "trial_words", "wilson_interval",
 ]

@@ -14,11 +14,11 @@ eavesdropper gain at all (stream layout 3): each eavesdropper draws one
 uniform that decides both of its hops (`protocols.execute_two_hop`). Every
 draw of a run comes from one counter-based Philox stream per seed
 (`SeedStream`); trial t owns a fixed range of its 64-bit words, so any range
-of trials is drawn with one call. `sample_realization` draws a block of
-trials into a `ChannelRealization` of uniforms. A gain -log1p(-u) increases
-with its uniform u, so thresholds (`uniform_threshold`) and maxima are
-decided on the uniforms, and only the gains an SINR reads are computed
-(`gain`). `trial_rng` hands out a fresh generator for test inputs only.
+of trials is drawn with one call: `sample_realization` gives a block's
+uniforms, and its `Layout` where each field lies among them. A gain
+-log1p(-u) increases with its uniform u, so thresholds (`_uniform_threshold`)
+and maxima are decided on the uniforms, and only the gains an SINR reads are
+computed (`gain`). `trial_rng` serves test inputs only.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def gain(u) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def uniform_threshold(tau: float) -> float:
+def _uniform_threshold(tau: float) -> float:
     """u_tau, the smallest uniform k 2**-53 whose gain is >= tau (1.0 if none is).
 
     The gain increases with u: a gain is below tau iff its uniform is below u_tau.
@@ -175,19 +176,26 @@ class ScenarioConfig:
         return 0.0 if self.noise_mode == "interference-limited" else self.n0 / 2.0
 
 
+class Layout(NamedTuple):
+    """Where a trial's fields lie among its words (stream layout 3; see ChannelRealization)."""
+
+    fields: dict  # field -> its columns
+    hop1: slice   # to_relay's columns within field "receivers", both hops' receiver words
+    hop2: slice   # r_d2's columns within "receivers"
+    idle: slice   # r_d within "receivers", read by neither hop (else empty): random, independent
+
+
 @functools.lru_cache(maxsize=256)
-def _layout(n: int, m: int, maxmin: bool, independent: bool) -> dict:
-    """Each field's columns among a trial's words (stream layout 3; see ChannelRealization)."""
-    if maxmin:
-        sizes = [("s_r", n), ("r_d", n), ("to_relay", n - 1)]
-    else:
-        sizes = [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)]
+def _layout(n: int, m: int, maxmin: bool, independent: bool) -> Layout:
+    sizes = ([("s_r", n), ("r_d", n), ("to_relay", n - 1)] if maxmin
+             else [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)])
     fields, o = {}, 0
     for name, size in sizes + [("r_d2", n)] * independent + [("eve", m)]:
         fields[name], o = slice(o, o + size), o + size
     hop1, hop2 = fields["to_relay"], fields.setdefault("r_d2", fields["r_d"])
-    fields["receivers"] = slice(min(hop1.start, hop2.start), max(hop1.stop, hop2.stop))
-    return fields
+    run = fields["receivers"] = slice(min(hop1.start, hop2.start), max(hop1.stop, hop2.stop))
+    hop1, hop2 = (slice(h.start - run.start, h.stop - run.start) for h in (hop1, hop2))
+    return Layout(fields, hop1, hop2, slice(min(hop1.stop, hop2.stop), max(hop1.start, hop2.start)))
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
@@ -196,7 +204,7 @@ def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> i
     Random selection reads 2n + 1 + m words and max-min 3n - 1 + m;
     independent legs add n for hop 2.
     """
-    return -(-_layout(config.n, config.m, maxmin, independent)["eve"].stop // 4) * 4
+    return -(-_layout(config.n, config.m, maxmin, independent).fields["eve"].stop // 4) * 4
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
@@ -236,11 +244,17 @@ class ChannelRealization:
     words: np.ndarray
 
     @functools.cached_property
-    def fields(self) -> dict:
+    def layout(self) -> Layout:
         return _layout(self.n, self.m, self.maxmin, self.independent)
 
     def __getitem__(self, field: str) -> np.ndarray:
-        return self.words[:, self.fields[field]]
+        return self.words[:, self.layout.fields[field]]
+
+    def signals(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T,) uniforms of each hop's signal: S <-> relay selected[t], then that relay <-> D."""
+        rows = np.arange(len(selected))
+        return (self["s_r"][rows, selected * self.maxmin],  # random selection: s_r is one column
+                self["r_d2"][rows, selected])
 
     @property
     def pick(self) -> np.ndarray | None:
@@ -250,7 +264,7 @@ class ChannelRealization:
     def gains_to_relay(self, selected: np.ndarray) -> np.ndarray:
         """(T, n) gains from every relay toward trial t's relay selected[t]; that relay is NaN.
 
-        The gain-level view tests check the kernel against; the kernel never builds it.
+        The gain-level view the tests read; the kernel never builds it.
         """
         cols = np.arange(self.n - 1)
         cols = cols + (cols >= selected[:, None])  # each row skips its own relay
@@ -264,8 +278,9 @@ def sinr(signal_gains: np.ndarray, gains: np.ndarray, jammers: np.ndarray,
     """SINR in each of T trials: Es*g / (Es*sum of the jammers' gains + N0/2).
 
     `signal_gains` is (T,); `gains` is (T, n), every relay's gain toward the
-    receiver; `jammers` is the (T, n) mask of the relays that jam. The
-    kernel builds no masks: this is the gain-level form tests check it by.
+    receiver; `jammers` is the (T, n) mask of the relays that jam. Only tests
+    and the benchmark tracer read it: it sums in numpy's order, not in the
+    kernel's relay order, so the two may differ in the last bits.
     """
     if np.any(signal_gains < 0):
         raise ValueError("signal gain must be nonnegative")

@@ -10,12 +10,12 @@ rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 
 The trial kernel works in blocks with no per-trial loop: per block, one
 draw, one selection and one `protocols.execute_two_hop` pass, which decide
-on the uniforms (u_tau is computed once per call) and add each trial's
-jammer gains in relay order. A trial's outcome depends only on its own
-words, so block boundaries never change a count. No eavesdropper gain is drawn: each eavesdropper's uniform decides
-its two intercepts from their exact law given the trial's jammer sets, so
-every count is still an indicator count with the law a gain-level
-simulation gives it, and its cost does not grow with n m.
+on the uniforms (a relay jams iff its uniform is below u_tau) and add each
+trial's jammer gains in relay order. A trial's outcome depends only on its
+own words, so block boundaries never change a count. No eavesdropper gain
+is drawn: each eavesdropper's uniform decides its two intercepts from their
+exact law given the trial's jammer sets, so every count keeps the law a
+gain-level simulation gives it, and its cost does not grow with n m.
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import check_at_least, check_unit
-from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words, uniform_threshold
+from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
 from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
@@ -81,7 +81,7 @@ _BLOCK_WORDS = 1 << 18
 def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
                 start: int, stop: int, seed: int, legs: str) -> dict[str, int]:
     """Run trials [start, stop) of `seed` and return raw outcome counts."""
-    u_tau = uniform_threshold(resolve_tau(protocol, config))
+    tau = resolve_tau(protocol, config)
     maxmin = protocol.kind == "optimal-maxmin"
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
@@ -91,7 +91,7 @@ def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
         real = sample_realization(config, stream, lo, min(lo + size, stop),
                                   maxmin=maxmin, independent=independent)
         selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
-        record = execute_two_hop(real, selected, u_tau, config)
+        record = execute_two_hop(real, selected, tau, config)
         for key, count in classify_outage(record, config).items():
             c[key] += count
     return c

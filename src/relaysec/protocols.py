@@ -8,12 +8,12 @@ eavesdropper positions but quiet at the receiver. Two selection rules are
 supported: the max-min optimal rule and uniform random selection; both reuse
 the same threshold jamming, differing only in where tau comes from.
 
-Everything runs on blocks of T trials: the `ChannelRealization` of uniforms
-a block drew and its (T,) selected relays. A gain increases with its
-uniform, so selection and jamming are decided on the uniforms;
-`execute_two_hop` computes only the gains an SINR reads and reduces the
-block to a few numbers per trial, and `classify_outage` counts the block
-under every name of `COUNT_KEYS`. A single transmission is a block of one.
+Everything runs on blocks of T trials (a single transmission is a block of
+one): a block's `ChannelRealization` of uniforms and its (T,) selected
+relays. A gain increases with its uniform, so selection and jamming are
+decided on the uniforms; `execute_two_hop` computes only the gains an SINR
+reads and reduces the block to a few numbers per trial, which
+`classify_outage` counts under every name of `COUNT_KEYS`.
 
 An eavesdropper's gains are independent of every legitimate gain and enter
 its outcome only through the two jammer sets, so one uniform decides its
@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import InfeasibleConfigError, check_at_least, check_positive, theorem2_tau_range
-# sinr is not called here: the benchmark tracer's tests read it from this module
-from .channel import ChannelRealization, ScenarioConfig, gain, sinr, sinr_many  # noqa: F401
+from .channel import ChannelRealization, ScenarioConfig, _uniform_threshold, gain, sinr_many
+from .channel import sinr  # noqa: F401  (not called: the benchmark tracer's tests read it here)
 
 PROTOCOL_KINDS = ("optimal-maxmin", "random-uniform")
 TAU_POLICIES = ("protocol1-formula", "theorem2-max", "theorem2-min", "manual")
@@ -78,17 +78,15 @@ def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
     return np.argmax(np.minimum(s_r, r_d), axis=1)
 
 
-def jammer_set(real: ChannelRealization, selected: np.ndarray, u_tau: float) -> np.ndarray:
-    """(T, L) mask over real["receivers"]: the to_relay and r_d2 words whose relays jam.
+def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np.ndarray:
+    """(T, L) mask over real["receivers"]: the words of both hops (`Layout`) whose relays jam.
 
-    A relay jams a hop when its gain toward the hop's receiver is below tau, its uniform
-    below u_tau = `channel.uniform_threshold(tau)`; the selected relay never jams.
+    A relay jams a hop when its gain toward the hop's receiver is below tau,
+    its uniform below u_tau (`channel._uniform_threshold`); the selected relay never jams.
     """
-    run, hop1, hop2 = (real.fields[f] for f in ("receivers", "to_relay", "r_d2"))
-    jam = real["receivers"] < u_tau
-    if hop1.stop < hop2.start:  # r_d lies between them, read by neither hop
-        jam[:, hop1.stop - run.start:hop2.start - run.start] = False
-    jam[np.arange(len(selected)), selected + (hop2.start - run.start)] = False
+    jam = real["receivers"] < _uniform_threshold(tau)
+    jam[:, real.layout.idle] = False
+    jam[np.arange(len(selected)), selected + real.layout.hop2.start] = False
     return jam
 
 
@@ -139,14 +137,13 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray, shared: bool,
                   config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T,) probabilities A, B, C that one eavesdropper decodes hop 1, hop 2, both.
 
-    Given trial t's jammer counts (K1, K2) = `jammers[t]` and k = `both[t]`
-    = |J1 & J2|, with nu = exp(-gamma_e N0/2 / Es) (1 when
-    interference-limited) and q = 1 / (1 + gamma_e): A = nu q^K1,
-    B = nu q^K2, and with shared legs, where the k jammers both sets hold
-    reach the eavesdropper over the same gain,
-    C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
-    C = A B. An SINR Es g / (Es I + N0/2) reaches gamma_e iff
-    g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent of I.
+    Given trial t's jammer counts (K1, K2) = `jammers[t]` and k = `both[t]` = |J1 & J2|,
+    with nu = exp(-gamma_e N0/2 / Es) (1 when interference-limited) and
+    q = 1 / (1 + gamma_e): A = nu q^K1, B = nu q^K2, and with shared legs, where the
+    k jammers both sets hold reach the eavesdropper over the same gain,
+    C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs C = A B.
+    An SINR Es g / (Es I + N0/2) reaches gamma_e iff g >= gamma_e (I + N0/2 / Es),
+    and g ~ Exp(1) is independent of I.
     """
     gamma_e = config.gamma_e
     nu = math.exp(-gamma_e * config.noise_term / config.es)
@@ -159,39 +156,33 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray, shared: bool,
     return a, b, nu * nu * q_pow[total - 2 * both] * r_pow[both]
 
 
-def execute_two_hop(real: ChannelRealization, selected: np.ndarray, u_tau: float,
+def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
                     config: ScenarioConfig) -> TransmissionRecord:
     """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
     Hop 1: S transmits to the selected relay, hop 2 the relay to D over
-    r_d2, each jammed by its set from `jammer_set`. One pass over the mask's
+    r_d2, each jammed by its set from `jammer_set`; one pass over the mask's
     flat indices puts every jammer in its (trial, hop) cell. Each SINR is
-    Es g / (Es I + N0/2), I the jammers' gains added in relay order.
-
-    Each eavesdropper's uniform u decides both hops from `intercept_law`'s
-    A, B and C: hop 1 is intercepted iff u < A, and hop 2 iff u < C or
-    A <= u < A + B - C. So each hop has its exact marginal and the pair its
+    Es g / (Es I + N0/2), I the jammers' gains added in relay order. Each
+    eavesdropper's uniform u decides both hops from `intercept_law`'s A, B
+    and C: hop 1 is intercepted iff u < A, and hop 2 iff u < C or
+    A <= u < A + B - C, so each hop has its exact marginal and the pair its
     exact joint law.
     """
     t = len(selected)
-    rows = np.arange(t)
-    run, hop1, hop2 = (real.fields[f] for f in ("receivers", "to_relay", "r_d2"))
-    jam = jammer_set(real, selected, u_tau)
+    layout = real.layout
+    jam = jammer_set(real, selected, tau)
     row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
-    # hop 2's words come first only under max-min with shared legs (r_d, to_relay)
-    on2 = col < hop2.stop - run.start if hop2.start < hop1.start else col >= hop2.start - run.start
-    cell = 2 * row + on2
-    # the jammers' gains, then the signals': S to the selected relay, the relay to D
-    gains = gain(np.concatenate((real["receivers"][row, col],
-                                 real["s_r"][rows, selected * real.maxmin],  # random: 1 column
-                                 real["r_d2"][rows, selected])))
+    on1 = (col >= layout.hop1.start) & (col < layout.hop1.stop)  # else on hop 2's words
+    cell = 2 * row + ~on1
+    # the jammers' gains, then the signals' (hop 1's, then hop 2's)
+    gains = gain(np.concatenate((real["receivers"][row, col], *real.signals(selected))))
     sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
     sizes = np.bincount(cell, minlength=2 * t).reshape(t, 2)
     # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
-    first = ~on2
-    row1, col1 = row[first], col[first] - (hop1.start - run.start)
+    row1, col1 = row[on1], col[on1] - layout.hop1.start
     col1 += col1 >= selected[row1]  # to_relay leaves the selected relay out
-    both = np.bincount(row1[jam[row1, col1 + (hop2.start - run.start)]], minlength=t)
+    both = np.bincount(row1[jam[row1, col1 + layout.hop2.start]], minlength=t)
     a, b, c = (p[:, None] for p in intercept_law(sizes, both, not real.independent, config))
     hits = np.empty((t, 2, real.m), dtype=bool)
     hit1 = np.less(real["eve"], a, out=hits[:, 0])

@@ -82,20 +82,17 @@ def write_csv(path: str, header: list[str], rows: list[list], append: bool = Fal
     sweep file can only ever accumulate rows of one schema.
     """
     header_line = csv_line(header)
-    mode = "a" if append else "w"
-    need_header = True
+    first = ""  # the existing file's header; empty when there is none
     if append:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 first = fh.readline().rstrip("\n")
-            if first:
-                if first != header_line:
-                    raise ValueError(f"existing CSV header does not match sweep schema in {path}")
-                need_header = False
         except FileNotFoundError:
             pass
-    with open(path, mode, encoding="utf-8") as fh:
-        if need_header:
+        if first and first != header_line:
+            raise ValueError(f"existing CSV header does not match sweep schema in {path}")
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        if not first:
             fh.write(header_line + "\n")
         for row in rows:
             fh.write(csv_line(row) + "\n")

@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from relaysec import (ProtocolChoice, ScenarioConfig, SeedStream, estimate_outage,
-                      execute_two_hop, sample_realization, select_relay_optimal, trial_rng,
-                      uniform_threshold)
+                      execute_two_hop, sample_realization, select_relay_optimal, trial_rng)
 from relaysec.channel import sinr_many
 
 Z = 6.0
@@ -50,7 +49,7 @@ def simulate_gains(n, kind, legs, noise, tau, trials, seed):
         hi = min(lo + CHUNK, trials)
         real = sample_realization(config, stream, lo, hi, maxmin=maxmin, independent=independent)
         selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
-        record = execute_two_hop(real, selected, uniform_threshold(tau), config)
+        record = execute_two_hop(real, selected, tau, config)
         t1, t2 = (~(record.sinr > config.gamma_r)).T
         rows = np.arange(hi - lo)
         jam1 = real.gains_to_relay(selected) < tau  # the selected relay's NaN never jams

@@ -14,7 +14,7 @@ from scipy import stats
 from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
-                      tau_protocol1, theorem2_tau_range, trial_rng, uniform_threshold)
+                      tau_protocol1, theorem2_tau_range, trial_rng)
 from relaysec.protocols import TransmissionRecord, intercept_law
 
 from .test_channel import make_realization, sample_block
@@ -27,7 +27,7 @@ def select_one(s_r, r_d):
 
 def run_one(real, selected, tau, config):
     """execute_two_hop on a block of one through relay `selected` at threshold tau."""
-    return execute_two_hop(real, np.array([selected]), uniform_threshold(tau), config)
+    return execute_two_hop(real, np.array([selected]), tau, config)
 
 
 def toward(real, j):
@@ -37,10 +37,8 @@ def toward(real, j):
 
 def jamming(real, selected, tau):
     """The relays that jam hop 1 and hop 2 of a block of one, as two sets."""
-    mask = jammer_set(real, np.array([selected]), uniform_threshold(tau))[0]
-    run, hop1, hop2 = (real.fields[k] for k in ("receivers", "to_relay", "r_d2"))
-    on1 = np.flatnonzero(mask[hop1.start - run.start:hop1.stop - run.start])
-    on2 = np.flatnonzero(mask[hop2.start - run.start:hop2.stop - run.start])
+    mask = jammer_set(real, np.array([selected]), tau)[0]
+    on1, on2 = np.flatnonzero(mask[real.layout.hop1]), np.flatnonzero(mask[real.layout.hop2])
     return {int(c + (c >= selected)) for c in on1}, {int(j) for j in on2}
 
 
@@ -158,9 +156,8 @@ class TestJammerSet:
         n, tau, trials = 11, 0.3, 20_000
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
         real = sample_block(cfg, 31, trials)
-        mask = jammer_set(real, np.zeros(trials, dtype=int), uniform_threshold(tau))
-        run, hop2 = real.fields["receivers"], real.fields["r_d2"]
-        sizes = mask[:, hop2.start - run.start:hop2.stop - run.start].sum(axis=1)
+        mask = jammer_set(real, np.zeros(trials, dtype=int), tau)
+        sizes = mask[:, real.layout.hop2].sum(axis=1)
         expected = (n - 1) * (1.0 - math.exp(-tau))
         se = sizes.std(ddof=1) / math.sqrt(trials)
         assert abs(sizes.mean() - expected) < 3 * se
@@ -321,16 +318,15 @@ class TestExecuteTwoHop:
     def test_block_rows_match_batches_of_one(self):
         # a trial's outcome depends on its own row only, never on its block
         cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
-        u_tau = uniform_threshold(0.3)
         for kind in ("optimal-maxmin", "random-uniform"):
             for legs in ("shared", "independent"):
                 real = sample_block(cfg, 60, 40, kind=kind, legs=legs)
                 selected = (real.pick if real.pick is not None
                             else select_relay_optimal(real["s_r"], real["r_d"]))
-                whole = execute_two_hop(real, selected, u_tau, cfg)
+                whole = execute_two_hop(real, selected, 0.3, cfg)
                 for t in range(40):
                     one = execute_two_hop(sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs),
-                                          selected[t:t + 1], u_tau, cfg)
+                                          selected[t:t + 1], 0.3, cfg)
                     for field in ("jammers", "jammers_both", "sinr", "intercepts"):
                         assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
 
