@@ -182,7 +182,7 @@ class Layout(NamedTuple):
     fields: dict  # field -> its columns
     hop1: slice   # to_relay's columns within field "receivers", both hops' receiver words
     hop2: slice   # r_d2's columns within "receivers"
-    idle: slice   # r_d within "receivers", read by neither hop (else empty): random, independent
+    idle: slice   # r_d within "receivers", read by no hop; empty but for random, independent legs
 
 
 @functools.lru_cache(maxsize=256)
