@@ -632,3 +632,168 @@ class TestParser:
         assert err.value.code == EXIT_USAGE
         capsys.readouterr()
         assert run_cli(capsys, *argv) == first
+
+
+# The stdout bytes of a small command set, both rules and leg modes included.
+# Each byte follows from the kernel's counts, so a kernel change that moves a
+# count, or the last bit of a proportion, fails here.
+PIN_SIM = "simulate --n 11 --m 2 --gamma-r 1 --gamma-e 1 --trials 2000 --seed 7 --format csv"
+PINNED_STDOUT = {
+    (PIN_SIM + ' --protocol optimal --legs shared'):
+        RESULT_FIELDS + "\n"
+        + '2000,7,shared,0.016,0.011356235350080627,0.022499466418172211,0.0235,'
+          '0.017718224361690932,0.031108721697343113,0.036499999999999998,'
+          '0.029129752280474791,0.045647350549246665,0.438,0.41639544059021155,'
+          '0.45984227327266375,0.42599999999999999,0.40449043674001361,0.44779328625761172,'
+          '0.66800000000000004,0.64705613198846557,0.68829974012503348,0.27625,'
+          '0.2626128423751577,0.29031650849698376,1.5385,0.13804994412986657,'
+          '0.038363300152423563\n',
+    (PIN_SIM + ' --protocol optimal --legs independent'):
+        RESULT_FIELDS + "\n"
+        + '2000,7,independent,0.019,0.013873784918301425,0.025970414566263898,'
+          '0.45250000000000001,0.4307978320303002,0.47438428746141881,0.46350000000000002,'
+          '0.44173622013902708,0.48540372431250428,0.44600000000000001,0.42433927402485516,'
+          '0.46786776708152011,0.46750000000000003,0.44571646184835706,0.48940814622492429,'
+          '0.70499999999999996,0.68463571708782567,0.72457829352686054,0.27925,'
+          '0.26556390268850066,0.29335969152390257,1.5089999999999999,'
+          '-0.0087927606631585629,-2.0160304108945979e-05\n',
+    (PIN_SIM + ' --protocol random --legs shared'):
+        RESULT_FIELDS + "\n"
+        + '2000,7,shared,0.46350000000000002,0.44173622013902708,0.48540372431250428,'
+          '0.45600000000000002,0.43427706845902697,0.47789163170172316,0.71550000000000002,'
+          '0.6953282241176727,0.73484552850410723,0.4395,0.41788447428718983,'
+          '0.46134748843384171,0.44550000000000001,0.42384261733423861,0.46736634081941791,'
+          '0.69299999999999995,0.67243123221797241,0.71282878753146384,0.27300000000000002,'
+          '0.25941673920276259,0.287018848050762,1.492,-0.029617617289562467,'
+          '-0.015393143328014468\n',
+    (PIN_SIM + ' --protocol random --legs independent'):
+        RESULT_FIELDS + "\n"
+        + '2000,7,independent,0.48499999999999999,0.4631465412059797,0.50691097021245779,'
+          '0.46200000000000002,0.44024399279142934,0.48390170280194578,0.71499999999999997,'
+          '0.69481876328675818,0.734356906382303,0.4395,0.41788447428718983,'
+          '0.46134748843384171,0.42849999999999999,0.40696957748848755,0.45030456027273152,'
+          '0.68100000000000005,0.66024277599886327,0.70106325288532323,0.27100000000000002,'
+          '0.25745036501759394,0.28498906000908947,1.5185,0.031826331195830913,'
+          '-0.0053977262740823378\n',
+    (PIN_SIM + ' --protocol random --tau-policy manual --tau 0.3'
+     ' --noise-mode interference-limited'):
+        RESULT_FIELDS + "\n"
+        + '2000,7,shared,0.29549999999999998,0.27591094220228768,0.31587313013574464,'
+          '0.29949999999999999,0.27982585908493562,0.31994287687484668,0.51049999999999995,'
+          '0.48859264022788729,0.53236710177920621,0.379,0.35798936076711929,'
+          '0.4004745646749438,0.39900000000000002,0.37775199146451166,0.42063525208630137,'
+          '0.62450000000000006,0.60305745832742974,0.64546519689953841,0.2475,'
+          '0.23437255465387616,0.26111196420742316,2.5714999999999999,'
+          '-0.019150604566520363,0.0095930174897003607\n',
+    ('sweep --param n --values 5,11,21 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.5'
+     ' --eps-t 0.5 --trials 1000 --seed 3 --outputs both --format csv'):
+        SWEEP_HEADER + "\n"
+        + '5,0.41463655068563265,0.66243771553386033,0.58498956685434367,'
+          '0.29435250562886867,false,0.42599999999999999,0.39569209510456627,'
+          '0.45687426515129592,0.433,0.4026038718810217,0.46390891375604265,'
+          '0.67700000000000005,0.64738722027136164,0.70525810722475202,0.42099999999999999,'
+          '0.39075893140651674,0.45184569643420092,0.40600000000000003,0.37597870513494724,'
+          '0.43674072546033715,0.65300000000000002,0.62296197065708725,0.68186704124633302,'
+          '0.42099999999999999,0.39075893140651674,0.45184569643420092,,infeasible\n'
+        + '11,0.54955791872801785,1.0644405693253089,0.19498783283298055,'
+          '0.18616487055295169,false,0.47999999999999998,0.44917079499694124,'
+          '0.51098227534248097,0.46000000000000002,0.42932142688110647,0.49098471379773795,'
+          '0.72099999999999997,0.69239636603235011,0.7479122067170344,0.25,'
+          '0.2241530989836914,0.27776028025908617,0.26800000000000002,0.24147419135844106,'
+          '0.29630142457885655,0.45700000000000002,0.42634830454476441,0.48798079668499333,'
+          '0.25,0.2241530989836914,0.27776028025908617,,infeasible\n'
+        + '21,0.78021389825906395,1.8165682179300087,0.092748894372067306,'
+          '0.13163844238670797,true,0.48899999999999999,0.45811915212327142,'
+          '0.51996503656341087,0.50700000000000001,0.47604583278568624,0.53790059259551604,'
+          '0.74299999999999999,0.71502221278206823,0.76911798259395203,0.158,'
+          '0.13670765691270592,0.18190984589141379,0.16,0.13858526208349012,'
+          '0.1840169336866874,0.29399999999999998,0.26659400902031272,0.32298261547573592,'
+          '0.158,0.13670765691270592,0.18190984589141379,,ok\n',
+    ('tolerance --n 11 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.75 --tau 0.3'
+     ' --trials 500 --seed 5 --m-cap 6'):
+        '{\n'
+        '  "command": "tolerance",\n'
+        '  "config": {\n'
+        '    "coherence_len": 1,\n'
+        '    "eps_s": 0.75,\n'
+        '    "eps_t": null,\n'
+        '    "es": 1,\n'
+        '    "gamma_e": 1,\n'
+        '    "gamma_r": 1,\n'
+        '    "m": 1,\n'
+        '    "n": 11,\n'
+        '    "n0": 1,\n'
+        '    "noise_mode": "exact"\n'
+        '  },\n'
+        '  "eps_s": 0.75,\n'
+        '  "m_cap": 6,\n'
+        '  "protocol": {\n'
+        '    "kind": "random-uniform",\n'
+        '    "tau": 0.29999999999999999,\n'
+        '    "tau_policy": "manual",\n'
+        '    "tau_resolved": 0.29999999999999999\n'
+        '  },\n'
+        '  "result": {\n'
+        '    "m_max": 4,\n'
+        '    "probes": [\n'
+        '      [\n'
+        '        1,\n'
+        '        0.29809398056057823\n'
+        '      ],\n'
+        '      [\n'
+        '        2,\n'
+        '        0.5158042283357841\n'
+        '      ],\n'
+        '      [\n'
+        '        4,\n'
+        '        0.70401199217295096\n'
+        '      ],\n'
+        '      [\n'
+        '        6,\n'
+        '        0.81783225514580593\n'
+        '      ],\n'
+        '      [\n'
+        '        5,\n'
+        '        0.75946339247137484\n'
+        '      ]\n'
+        '    ],\n'
+        '    "violated_at_m1": false\n'
+        '  },\n'
+        '  "seed": 5,\n'
+        '  "trials": 500\n'
+        '}\n',
+    ('bounds --n 101 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.5 --eps-t 0.5'):
+        '{\n'
+        '  "command": "bounds",\n'
+        '  "report": {\n'
+        '    "eps_s": 0.5,\n'
+        '    "eps_t": 0.5,\n'
+        '    "expected_jammers": 5.717114347265106,\n'
+        '    "feasible": true,\n'
+        '    "gamma_e": 1,\n'
+        '    "gamma_r": 1,\n'
+        '    "infeasible_reason": null,\n'
+        '    "m": 1,\n'
+        '    "m_max_t1": 4.1268807470682347,\n'
+        '    "m_max_t1_floor": 4,\n'
+        '    "m_max_t3": 17.333568723943195,\n'
+        '    "m_max_t3_floor": 17,\n'
+        '    "n": 101,\n'
+        '    "per_leg_budget_s": 0.29289321881345243,\n'
+        '    "per_leg_budget_t": 0.29289321881345243,\n'
+        '    "reliability_leg": 0.2857836751976619,\n'
+        '    "secrecy_leg": 0.019009780088576761,\n'
+        '    "secrecy_leg_vacuous": false,\n'
+        '    "tau_max": 0.058870501125773737,\n'
+        '    "tau_min": 0.017874331346664545,\n'
+        '    "tau_used": 0.058870501125773737\n'
+        '  }\n'
+        '}\n',
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_pinned_stdout_bytes(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert out == PINNED_STDOUT[command]
