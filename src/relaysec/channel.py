@@ -177,12 +177,17 @@ class ScenarioConfig:
 
 
 class Layout(NamedTuple):
-    """Where a trial's fields lie among its words (stream layout 3; see ChannelRealization)."""
+    """Where a trial's fields lie among its words (stream layout 3; see ChannelRealization).
 
-    fields: dict  # field -> its columns
-    hop1: slice   # to_relay's columns within field "receivers", both hops' receiver words
-    hop2: slice   # r_d2's columns within "receivers"
-    idle: slice   # r_d within "receivers", read by no hop; empty but for random, independent legs
+    Cached per (n, m, rule, leg mode) and shared by every block, so its arrays are read-only.
+    """
+
+    fields: dict        # field -> its columns
+    hop1: slice         # to_relay's columns within "receivers", both hops' receiver words
+    hop2: slice         # r_d2's columns within "receivers"
+    idle: slice         # r_d within "receivers", read by no hop; empty but for random, independent
+    hop: np.ndarray     # (L,) hop - 1 of each "receivers" column: 0 on hop 1's words, else 1
+    signal: np.ndarray  # (2, 2) per hop: the column of relay 0's signal word, the step per relay
 
 
 @functools.lru_cache(maxsize=256)
@@ -195,7 +200,14 @@ def _layout(n: int, m: int, maxmin: bool, independent: bool) -> Layout:
     hop1, hop2 = fields["to_relay"], fields.setdefault("r_d2", fields["r_d"])
     run = fields["receivers"] = slice(min(hop1.start, hop2.start), max(hop1.stop, hop2.stop))
     hop1, hop2 = (slice(h.start - run.start, h.stop - run.start) for h in (hop1, hop2))
-    return Layout(fields, hop1, hop2, slice(min(hop1.stop, hop2.stop), max(hop1.start, hop2.start)))
+    hop = np.ones(run.stop - run.start, dtype=np.intp)
+    hop[hop1] = 0
+    # under random selection s_r is the picked relay's word alone
+    signal = np.array([[fields["s_r"].start, int(maxmin)], [fields["r_d2"].start, 1]])
+    for a in (hop, signal):
+        a.flags.writeable = False
+    return Layout(fields, hop1, hop2, slice(min(hop1.stop, hop2.stop), max(hop1.start, hop2.start)),
+                  hop, signal)
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
@@ -249,12 +261,6 @@ class ChannelRealization:
 
     def __getitem__(self, field: str) -> np.ndarray:
         return self.words[:, self.layout.fields[field]]
-
-    def signals(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(T,) uniforms of each hop's signal: S <-> relay selected[t], then that relay <-> D."""
-        rows = np.arange(len(selected))
-        return (self["s_r"][rows, selected * self.maxmin],  # random selection: s_r is one column
-                self["r_d2"][rows, selected])
 
     @property
     def pick(self) -> np.ndarray | None:

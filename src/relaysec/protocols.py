@@ -13,7 +13,10 @@ one): a block's `ChannelRealization` of uniforms and its (T,) selected
 relays. A gain increases with its uniform, so selection and jamming are
 decided on the uniforms; `execute_two_hop` computes only the gains an SINR
 reads and reduces the block to a few numbers per trial, which
-`classify_outage` counts under every name of `COUNT_KEYS`.
+`classify_outage` counts under every name of `COUNT_KEYS`. What the blocks
+of a run share is resolved once per run (`plan_run`): u_tau, the powers the
+intercept law reads and the row indices; `channel.Layout` gives the columns
+a block reads.
 
 An eavesdropper's gains are independent of every legitimate gain and enter
 its outcome only through the two jammer sets, so one uniform decides its
@@ -61,13 +64,37 @@ class ProtocolChoice:
 
 
 class TransmissionRecord(NamedTuple):
-    """What T two-hop transmissions came to; row t is trial t, column h hop h + 1."""
+    """What T two-hop transmissions came to; row t is trial t, column h hop h + 1.
 
-    selected_relay: np.ndarray   # (T,) relay index
-    jammers: np.ndarray          # (T, 2) |J1|, |J2|: the relays that jam each hop
-    jammers_both: np.ndarray     # (T,) |J1 & J2|
-    sinr: np.ndarray             # (T, 2) SINR at the selected relay, at D
-    intercepts: np.ndarray       # (T, 2) eavesdroppers that decode each hop
+    `jammers_both` is None with independent legs: the intercept law reads the
+    overlap |J1 & J2| only when both hops share one channel.
+    """
+
+    selected_relay: np.ndarray       # (T,) relay index
+    jammers: np.ndarray              # (T, 2) |J1|, |J2|: the relays that jam each hop
+    jammers_both: np.ndarray | None  # (T,) |J1 & J2| with shared legs; None with independent
+    sinr: np.ndarray                 # (T, 2) SINR at the selected relay, at D
+    intercepts: np.ndarray           # (T, 2) eavesdroppers that decode each hop
+
+
+class InterceptPowers(NamedTuple):
+    """The powers the intercept law reads, every entry one Python float power (`_powers`).
+
+    With nu and q as in `intercept_law`: A = ab[K1], B = ab[K2] and, with
+    shared legs, C = c[K1 + K2 - 2k] * r[k].
+    """
+
+    ab: np.ndarray          # nu q^j for j = 0..n - 1
+    c: np.ndarray | None    # nu^2 q^j for j = 0..2n - 2; None with independent legs
+    r: np.ndarray | None    # (1 + 2 gamma_e)^-j for j = 0..n - 1; None with independent legs
+
+
+class RunPlan(NamedTuple):
+    """What every block of one run reads besides its uniforms, resolved once (`plan_run`)."""
+
+    u_tau: float            # a relay jams iff its uniform is below u_tau
+    law: InterceptPowers
+    rows: np.ndarray        # 0, 1, ..., up to the run's largest block
 
 
 def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
@@ -78,15 +105,21 @@ def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
     return np.argmax(np.minimum(s_r, r_d), axis=1)
 
 
-def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np.ndarray:
+def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float,
+               plan: RunPlan | None = None) -> np.ndarray:
     """(T, L) mask over real["receivers"]: the words of both hops (`Layout`) whose relays jam.
 
     A relay jams a hop when its gain toward the hop's receiver is below tau,
-    its uniform below u_tau (`channel._uniform_threshold`); the selected relay never jams.
+    its uniform below u_tau (`channel._uniform_threshold`); the selected relay
+    never jams. `plan`, the run's `plan_run`, holds u_tau already.
     """
-    jam = real["receivers"] < _uniform_threshold(tau)
-    jam[:, real.layout.idle] = False
-    jam[np.arange(len(selected)), selected + real.layout.hop2.start] = False
+    t = len(selected)
+    u_tau, rows = ((_uniform_threshold(tau), np.arange(t)) if plan is None
+                   else (plan.u_tau, plan.rows[:t]))
+    layout = real.layout
+    jam = real["receivers"] < u_tau
+    jam[:, layout.idle] = False
+    jam[rows, selected + layout.hop2.start] = False
     return jam
 
 
@@ -121,75 +154,124 @@ def resolve_tau(protocol: ProtocolChoice, config: ScenarioConfig) -> float:
     return max(0.0, interval.tau_min)
 
 
-@functools.lru_cache(maxsize=256)
 def _powers(base: float, top: int) -> np.ndarray:
-    """base**j for j = 0..top, each by Python's float power; cached, so read-only.
+    """base**j for j = 0..top, each by Python's float power.
 
     numpy's vectorised power may round an entry differently, by its place
     in the array; scalar powers keep a trial's law independent of its block.
     """
-    table = np.array([base ** j for j in range(top + 1)])
-    table.flags.writeable = False
-    return table
+    return np.array([base ** j for j in range(top + 1)])
 
 
-def intercept_law(jammers: np.ndarray, both: np.ndarray, shared: bool,
-                  config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _intercept_powers(gamma_e: float, nu: float, n: int, shared: bool) -> InterceptPowers:
+    """`InterceptPowers` up to the largest exponent a trial of n relays reaches; read-only."""
+    q = _powers(1.0 / (1.0 + gamma_e), 2 * n - 2 if shared else n - 1)
+    law = InterceptPowers(nu * q[:n], nu * nu * q if shared else None,
+                          _powers(1.0 / (1.0 + 2.0 * gamma_e), n - 1) if shared else None)
+    for table in law:
+        if table is not None:
+            table.flags.writeable = False
+    return law
+
+
+def _law_powers(config: ScenarioConfig, shared: bool) -> InterceptPowers:
+    """The intercept law's powers for this scenario, cached by gamma_e, nu, n and leg mode."""
+    nu = math.exp(-config.gamma_e * config.noise_term / config.es)
+    return _intercept_powers(config.gamma_e, nu, config.n, shared)
+
+
+def plan_run(config: ScenarioConfig, tau: float, *, shared: bool, block: int) -> RunPlan:
+    """A run's `RunPlan` for blocks of at most `block` trials.
+
+    u_tau is cached by tau and the intercept law's powers by what they
+    depend on (`_law_powers`), so a run only builds `rows`.
+    """
+    return RunPlan(_uniform_threshold(tau), _law_powers(config, shared), np.arange(block))
+
+
+def intercept_law(jammers: np.ndarray, both: np.ndarray | None, shared: bool,
+                  config: ScenarioConfig, plan: RunPlan | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T,) probabilities A, B, C that one eavesdropper decodes hop 1, hop 2, both.
 
-    Given trial t's jammer counts (K1, K2) = `jammers[t]` and k = `both[t]` = |J1 & J2|,
-    with nu = exp(-gamma_e N0/2 / Es) (1 when interference-limited) and
-    q = 1 / (1 + gamma_e): A = nu q^K1, B = nu q^K2, and with shared legs, where the
-    k jammers both sets hold reach the eavesdropper over the same gain,
-    C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs C = A B.
-    An SINR Es g / (Es I + N0/2) reaches gamma_e iff g >= gamma_e (I + N0/2 / Es),
-    and g ~ Exp(1) is independent of I.
+    Given trial t's jammer counts (K1, K2) = `jammers[t]` and, with shared
+    legs, k = `both[t]` = |J1 & J2|, with nu = exp(-gamma_e N0/2 / Es) (1
+    when interference-limited) and q = 1 / (1 + gamma_e): A = nu q^K1,
+    B = nu q^K2, and with shared legs, where the k jammers both sets hold
+    reach the eavesdropper over the same gain,
+    C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
+    C = A B, and `both` is not read. An SINR Es g / (Es I + N0/2) reaches
+    gamma_e iff g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent
+    of I. The powers come from `plan`, or from `_law_powers` without one.
     """
-    gamma_e = config.gamma_e
-    nu = math.exp(-gamma_e * config.noise_term / config.es)
-    total = jammers[:, 0] + jammers[:, 1]
-    q_pow = _powers(1.0 / (1.0 + gamma_e), int(total.max()))  # every exponent below
-    a, b = (nu * q_pow[jammers]).T
+    law = _law_powers(config, shared) if plan is None else plan.law
+    k1, k2 = jammers.T
+    a, b = law.ab[k1], law.ab[k2]
     if not shared:
         return a, b, a * b
-    r_pow = _powers(1.0 / (1.0 + 2.0 * gamma_e), int(both.max()))
-    return a, b, nu * nu * q_pow[total - 2 * both] * r_pow[both]
+    return a, b, law.c[k1 + k2 - 2 * both] * law.r[both]
+
+
+def _count_intercepts(eve: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      c: np.ndarray) -> np.ndarray:
+    """(2, T) counts N1, N2 of the eavesdroppers that intercept hop 1 and hop 2 of each trial.
+
+    `eve` is (T, m) uniforms and A, B, C are `intercept_law`'s. By the
+    four-cell rule an eavesdropper's uniform u intercepts hop 1 iff u < A,
+    and hop 2 iff u < C or A <= u < A + B - C. Counting u below three
+    thresholds gives both: N1 = #(u < A) and
+    N2 = #(u < min(A, C)) + #(u < max(A, C, A + B - C)) - #(u < A),
+    for any floats A, B and C, also where rounding puts C above A or
+    A + B - C below A.
+    """
+    th = np.array((a, np.minimum(a, c), np.maximum(np.maximum(a, c), a + b - c)))
+    below = (np.ascontiguousarray(eve.T)[:, None] < th).sum(axis=0)
+    below[1] += below[2] - below[0]
+    return below[:2]
 
 
 def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
-                    config: ScenarioConfig) -> TransmissionRecord:
+                    config: ScenarioConfig, plan: RunPlan | None = None) -> TransmissionRecord:
     """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
     Hop 1: S transmits to the selected relay, hop 2 the relay to D over
     r_d2, each jammed by its set from `jammer_set`; one pass over the mask's
-    flat indices puts every jammer in its (trial, hop) cell. Each SINR is
-    Es g / (Es I + N0/2), I the jammers' gains added in relay order. Each
-    eavesdropper's uniform u decides both hops from `intercept_law`'s A, B
-    and C: hop 1 is intercepted iff u < A, and hop 2 iff u < C or
-    A <= u < A + B - C, so each hop has its exact marginal and the pair its
-    exact joint law.
+    flat indices puts every jammer in its (hop, trial) cell by the column's
+    hop (`Layout.hop`). Each SINR is Es g / (Es I + N0/2), I the jammers'
+    gains added in relay order. The overlap k = |J1 & J2| is found only with
+    shared legs, the one mode whose law reads it. Each eavesdropper's
+    uniform decides both hops from `intercept_law`'s A, B and C by the
+    four-cell rule (`_count_intercepts`), so each hop has its exact marginal
+    and the pair its exact joint law. `plan` is the run's `plan_run`; a call
+    without one makes its own.
     """
     t = len(selected)
+    shared = not real.independent
+    if plan is None:
+        plan = plan_run(config, tau, shared=shared, block=t)
     layout = real.layout
-    jam = jammer_set(real, selected, tau)
+    jam = jammer_set(real, selected, tau, plan)
     row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
-    on1 = (col >= layout.hop1.start) & (col < layout.hop1.stop)  # else on hop 2's words
-    cell = 2 * row + ~on1
+    hop = layout.hop[col]
+    signals = real.words[plan.rows[:t], selected * layout.signal[:, 1:] + layout.signal[:, :1]]
     # the jammers' gains, then the signals' (hop 1's, then hop 2's)
-    gains = gain(np.concatenate((real["receivers"][row, col], *real.signals(selected))))
-    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
-    sizes = np.bincount(cell, minlength=2 * t).reshape(t, 2)
-    # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
-    row1, col1 = row[on1], col[on1] - layout.hop1.start
-    col1 += col1 >= selected[row1]  # to_relay leaves the selected relay out
-    both = np.bincount(row1[jam[row1, col1 + layout.hop2.start]], minlength=t)
-    a, b, c = (p[:, None] for p in intercept_law(sizes, both, not real.independent, config))
-    hits = np.empty((t, 2, real.m), dtype=bool)
-    hit1 = np.less(real["eve"], a, out=hits[:, 0])
-    np.less(real["eve"], np.where(hit1, c, np.maximum(c, a + b - c)), out=hits[:, 1])
-    return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
-                              sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
-                              intercepts=hits @ np.ones(real.m, dtype=np.intp))
+    gains = gain(np.concatenate((real["receivers"][row, col], signals.ravel())))
+    cell = hop * t + row
+    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(2, t)
+    sizes = np.bincount(cell, minlength=2 * t).reshape(2, t)
+    both = None
+    if shared:
+        # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
+        on1 = hop == 0
+        row1 = row[on1]
+        col2 = col[on1] + (layout.hop2.start - layout.hop1.start)
+        col2 += col2 >= selected[row1] + layout.hop2.start  # to_relay leaves the selected relay out
+        both = np.bincount(row1[jam[row1, col2]], minlength=t)
+    a, b, c = intercept_law(sizes.T, both, shared, config, plan)
+    return TransmissionRecord(selected_relay=selected, jammers=sizes.T, jammers_both=both,
+                              sinr=sinr_many(gains[-2 * t:].reshape(2, t), sums, config).T,
+                              intercepts=_count_intercepts(real["eve"], a, b, c).T)
 
 
 # Every count a run keeps, in report order: transmission (t) and secrecy (s)
@@ -202,7 +284,8 @@ COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
 # row i marks the outage codes t1 + 2 t2 + 4 s1 + 8 s2 that count toward COUNT_KEYS[i]
 _CODE_BITS = 1 << np.arange(4)
 _T1, _T2, _S1, _S2 = (np.arange(16) & bit > 0 for bit in _CODE_BITS)
-_OUTAGE_CODES = np.array([_T1, _T2, _T1 | _T2, _T1 & _T2, _S1, _S2, _S1 | _S2, _S1 & _S2])
+_OUTAGE_CODES = np.array([_T1, _T2, _T1 | _T2, _T1 & _T2, _S1, _S2, _S1 | _S2, _S1 & _S2],
+                         dtype=np.intp)
 
 
 def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> dict[str, int]:
@@ -212,9 +295,10 @@ def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> dict[
     measure-zero boundary, fixed for reproducibility). A hop is in secrecy
     outage iff some eavesdropper intercepts it.
     """
-    outage = np.concatenate((~(record.sinr > config.gamma_r), record.intercepts > 0), axis=1)
-    codes = np.bincount(outage @ _CODE_BITS, minlength=16)
+    # (4, T) rows t1, t2, s1, s2: one product makes the codes
+    codes = _CODE_BITS @ np.concatenate((~(record.sinr.T > config.gamma_r),
+                                         record.intercepts.T > 0))
     jam1 = record.jammers[:, 0]
-    return dict(zip(COUNT_KEYS, [*(_OUTAGE_CODES @ codes).tolist(),
+    return dict(zip(COUNT_KEYS, [*(_OUTAGE_CODES @ np.bincount(codes, minlength=16)).tolist(),
                                  int(record.intercepts[:, 0].sum()), int(jam1.sum()),
                                  int(jam1 @ jam1)]))

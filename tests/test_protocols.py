@@ -15,7 +15,7 @@ from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
                       tau_protocol1, theorem2_tau_range, trial_rng)
-from relaysec.protocols import TransmissionRecord, intercept_law
+from relaysec.protocols import TransmissionRecord, _count_intercepts, intercept_law
 
 from .test_channel import make_realization, sample_block
 
@@ -327,8 +327,12 @@ class TestExecuteTwoHop:
                 for t in range(40):
                     one = execute_two_hop(sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs),
                                           selected[t:t + 1], 0.3, cfg)
-                    for field in ("jammers", "jammers_both", "sinr", "intercepts"):
+                    for field in ("jammers", "sinr", "intercepts"):
                         assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
+                    if legs == "shared":
+                        assert whole.jammers_both[t] == one.jammers_both[0]
+                    else:  # no count reads the overlap of independent legs
+                        assert whole.jammers_both is None and one.jammers_both is None
 
 
 class TestClassifyOutage:
@@ -363,6 +367,33 @@ class TestClassifyOutage:
         hits = [run_one(make_realization([2.0, 0.5], [0.05], [1.5, 0.08], [u]), 0, 0.1,
                         cfg).intercepts[0, 0] for u in (a, np.nextafter(a, 0.0))]
         assert hits == [0, 1]
+
+    def test_threshold_counts_at_float_edges(self):
+        # the kernel counts intercepts by three thresholds; at every float edge
+        # of A, B and C its counts must be the four-cell rule's: hop 1 iff
+        # u < A, hop 2 iff u < C or A <= u < A + B - C
+        below_a = 0.19999999999999996  # A + B - C one ulp below A = 0.3, C = 0.2
+        assert 0.3 + below_a - 0.2 == np.nextafter(0.3, 0.0)
+        up = np.nextafter(0.25, 1.0)
+        assert 0.25 + up - up < 0.25  # so B = C = up puts C above A and A + B - C
+        cases = [(0.3, 0.4, np.nextafter(0.3, 1.0)),  # C one ulp above A
+                 (0.25, up, up),
+                 (0.3, below_a, 0.2),
+                 (0.3, 0.2, 0.2),                     # B = C
+                 (0.3, 0.5, 0.15)]                    # C = A B, no rounding at stake
+        a, b, c = (np.array(column) for column in zip(*cases))
+        # every trial hears one eavesdropper at each edge of every case and at
+        # its neighbours
+        edges = {e for x, y, z in cases for e in (x, z, x + y - z)}
+        eve = np.tile(sorted({w for e in edges for w in (np.nextafter(e, 0.0), e,
+                                                         np.nextafter(e, 1.0))}), (len(cases), 1))
+        counts = _count_intercepts(eve, a, b, c)
+        for t, (x, y, z) in enumerate(cases):
+            hop1 = sum(u < x for u in eve[t])
+            hop2 = sum(u < z or x <= u < x + y - z for u in eve[t])
+            assert counts[:, t].tolist() == [hop1, hop2]
+        no_eve = _count_intercepts(np.empty((len(cases), 0)), a, b, c)  # m = 0
+        assert no_eve.tolist() == [[0] * len(cases)] * 2
 
     def test_e2e_is_or_of_hops(self):
         rng = trial_rng(40, 0)
