@@ -161,8 +161,16 @@ class OutageEstimate:
         return out
 
 
-def _check_run(trials: int, legs: str, workers: int) -> None:
+# Trial indices stay below 2**63, so every trial range is one of int64s.
+_TRIAL_LIMIT = 1 << 63
+
+
+def _check_run(trials: int, legs: str, workers: int, trial_start: int = 0) -> None:
     check_at_least("trials", trials, 1, integer=True)
+    check_at_least("trial_start", trial_start, 0, integer=True)
+    end = int(trial_start) + int(trials)  # numpy integers would wrap
+    if end > _TRIAL_LIMIT:
+        raise ValueError(f"trial_start + trials must be <= 2**63, got {end}")
     check_at_least("workers", workers, 1, integer=True)
     if legs not in LEG_MODES:
         raise ValueError(f"legs must be one of {LEG_MODES}, got {legs!r}")
@@ -182,8 +190,8 @@ def _estimate(pool, config: ScenarioConfig, protocol: ProtocolChoice, trials: in
         counts = _run_trials(config, protocol, trial_start, trial_start + trials, seed, legs)
         return OutageEstimate(config=config, protocol=protocol, legs=legs, seed=seed,
                               trial_start=trial_start, trials=trials, counts=counts)
-    edges = np.linspace(trial_start, trial_start + trials, workers + 1).astype(int)
-    ranges = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    edges = [int(trial_start) + i * int(trials) // workers for i in range(workers + 1)]
+    ranges = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
     futures = [pool.submit(_run_trials, config, protocol, a, b, seed, legs)
                for a, b in ranges]
     return merge_estimates([OutageEstimate(config=config, protocol=protocol, legs=legs,
@@ -197,11 +205,13 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
                     workers: int = 1, trial_start: int = 0) -> OutageEstimate:
     """Estimate all outage probabilities from `trials` simulated transmissions.
 
+    The run counts trials [trial_start, trial_start + trials): `trial_start`
+    is an integer >= 0 and the range ends at 2**63 at most, or ValueError.
     The result is identical for any `workers` count: trial t always reads
     the same words of the seed's stream, and workers only partition the
-    trial range.
+    trial range, by integer arithmetic.
     """
-    _check_run(trials, legs, workers)
+    _check_run(trials, legs, workers, trial_start)
     if workers > 1:
         resolve_tau(protocol, config)  # an infeasible tau policy fails before any worker starts
     with _pool(workers, trials) as pool:

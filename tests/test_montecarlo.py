@@ -85,6 +85,14 @@ class TestEstimateOutage:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             tolerance_search(IL, RANDOM_TAU01, 0.5, 10, m_cap=2, seed=0, workers=workers)
 
+    @pytest.mark.parametrize("trial_start", [-5, 1.5, True, 2 ** 63 - 9])
+    def test_bad_trial_start_rejected(self, trial_start):
+        # an integer >= 0 whose range of 10 trials ends at 2**63 at most
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="trial_start"):
+                estimate_outage(IL, RANDOM_TAU01, 10, 0, workers=workers,
+                                trial_start=trial_start)
+
     def test_identical_for_any_seeded_rerun(self):
         a = estimate_outage(IL, RANDOM_TAU01, 2000, 21)
         b = estimate_outage(IL, RANDOM_TAU01, 2000, 21)
@@ -141,6 +149,15 @@ class TestMergeEstimates:
         single = estimate_outage(IL, RANDOM_TAU01, 4000, 32, workers=1)
         pooled = estimate_outage(IL, RANDOM_TAU01, 4000, 32, workers=4)
         assert single.counts == pooled.counts
+
+    @pytest.mark.parametrize("trial_start", [2 ** 53 + 1, 2 ** 60 + 3, 2 ** 63 - 12])
+    def test_worker_pool_far_into_the_stream(self, trial_start):
+        # the workers split the range by integer arithmetic, so they count
+        # the single worker's trials where floats would move the edges
+        single = estimate_outage(IL, RANDOM_TAU01, 12, 33, trial_start=trial_start)
+        pooled = estimate_outage(IL, RANDOM_TAU01, 12, 33, workers=2, trial_start=trial_start)
+        assert (pooled.trial_start, pooled.trials) == (trial_start, 12)
+        assert pooled.counts == single.counts
 
     def test_run_trials_in_worker_threads_match_main_thread(self):
         # each thread draws through its own Philox
