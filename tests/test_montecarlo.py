@@ -12,8 +12,10 @@ from relaysec import (ProtocolChoice, ScenarioConfig, estimate_outage,
                       eve_intercept_exact, expected_jammers, jain_index,
                       load_balance, merge_estimates, selection_entropy,
                       tolerance_search, wilson_interval)
-from relaysec import montecarlo
-from relaysec.montecarlo import _run_trials
+from relaysec import montecarlo, protocols
+from relaysec.channel import trial_words
+from relaysec.montecarlo import LEG_MODES, _run_trials
+from relaysec.protocols import PROTOCOL_KINDS
 from relaysec.serialize import dumps
 
 IL = ScenarioConfig(n=11, m=1, gamma_r=1.0, gamma_e=1.0,
@@ -192,6 +194,45 @@ class TestMergeEstimates:
         later = estimate_outage(IL, RANDOM_TAU01, 100, 1, trial_start=200)
         with pytest.raises(ValueError, match="tile one range"):
             merge_estimates([a, later])
+
+
+class TestKernelStages:
+    """The stages the benchmark tracer times stay on the kernel's call path.
+
+    A traced run reports a stage that falls off the path as 0 calls, a
+    finite metric, so only a count of the calls catches it.
+    """
+
+    STAGES = [(montecarlo, "sample_realization"), (montecarlo, "select_relay_optimal"),
+              (montecarlo, "execute_two_hop"), (montecarlo, "classify_outage"),
+              (protocols, "jammer_set"), (protocols, "intercept_law")]
+
+    @staticmethod
+    def counting(monkeypatch, module, name, calls):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    @pytest.mark.parametrize("trials, blocks", [(3, 1), (10, 3)])
+    def test_each_stage_runs_once_a_block(self, monkeypatch, kind, legs, trials, blocks):
+        cfg = ScenarioConfig(n=11, m=2, gamma_r=1.0, gamma_e=1.0)
+        maxmin = kind == "optimal-maxmin"
+        words = trial_words(cfg, maxmin=maxmin, independent=legs == "independent")
+        monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 4 * words)  # 4 trials a block
+        calls = {name: 0 for _, name in self.STAGES}
+        for module, name in self.STAGES:
+            self.counting(monkeypatch, module, name, calls)
+        estimate_outage(cfg, ProtocolChoice(kind=kind, tau_policy="manual", tau=0.3),
+                        trials, 5, legs=legs)
+        want = dict.fromkeys(calls, blocks)
+        want["select_relay_optimal"] = blocks if maxmin else 0
+        assert calls == want
 
 
 class TestToleranceSearch:
