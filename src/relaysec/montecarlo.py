@@ -8,8 +8,7 @@ single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme
 rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 
-The trial kernel works in blocks with no per-trial loop: per run, one
-`protocols.plan_run` of the constants every block reads; per block, one
+The trial kernel works in blocks with no per-trial loop: per block, one
 draw, one selection and one `protocols.execute_two_hop` pass, which decide
 on the uniforms (a relay jams iff its uniform is below u_tau) and add each
 trial's jammer gains in relay order. A trial's outcome depends only on its
@@ -38,7 +37,7 @@ import numpy as np
 
 from .bounds import check_at_least, check_unit
 from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
-from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop, plan_run,
+from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
 LEG_MODES = ("shared", "independent")
@@ -86,14 +85,13 @@ def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
     maxmin = protocol.kind == "optimal-maxmin"
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
-    plan = plan_run(config, tau, shared=not independent, block=min(size, stop - start))
     stream = SeedStream(seed)
     c = dict.fromkeys(COUNT_KEYS, 0)
     for lo in range(start, stop, size):
         real = sample_realization(config, stream, lo, min(lo + size, stop),
                                   maxmin=maxmin, independent=independent)
         selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
-        record = execute_two_hop(real, selected, tau, config, plan)
+        record = execute_two_hop(real, selected, tau, config)
         for key, count in classify_outage(record, config).items():
             c[key] += count
     return c

@@ -13,10 +13,11 @@ one): a block's `ChannelRealization` of uniforms and its (T,) selected
 relays. A gain increases with its uniform, so selection and jamming are
 decided on the uniforms; `execute_two_hop` computes only the gains an SINR
 reads and reduces the block to a few numbers per trial, which
-`classify_outage` counts under every name of `COUNT_KEYS`. What the blocks
-of a run share is resolved once per run (`plan_run`): u_tau, the powers the
-intercept law reads and the row indices; `channel.Layout` gives the columns
-a block reads.
+`classify_outage` counts under every name of `COUNT_KEYS`. Each constant
+a stage reads comes from a cache keyed on what it depends on: u_tau on tau
+(`channel._uniform_threshold`), the intercept law's powers on n, gamma_e,
+nu and the leg mode (`_law_powers`), and the columns a block reads on its
+layout (`channel.Layout`).
 
 An eavesdropper's gains are independent of every legitimate gain and enter
 its outcome only through the two jammer sets, so one uniform decides its
@@ -77,26 +78,6 @@ class TransmissionRecord(NamedTuple):
     intercepts: np.ndarray           # (T, 2) eavesdroppers that decode each hop
 
 
-class InterceptPowers(NamedTuple):
-    """The powers the intercept law reads, every entry one Python float power (`_powers`).
-
-    With nu and q as in `intercept_law`: A = ab[K1], B = ab[K2] and, with
-    shared legs, C = c[K1 + K2 - 2k] * r[k].
-    """
-
-    ab: np.ndarray          # nu q^j for j = 0..n - 1
-    c: np.ndarray | None    # nu^2 q^j for j = 0..2n - 2; None with independent legs
-    r: np.ndarray | None    # (1 + 2 gamma_e)^-j for j = 0..n - 1; None with independent legs
-
-
-class RunPlan(NamedTuple):
-    """What every block of one run reads besides its uniforms, resolved once (`plan_run`)."""
-
-    u_tau: float            # a relay jams iff its uniform is below u_tau
-    law: InterceptPowers
-    rows: np.ndarray        # 0, 1, ..., up to the run's largest block
-
-
 def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
     """(T,) relay with the largest min(gain to S, gain to D) in each trial, ties to the lowest.
 
@@ -105,21 +86,17 @@ def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
     return np.argmax(np.minimum(s_r, r_d), axis=1)
 
 
-def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float,
-               plan: RunPlan | None = None) -> np.ndarray:
+def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np.ndarray:
     """(T, L) mask over real["receivers"]: the words of both hops (`Layout`) whose relays jam.
 
     A relay jams a hop when its gain toward the hop's receiver is below tau,
     its uniform below u_tau (`channel._uniform_threshold`); the selected relay
-    never jams. `plan`, the run's `plan_run`, holds u_tau already.
+    never jams.
     """
-    t = len(selected)
-    u_tau, rows = ((_uniform_threshold(tau), np.arange(t)) if plan is None
-                   else (plan.u_tau, plan.rows[:t]))
     layout = real.layout
-    jam = real["receivers"] < u_tau
+    jam = real["receivers"] < _uniform_threshold(tau)
     jam[:, layout.idle] = False
-    jam[rows, selected + layout.hop2.start] = False
+    jam[np.arange(len(selected)), selected + layout.hop2.start] = False
     return jam
 
 
@@ -164,34 +141,23 @@ def _powers(base: float, top: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _intercept_powers(gamma_e: float, nu: float, n: int, shared: bool) -> InterceptPowers:
-    """`InterceptPowers` up to the largest exponent a trial of n relays reaches; read-only."""
-    q = _powers(1.0 / (1.0 + gamma_e), 2 * n - 2 if shared else n - 1)
-    law = InterceptPowers(nu * q[:n], nu * nu * q if shared else None,
-                          _powers(1.0 / (1.0 + 2.0 * gamma_e), n - 1) if shared else None)
-    for table in law:
-        if table is not None:
-            table.flags.writeable = False
-    return law
+def _law_powers(n: int, gamma_e: float, nu: float, shared: bool) -> tuple[np.ndarray, ...]:
+    """The read-only tables the intercept law reads, up to the largest exponent a trial reaches.
 
-
-def _law_powers(config: ScenarioConfig, shared: bool) -> InterceptPowers:
-    """The intercept law's powers for this scenario, cached by gamma_e, nu, n and leg mode."""
-    nu = math.exp(-config.gamma_e * config.noise_term / config.es)
-    return _intercept_powers(config.gamma_e, nu, config.n, shared)
-
-
-def plan_run(config: ScenarioConfig, tau: float, *, shared: bool, block: int) -> RunPlan:
-    """A run's `RunPlan` for blocks of at most `block` trials.
-
-    u_tau is cached by tau and the intercept law's powers by what they
-    depend on (`_law_powers`), so a run only builds `rows`.
+    With nu and q as in `intercept_law`: ab = nu q^j for j = 0..n - 1, so
+    A = ab[K1] and B = ab[K2]; with shared legs also c = nu^2 q^j for
+    j = 0..2n - 2 and r = (1 + 2 gamma_e)^-j for j = 0..n - 1, so
+    C = c[K1 + K2 - 2k] r[k]. Each power is one Python float power (`_powers`).
     """
-    return RunPlan(_uniform_threshold(tau), _law_powers(config, shared), np.arange(block))
+    q = _powers(1.0 / (1.0 + gamma_e), 2 * n - 2 if shared else n - 1)
+    tables = ((nu * q[:n], nu * nu * q, _powers(1.0 / (1.0 + 2.0 * gamma_e), n - 1))
+              if shared else (nu * q,))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def intercept_law(jammers: np.ndarray, both: np.ndarray | None, shared: bool,
-                  config: ScenarioConfig, plan: RunPlan | None = None,
+def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: ScenarioConfig,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T,) probabilities A, B, C that one eavesdropper decodes hop 1, hop 2, both.
 
@@ -201,16 +167,18 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, shared: bool,
     B = nu q^K2, and with shared legs, where the k jammers both sets hold
     reach the eavesdropper over the same gain,
     C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
-    C = A B, and `both` is not read. An SINR Es g / (Es I + N0/2) reaches
+    C = A B, and `both` is None. An SINR Es g / (Es I + N0/2) reaches
     gamma_e iff g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent
-    of I. The powers come from `plan`, or from `_law_powers` without one.
+    of I. The powers come from `_law_powers`.
     """
-    law = _law_powers(config, shared) if plan is None else plan.law
+    nu = math.exp(-config.gamma_e * config.noise_term / config.es)
+    ab, *joint = _law_powers(config.n, config.gamma_e, nu, both is not None)
     k1, k2 = jammers.T
-    a, b = law.ab[k1], law.ab[k2]
-    if not shared:
+    a, b = ab[k1], ab[k2]
+    if both is None:
         return a, b, a * b
-    return a, b, law.c[k1 + k2 - 2 * both] * law.r[both]
+    c, r = joint
+    return a, b, c[k1 + k2 - 2 * both] * r[both]
 
 
 def _count_intercepts(eve: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -232,7 +200,7 @@ def _count_intercepts(eve: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
-                    config: ScenarioConfig, plan: RunPlan | None = None) -> TransmissionRecord:
+                    config: ScenarioConfig) -> TransmissionRecord:
     """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
     Hop 1: S transmits to the selected relay, hop 2 the relay to D over
@@ -243,32 +211,28 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
     shared legs, the one mode whose law reads it. Each eavesdropper's
     uniform decides both hops from `intercept_law`'s A, B and C by the
     four-cell rule (`_count_intercepts`), so each hop has its exact marginal
-    and the pair its exact joint law. `plan` is the run's `plan_run`; a call
-    without one makes its own.
+    and the pair its exact joint law.
     """
     t = len(selected)
-    shared = not real.independent
-    if plan is None:
-        plan = plan_run(config, tau, shared=shared, block=t)
     layout = real.layout
-    jam = jammer_set(real, selected, tau, plan)
+    jam = jammer_set(real, selected, tau)
     row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
     hop = layout.hop[col]
-    signals = real.words[plan.rows[:t], selected * layout.signal[:, 1:] + layout.signal[:, :1]]
+    signals = real.words[np.arange(t), selected * layout.signal[:, 1:] + layout.signal[:, :1]]
     # the jammers' gains, then the signals' (hop 1's, then hop 2's)
     gains = gain(np.concatenate((real["receivers"][row, col], signals.ravel())))
     cell = hop * t + row
     sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(2, t)
     sizes = np.bincount(cell, minlength=2 * t).reshape(2, t)
     both = None
-    if shared:
+    if not real.independent:
         # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
         on1 = hop == 0
         row1 = row[on1]
         col2 = col[on1] + (layout.hop2.start - layout.hop1.start)
         col2 += col2 >= selected[row1] + layout.hop2.start  # to_relay leaves the selected relay out
         both = np.bincount(row1[jam[row1, col2]], minlength=t)
-    a, b, c = intercept_law(sizes.T, both, shared, config, plan)
+    a, b, c = intercept_law(sizes.T, both, config)
     return TransmissionRecord(selected_relay=selected, jammers=sizes.T, jammers_both=both,
                               sinr=sinr_many(gains[-2 * t:].reshape(2, t), sums, config).T,
                               intercepts=_count_intercepts(real["eve"], a, b, c).T)

@@ -255,7 +255,7 @@ class TestExecuteTwoHop:
         assert rec.sinr[0].tolist() == pytest.approx([2.0 / (0.05 + 0.5), 1.5 / (0.08 + 0.5)])
         # |J1| = |J2| = 1 and relay 1 is in both: A = B = nu / 2 = 0.3033 and,
         # its gain toward the eavesdropper being one draw, C = nu^2 / 3 = 0.1226
-        a, b, c = intercept_law(rec.jammers, rec.jammers_both, True, self.CFG)
+        a, b, c = intercept_law(rec.jammers, rec.jammers_both, self.CFG)
         assert (a[0], b[0]) == pytest.approx((self.NU / 2, self.NU / 2))
         assert c[0] == pytest.approx(self.NU ** 2 / 3)
         assert rec.intercepts.tolist() == [[1, 0]]   # u = 0.2 < A; C <= u < A
@@ -293,7 +293,7 @@ class TestExecuteTwoHop:
         assert sample_block(cfg, 0, 100, kind="random-uniform").pick.tolist() == [0] * 100
         rec = run_one(real, 0, 0.5, cfg)
         assert rec.jammers.tolist() == [[0, 0]]
-        law = intercept_law(rec.jammers, rec.jammers_both, True, cfg)
+        law = intercept_law(rec.jammers, rec.jammers_both, cfg)
         assert [p.tolist() for p in law] == [[1.0], [1.0], [1.0]]
         assert rec.intercepts.tolist() == [[1, 1]]
 
@@ -308,7 +308,7 @@ class TestExecuteTwoHop:
         assert rec.sinr[0, 0] == pytest.approx(2.0 / (0.05 + 0.5))
         # A = nu / 2 (relay 1 jams hop 1), B = nu (nobody jams hop 2), and the
         # legs are independent, so C = A B
-        a, b, c = intercept_law(rec.jammers, rec.jammers_both, False, self.CFG)
+        a, b, c = intercept_law(rec.jammers, rec.jammers_both, self.CFG)
         assert (a[0], b[0], c[0]) == pytest.approx((self.NU / 2, self.NU, self.NU ** 2 / 2))
         assert rec.intercepts.tolist() == [[1, 0]]   # u = 0.2 < A = 0.3033; C = 0.1839 <= u < A
         hop2_only = run_one(self.hand_case(eve=(0.5,), r_d2=[0.9, 4.0]), 0, self.TAU01,
