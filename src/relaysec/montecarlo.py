@@ -53,15 +53,15 @@ class Proportion(NamedTuple):
     hi: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # containment of the point estimate must survive float rounding at p = 0 or 1
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
@@ -340,7 +340,8 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
 
     Epoch e is row e of the seed's stream (`SeedStream`): a max-min epoch
     reads s_r and r_d (2n words), a random one a relay index floor(u n) per
-    slot (coherence_len words; a short last epoch reads the first ones).
+    slot (min(coherence_len, slots) words, so a run never draws more words
+    than it has slots; a short last epoch reads the first ones).
 
     `constant_within_epochs` is always true for max-min, which picks from
     one draw per epoch; it tells you something only for random selection.
@@ -348,7 +349,7 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     check_at_least("slots", slots, 1, integer=True)
     n, epoch_len = config.n, config.coherence_len
     maxmin = protocol.kind == "optimal-maxmin"
-    words = 2 * n if maxmin else epoch_len
+    words = 2 * n if maxmin else min(epoch_len, slots)
     epochs = (slots + epoch_len - 1) // epoch_len
     stream = SeedStream(seed)
     counts = np.zeros(n, dtype=np.int64)
@@ -362,7 +363,7 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
             np.add.at(counts, select_relay_optimal(u[:, :n], u[:, n:]), in_epoch)
         else:
             picks = (u * n).astype(np.intp)
-            drawn = np.arange(epoch_len) < in_epoch[:, None]
+            drawn = np.arange(words) < in_epoch[:, None]
             counts += np.bincount(picks[drawn], minlength=n)
             constant = constant and bool(np.all((picks == picks[:, :1]) | ~drawn))
     return LoadBalanceStats(selection_counts=tuple(counts.tolist()),

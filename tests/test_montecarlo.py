@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: estimates vs exact oracles, merging, search, load balance."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -334,6 +335,21 @@ class TestLoadBalance:
         for kind in ("optimal-maxmin", "random-uniform"):
             st = load_balance(cfg, ProtocolChoice(kind=kind), 12_000, 54)
             assert stats.chisquare(st.selection_counts).pvalue > 0.001
+
+    def test_long_coherence_draws_only_the_slots(self):
+        # one epoch covers the run, so it reads one word per slot however
+        # long the epoch is, and the same words
+        proto = ProtocolChoice(kind="random-uniform")
+        want = load_balance(replace(self.CFG, coherence_len=500), proto, 500, 56)
+        tracemalloc.start()
+        try:
+            got = load_balance(replace(self.CFG, coherence_len=10 ** 6), proto, 500, 56)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.selection_counts, got.epochs) == (want.selection_counts, 1)
+        assert got.constant_within_epochs == want.constant_within_epochs
+        assert peak < 1 << 20
 
     def test_jain_close_to_one_for_random(self):
         proto = ProtocolChoice(kind="random-uniform")
