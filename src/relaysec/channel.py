@@ -161,6 +161,7 @@ class ScenarioConfig:
         check_positive("gamma_r", self.gamma_r)
         check_positive("gamma_e", self.gamma_e)
         check_positive("es", self.es)
+        check_at_least("es", self.es, 0, finite=True)  # else every jammed SINR is inf/inf
         check_at_least("n0", self.n0, 0)
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}")

@@ -192,6 +192,14 @@ class TestSimulate:
             main(["simulate", "--config", str(path)])
         assert err.value.code == EXIT_USAGE
 
+    def test_infinite_es_usage_error(self, capsys):
+        # an infinite Es would make every jammed SINR inf/inf = NaN
+        with pytest.raises(SystemExit) as err:
+            main(SIM_ARGS + ["--es", "inf"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "es must be finite" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_fewer_than_one_worker_usage_error(self, capsys, workers):
         with pytest.raises(SystemExit) as err:
