@@ -422,11 +422,11 @@ class TestScenarioConfig:
         {"n": 1, "m": 0, "gamma_r": 0.0, "gamma_e": 1.0},
         {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": -2.0},
         {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "es": 0.0},
-        {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "es": math.inf},
         {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "n0": -0.1},
         {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "noise_mode": "thermal"},
         {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "coherence_len": 0},
         {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "eps_s": 1.5},
+        {"n": 1, "m": 0, "gamma_r": 1.0, "gamma_e": 1.0, "es": math.inf},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
