@@ -646,6 +646,9 @@ class TestParser:
 # Each byte follows from the kernel's counts, so a kernel change that moves a
 # count, or the last bit of a proportion, fails here.
 PIN_SIM = "simulate --n 11 --m 2 --gamma-r 1 --gamma-e 1 --trials 2000 --seed 7 --format csv"
+PIN_LB = ("sweep --param n --values 21,41,61,81,101 --outputs bounds --load-balance-slots 2000"
+          " --coherence-len 100 --m 4 --gamma-r 1 --gamma-e 2 --eps-s 0.5 --eps-t 0.5"
+          " --seed 7003 --format csv --protocol ")
 PINNED_STDOUT = {
     (PIN_SIM + ' --protocol optimal --legs shared'):
         RESULT_FIELDS + "\n"
@@ -717,6 +720,30 @@ PINNED_STDOUT = {
           '0.13670765691270592,0.18190984589141379,0.16,0.13858526208349012,'
           '0.1840169336866874,0.29399999999999998,0.26659400902031272,0.32298261547573592,'
           '0.158,0.13670765691270592,0.18190984589141379,,ok\n',
+    (PIN_LB + 'optimal'):
+        SWEEP_HEADER + "\n"
+        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
+        + '41,3.2169761574015059,17.505464911831581,0.06133260414943742,0.093082435276475847,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.3048780487804878,ok\n'
+        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.27322404371584702,ok\n'
+        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.13717421124828533,ok\n'
+        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.15232292460015232,ok\n',
+    (PIN_LB + 'random'):
+        SWEEP_HEADER + "\n"
+        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.99224953885202682,ok\n'
+        + '41,3.2169761574015059,17.505464911831581,0.06133260414943742,0.093082435276475847,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.98323969613960427,ok\n'
+        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.97754577358084793,ok\n'
+        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.96847844772274394,ok\n'
+        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.95601700371842813,ok\n',
     ('tolerance --n 11 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.75 --tau 0.3'
      ' --trials 500 --seed 5 --m-cap 6'):
         '{\n'

@@ -355,3 +355,13 @@ class TestLoadBalance:
         proto = ProtocolChoice(kind="random-uniform")
         st = load_balance(replace(self.CFG, coherence_len=1), proto, 20_000, 55)
         assert st.jain_index > 0.99
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    @pytest.mark.parametrize("slots", [997, 1000, 3])
+    def test_fairness_fields_match_the_counts(self, kind, slots):
+        # 997 and 3 end in a short last epoch; the fields are bit for bit the
+        # module functions of the counts
+        st = load_balance(self.CFG, ProtocolChoice(kind=kind), slots, 57)
+        assert sum(st.selection_counts) == slots
+        assert st.jain_index.hex() == jain_index(st.selection_counts).hex()
+        assert st.entropy.hex() == selection_entropy(st.selection_counts).hex()
