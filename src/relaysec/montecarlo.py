@@ -299,20 +299,27 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
 def jain_index(counts) -> float:
     """Jain fairness (sum c)^2 / (n sum c^2): 1 when balanced, 1/n when concentrated."""
     c = np.asarray(counts, dtype=float)
-    total_sq = c.sum() ** 2
+    return _jain(c, c.sum())
+
+
+def _jain(c: np.ndarray, total) -> float:
+    total_sq = total ** 2
     if total_sq == 0.0:
         return 1.0
-    return float(total_sq / (c.size * np.sum(c * c)))
+    return float(total_sq / (c.size * (c * c).sum()))
 
 
 def selection_entropy(counts) -> float:
     """Entropy in nats of the empirical selection distribution."""
     c = np.asarray(counts, dtype=float)
-    total = c.sum()
+    return _entropy(c, c.sum())
+
+
+def _entropy(c: np.ndarray, total) -> float:
     if total == 0.0:
         return 0.0
     p = c[c > 0] / total
-    return float(-np.sum(p * np.log(p)))
+    return float(-(p * np.log(p)).sum())
 
 
 @dataclass(frozen=True)
@@ -339,9 +346,9 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     rotating. Only selection is simulated; no jamming threshold is needed.
 
     Epoch e is row e of the seed's stream (`SeedStream`): a max-min epoch
-    reads s_r and r_d (2n words), a random one a relay index floor(u n) per
-    slot (min(coherence_len, slots) words, so a run never draws more words
-    than it has slots; a short last epoch reads the first ones).
+    reads s_r and r_d (2n words) and counts its relay once a slot, a random
+    one a relay index floor(u n) a slot (min(coherence_len, slots) words).
+    A block of epochs is one bincount; a short last epoch counts its slots only.
 
     `constant_within_epochs` is always true for max-min, which picks from
     one draw per epoch; it tells you something only for random selection.
@@ -349,25 +356,28 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     check_at_least("slots", slots, 1, integer=True)
     n, epoch_len = config.n, config.coherence_len
     maxmin = protocol.kind == "optimal-maxmin"
-    words = 2 * n if maxmin else min(epoch_len, slots)
+    span = min(epoch_len, slots)  # the slots of each epoch but a short last one
+    words = 2 * n if maxmin else span
     epochs = (slots + epoch_len - 1) // epoch_len
     stream = SeedStream(seed)
     counts = np.zeros(n, dtype=np.int64)
     constant = True
     size = max(1, _BLOCK_WORDS // words)
     for lo in range(0, epochs, size):
-        hi = min(lo + size, epochs)
-        in_epoch = np.minimum(epoch_len, slots - np.arange(lo, hi) * epoch_len)
-        u = stream.uniforms(lo, hi, words)
+        u = stream.uniforms(lo, min(lo + size, epochs), words)
         if maxmin:
-            np.add.at(counts, select_relay_optimal(u[:, :n], u[:, n:]), in_epoch)
+            selected = select_relay_optimal(u[:, :n], u[:, n:])
+            counts += span * np.bincount(selected, minlength=n)
         else:
             picks = (u * n).astype(np.intp)
-            drawn = np.arange(words) < in_epoch[:, None]
-            counts += np.bincount(picks[drawn], minlength=n)
-            constant = constant and bool(np.all((picks == picks[:, :1]) | ~drawn))
+            read = slots - lo * span  # the short last epoch's tail is drawn but not read
+            counts += np.bincount(picks.ravel()[:read], minlength=n)
+            constant = constant and bool((picks == picks[:, :1]).ravel()[:read].all())
+    if maxmin:  # the short last epoch lacks the slots past the run
+        counts[selected[-1]] -= epochs * span - slots
+    c = counts.astype(float)
+    total = c.sum()
     return LoadBalanceStats(selection_counts=tuple(counts.tolist()),
-                            jain_index=jain_index(counts),
-                            entropy=selection_entropy(counts),
+                            jain_index=_jain(c, total), entropy=_entropy(c, total),
                             slots=slots, epochs=epochs, coherence_len=epoch_len,
                             constant_within_epochs=constant, seed=seed)

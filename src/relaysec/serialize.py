@@ -8,26 +8,22 @@ identity. Dict keys are emitted sorted for the same reason.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 
 def _fmt_float(x: float) -> str:
+    if math.isfinite(x):
+        return format(x, ".17g")
     if math.isnan(x):
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     """Serialize to JSON with deterministic float formatting and sorted keys."""
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -37,15 +33,19 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    pad = " " * (indent * (_level + 1)) if indent else ""
+    end_pad = " " * (indent * _level) if indent else ""
+    sep = ",\n" if indent else ", "
+    nl = "\n" if indent else ""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}{json.dumps(str(k))}: {dumps(obj[k], indent, _level + 1)}'
+        items = [f"{pad}{encode_basestring_ascii(str(k))}: {dumps(obj[k], indent, _level + 1)}"
                  for k in sorted(obj, key=str)]
         return "{" + nl + sep.join(items) + nl + end_pad + "}"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -54,25 +54,33 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def csv_cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits, None as an empty cell.
-
-    Text holding a comma, quote or newline is quoted, its quotes doubled (RFC 4180).
-    """
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    text = str(value)
+def _text_cell(text: str) -> str:
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+_CELLS = {type(None): lambda _: "", bool: lambda v: "true" if v else "false",
+          float: _fmt_float, int: str, str: _text_cell}
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: floats at 17 significant digits, None as an empty cell.
+
+    Text holding a comma, quote or newline is quoted, its quotes doubled (RFC 4180).
+    """
+    fmt = _CELLS.get(type(value))
+    if fmt is not None:
+        return fmt(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return _fmt_float(float(value))
+    return _text_cell(str(value))
+
+
 def csv_line(values) -> str:
-    return ",".join(csv_cell(v) for v in values)
+    return ",".join([_CELLS.get(type(v), csv_cell)(v) for v in values])
 
 
 def write_csv(path: str, header: list[str], rows: list[list], append: bool = False) -> None:
