@@ -298,9 +298,10 @@ def sinr_many(signal_gains: np.ndarray, interference_sums: np.ndarray,
               config: ScenarioConfig) -> np.ndarray:
     """Elementwise SINR from signal gains and interference sums.
 
-    The N0/2 term is dropped in interference-limited mode. A zero
-    denominator yields +inf, which counts as above any finite threshold.
+    g / (I + N0/2 / Es), so a huge Es cannot make inf/inf; N0/2 is dropped when
+    interference-limited. A zero denominator or an overflow gives +inf, above any threshold.
     """
-    denom = config.es * interference_sums + config.noise_term
+    denom = interference_sums + config.noise_term / config.es
     out = np.full(denom.shape, math.inf)
-    return np.divide(config.es * signal_gains, denom, out=out, where=denom > 0.0)
+    with np.errstate(over="ignore"):
+        return np.divide(signal_gains, denom, out=out, where=denom > 0.0)

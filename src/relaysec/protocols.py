@@ -163,16 +163,17 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: Scenario
 
     Given trial t's jammer counts (K1, K2) = `jammers[t]` and, with shared
     legs, k = `both[t]` = |J1 & J2|, with nu = exp(-gamma_e N0/2 / Es) (1
-    when interference-limited) and q = 1 / (1 + gamma_e): A = nu q^K1,
-    B = nu q^K2, and with shared legs, where the k jammers both sets hold
-    reach the eavesdropper over the same gain,
+    when interference-limited, 0 at gamma_e = inf) and q = 1 / (1 + gamma_e):
+    A = nu q^K1, B = nu q^K2, and with shared legs, where the k jammers both
+    sets hold reach the eavesdropper over the same gain,
     C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
     C = A B, and `both` is None. An SINR Es g / (Es I + N0/2) reaches
     gamma_e iff g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent
     of I. The powers come from `_law_powers`.
     """
-    nu = math.exp(-config.gamma_e * config.noise_term / config.es)
-    ab, *joint = _law_powers(config.n, config.gamma_e, nu, both is not None)
+    ge = config.gamma_e  # inf: no eavesdropper decodes, in either noise mode
+    nu = 0.0 if math.isinf(ge) else math.exp(-ge * config.noise_term / config.es)
+    ab, *joint = _law_powers(config.n, ge, nu, both is not None)
     k1, k2 = jammers.T
     a, b = ab[k1], ab[k2]
     if both is None:

@@ -200,6 +200,14 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert "es must be finite" in captured.err and captured.out == ""
 
+    def test_infinite_gamma_e_no_secrecy_outage(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "11", "--m", "2", "--gamma-r", "1",
+                               "--gamma-e", "inf", "--noise-mode", "interference-limited",
+                               "--trials", "2000", "--format", "csv")
+        assert code == EXIT_OK
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert [row[k] for k in ("p_s_hop1", "p_s_hop2", "p_s_e2e")] == ["0", "0", "0"]
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_fewer_than_one_worker_usage_error(self, capsys, workers):
         with pytest.raises(SystemExit) as err:

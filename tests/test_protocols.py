@@ -297,6 +297,16 @@ class TestExecuteTwoHop:
         assert [p.tolist() for p in law] == [[1.0], [1.0], [1.0]]
         assert rec.intercepts.tolist() == [[1, 1]]
 
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("noise_mode", ["exact", "interference-limited"])
+    def test_infinite_gamma_e_decodes_nothing(self, noise_mode, shared):
+        # no eavesdropper decodes at gamma_e = inf in either noise mode; the
+        # interference-limited law was exp(-inf * 0) = NaN
+        cfg = ScenarioConfig(n=5, m=3, gamma_r=1.0, gamma_e=math.inf, noise_mode=noise_mode)
+        jammers = np.array([[0, 0], [2, 1], [4, 4]])
+        law = intercept_law(jammers, np.array([0, 1, 4]) if shared else None, cfg)
+        assert [p.tolist() for p in law] == [[0.0] * 3] * 3
+
     def test_independent_legs_hop2_gains(self):
         # hop 2 quantities must come from hop 2's own r_d
         real = self.hand_case(r_d2=[0.9, 4.0])

@@ -43,9 +43,10 @@ def interference(gains, jam):
 
 
 def sinr(signal, interference_sum, config):
-    """Es g / (Es I + N0/2), and +inf where that denominator is 0."""
-    denom = config.es * interference_sum + config.noise_term
-    return config.es * signal / denom if denom > 0.0 else math.inf
+    """g / (I + N0/2 / Es), and +inf where that denominator is 0 or the quotient overflows."""
+    denom = interference_sum + config.noise_term / config.es
+    with np.errstate(over="ignore"):
+        return signal / denom if denom > 0.0 else math.inf
 
 
 def with_relay(others, sel, value):
