@@ -298,8 +298,8 @@ def sinr_many(signal_gains: np.ndarray, interference_sums: np.ndarray,
               config: ScenarioConfig) -> np.ndarray:
     """Elementwise SINR from signal gains and interference sums.
 
-    g / (I + N0/2 / Es), so a huge Es cannot make inf/inf; N0/2 is dropped when
-    interference-limited. A zero denominator or an overflow gives +inf, above any threshold.
+    g / (I + N0/2 / Es), N0/2 dropped when interference-limited, so a huge Es cannot
+    make inf/inf. A zero denominator or an overflow gives +inf, above any finite threshold.
     """
     denom = interference_sums + config.noise_term / config.es
     out = np.full(denom.shape, math.inf)

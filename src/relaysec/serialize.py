@@ -72,7 +72,7 @@ def csv_cell(value) -> str:
     fmt = _CELLS.get(type(value))
     if fmt is not None:
         return fmt(value)
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
