@@ -384,8 +384,8 @@ class TestSinr:
         assert sinr_one(2.0, [1.0], cfg) == pytest.approx(8.0 / 4.5)
 
     def test_huge_es_overflows_to_inf(self):
-        # Es g / (Es I + N0/2) was inf/inf = NaN at Es = 1e308; an SINR past
-        # the largest float is +inf, with no overflow warning
+        # Es g / (Es I + N0/2) would be inf/inf = NaN at Es = 1e308; an SINR
+        # past the largest float is +inf, with no overflow warning
         cfg = ScenarioConfig(n=2, m=0, gamma_r=1.0, gamma_e=1.0, es=1e308, n0=1.0)
         got = sinr_many(np.array([2.0, 2.0]), np.array([0.0, 1.0]), cfg)
         assert got.tolist() == [math.inf, 2.0]

@@ -42,8 +42,8 @@ class TestWilsonInterval:
 class TestHugeEs:
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
     def test_counts_match_a_smaller_huge_es(self, kind):
-        # Es g / (Es I + N0/2) overflowed to inf/inf = NaN at Es = 1e308, a
-        # transmission outage; g / (I + N0/2 / Es) decodes as at Es = 1e300
+        # at Es = 1e308, Es g and Es I overflow and inf/inf = NaN would count
+        # as an outage; g / (I + N0/2 / Es) decodes as at Es = 1e300
         cfg = ScenarioConfig(n=40, m=2, gamma_r=0.5, gamma_e=1.0)
         proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=1.0)
         got = _run_trials(replace(cfg, es=1e308), proto, 0, 2000, 5, "shared")

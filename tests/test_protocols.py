@@ -300,8 +300,8 @@ class TestExecuteTwoHop:
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("noise_mode", ["exact", "interference-limited"])
     def test_infinite_gamma_e_decodes_nothing(self, noise_mode, shared):
-        # no eavesdropper decodes at gamma_e = inf in either noise mode; the
-        # interference-limited law was exp(-inf * 0) = NaN
+        # no eavesdropper decodes at gamma_e = inf in either noise mode;
+        # interference-limited, exp(-gamma_e N0/2 / Es) would be exp(-inf * 0) = NaN
         cfg = ScenarioConfig(n=5, m=3, gamma_r=1.0, gamma_e=math.inf, noise_mode=noise_mode)
         jammers = np.array([[0, 0], [2, 1], [4, 4]])
         law = intercept_law(jammers, np.array([0, 1, 4]) if shared else None, cfg)
