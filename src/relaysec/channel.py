@@ -10,15 +10,16 @@ nothing ever measures them. One realization spans both hops of a
 transmission.
 
 Only the legitimate gains a transmission reads are drawn, and no
-eavesdropper gain at all (stream layout 3): each eavesdropper draws one
+eavesdropper gain at all (stream layout 4): each eavesdropper draws one
 uniform that decides both of its hops (`protocols.execute_two_hop`). Every
-draw of a run comes from one counter-based Philox stream per seed
-(`SeedStream`); trial t owns a fixed range of its 64-bit words, so any range
-of trials is drawn with one call: `sample_realization` gives a block's
-uniforms, and its `Layout` where each field lies among them. A gain
--log1p(-u) increases with its uniform u, so thresholds (`_uniform_threshold`)
-and maxima are decided on the uniforms, and only the gains an SINR reads are
-computed (`gain`). `trial_rng` serves test inputs only.
+draw of a run comes from one PCG64DXSM stream per seed (`SeedStream`);
+trial t owns a fixed range of its 64-bit words, and the generator advances
+to any word, so any range of trials is drawn with one call:
+`sample_realization` gives a block's uniforms, and its `Layout` where each
+field lies among them. A gain -log1p(-u) increases with its uniform u, so
+thresholds (`_uniform_threshold`) and maxima are decided on the uniforms,
+and only the gains an SINR reads are computed (`gain`). `trial_rng`, a
+keyed Philox, serves test inputs only.
 """
 
 from __future__ import annotations
@@ -36,22 +37,7 @@ from .bounds import check_at_least, check_positive, check_unit
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
-_LAYOUT = 3  # the stream layout, also the high word of every run's Philox key
-
-
-def _philox_state(key: tuple[int, int], counter: int) -> dict:
-    """Philox state with `key` (low word first) and `counter`, its output buffer empty."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": np.array([counter & _MASK64, (counter >> 64) & _MASK64, 0, 0],
-                                          dtype=np.uint64),
-                      "key": np.array([k & _MASK64 for k in key], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _fresh_philox() -> np.random.Philox:
-    # a fixed seed reads no OS entropy; callers overwrite the whole state
-    return np.random.Philox(0)
+_LAYOUT = 4  # the stream layout, also the second entropy word of every run's seed sequence
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -61,9 +47,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     for any caller and call order. It serves test inputs only: no library
     code calls it, and every run reads `SeedStream`.
     """
-    bits = _fresh_philox()
-    bits.state = _philox_state((trial, seed), 0)
-    return np.random.Generator(bits)
+    key = (int(trial) & _MASK64) | (int(seed) & _MASK64) << 64
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def gain(u) -> np.ndarray:
@@ -89,39 +74,46 @@ def _uniform_threshold(tau: float) -> float:
     return k / top
 
 
-# one Philox generator per thread, re-keyed by every draw: building one costs
-# more than a small draw, and a generator must not be shared between threads
+# one PCG64DXSM generator per thread, re-stated by every draw: building one
+# costs more than a small draw, and a generator must not be shared between threads
 _held = threading.local()
 
 
 def _thread_generator() -> np.random.Generator:
-    """The calling thread's generator, built on the thread's first draw.
+    """The calling thread's PCG64DXSM generator, built on the thread's first draw.
 
     Not at import: numpy loads numpy.random only when it is first used.
     """
     try:
         return _held.gen
     except AttributeError:
-        _held.gen = np.random.Generator(_fresh_philox())
+        # a fixed seed reads no OS entropy; every draw overwrites the whole state
+        _held.gen = np.random.Generator(np.random.PCG64DXSM(0))
         return _held.gen
 
 
+@functools.lru_cache(maxsize=256)
+def _base_state(seed: int) -> dict:
+    """PCG64DXSM's state at word 0 of the stream of `seed`, in [0, 2**64); read-only."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, _LAYOUT])).state
+
+
 class SeedStream:
-    """The random stream of one seed: one Philox key, read by word offset.
+    """The random stream of one seed: PCG64DXSM (O'Neill 2014), read by word offset.
 
-    The Philox key is [seed mod 2**64, 3] (low word first; 3 is the stream
-    layout). Rows of a table that read `words` words each are W =
-    `words` rounded up to a multiple of 4 apart: row r owns words
-    [r W, (r + 1) W), which start at Philox counter r W / 4. So any range of
-    rows is drawn by setting the counter and making one call.
+    Word 0 is the state of PCG64DXSM seeded by SeedSequence([seed mod 2**64,
+    4]) (4 is the stream layout). A table whose rows read `words` words each
+    has row width W = `words`, no padding: row r owns words [r W, (r + 1) W).
+    So any range of rows is drawn by setting the base state, advancing it
+    r W words and making one call.
 
-    A stream holds only its key. Every draw sets the calling thread's Philox
-    to that key and counter, so streams are cheap to make and any thread may
-    draw from any stream.
+    A stream holds only its seed. Every draw sets the calling thread's
+    generator to the base state and advances it, so streams are cheap to
+    make and any thread may draw from any stream.
     """
 
     def __init__(self, seed: int):
-        self._key = (seed, _LAYOUT)
+        self._seed = int(seed) & _MASK64
 
     def uniforms(self, lo: int, hi: int, words: int) -> np.ndarray:
         """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi).
@@ -129,10 +121,11 @@ class SeedStream:
         numpy's `Generator.random` makes exactly that double of each 64-bit
         word x, one word each.
         """
-        width = -(-words // 4) * 4
         gen = _thread_generator()
-        gen.bit_generator.state = _philox_state(self._key, lo * width // 4)
-        return gen.random((hi - lo) * width).reshape(hi - lo, width)[:, :words]
+        bits = gen.bit_generator
+        bits.state = _base_state(self._seed)
+        bits.advance(int(lo) * words)  # a Python int: the offset passes 2**64 far in
+        return gen.random((hi - lo) * words).reshape(hi - lo, words)
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,7 @@ class ScenarioConfig:
 
 
 class Layout(NamedTuple):
-    """Where a trial's fields lie among its words (stream layout 3; see ChannelRealization).
+    """Where a trial's fields lie among its words (stream layout 4; see ChannelRealization).
 
     Cached per (n, m, rule, leg mode) and shared by every block, so its arrays are read-only.
     """
@@ -212,12 +205,12 @@ def _layout(n: int, m: int, maxmin: bool, independent: bool) -> Layout:
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
-    """W, the 64-bit words one trial owns: what it reads, rounded up to a multiple of 4.
+    """W, the 64-bit words one trial owns: the words it reads.
 
     Random selection reads 2n + 1 + m words and max-min 3n - 1 + m;
     independent legs add n for hop 2.
     """
-    return -(-_layout(config.n, config.m, maxmin, independent).fields["eve"].stop // 4) * 4
+    return _layout(config.n, config.m, maxmin, independent).fields["eve"].stop
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,

@@ -1,8 +1,8 @@
 """Replicated-trial estimation of outage probabilities and load-balance statistics.
 
 Trials are embarrassingly parallel: trial t reads a fixed range of words of
-the seed's counter-based stream (stream layout 3, see
-`channel.sample_realization`), so a run can be split across any number of
+the seed's PCG64DXSM stream, reached by advancing the generator (stream
+layout 4, see `channel.SeedStream`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
 single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_at_least, check_unit
+from .bounds import check_at_least, check_integer, check_unit
 from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
 from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
@@ -163,8 +163,9 @@ class OutageEstimate:
 _TRIAL_LIMIT = 1 << 63
 
 
-def _check_run(trials: int, legs: str, workers: int, trial_start: int = 0) -> None:
+def _check_run(trials: int, seed: int, legs: str, workers: int, trial_start: int = 0) -> None:
     check_at_least("trials", trials, 1, integer=True)
+    check_integer("seed", seed)  # any integer: the stream reads it mod 2**64
     check_at_least("trial_start", trial_start, 0, integer=True)
     end = int(trial_start) + int(trials)  # numpy integers would wrap
     if end > _TRIAL_LIMIT:
@@ -209,7 +210,7 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     the same words of the seed's stream, and workers only partition the
     trial range, by integer arithmetic.
     """
-    _check_run(trials, legs, workers, trial_start)
+    _check_run(trials, seed, legs, workers, trial_start)
     if workers > 1:
         resolve_tau(protocol, config)  # an infeasible tau policy fails before any worker starts
     with _pool(workers, trials) as pool:
@@ -265,7 +266,7 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
     """
     check_at_least("m_cap", m_cap, 1, integer=True)
     check_unit("eps_s", eps_s)
-    _check_run(trials, legs, workers)
+    _check_run(trials, seed, legs, workers)
     frozen = ProtocolChoice(kind=protocol.kind, tau_policy="manual",
                             tau=resolve_tau(protocol, config))
     probes: list[tuple[int, float]] = []
@@ -354,6 +355,7 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     one draw per epoch; it tells you something only for random selection.
     """
     check_at_least("slots", slots, 1, integer=True)
+    check_integer("seed", seed)
     n, epoch_len = config.n, config.coherence_len
     maxmin = protocol.kind == "optimal-maxmin"
     span = min(epoch_len, slots)  # the slots of each epoch but a short last one

@@ -93,48 +93,84 @@ def condensed_pairs(n):
 M64 = (1 << 64) - 1
 
 
-def philox_reference(seed, first_word, words):
-    """Uniforms of `words` words of seed's stream from `first_word` on, from a fresh Philox."""
-    bits = np.random.Philox(key=(seed & M64) | (3 << 64), counter=first_word // 4)
-    return (bits.random_raw(words) >> np.uint64(11)) * 2.0 ** -53
+def fresh_stream(seed):
+    """A fresh PCG64DXSM at word 0 of seed's stream (layout 4)."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, 4]))
+
+
+def as_uniforms(raw):
+    """(x >> 11) * 2**-53 of each 64-bit word x."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
+
+
+def stream_reference(seed, first_word, words):
+    """Uniforms of `words` words of seed's stream from `first_word` on, from a fresh generator."""
+    bits = fresh_stream(seed)
+    bits.advance(first_word)
+    return as_uniforms(bits.random_raw(words))
 
 
 def trial_reference(cfg, seed, trial, maxmin, independent):
     """Trial's W words as uniforms, and W."""
     width = trial_words(cfg, maxmin=maxmin, independent=independent)
-    return philox_reference(seed, trial * width, width), width
+    return stream_reference(seed, trial * width, width), width
 
 
 class TestTrialStreams:
-    """One held Philox per thread, repositioned for every draw: it reads like a fresh one."""
+    """One held generator per thread, repositioned for every draw: it reads like a fresh one."""
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
     @pytest.mark.parametrize("trial", [0, 5, 2**40 + 3])
     def test_rekeyed_equals_fresh_philox(self, seed, trial):
         stream = SeedStream(seed)
-        stream.uniforms(trial + 1, trial + 3, 12)  # the held Philox moves on
+        stream.uniforms(trial + 1, trial + 3, 12)  # the held generator moves on
         got = stream.uniforms(trial, trial + 2, 12)
-        assert np.array_equal(got.ravel(), philox_reference(seed, trial * 12, 24))
+        assert np.array_equal(got.ravel(), stream_reference(seed, trial * 12, 24))
 
     @pytest.mark.parametrize("leftover", [
         lambda rng: rng.integers(0, 11),  # leaves half a 64-bit word buffered
-        lambda rng: rng.standard_exponential(3),  # part of the Philox output block
+        lambda rng: rng.standard_exponential(3),  # a few words of an unrelated draw
     ], ids=["half_word", "partial_exponential"])
     def test_previous_trial_leaves_nothing_behind(self, leftover):
-        # whatever state the held Philox is left in, a draw sets all of it
+        # whatever state the held generator is left in, a draw sets all of it
         stream = SeedStream(7)
         stream.uniforms(4, 5, 8)
         leftover(_thread_generator())
-        assert np.array_equal(stream.uniforms(5, 6, 8)[0], philox_reference(7, 40, 8))
+        assert np.array_equal(stream.uniforms(5, 6, 8)[0], stream_reference(7, 40, 8))
 
     def test_out_of_order_reuse(self):
         stream = SeedStream(-3)
         for row in (5, 0, 5):
             got = stream.uniforms(row, row + 1, 6)[0]
-            assert np.array_equal(got, philox_reference(-3, row * 8, 8)[:6])
+            assert np.array_equal(got, stream_reference(-3, row * 6, 6))
+
+    def test_far_into_the_stream(self):
+        # rows [2**63 - 2, 2**63) of a 3,010-word table start about 2**74.6
+        # words in: an offset computed in 64-bit arithmetic would wrap
+        lo, words = 2 ** 63 - 2, 3010
+        got = SeedStream(9).uniforms(lo, lo + 2, words)
+        assert np.array_equal(got.ravel(), stream_reference(9, lo * words, 2 * words))
+
+    @pytest.mark.parametrize("lo", [0, 3, 2 ** 62 + 1])
+    def test_split_rows_stack(self, lo):
+        stream = SeedStream(13)
+        for words in (1, 5, 12):
+            whole = stream.uniforms(lo, lo + 7, words)
+            for mid in (lo + 1, lo + 4):
+                parts = np.vstack((stream.uniforms(lo, mid, words),
+                                   stream.uniforms(mid, lo + 7, words)))
+                assert np.array_equal(whole, parts)
+
+    def test_rows_are_one_sequential_read(self):
+        # no advance on the reference side: one read from word 0 holds every row
+        raw = as_uniforms(fresh_stream(-3).random_raw(400))
+        stream = SeedStream(-3)
+        for lo, hi, words in ((0, 1, 7), (2, 5, 7), (10, 13, 11), (39, 40, 10)):
+            assert np.array_equal(stream.uniforms(lo, hi, words).ravel(),
+                                  raw[lo * words:hi * words])
 
     def test_interleaved_streams_draw_what_each_draws_alone(self):
-        # streams share their thread's Philox, so each draw must set all of it
+        # streams share their thread's generator, so each draw must set all of it
         rows = [(3, 5), (0, 1), (3, 5), (9, 12)]
         alone = {seed: [SeedStream(seed).uniforms(lo, hi, 7) for lo, hi in rows]
                  for seed in (11, 12)}
@@ -154,10 +190,10 @@ class TestTrialStreams:
         assert np.array_equal(got[0], want)
 
     def test_concurrent_threads_match_main_thread(self):
-        # more threads than cores re-key their own Philox in a loop, one
+        # more threads than cores re-state their own generator in a loop, one
         # stream shared by all and one each, with thread switches forced
-        # often; a Philox shared across threads would hand one thread's
-        # counter to another
+        # often; a generator shared across threads would hand one thread's
+        # state to another
         shared = SeedStream(5)
         plans = [(SeedStream(30 + i), [(r, r + 2 + i) for r in range(7 * i, 200, 5 + i)])
                  for i in range(4)]
@@ -211,16 +247,16 @@ class TestSampleRealization:
                 assert np.array_equal(real["r_d2"], real["r_d"])
             used = np.concatenate(head + [real["eve"][0]])
             assert np.array_equal(used, u[:len(used)])
-            assert width - 4 < len(used) <= width
+            assert len(used) == width
 
     def test_pair_enumeration_n2_m1(self):
         # one gain per legitimate link read: S-R (both under max-min, the
         # relay's under random), the relay pair, R0-D, R1-D; one uniform for E0
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        assert trial_words(cfg, maxmin=True, independent=False) == 8   # 6 words read
-        assert trial_words(cfg, maxmin=False, independent=False) == 8  # 6
-        assert trial_words(cfg, maxmin=True, independent=True) == 8    # 8
-        assert trial_words(cfg, maxmin=False, independent=True) == 8   # 8
+        assert trial_words(cfg, maxmin=True, independent=False) == 6   # the words read
+        assert trial_words(cfg, maxmin=False, independent=False) == 6
+        assert trial_words(cfg, maxmin=True, independent=True) == 8
+        assert trial_words(cfg, maxmin=False, independent=True) == 8
         real = sample_block(cfg, 1, 1)
         assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 2), (1, 1), (1, 2))
         assert real["eve"].shape == (1, 1)

@@ -259,11 +259,11 @@ class TestSweep:
         assert rows[1]["m_max_t3"] != ""          # bounds still evaluated
 
     def test_rerun_reproduces_identical_csv(self, capsys, tmp_path):
-        path = str(tmp_path / "sweep.csv")
-        run_cli(capsys, *self.BASE, "--out", path)
-        first = open(path, "rb").read()
-        run_cli(capsys, *self.BASE, "--out", path)
-        assert open(path, "rb").read() == first
+        path = tmp_path / "sweep.csv"
+        run_cli(capsys, *self.BASE, "--out", str(path))
+        first = path.read_bytes()
+        run_cli(capsys, *self.BASE, "--out", str(path))
+        assert path.read_bytes() == first
 
     def test_tau_grid_trend(self, capsys):
         argv = ["sweep", "--param", "tau", "--values", "0.05,0.2,0.4,0.8",
@@ -407,13 +407,13 @@ ROW_FIELDS = ["name", "passed", "observed", "expected", "tolerance", "detail"]
 # the jammer, intercept and leg rows of `validate --quick --trials 4000` as
 # they were when five estimate_outage calls made them
 ESTIMATE_ROWS_QUICK_4000 = [
-    "PASS jammer_count(n=11, tau=0.1): observed=0.9485 expected=0.951626 tol=0.0441 "
+    "PASS jammer_count(n=11, tau=0.1): observed=0.95475 expected=0.951626 tol=0.044 "
     "trials=4000",
-    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.621 expected=0.614157 tol=0.0301 "
-    "wilson=[0.60586, 0.63591] trials=4000",
-    "PASS leg_combining(t, independent legs): observed=0.49 expected=0.488426 tol=0.021 "
+    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.61125 expected=0.614157 tol=0.0302 "
+    "wilson=[0.59604, 0.62624] trials=4000",
+    "PASS leg_combining(t, independent legs): observed=0.493 expected=0.490566 tol=0.021 "
     "trials=4000",
-    "PASS leg_combining(s, independent legs): observed=0.44125 expected=0.43788 tol=0.021 "
+    "PASS leg_combining(s, independent legs): observed=0.452 expected=0.456465 tol=0.021 "
     "trials=4000",
 ]
 
@@ -660,98 +660,93 @@ PIN_LB = ("sweep --param n --values 21,41,61,81,101 --outputs bounds --load-bala
 PINNED_STDOUT = {
     (PIN_SIM + ' --protocol optimal --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.016,0.011356235350080627,0.022499466418172211,0.0235,'
-          '0.017718224361690932,0.031108721697343113,0.036499999999999998,'
-          '0.029129752280474791,0.045647350549246665,0.438,0.41639544059021155,'
-          '0.45984227327266375,0.42599999999999999,0.40449043674001361,0.44779328625761172,'
-          '0.66800000000000004,0.64705613198846557,0.68829974012503348,0.27625,'
-          '0.2626128423751577,0.29031650849698376,1.5385,0.13804994412986657,'
-          '0.038363300152423563\n',
+        + '2000,7,shared,0.017500000000000002,0.012609752959581211,0.024240197666827872,'
+          '0.021000000000000001,0.015573520825817387,0.028263010469622922,0.036999999999999998,'
+          '0.029575304829629133,0.046199880952811072,0.45300000000000001,0.43129479940969079,'
+          '0.47488540303474697,0.40749999999999997,0.38616243599921474,0.42919221774781691,'
+          '0.68700000000000006,0.66633503271297578,0.7069479916038357,0.28325,0.26949984756702861,'
+          '0.2974160710990571,1.544,0.060235415933574024,-0.045370587781995687\n',
     (PIN_SIM + ' --protocol optimal --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.019,0.013873784918301425,0.025970414566263898,'
-          '0.45250000000000001,0.4307978320303002,0.47438428746141881,0.46350000000000002,'
-          '0.44173622013902708,0.48540372431250428,0.44600000000000001,0.42433927402485516,'
-          '0.46786776708152011,0.46750000000000003,0.44571646184835706,0.48940814622492429,'
-          '0.70499999999999996,0.68463571708782567,0.72457829352686054,0.27925,'
-          '0.26556390268850066,0.29335969152390257,1.5089999999999999,'
-          '-0.0087927606631585629,-2.0160304108945979e-05\n',
+        + '2000,7,independent,0.016500000000000001,0.011772823607253371,0.023080961113718216,'
+          '0.435,0.4134179772264211,0.45683123892014171,0.44600000000000001,0.42433927402485516,'
+          '0.46786776708152011,0.439,0.41738810737257864,0.46084577239573415,0.44550000000000001,'
+          '0.42384261733423861,0.46736634081941791,0.6865,0.66582719490916864,0.70645774645492387,'
+          '0.27524999999999999,0.26162932823017415,0.28930194152854671,1.5009999999999999,'
+          '-0.026562229346980725,0.0098336095146400182\n',
     (PIN_SIM + ' --protocol random --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.46350000000000002,0.44173622013902708,0.48540372431250428,'
-          '0.45600000000000002,0.43427706845902697,0.47789163170172316,0.71550000000000002,'
-          '0.6953282241176727,0.73484552850410723,0.4395,0.41788447428718983,'
-          '0.46134748843384171,0.44550000000000001,0.42384261733423861,0.46736634081941791,'
-          '0.69299999999999995,0.67243123221797241,0.71282878753146384,0.27300000000000002,'
-          '0.25941673920276259,0.287018848050762,1.492,-0.029617617289562467,'
-          '-0.015393143328014468\n',
+        + '2000,7,shared,0.46000000000000002,0.43825466491811776,0.48189869886438236,0.4415,'
+          '0.41987016524351045,0.46335412928839609,0.70250000000000001,0.68209176792839177,'
+          '0.7221318279227007,0.443,0.42135966769864153,0.46485887569142126,0.42049999999999998,'
+          '0.39903831657585415,0.44226649394186496,0.67400000000000004,0.65314004677354909,'
+          '0.69419282077257494,0.27424999999999999,0.2606459008817365,0.28828728776356377,1.5265,'
+          '-0.01652610735229652,0.013125453947977947\n',
     (PIN_SIM + ' --protocol random --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.48499999999999999,0.4631465412059797,0.50691097021245779,'
-          '0.46200000000000002,0.44024399279142934,0.48390170280194578,0.71499999999999997,'
-          '0.69481876328675818,0.734356906382303,0.4395,0.41788447428718983,'
-          '0.46134748843384171,0.42849999999999999,0.40696957748848755,0.45030456027273152,'
-          '0.68100000000000005,0.66024277599886327,0.70106325288532323,0.27100000000000002,'
-          '0.25745036501759394,0.28498906000908947,1.5185,0.031826331195830913,'
-          '-0.0053977262740823378\n',
+        + '2000,7,independent,0.47149999999999997,0.44969811087818734,0.49341116081684389,'
+          '0.47149999999999997,0.44969811087818734,0.49341116081684389,0.71999999999999997,'
+          '0.69991471468443001,0.73924178451181866,0.44,0.41838086353972898,0.46184918213402132,'
+          '0.4345,0.41292181173318704,0.45632932146065702,0.67549999999999999,0.65466161980909621,'
+          '0.69566549659518406,0.27124999999999999,0.257696142575635,0.2852428027294035,'
+          '1.5229999999999999,0.002759967133215818,0.031781559672322983\n',
     (PIN_SIM + ' --protocol random --tau-policy manual --tau 0.3'
      ' --noise-mode interference-limited'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.29549999999999998,0.27591094220228768,0.31587313013574464,'
-          '0.29949999999999999,0.27982585908493562,0.31994287687484668,0.51049999999999995,'
-          '0.48859264022788729,0.53236710177920621,0.379,0.35798936076711929,'
-          '0.4004745646749438,0.39900000000000002,0.37775199146451166,0.42063525208630137,'
-          '0.62450000000000006,0.60305745832742974,0.64546519689953841,0.2475,'
-          '0.23437255465387616,0.26111196420742316,2.5714999999999999,'
-          '-0.019150604566520363,0.0095930174897003607\n',
+        + '2000,7,shared,0.28849999999999998,0.26906427669859123,0.30874663430137861,'
+          '0.26950000000000002,0.25050984717313135,0.28937391162352627,0.48299999999999998,'
+          '0.46115317354684554,0.50491200606071696,0.38400000000000001,0.36292647450207105,'
+          '0.40551828046717953,0.39000000000000001,0.36885414285349183,0.41156760754838373,'
+          '0.61850000000000005,0.59700327961081912,0.63954238018352405,0.24224999999999999,'
+          '0.22922396598872993,0.25577062702711117,2.6040000000000001,-0.013683628212246795,'
+          '0.024196842805998167\n',
     ('sweep --param n --values 5,11,21 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.5'
      ' --eps-t 0.5 --trials 1000 --seed 3 --outputs both --format csv'):
         SWEEP_HEADER + "\n"
-        + '5,0.41463655068563265,0.66243771553386033,0.58498956685434367,'
-          '0.29435250562886867,false,0.42599999999999999,0.39569209510456627,'
-          '0.45687426515129592,0.433,0.4026038718810217,0.46390891375604265,'
-          '0.67700000000000005,0.64738722027136164,0.70525810722475202,0.42099999999999999,'
-          '0.39075893140651674,0.45184569643420092,0.40600000000000003,0.37597870513494724,'
-          '0.43674072546033715,0.65300000000000002,0.62296197065708725,0.68186704124633302,'
-          '0.42099999999999999,0.39075893140651674,0.45184569643420092,,infeasible\n'
-        + '11,0.54955791872801785,1.0644405693253089,0.19498783283298055,'
-          '0.18616487055295169,false,0.47999999999999998,0.44917079499694124,'
-          '0.51098227534248097,0.46000000000000002,0.42932142688110647,0.49098471379773795,'
-          '0.72099999999999997,0.69239636603235011,0.7479122067170344,0.25,'
-          '0.2241530989836914,0.27776028025908617,0.26800000000000002,0.24147419135844106,'
-          '0.29630142457885655,0.45700000000000002,0.42634830454476441,0.48798079668499333,'
-          '0.25,0.2241530989836914,0.27776028025908617,,infeasible\n'
-        + '21,0.78021389825906395,1.8165682179300087,0.092748894372067306,'
-          '0.13163844238670797,true,0.48899999999999999,0.45811915212327142,'
-          '0.51996503656341087,0.50700000000000001,0.47604583278568624,0.53790059259551604,'
-          '0.74299999999999999,0.71502221278206823,0.76911798259395203,0.158,'
-          '0.13670765691270592,0.18190984589141379,0.16,0.13858526208349012,'
-          '0.1840169336866874,0.29399999999999998,0.26659400902031272,0.32298261547573592,'
-          '0.158,0.13670765691270592,0.18190984589141379,,ok\n',
+        + '5,0.41463655068563265,0.66243771553386033,0.58498956685434367,0.29435250562886867,'
+          'false,0.437,0.40655624686835734,0.46792592470082262,0.42199999999999999,'
+          '0.39174530864721679,0.45285166567652979,0.67900000000000005,0.64942650622453268,'
+          '0.70720351423763861,0.42999999999999999,0.3996409199186558,0.46089482626932188,'
+          '0.42399999999999999,0.39371844661697741,0.45486322067282692,0.67600000000000005,'
+          '0.64636780328529553,0.7042851777277892,0.42999999999999999,0.3996409199186558,'
+          '0.46089482626932188,,infeasible\n'
+        + '11,0.54955791872801785,1.0644405693253089,0.19498783283298055,0.18616487055295169,'
+          'false,0.47199999999999998,0.44122510067058457,0.50298919780460649,0.46500000000000002,'
+          '0.43427911875069891,0.49598875434329004,0.71699999999999997,0.68829162780550168,'
+          '0.74404755901176733,0.29199999999999998,0.26465769460685978,0.32093423692313111,0.251,'
+          '0.22511381079019804,0.27879191493560834,0.46200000000000002,0.43130413072430196,'
+          '0.49298670292060032,0.29199999999999998,0.26465769460685978,0.32093423692313111,,'
+          'infeasible\n'
+        + '21,0.78021389825906395,1.8165682179300087,0.092748894372067306,0.13163844238670797,'
+          'true,0.46899999999999997,0.438247507417386,0.49998975160871834,0.5,0.46906960036810419,'
+          '0.53093039963189581,0.73199999999999998,0.70369857542114345,0.75852580864155905,0.16,'
+          '0.13858526208349012,0.1840169336866874,0.16500000000000001,0.14328467985555532,'
+          '0.18927924832976667,0.30599999999999999,0.27822543332036392,0.33525934897203141,0.16,'
+          '0.13858526208349012,0.1840169336866874,,ok\n',
     (PIN_LB + 'optimal'):
         SWEEP_HEADER + "\n"
-        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
+        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,,'
+          ',,,,,,,,,,,,,,,,,,,,0.41407867494824019,ok\n'
         + '41,3.2169761574015059,17.505464911831581,0.06133260414943742,0.093082435276475847,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.3048780487804878,ok\n'
-        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.27322404371584702,ok\n'
-        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.13717421124828533,ok\n'
-        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.15232292460015232,ok\n',
+          ',,,,,,,,,,,,,,,,,,,,,0.34843205574912894,ok\n'
+        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.29806259314456035,ok\n'
+        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.20576131687242799,ok\n'
+        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.19801980198019803,ok\n',
     (PIN_LB + 'random'):
         SWEEP_HEADER + "\n"
-        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.99224953885202682,ok\n'
+        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,,'
+          ',,,,,,,,,,,,,,,,,,,,0.98390527747112733,ok\n'
         + '41,3.2169761574015059,17.505464911831581,0.06133260414943742,0.093082435276475847,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.98323969613960427,ok\n'
-        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.97754577358084793,ok\n'
-        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.96847844772274394,ok\n'
-        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.95601700371842813,ok\n',
+          ',,,,,,,,,,,,,,,,,,,,,0.97801567465721773,ok\n'
+        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.96648052251802974,ok\n'
+        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.95836663657395427,ok\n'
+        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.95051025766907316,ok\n',
     ('tolerance --n 11 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.75 --tau 0.3'
      ' --trials 500 --seed 5 --m-cap 6'):
         '{\n'
@@ -777,19 +772,19 @@ PINNED_STDOUT = {
         '    "tau_resolved": 0.29999999999999999\n'
         '  },\n'
         '  "result": {\n'
-        '    "m_max": 4,\n'
+        '    "m_max": 5,\n'
         '    "probes": [\n'
         '      [\n'
         '        1,\n'
-        '        0.29809398056057823\n'
+        '        0.30017396023616227\n'
         '      ],\n'
         '      [\n'
         '        2,\n'
-        '        0.5158042283357841\n'
+        '        0.50382484470693778\n'
         '      ],\n'
         '      [\n'
         '        4,\n'
-        '        0.70401199217295096\n'
+        '        0.67698856408107355\n'
         '      ],\n'
         '      [\n'
         '        6,\n'
@@ -797,7 +792,7 @@ PINNED_STDOUT = {
         '      ],\n'
         '      [\n'
         '        5,\n'
-        '        0.75946339247137484\n'
+        '        0.74042678812156759\n'
         '      ]\n'
         '    ],\n'
         '    "violated_at_m1": false\n'

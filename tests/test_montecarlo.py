@@ -107,6 +107,29 @@ class TestEstimateOutage:
                 estimate_outage(IL, RANDOM_TAU01, 10, 0, workers=workers,
                                 trial_start=trial_start)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", None, True], ids=["float", "str", "none", "bool"])
+    def test_seed_not_an_integer_rejected(self, monkeypatch, seed):
+        # refused up front, not deep in a worker's draw, and a bool is not seed 1
+        def no_pool(workers, trials):
+            raise AssertionError("a pool started for a bad seed")
+
+        monkeypatch.setattr(montecarlo, "_pool", no_pool)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                estimate_outage(IL, RANDOM_TAU01, 10, seed, workers=workers)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                tolerance_search(IL, RANDOM_TAU01, 0.5, 10, m_cap=2, seed=seed, workers=workers)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            load_balance(IL, RANDOM_TAU01, 10, seed)
+
+    def test_seed_read_mod_2_64(self):
+        # negative seeds, seeds past 2**64 and numpy integers name the stream of seed mod 2**64
+        want = estimate_outage(IL, RANDOM_TAU01, 300, 2 ** 64 - 3).counts
+        for seed in (-3, 2 ** 65 - 3, np.int64(-3), np.uint64(2 ** 64 - 3)):
+            assert estimate_outage(IL, RANDOM_TAU01, 300, seed).counts == want
+        lb = load_balance(IL, RANDOM_TAU01, 300, -3).selection_counts
+        assert load_balance(IL, RANDOM_TAU01, 300, 2 ** 64 - 3).selection_counts == lb
+
     def test_identical_for_any_seeded_rerun(self):
         a = estimate_outage(IL, RANDOM_TAU01, 2000, 21)
         b = estimate_outage(IL, RANDOM_TAU01, 2000, 21)
@@ -174,7 +197,7 @@ class TestMergeEstimates:
         assert pooled.counts == single.counts
 
     def test_run_trials_in_worker_threads_match_main_thread(self):
-        # each thread draws through its own Philox
+        # each thread draws through its own generator
         cfg = replace(IL, m=3)
         maxmin = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.3)
         jobs = [(cfg, RANDOM_TAU01, 0, 3000, 61, "shared"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestCsv:
         path = str(tmp_path / "t.csv")
         write_csv(path, ["a", "b"], [[1, 2]])
         write_csv(path, ["a", "b"], [[3, 4]], append=True)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines == ["a,b", "1,2", "3,4"]
 
     def test_append_header_mismatch_rejected(self, tmp_path):
@@ -76,4 +77,4 @@ class TestCsv:
         path = str(tmp_path / "t.csv")
         write_csv(path, ["a"], [[1]])
         write_csv(path, ["a"], [[2]])
-        assert open(path).read().splitlines() == ["a", "2"]
+        assert Path(path).read_text().splitlines() == ["a", "2"]

@@ -1,7 +1,7 @@
-"""Stream layout 3 against a slow per-trial reference.
+"""Stream layout 4 against a slow per-trial reference.
 
 The reference uses nothing of the library's kernel. For each configuration
-it keys its own Philox, reads the trials' W words in order from counter 0,
+it seeds its own PCG64DXSM, reads the trials' W words in order from word 0,
 decodes them by the documented layout, runs the protocol on plain 1-D
 arrays and decides every eavesdropper's two intercepts by the four-cell
 rule in scalar Python. `_run_trials` must reproduce its counts bit for bit,
@@ -29,9 +29,8 @@ M64 = (1 << 64) - 1
 
 
 def trial_words(n, m, maxmin, independent):
-    """W by the README table: words read, rounded up to a multiple of 4."""
-    read = (3 * n - 1 if maxmin else 2 * n + 1) + (n if independent else 0) + m
-    return -(-read // 4) * 4
+    """W by the README table: the words a trial reads."""
+    return (3 * n - 1 if maxmin else 2 * n + 1) + (n if independent else 0) + m
 
 
 def interference(gains, jam):
@@ -73,7 +72,7 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
     n, m = config.n, config.m
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
     width = trial_words(n, m, maxmin, independent)
-    bits = np.random.Philox(key=(seed & M64) | (3 << 64))
+    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, 4]))
     out = np.zeros((trials, len(COUNT_KEYS)), dtype=np.int64)
     for t in range(trials):
         u = (bits.random_raw(width) >> np.uint64(11)) * 2.0 ** -53
