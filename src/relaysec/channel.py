@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,8 +48,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     for any caller and call order. It serves test inputs only: no library
     code calls it, and every run reads `SeedStream`.
     """
-    key = (int(trial) & _MASK64) | (int(seed) & _MASK64) << 64
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(0)  # a fixed seed reads no OS entropy; the state below replaces it
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": np.zeros(4, dtype=np.uint64),
+                            "key": np.array([trial & _MASK64, seed & _MASK64], dtype=np.uint64)},
+                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 def gain(u) -> np.ndarray:
@@ -113,7 +119,7 @@ class SeedStream:
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+        self._seed = operator.index(seed) & _MASK64  # numpy integers too; never a float
 
     def uniforms(self, lo: int, hi: int, words: int) -> np.ndarray:
         """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi).

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_at_least, check_integer, check_unit
+from .bounds import check_at_least, check_unit
 from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
 from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
@@ -165,7 +165,7 @@ _TRIAL_LIMIT = 1 << 63
 
 def _check_run(trials: int, seed: int, legs: str, workers: int, trial_start: int = 0) -> None:
     check_at_least("trials", trials, 1, integer=True)
-    check_integer("seed", seed)  # any integer: the stream reads it mod 2**64
+    check_at_least("seed", seed, -math.inf, integer=True)  # the stream reads it mod 2**64
     check_at_least("trial_start", trial_start, 0, integer=True)
     end = int(trial_start) + int(trials)  # numpy integers would wrap
     if end > _TRIAL_LIMIT:
@@ -205,7 +205,8 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     """Estimate all outage probabilities from `trials` simulated transmissions.
 
     The run counts trials [trial_start, trial_start + trials): `trial_start`
-    is an integer >= 0 and the range ends at 2**63 at most, or ValueError.
+    is an integer >= 0 and the range ends at 2**63 at most, or ValueError;
+    `seed` is any integer (not a bool), read mod 2**64, or ValueError.
     The result is identical for any `workers` count: trial t always reads
     the same words of the seed's stream, and workers only partition the
     trial range, by integer arithmetic.
@@ -355,7 +356,7 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     one draw per epoch; it tells you something only for random selection.
     """
     check_at_least("slots", slots, 1, integer=True)
-    check_integer("seed", seed)
+    check_at_least("seed", seed, -math.inf, integer=True)
     n, epoch_len = config.n, config.coherence_len
     maxmin = protocol.kind == "optimal-maxmin"
     span = min(epoch_len, slots)  # the slots of each epoch but a short last one
