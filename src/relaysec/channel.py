@@ -10,12 +10,12 @@ nothing ever measures them. One realization spans both hops of a
 transmission.
 
 Only the legitimate gains a transmission reads are drawn, and no
-eavesdropper gain at all (stream layout 4): each eavesdropper draws one
+eavesdropper gain at all (stream layout 5): each eavesdropper draws one
 uniform that decides both of its hops (`protocols.execute_two_hop`). Every
 draw of a run comes from one PCG64DXSM stream per seed (`SeedStream`);
 trial t owns a fixed range of its 64-bit words, and the generator advances
 to any word, so any range of trials is drawn with one call:
-`sample_realization` gives a block's uniforms, and its `Layout` where each
+`sample_realization` gives a block's uniforms, and its `layout` where each
 field lies among them. A gain -log1p(-u) increases with its uniform u, so
 thresholds (`_uniform_threshold`) and maxima are decided on the uniforms,
 and only the gains an SINR reads are computed (`gain`). `trial_rng`, a
@@ -29,7 +29,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .bounds import check_at_least, check_positive, check_unit
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
-_LAYOUT = 4  # the stream layout, also the second entropy word of every run's seed sequence
+_LAYOUT = 5  # the stream layout, also the second entropy word of every run's seed sequence
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -108,7 +108,7 @@ class SeedStream:
     """The random stream of one seed: PCG64DXSM (O'Neill 2014), read by word offset.
 
     Word 0 is the state of PCG64DXSM seeded by SeedSequence([seed mod 2**64,
-    4]) (4 is the stream layout). A table whose rows read `words` words each
+    5]) (5 is the stream layout). A table whose rows read `words` words each
     has row width W = `words`, no padding: row r owns words [r W, (r + 1) W).
     So any range of rows is drawn by setting the base state, advancing it
     r W words and making one call.
@@ -176,58 +176,42 @@ class ScenarioConfig:
         return 0.0 if self.noise_mode == "interference-limited" else self.n0 / 2.0
 
 
-class Layout(NamedTuple):
-    """Where a trial's fields lie among its words (stream layout 4; see ChannelRealization).
-
-    Cached per (n, m, rule, leg mode) and shared by every block, so its arrays are read-only.
-    """
-
-    fields: dict        # field -> its columns
-    hop1: slice         # to_relay's columns within "receivers", both hops' receiver words
-    hop2: slice         # r_d2's columns within "receivers"
-    idle: slice         # r_d within "receivers", read by no hop; empty but for random, independent
-    hop: np.ndarray     # (L,) hop - 1 of each "receivers" column: 0 on hop 1's words, else 1
-    signal: np.ndarray  # (2, 2) per hop: the column of relay 0's signal word, the step per relay
-
-
 @functools.lru_cache(maxsize=256)
-def _layout(n: int, m: int, maxmin: bool, independent: bool) -> Layout:
-    sizes = ([("s_r", n), ("r_d", n), ("to_relay", n - 1)] if maxmin
-             else [("pick", 1), ("s_r", 1), ("to_relay", n - 1), ("r_d", n)])
+def _layout(n: int, m: int, maxmin: bool, independent: bool) -> MappingProxyType:
+    """Field -> its columns among a trial's words (stream layout 5; see `sample_realization`).
+
+    Cached per (n, m, rule, leg mode) and shared by every block, so read-only.
+    """
+    head = [("s_r", n)] + [("r_d", n)] * independent if maxmin else [("pick", 1), ("s_r", 1)]
     fields, o = {}, 0
-    for name, size in sizes + [("r_d2", n)] * independent + [("eve", m)]:
+    for name, size in head + [("to_relay", n - 1), ("r_d2", n), ("eve", m)]:
         fields[name], o = slice(o, o + size), o + size
-    hop1, hop2 = fields["to_relay"], fields.setdefault("r_d2", fields["r_d"])
-    run = fields["receivers"] = slice(min(hop1.start, hop2.start), max(hop1.stop, hop2.stop))
-    hop1, hop2 = (slice(h.start - run.start, h.stop - run.start) for h in (hop1, hop2))
-    hop = np.ones(run.stop - run.start, dtype=np.intp)
-    hop[hop1] = 0
-    # under random selection s_r is the picked relay's word alone
-    signal = np.array([[fields["s_r"].start, int(maxmin)], [fields["r_d2"].start, 1]])
-    for a in (hop, signal):
-        a.flags.writeable = False
-    return Layout(fields, hop1, hop2, slice(min(hop1.stop, hop2.stop), max(hop1.start, hop2.start)),
-                  hop, signal)
+    fields.setdefault("r_d", fields["r_d2"])
+    fields["receivers"] = slice(fields["to_relay"].start, fields["r_d2"].stop)
+    return MappingProxyType(fields)
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
     """W, the 64-bit words one trial owns: the words it reads.
 
-    Random selection reads 2n + 1 + m words and max-min 3n - 1 + m;
-    independent legs add n for hop 2.
+    Random selection reads 2n + 1 + m words in either leg mode, and max-min
+    3n - 1 + m, 4n - 1 + m with independent legs.
     """
-    return _layout(config.n, config.m, maxmin, independent).fields["eve"].stop
+    return _layout(config.n, config.m, maxmin, independent)["eve"].stop
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
                        maxmin: bool, independent: bool) -> ChannelRealization:
     """Draw trials [lo, hi) of `stream`: trial t's words [t W, (t + 1) W), W = `trial_words`.
 
-    A trial reads, under random selection, a relay index floor(u n), s_r of
-    that relay, the n - 1 gains toward it and r_d (n); under max-min, s_r
-    (n), r_d (n) and the n - 1 gains toward the relay with the largest
-    min(s_r, r_d). Then hop 2's r_d (n) with independent legs, then one
-    uniform per eavesdropper (m).
+    A trial reads its head, then the n - 1 gains toward its relay (hop 1's
+    jammer words), then r_d (n) as hop 2 reads it, then one uniform per
+    eavesdropper (m). The head is a relay index floor(u n) and that relay's
+    s_r under random selection, and s_r (n) under max-min, which picks the
+    relay with the largest min(s_r, r_d); with independent legs max-min's
+    head adds the r_d (n) it picks on, and hop 2 reads a fresh r_d. Random
+    selection reads no r_d before hop 2, so its two leg modes read the same
+    words.
     """
     return ChannelRealization(
         n=config.n, m=config.m, maxmin=maxmin, independent=independent,
@@ -241,12 +225,14 @@ class ChannelRealization:
     real[field] is the (T, size) view of a field, each uniform u standing
     for the reciprocal power gain -log1p(-u) between two nodes:
 
+    "pick"       random selection's relay-index uniform, not a gain (see `pick`)
     "s_r"        S <-> R_j; under random selection the picked relay's only
     "to_relay"   R_j <-> the trial's relay, j increasing, that relay left out
     "r_d"        R_j <-> D, as max-min selection reads it
-    "r_d2"       R_j <-> D on hop 2: r_d, or a fresh draw with independent legs
+    "r_d2"       R_j <-> D on hop 2: r_d, but a fresh draw under max-min with independent legs
     "eve"        eavesdropper E_i's uniform, which decides both its hops
-    "receivers"  the run of words holding to_relay and r_d2
+    "receivers"  to_relay then r_d2: hop 1's n - 1 jammer words, then relay j's
+                 hop-2 word at column n - 1 + j
     """
 
     n: int
@@ -256,11 +242,12 @@ class ChannelRealization:
     words: np.ndarray
 
     @functools.cached_property
-    def layout(self) -> Layout:
+    def layout(self) -> MappingProxyType:
+        """Field -> its columns (`_layout`), read-only."""
         return _layout(self.n, self.m, self.maxmin, self.independent)
 
     def __getitem__(self, field: str) -> np.ndarray:
-        return self.words[:, self.layout.fields[field]]
+        return self.words[:, self.layout[field]]
 
     @property
     def pick(self) -> np.ndarray | None:

@@ -160,10 +160,18 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+def _emit_table(header, rows, out_path: str | None, append: bool = False) -> None:
+    """A CSV table: header line, then one line per row, to `out_path` or stdout."""
+    if out_path:
+        write_csv(out_path, header, rows, append=append)
+    else:
+        print("\n".join([csv_line(header), *map(csv_line, rows)]))
+
+
 def _emit_record(args, record: dict, doc: dict) -> None:
     """One result: `record` as a CSV header and row, or `doc` as JSON (the default)."""
     if (args.fmt or "json") == "csv":
-        _emit(csv_line(record) + "\n" + csv_line(record.values()), args.out)
+        _emit_table(record, [record.values()], args.out)
     else:
         _emit(dumps(doc, indent=2), args.out)
 
@@ -272,13 +280,8 @@ def _cmd_sweep(parser, args) -> int:
         _emit(dumps({**echo, "rows": rows}, indent=2), args.out)
     else:
         print(dumps(echo), file=sys.stderr)
-        table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
-        if args.out:
-            write_csv(args.out, SWEEP_COLUMNS, table, append=args.append)
-        else:
-            print(csv_line(SWEEP_COLUMNS))
-            for r in table:
-                print(csv_line(r))
+        _emit_table(SWEEP_COLUMNS, [[row[c] for c in SWEEP_COLUMNS] for row in rows], args.out,
+                    append=args.append)
     return EXIT_OK
 
 
@@ -307,15 +310,13 @@ def _cmd_validate(parser, args) -> int:
     mgf_samples = 100_000 if args.quick else 1_000_000
     results = run_oracle_suite(trials=trials, mgf_samples=mgf_samples,
                                seed=merged["seed"])
-    if args.fmt is None:
-        text = "\n".join(r.line() for r in results)
+    if args.fmt == "csv":
+        _emit_table(vars(results[0]), [vars(r).values() for r in results], args.out)
     elif args.fmt == "json":
-        text = dumps({"command": "validate", "seed": merged["seed"],
-                      "rows": [vars(r) for r in results]}, indent=2)
+        _emit(dumps({"command": "validate", "seed": merged["seed"],
+                     "rows": [vars(r) for r in results]}, indent=2), args.out)
     else:
-        text = "\n".join([csv_line(vars(results[0])),
-                          *(csv_line(vars(r).values()) for r in results)])
-    _emit(text, args.out)
+        _emit("\n".join(r.line() for r in results), args.out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION
 
 

@@ -2,7 +2,7 @@
 
 Trials are embarrassingly parallel: trial t reads a fixed range of words of
 the seed's PCG64DXSM stream, reached by advancing the generator (stream
-layout 4, see `channel.SeedStream`), so a run can be split across any number of
+layout 5, see `channel.SeedStream`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
 single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme

@@ -16,8 +16,8 @@ reads and reduces the block to a few numbers per trial, which
 `classify_outage` counts under every name of `COUNT_KEYS`. Each constant
 a stage reads comes from a cache keyed on what it depends on: u_tau on tau
 (`channel._uniform_threshold`), the intercept law's powers on n, gamma_e,
-nu and the leg mode (`_law_powers`), and the columns a block reads on its
-layout (`channel.Layout`).
+nu and the leg mode (`_law_powers`), and the columns of a block's fields on
+its layout (`ChannelRealization.layout`).
 
 An eavesdropper's gains are independent of every legitimate gain and enter
 its outcome only through the two jammer sets, so one uniform decides its
@@ -87,16 +87,15 @@ def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
 
 
 def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np.ndarray:
-    """(T, L) mask over real["receivers"]: the words of both hops (`Layout`) whose relays jam.
+    """(T, 2n - 1) mask over real["receivers"]: the words of both hops whose relays jam.
 
-    A relay jams a hop when its gain toward the hop's receiver is below tau,
-    its uniform below u_tau (`channel._uniform_threshold`); the selected relay
-    never jams.
+    Columns [0, n - 1) are hop 1's words (to_relay) and column n - 1 + j is
+    relay j's hop-2 word. A relay jams a hop when its gain toward the hop's
+    receiver is below tau, its uniform below u_tau
+    (`channel._uniform_threshold`); the selected relay never jams.
     """
-    layout = real.layout
     jam = real["receivers"] < _uniform_threshold(tau)
-    jam[:, layout.idle] = False
-    jam[np.arange(len(selected)), selected + layout.hop2.start] = False
+    jam[np.arange(len(selected)), selected + (real.n - 1)] = False
     return jam
 
 
@@ -206,33 +205,33 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
 
     Hop 1: S transmits to the selected relay, hop 2 the relay to D over
     r_d2, each jammed by its set from `jammer_set`; one pass over the mask's
-    flat indices puts every jammer in its (hop, trial) cell by the column's
-    hop (`Layout.hop`). Each SINR is Es g / (Es I + N0/2), I the jammers'
+    flat indices puts every jammer in its (hop, trial) cell, hop 2 from
+    column n - 1 on. Each SINR is Es g / (Es I + N0/2), I the jammers'
     gains added in relay order. The overlap k = |J1 & J2| is found only with
     shared legs, the one mode whose law reads it. Each eavesdropper's
     uniform decides both hops from `intercept_law`'s A, B and C by the
     four-cell rule (`_count_intercepts`), so each hop has its exact marginal
     and the pair its exact joint law.
     """
-    t = len(selected)
-    layout = real.layout
+    t, n = len(selected), real.n
+    rows = np.arange(t)
     jam = jammer_set(real, selected, tau)
     row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
-    hop = layout.hop[col]
-    signals = real.words[np.arange(t), selected * layout.signal[:, 1:] + layout.signal[:, :1]]
+    signal1 = real["s_r"][rows, selected] if real.maxmin else real["s_r"][:, 0]
     # the jammers' gains, then the signals' (hop 1's, then hop 2's)
-    gains = gain(np.concatenate((real["receivers"][row, col], signals.ravel())))
-    cell = hop * t + row
+    gains = gain(np.concatenate((real["receivers"][row, col], signal1,
+                                 real["r_d2"][rows, selected])))
+    cell = (col >= n - 1) * t + row
     sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(2, t)
     sizes = np.bincount(cell, minlength=2 * t).reshape(2, t)
     both = None
     if not real.independent:
-        # a hop-1 jammer's relay jams hop 2 too iff its hop-2 word is in the mask
-        on1 = hop == 0
-        row1 = row[on1]
-        col2 = col[on1] + (layout.hop2.start - layout.hop1.start)
-        col2 += col2 >= selected[row1] + layout.hop2.start  # to_relay leaves the selected relay out
-        both = np.bincount(row1[jam[row1, col2]], minlength=t)
+        # hop-1 column c is relay c + (c >= selected), as to_relay leaves the
+        # selected relay out; that relay jams hop 2 too iff its hop-2 word,
+        # n - 1 columns on, is in the mask
+        on1 = col < n - 1
+        row1, col1 = row[on1], col[on1]
+        both = np.bincount(row1[jam[row1, col1 + (col1 >= selected[row1]) + n - 1]], minlength=t)
     a, b, c = intercept_law(sizes.T, both, config)
     return TransmissionRecord(selected_relay=selected, jammers=sizes.T, jammers_both=both,
                               sinr=sinr_many(gains[-2 * t:].reshape(2, t), sums, config).T,

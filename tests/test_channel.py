@@ -22,13 +22,15 @@ def make_realization(s_r, rr_cond, r_d, eve, toward=0, r_d2=None):
     """Hand-built max-min block of one whose relay-pair gains are those toward relay `toward`.
 
     rr_cond lists every relay-pair gain for j < k, row-major; every gain is
-    stored as its uniform, in the max-min layout. eve[i] is eavesdropper
-    i's uniform. With `r_d2` the legs are independent and hop 2 reads it.
+    stored as its uniform, in the max-min layout: s_r, to_relay, r_d, or
+    with `r_d2` (independent legs, hop 2 reading r_d2) s_r, r_d, to_relay,
+    r_d2. eve[i] is eavesdropper i's uniform.
     """
     n, m = len(s_r), len(eve)
     pairs = dict(zip(condensed_pairs(n), rr_cond))
     to_relay = [pairs[min(j, toward), max(j, toward)] for j in range(n) if j != toward]
-    gains = [*s_r, *r_d, *to_relay, *(r_d2 or [])]
+    head = [*s_r, *r_d] if r_d2 is not None else [*s_r]
+    gains = [*head, *to_relay, *(r_d if r_d2 is None else r_d2)]
     words = np.concatenate((uniforms_of(gains), np.asarray(eve, dtype=float)))
     return ChannelRealization(n=n, m=m, maxmin=True, independent=r_d2 is not None,
                               words=words[None])
@@ -91,11 +93,12 @@ def condensed_pairs(n):
 
 
 M64 = (1 << 64) - 1
+LAYOUT = 5  # the stream layout: the second entropy word of every seed sequence
 
 
 def fresh_stream(seed):
-    """A fresh PCG64DXSM at word 0 of seed's stream (layout 4)."""
-    return np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, 4]))
+    """A fresh PCG64DXSM at word 0 of seed's stream (stream layout LAYOUT)."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, LAYOUT]))
 
 
 def as_uniforms(raw):
@@ -237,15 +240,13 @@ class TestSampleRealization:
                                       independent=independent)
             u, width = trial_reference(cfg, 5, 3, maxmin, independent)
             if maxmin:
-                head = [real["s_r"][0], real["r_d"][0], real["to_relay"][0]]
+                head = [real["s_r"][0]] + [real["r_d"][0]] * independent
             else:
                 assert real.pick[0] == int(u[0] * n)
-                head = [[u[0]], real["s_r"][0], real["to_relay"][0], real["r_d"][0]]
-            if independent:
-                head += [real["r_d2"][0]]
-            else:
+                head = [[u[0]], real["s_r"][0]]
+            if not (maxmin and independent):  # hop 2 reads the r_d words
                 assert np.array_equal(real["r_d2"], real["r_d"])
-            used = np.concatenate(head + [real["eve"][0]])
+            used = np.concatenate(head + [real["to_relay"][0], real["r_d2"][0], real["eve"][0]])
             assert np.array_equal(used, u[:len(used)])
             assert len(used) == width
 
@@ -256,7 +257,7 @@ class TestSampleRealization:
         assert trial_words(cfg, maxmin=True, independent=False) == 6   # the words read
         assert trial_words(cfg, maxmin=False, independent=False) == 6
         assert trial_words(cfg, maxmin=True, independent=True) == 8
-        assert trial_words(cfg, maxmin=False, independent=True) == 8
+        assert trial_words(cfg, maxmin=False, independent=True) == 6  # no word but hop 2's reads r_d
         real = sample_block(cfg, 1, 1)
         assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 2), (1, 1), (1, 2))
         assert real["eve"].shape == (1, 1)
@@ -332,7 +333,7 @@ class TestSampleRealization:
     def test_gains_to_relay_matches_pairs(self):
         for n in (2, 4, 7):
             toward = uniforms_of(np.arange(1.0, n))
-            words = np.hstack((np.full((n, 2 * n), 0.5), np.tile(toward, (n, 1))))
+            words = np.hstack((np.full((n, n), 0.5), np.tile(toward, (n, 1)), np.full((n, n), 0.5)))
             real = ChannelRealization(n=n, m=0, maxmin=True, independent=False, words=words)
             got = real.gains_to_relay(np.arange(n))  # row j: the gains toward relay j
             want = gain(toward)  # relay i's gain toward relay j: gain i - 1 below j, i above

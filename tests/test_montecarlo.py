@@ -154,6 +154,86 @@ class TestEstimateOutage:
         assert "corr_s_hops" in shared.as_dict()
 
 
+class TestRandomSelectionClosedForm:
+    """Random selection's transmission outages against their closed forms, at 6 sigma.
+
+    With p = 1 - e^-tau, phi = (1 - e^-(1 + gamma_r) tau) / ((1 + gamma_r) p)
+    and nu_r = e^(-gamma_r N0/2 / Es) (1 when interference-limited), a hop
+    decodes with probability nu_r (1 - p + p phi)^(n - 1): each of the n - 1
+    other relays adds its gain g to the interference iff g < tau, so
+    E[e^(-gamma_r g 1{g < tau})] = 1 - p + p phi. Random selection reads no
+    word of one hop on the other, so in both leg modes the hops fail
+    independently: t_e2e = 1 - (1 - P_t)^2 and t_both = P_t^2.
+    """
+
+    TRIALS = 200_000
+
+    @staticmethod
+    def hop_outage(config, tau):
+        p = -math.expm1(-tau)
+        gr = config.gamma_r
+        phi = -math.expm1(-(1.0 + gr) * tau) / ((1.0 + gr) * p)
+        nu_r = math.exp(-gr * config.noise_term / config.es)
+        return 1.0 - nu_r * (1.0 - p + p * phi) ** (config.n - 1)
+
+    @pytest.mark.parametrize("n, noise_mode, legs", [
+        (2, "exact", "shared"), (11, "exact", "independent"),
+        (11, "interference-limited", "shared"), (30, "exact", "shared"),
+        (30, "interference-limited", "independent")])
+    def test_transmission_outage_matches_closed_form(self, n, noise_mode, legs):
+        cfg = ScenarioConfig(n=n, m=0, gamma_r=0.5, gamma_e=1.0, noise_mode=noise_mode)
+        tau = 0.3
+        counts = _run_trials(cfg, ProtocolChoice(kind="random-uniform", tau_policy="manual",
+                                                 tau=tau), 0, self.TRIALS, 77, legs)
+        hop = self.hop_outage(cfg, tau)
+        exact = {"t_hop1": hop, "t_hop2": hop, "t_e2e": 1.0 - (1.0 - hop) ** 2,
+                 "t_both": hop * hop}
+        z = {key: (counts[key] - self.TRIALS * p) / math.sqrt(self.TRIALS * p * (1.0 - p))
+             for key, p in exact.items()}
+        assert all(abs(v) < 6.0 for v in z.values()), z
+
+
+class TestCommonRandomNumbers:
+    """Runs that differ in no word-layout input read the same words, so their counts
+    compare trial by trial: no statistical gate is needed."""
+
+    LEGITIMATE = ("t_hop1", "t_hop2", "t_e2e", "t_both", "s_hop1", "eve_hits_hop1",
+                  "jam1_sum", "jam1_sumsq")
+
+    @pytest.mark.parametrize("noise_mode", ["exact", "interference-limited"])
+    @pytest.mark.parametrize("n", [1, 2, 11, 101])
+    def test_random_selection_legs_change_no_legitimate_word(self, n, noise_mode):
+        # random selection reads r_d only on hop 2, so the leg mode changes
+        # only the law of an eavesdropper's hop-2 intercept
+        cfg = ScenarioConfig(n=n, m=4, gamma_r=0.5, gamma_e=0.5, noise_mode=noise_mode)
+        proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.2)
+        shared, indep = (_run_trials(cfg, proto, 0, 3000, 404, legs) for legs in LEG_MODES)
+        assert {k: shared[k] for k in self.LEGITIMATE} == {k: indep[k] for k in self.LEGITIMATE}
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    @pytest.mark.parametrize("n", [2, 11, 101])
+    def test_counts_monotone_along_gamma_grids(self, kind, legs, n):
+        # a larger gamma_e shrinks each eavesdropper's decoding cells, so no
+        # secrecy count rises; a larger gamma_r raises every receiver's bar,
+        # so no transmission count falls; neither moves the other's counts
+        proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=0.1)
+        base = ScenarioConfig(n=n, m=3, gamma_r=1.0, gamma_e=1.0)
+
+        def counts(**change):
+            return _run_trials(replace(base, **change), proto, 0, 2000, 505, legs)
+
+        t_keys = ("t_hop1", "t_hop2", "t_e2e", "t_both")
+        by_e = [counts(gamma_e=g) for g in (0.05, 0.2, 0.5, 1.0, 3.0, math.inf)]
+        for lo, hi in zip(by_e, by_e[1:]):
+            assert all(hi[k] <= lo[k] for k in ("s_hop1", "s_e2e", "eve_hits_hop1"))
+            assert all(hi[k] == lo[k] for k in t_keys)
+        by_r = [counts(gamma_r=g) for g in (0.05, 0.2, 0.5, 1.0, 3.0, 10.0)]
+        for lo, hi in zip(by_r, by_r[1:]):
+            assert all(hi[k] >= lo[k] for k in t_keys)
+            assert all(hi[k] == lo[k] for k in protocols.COUNT_KEYS if k not in t_keys)
+
+
 class TestMergeEstimates:
     def parts(self, n_parts, trials, seed=31):
         edges = np.linspace(0, trials, n_parts + 1).astype(int)

@@ -38,7 +38,7 @@ def toward(real, j):
 def jamming(real, selected, tau):
     """The relays that jam hop 1 and hop 2 of a block of one, as two sets."""
     mask = jammer_set(real, np.array([selected]), tau)[0]
-    on1, on2 = np.flatnonzero(mask[real.layout.hop1]), np.flatnonzero(mask[real.layout.hop2])
+    on1, on2 = np.flatnonzero(mask[:real.n - 1]), np.flatnonzero(mask[real.n - 1:])
     return {int(c + (c >= selected)) for c in on1}, {int(j) for j in on2}
 
 
@@ -93,8 +93,8 @@ class TestSelectRelayOptimal:
         # grid make ties common)
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
         real = sample_block(cfg, 24 + n, trials)
-        coarse = np.floor(real.words * 4) / 4
-        for s_r, r_d in ((real["s_r"], real["r_d"]), (coarse[:, :n], coarse[:, n:2 * n])):
+        coarse = [np.floor(real[field] * 4) / 4 for field in ("s_r", "r_d")]
+        for s_r, r_d in ((real["s_r"], real["r_d"]), coarse):
             assert np.array_equal(select_relay_optimal(s_r, r_d),
                                   select_relay_optimal(-np.log1p(-s_r), -np.log1p(-r_d)))
 
@@ -157,7 +157,7 @@ class TestJammerSet:
         cfg = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0)
         real = sample_block(cfg, 31, trials)
         mask = jammer_set(real, np.zeros(trials, dtype=int), tau)
-        sizes = mask[:, real.layout.hop2].sum(axis=1)
+        sizes = mask[:, n - 1:].sum(axis=1)
         expected = (n - 1) * (1.0 - math.exp(-tau))
         se = sizes.std(ddof=1) / math.sqrt(trials)
         assert abs(sizes.mean() - expected) < 3 * se

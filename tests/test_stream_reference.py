@@ -1,4 +1,4 @@
-"""Stream layout 4 against a slow per-trial reference.
+"""Stream layout 5 against a slow per-trial reference.
 
 The reference uses nothing of the library's kernel. For each configuration
 it seeds its own PCG64DXSM, reads the trials' W words in order from word 0,
@@ -26,11 +26,12 @@ GRID = list(itertools.product((1, 2, 7, 11, 40), (0, 1, 8),
                               ("optimal-maxmin", "random-uniform"), ("shared", "independent"),
                               ("exact", "interference-limited"), (0.0, 0.1, 1.0)))
 M64 = (1 << 64) - 1
+LAYOUT = 5  # the stream layout: the second entropy word of every seed sequence
 
 
 def trial_words(n, m, maxmin, independent):
     """W by the README table: the words a trial reads."""
-    return (3 * n - 1 if maxmin else 2 * n + 1) + (n if independent else 0) + m
+    return (3 * n - 1 if maxmin else 2 * n + 1) + (n if maxmin and independent else 0) + m
 
 
 def interference(gains, jam):
@@ -72,7 +73,7 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
     n, m = config.n, config.m
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
     width = trial_words(n, m, maxmin, independent)
-    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, 4]))
+    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, LAYOUT]))
     out = np.zeros((trials, len(COUNT_KEYS)), dtype=np.int64)
     for t in range(trials):
         u = (bits.random_raw(width) >> np.uint64(11)) * 2.0 ** -53
@@ -85,17 +86,16 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
             return g[pos - k:pos]
 
         if maxmin:
-            s_r, r_d = take(n), take(n)
-            sel = int(np.argmax(np.minimum(s_r, r_d)))
-            signal1 = s_r[sel]
-            toward = take(n - 1)
+            s_r = take(n)
+            r_d = take(n) if independent else None  # shared legs: hop 2's r_d below
         else:
             sel = int(u[0] * n)
-            take(1)
-            signal1 = take(1)[0]
-            toward = take(n - 1)
-            r_d = take(n)
-        r_d2 = take(n) if independent else r_d
+            signal1 = take(2)[1]
+        toward = take(n - 1)
+        r_d2 = take(n)  # hop 2's r_d; random selection reads it in both leg modes
+        if maxmin:
+            sel = int(np.argmax(np.minimum(s_r, r_d2 if r_d is None else r_d)))
+            signal1 = s_r[sel]
         eve = u[pos:pos + m].tolist()
         to_sel = with_relay(toward, sel, 0.0)
         jam1 = with_relay(toward < tau, sel, False)  # the relay itself never jams
