@@ -1,57 +1,38 @@
 """Deterministic JSON and CSV emission.
 
-Floats are written with 17 significant digits so results are byte-testable:
-the same counts always produce the same bytes, and parsing the text back
-recovers the exact float64, making serialize -> parse -> serialize an
-identity. Dict keys are emitted sorted for the same reason.
+Floats are written as the shortest text that parses back to the same float64
+(Python's float repr), so results are byte-testable: the same counts always
+produce the same bytes, and parsing the text back recovers the exact float64,
+making serialize -> parse -> serialize an identity. Dict keys are emitted
+sorted for the same reason.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 
 def _fmt_float(x: float) -> str:
     if math.isfinite(x):
-        return format(x, ".17g")
+        return float.__repr__(x)
     if math.isnan(x):
         return "NaN"
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def dumps(obj, indent: int = 0, _level: int = 0) -> str:
-    """Serialize to JSON with deterministic float formatting and sorted keys."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{pad}{encode_basestring_ascii(str(k))}: {dumps(obj[k], indent, _level + 1)}"
-                 for k in sorted(obj, key=str)]
-        return "{" + nl + sep.join(items) + nl + end_pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}{dumps(v, indent, _level + 1)}" for v in obj]
-        return "[" + nl + sep.join(items) + nl + end_pad + "]"
+def _plain(obj):
+    """A numpy scalar or array as its Python value; anything else is refused."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps(obj, indent: int = 0) -> str:
+    """Serialize to JSON with sorted keys and floats as their shortest round-trip text."""
+    return json.dumps(obj, indent=indent or None, sort_keys=True, default=_plain)
 
 
 def _text_cell(text: str) -> str:
@@ -65,7 +46,7 @@ _CELLS = {type(None): lambda _: "", bool: lambda v: "true" if v else "false",
 
 
 def csv_cell(value) -> str:
-    """One CSV cell: floats at 17 significant digits, None as an empty cell.
+    """One CSV cell: floats as in JSON, None as an empty cell.
 
     Text holding a comma, quote or newline is quoted, its quotes doubled (RFC 4180).
     """

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import re
@@ -79,14 +80,17 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "--n", "11", "--m", "1", "--gamma-r", "1",
                                "--gamma-e", "1", "--eps-s", eps_s, "--eps-t", "0")
         assert code in (EXIT_OK, EXIT_INFEASIBLE)
-        assert json.loads(out)["report"]["tau_max"] == 0.0
-        assert re.search(r"-0(?![.\d])", out) is None
+        report = json.loads(out)["report"]
+        assert report["tau_max"] == 0.0
+        zeros = [v for v in report.values() if type(v) is float and v == 0.0]
+        assert zeros and all(math.copysign(1.0, v) > 0 for v in zeros)
         code, out, _ = run_cli(capsys, "sweep", "--param", "n", "--values", "2,11",
                                "--outputs", "bounds", "--m", "1", "--gamma-r", "1",
                                "--gamma-e", "1", "--eps-s", eps_s, "--eps-t", "0")
         assert code == EXIT_OK
         cells = [c for line in out.strip().splitlines()[1:] for c in line.split(",")]
-        assert "0" in cells and "-0" not in cells
+        zeros = [float(c) for c in cells if re.fullmatch(r"-?0(\.0*)?", c)]
+        assert zeros and all(math.copysign(1.0, v) > 0 for v in zeros)
 
 
 SIM_ARGS = ["simulate", "--protocol", "random", "--tau-policy", "manual",
@@ -206,7 +210,7 @@ class TestSimulate:
                                "--trials", "2000", "--format", "csv")
         assert code == EXIT_OK
         row = dict(zip(*(line.split(",") for line in out.splitlines())))
-        assert [row[k] for k in ("p_s_hop1", "p_s_hop2", "p_s_e2e")] == ["0", "0", "0"]
+        assert [row[k] for k in ("p_s_hop1", "p_s_hop2", "p_s_e2e")] == ["0.0", "0.0", "0.0"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_fewer_than_one_worker_usage_error(self, capsys, workers):
@@ -659,92 +663,88 @@ PIN_LB = ("sweep --param n --values 21,41,61,81,101 --outputs bounds --load-bala
 PINNED_STDOUT = {
     (PIN_SIM + ' --protocol optimal --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.014,0.0097037831462201754,0.020159586811157672,0.025000000000000001,'
-          '0.019014423503992475,0.032806771413197815,0.036499999999999998,0.029129752280474791,'
-          '0.045647350549246665,0.42899999999999999,0.40746547328747529,0.45080674742646254,'
-          '0.40250000000000002,0.38121430570705017,0.4241595185127941,0.65500000000000003,'
-          '0.63388716520287203,0.67551855013993956,0.26250000000000001,0.24909723507069956,'
-          '0.27635850049190874,1.4975000000000001,0.11720973186212924,0.015769452016448571\n',
+        + '2000,7,shared,0.014,0.009703783146220175,0.020159586811157672,0.025,'
+          '0.019014423503992475,0.032806771413197815,0.0365,0.02912975228047479,'
+          '0.045647350549246665,0.429,0.4074654732874753,0.45080674742646254,0.4025,'
+          '0.38121430570705017,0.4241595185127941,0.655,0.633887165202872,0.6755185501399396,'
+          '0.2625,0.24909723507069956,0.27635850049190874,1.4975,0.11720973186212924,'
+          '0.01576945201644857\n',
     (PIN_SIM + ' --protocol optimal --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.019,0.013873784918301425,0.025970414566263898,0.45650000000000002,'
-          '0.43477419070601508,0.4783925924074538,0.46600000000000003,0.44422370616739953,'
-          '0.48790665304772557,0.4405,0.41887727512201928,0.46235085350444977,0.41749999999999998,'
-          '0.3960655898394469,0.43925072296195972,0.67149999999999999,0.65060462145751385,'
-          '0.69173783132501643,0.27350000000000002,0.25990838750768736,0.28752624030254753,'
-          '1.5209999999999999,0.012153780499113562,0.010584250467925554\n',
+        + '2000,7,independent,0.019,0.013873784918301425,0.025970414566263898,0.4565,'
+          '0.4347741907060151,0.4783925924074538,0.466,0.44422370616739953,0.48790665304772557,'
+          '0.4405,0.4188772751220193,0.46235085350444977,0.4175,0.3960655898394469,'
+          '0.4392507229619597,0.6715,0.6506046214575139,0.6917378313250164,0.2735,'
+          '0.25990838750768736,0.28752624030254753,1.521,0.012153780499113562,'
+          '0.010584250467925554\n',
     (PIN_SIM + ' --protocol random --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.46250000000000002,0.44074137987354939,0.48440239867254448,'
-          '0.47299999999999998,0.45119159165941619,0.49491192889377128,0.71150000000000002,'
-          '0.69125336569862128,0.73093572330140866,0.4415,0.41987016524351045,0.46335412928839609,'
-          '0.44,0.41838086353972898,0.46184918213402132,0.68600000000000005,0.66531938444824845,'
-          '0.70596747396312554,0.27800000000000002,0.26433420010780506,0.29209179271282248,1.496,'
-          '0.021039870148868385,0.0050306533331532632\n',
+        + '2000,7,shared,0.4625,0.4407413798735494,0.4844023986725445,0.473,0.4511915916594162,'
+          '0.4949119288937713,0.7115,0.6912533656986213,0.7309357233014087,0.4415,'
+          '0.41987016524351045,0.4633541292883961,0.44,0.418380863539729,0.4618491821340213,0.686,'
+          '0.6653193844482485,0.7059674739631255,0.278,0.26433420010780506,0.2920917927128225,'
+          '1.496,0.021039870148868385,0.005030653333153263\n',
     (PIN_SIM + ' --protocol random --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.46250000000000002,0.44074137987354939,0.48440239867254448,'
-          '0.47299999999999998,0.45119159165941619,0.49491192889377128,0.71150000000000002,'
-          '0.69125336569862128,0.73093572330140866,0.4415,0.41987016524351045,0.46335412928839609,'
-          '0.439,0.41738810737257864,0.46084577239573415,0.68799999999999994,0.66735079049161672,'
-          '0.70792839973063204,0.27800000000000002,0.26433420010780506,0.29209179271282248,1.496,'
-          '0.021039870148868385,-0.0053504400304071366\n',
+        + '2000,7,independent,0.4625,0.4407413798735494,0.4844023986725445,0.473,'
+          '0.4511915916594162,0.4949119288937713,0.7115,0.6912533656986213,0.7309357233014087,'
+          '0.4415,0.41987016524351045,0.4633541292883961,0.439,0.41738810737257864,'
+          '0.46084577239573415,0.688,0.6673507904916167,0.707928399730632,0.278,'
+          '0.26433420010780506,0.2920917927128225,1.496,0.021039870148868385,'
+          '-0.005350440030407137\n',
     (PIN_SIM + ' --protocol random --tau-policy manual --tau 0.3'
      ' --noise-mode interference-limited'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.28599999999999998,0.26662042683199522,0.30620006940438088,0.308,'
-          '0.28815106867260271,0.32858507748339832,0.50149999999999995,0.4796051735058332,'
-          '0.52338907535232282,0.38350000000000001,0.36243265602093727,0.40501401599559456,0.3745,'
-          '0.35354800276658416,0.3959331761010102,0.60950000000000004,0.58792843523177596,'
-          '0.63065173141362973,0.25750000000000001,0.24418668059382162,0.27127864940168367,'
-          '2.5619999999999998,0.021148276302687494,0.020733101707600347\n',
+        + '2000,7,shared,0.286,0.2666204268319952,0.3062000694043809,0.308,0.2881510686726027,'
+          '0.3285850774833983,0.5015,0.4796051735058332,0.5233890753523228,0.3835,'
+          '0.36243265602093727,0.40501401599559456,0.3745,0.35354800276658416,0.3959331761010102,'
+          '0.6095,0.587928435231776,0.6306517314136297,0.2575,0.24418668059382162,'
+          '0.27127864940168367,2.562,0.021148276302687494,0.020733101707600347\n',
     ('sweep --param n --values 5,11,21 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.5'
      ' --eps-t 0.5 --trials 1000 --seed 3 --outputs both --format csv'):
         SWEEP_HEADER + "\n"
-        + '5,0.41463655068563265,0.66243771553386033,0.58498956685434367,0.29435250562886867,'
-          'false,0.432,0.40161609445686075,0.46290434469717479,0.433,0.4026038718810217,'
-          '0.46390891375604265,0.67700000000000005,0.64738722027136164,0.70525810722475202,'
-          '0.40000000000000002,0.37007478121137727,0.43069057048573378,0.40899999999999997,'
-          '0.37893242495569907,0.4397640450886719,0.64600000000000002,0.6158536169290485,'
-          '0.67502896959316949,0.40000000000000002,0.37007478121137727,0.43069057048573378,,'
+        + '5,0.41463655068563265,0.6624377155338603,0.5849895668543437,0.29435250562886867,false,'
+          '0.432,0.40161609445686075,0.4629043446971748,0.433,0.4026038718810217,'
+          '0.46390891375604265,0.677,0.6473872202713616,0.705258107224752,0.4,0.37007478121137727,'
+          '0.4306905704857338,0.409,0.37893242495569907,0.4397640450886719,0.646,'
+          '0.6158536169290485,0.6750289695931695,0.4,0.37007478121137727,0.4306905704857338,,'
           'infeasible\n'
-        + '11,0.54955791872801785,1.0644405693253089,0.19498783283298055,0.18616487055295169,'
-          'false,0.47299999999999998,0.44221787946808128,0.50398876549013871,0.46100000000000002,'
-          '0.4303127166140634,0.49198577054780995,0.72099999999999997,0.69239636603235011,'
-          '0.7479122067170344,0.27200000000000002,0.24533124703883705,0.30041375483057609,'
-          '0.27600000000000002,0.2491910960732594,0.30452329172826931,0.46600000000000003,'
-          '0.43527102980973204,0.49698918976728573,0.27200000000000002,0.24533124703883705,'
-          '0.30041375483057609,,infeasible\n'
-        + '21,0.78021389825906395,1.8165682179300087,0.092748894372067306,0.13163844238670797,'
-          'true,0.498,0.46707750038234924,0.52893780665159307,0.51100000000000001,'
-          '0.48003496343658919,0.54188084787672863,0.755,0.72740074926736309,0.78064760390500387,'
-          '0.159,0.13764630274692419,0.18296354654022445,0.153,0.13201921562431126,'
-          '0.17663655476466403,0.28799999999999998,0.26078703415507282,0.31683551144280248,0.159,'
-          '0.13764630274692419,0.18296354654022445,,ok\n',
+        + '11,0.5495579187280178,1.064440569325309,0.19498783283298055,0.1861648705529517,false,'
+          '0.473,0.4422178794680813,0.5039887654901387,0.461,0.4303127166140634,'
+          '0.49198577054780995,0.721,0.6923963660323501,0.7479122067170344,0.272,'
+          '0.24533124703883705,0.3004137548305761,0.276,0.2491910960732594,0.3045232917282693,'
+          '0.466,0.43527102980973204,0.49698918976728573,0.272,0.24533124703883705,'
+          '0.3004137548305761,,infeasible\n'
+        + '21,0.780213898259064,1.8165682179300087,0.0927488943720673,0.13163844238670797,true,'
+          '0.498,0.46707750038234924,0.5289378066515931,0.511,0.4800349634365892,'
+          '0.5418808478767286,0.755,0.7274007492673631,0.7806476039050039,0.159,'
+          '0.1376463027469242,0.18296354654022445,0.153,0.13201921562431126,0.17663655476466403,'
+          '0.288,0.2607870341550728,0.3168355114428025,0.159,0.1376463027469242,'
+          '0.18296354654022445,,ok\n',
     (PIN_LB + 'optimal'):
         SWEEP_HEADER + "\n"
-        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,,'
-          ',,,,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
-        + '41,3.2169761574015059,17.505464911831581,0.06133260414943742,0.093082435276475847,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.3048780487804878,ok\n'
-        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.25220680958385877,ok\n'
-        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.22446689113355781,ok\n'
-        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,'
+        + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,,'
+          ',,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
+        + '41,3.216976157401506,17.50546491183158,0.06133260414943742,0.09308243527647585,true,,,,'
+          ',,,,,,,,,,,,,,,,,,0.3048780487804878,ok\n'
+        + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,,'
+          ',,,,,,,,,,,,,,,,,,0.25220680958385877,ok\n'
+        + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,,'
+          ',,,,,,,,,,,,,,,,,,,,0.2244668911335578,ok\n'
+        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
           'true,,,,,,,,,,,,,,,,,,,,,,0.14144271570014144,ok\n',
     (PIN_LB + 'random'):
         SWEEP_HEADER + "\n"
-        + '21,1.3839416509433922,5.2827406842954572,0.12667411167417211,0.13163844238670797,true,,'
-          ',,,,,,,,,,,,,,,,,,,,0.98930169150803215,ok\n'
-        + '41,3.2169761574015059,17.505464911831581,0.06133260414943742,0.093082435276475847,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.97848650642645474,ok\n'
-        + '61,6.3436336555613746,43.895994949451548,0.040467633635480532,0.076001490147668882,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.97307785498609956,ok\n'
-        + '81,11.428685580995614,95.281649915169254,0.030196164714247246,0.065819221193353983,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.96571331448260944,ok\n'
-        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.058870501125773737,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.95661740087052183,ok\n',
+        + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,,'
+          ',,,,,,,,,,,,,,,,,,0.9893016915080322,ok\n'
+        + '41,3.216976157401506,17.50546491183158,0.06133260414943742,0.09308243527647585,true,,,,'
+          ',,,,,,,,,,,,,,,,,,0.9784865064264547,ok\n'
+        + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,,'
+          ',,,,,,,,,,,,,,,,,,0.9730778549860996,ok\n'
+        + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,,'
+          ',,,,,,,,,,,,,,,,,,,,0.9657133144826094,ok\n'
+        + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
+          'true,,,,,,,,,,,,,,,,,,,,,,0.9566174008705218,ok\n',
     ('tolerance --n 11 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.75 --tau 0.3'
      ' --trials 500 --seed 5 --m-cap 6'):
         '{\n'
@@ -753,21 +753,21 @@ PINNED_STDOUT = {
         '    "coherence_len": 1,\n'
         '    "eps_s": 0.75,\n'
         '    "eps_t": null,\n'
-        '    "es": 1,\n'
-        '    "gamma_e": 1,\n'
-        '    "gamma_r": 1,\n'
+        '    "es": 1.0,\n'
+        '    "gamma_e": 1.0,\n'
+        '    "gamma_r": 1.0,\n'
         '    "m": 1,\n'
         '    "n": 11,\n'
-        '    "n0": 1,\n'
+        '    "n0": 1.0,\n'
         '    "noise_mode": "exact"\n'
         '  },\n'
         '  "eps_s": 0.75,\n'
         '  "m_cap": 6,\n'
         '  "protocol": {\n'
         '    "kind": "random-uniform",\n'
-        '    "tau": 0.29999999999999999,\n'
+        '    "tau": 0.3,\n'
         '    "tau_policy": "manual",\n'
-        '    "tau_resolved": 0.29999999999999999\n'
+        '    "tau_resolved": 0.3\n'
         '  },\n'
         '  "result": {\n'
         '    "m_max": 4,\n'
@@ -778,11 +778,11 @@ PINNED_STDOUT = {
         '      ],\n'
         '      [\n'
         '        2,\n'
-        '        0.45565340799001419\n'
+        '        0.4556534079900142\n'
         '      ],\n'
         '      [\n'
         '        4,\n'
-        '        0.67892395582181431\n'
+        '        0.6789239558218143\n'
         '      ],\n'
         '      [\n'
         '        6,\n'
@@ -806,23 +806,23 @@ PINNED_STDOUT = {
         '    "eps_t": 0.5,\n'
         '    "expected_jammers": 5.717114347265106,\n'
         '    "feasible": true,\n'
-        '    "gamma_e": 1,\n'
-        '    "gamma_r": 1,\n'
+        '    "gamma_e": 1.0,\n'
+        '    "gamma_r": 1.0,\n'
         '    "infeasible_reason": null,\n'
         '    "m": 1,\n'
-        '    "m_max_t1": 4.1268807470682347,\n'
+        '    "m_max_t1": 4.126880747068235,\n'
         '    "m_max_t1_floor": 4,\n'
         '    "m_max_t3": 17.333568723943195,\n'
         '    "m_max_t3_floor": 17,\n'
         '    "n": 101,\n'
-        '    "per_leg_budget_s": 0.29289321881345243,\n'
-        '    "per_leg_budget_t": 0.29289321881345243,\n'
+        '    "per_leg_budget_s": 0.2928932188134524,\n'
+        '    "per_leg_budget_t": 0.2928932188134524,\n'
         '    "reliability_leg": 0.2857836751976619,\n'
-        '    "secrecy_leg": 0.019009780088576761,\n'
+        '    "secrecy_leg": 0.01900978008857676,\n'
         '    "secrecy_leg_vacuous": false,\n'
-        '    "tau_max": 0.058870501125773737,\n'
+        '    "tau_max": 0.05887050112577374,\n'
         '    "tau_min": 0.017874331346664545,\n'
-        '    "tau_used": 0.058870501125773737\n'
+        '    "tau_used": 0.05887050112577374\n'
         '  }\n'
         '}\n',
 }

@@ -1,4 +1,4 @@
-"""Deterministic serialization tests: 17-digit floats, round trips, CSV rules."""
+"""Deterministic serialization tests: shortest round-trip floats, CSV rules."""
 
 import json
 import math
@@ -11,10 +11,14 @@ from relaysec.serialize import csv_cell, csv_line, dumps, write_csv
 
 
 class TestDumps:
-    def test_float_17_significant_digits(self):
-        assert dumps(0.1) == "0.10000000000000001"
-        assert dumps(1.0) == "1"
+    def test_float_shortest_round_trip_text(self):
+        assert dumps(0.1) == "0.1"
+        assert dumps(1.0) == "1.0"
         assert dumps(0.5) == "0.5"
+        assert dumps(np.float64(0.025)) == "0.025"
+        assert dumps(0.1 + 0.2) == "0.30000000000000004"
+        for x in (0.1, 0.025, 0.1 + 0.2, 5e-324, 1.7976931348623157e308):
+            assert json.loads(dumps(x)) == x
 
     def test_special_floats(self):
         assert dumps(math.inf) == "Infinity"
@@ -54,7 +58,12 @@ class TestCsv:
     def test_cells(self):
         assert csv_cell(None) == ""
         assert csv_cell(True) == "true"
-        assert csv_cell(0.1) == "0.10000000000000001"
+        assert csv_cell(0.1) == "0.1"
+        assert csv_cell(np.float64(0.025)) == "0.025"
+        assert csv_cell(-math.inf) == "-Infinity"
+        for x in (0.1, 0.1 + 0.2, 1.0, 5e-324, np.float64(0.025), math.inf):
+            assert csv_cell(x) == dumps(x)  # one float text for JSON and CSV
+            assert float(csv_cell(x)) == x
         assert csv_cell(7) == "7"
         assert csv_line([1, None, "ok"]) == "1,,ok"
         assert csv_line(["f(a, b)", 'say "hi"', "two\nlines"]) == \
