@@ -164,7 +164,7 @@ def theorem2_tau_range(n: int, m: int, gamma_r: float, gamma_e: float,
     if budget_s == 0.0:
         return TauInterval(math.inf, tau_max, False,
                            "secrecy budget 0 cannot be met with finite jamming")
-    bracket = 1.0 + math.log(budget_s / m) / ((n - 1) * math.log(1.0 + gamma_e))
+    bracket = 1.0 + math.log(budget_s / m) / ((n - 1) * math.log1p(gamma_e))
     if bracket <= 0.0:
         return TauInterval(math.inf, tau_max, False,
                            "m exceeds what any threshold can suppress")

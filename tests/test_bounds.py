@@ -176,6 +176,13 @@ class TestTheorem2:
         assert "suppress" in iv.reason
         assert math.isinf(iv.tau_min)
 
+    @pytest.mark.parametrize("gamma_e", [1e-17, 1e-300, 5e-324])
+    def test_gamma_e_below_float_resolution_of_one(self, gamma_e):
+        # 1 + gamma_e rounds to 1, yet ln(1 + gamma_e) > 0: the window is empty
+        iv = theorem2_tau_range(11, 2, 1.0, gamma_e, 0.5, 0.5)
+        assert not iv.feasible
+        assert "suppress" in iv.reason
+
     def test_infeasible_crossed_endpoints(self):
         iv = theorem2_tau_range(101, 5, 1.0, 1.0, 0.5, 0.001)
         assert not iv.feasible

@@ -49,6 +49,13 @@ class TestBounds:
         assert report["m_max_t3_floor"] == 0
         assert report["feasible"] is False
 
+    def test_tiny_gamma_e_infeasible_exit(self, capsys):
+        # 1 + 1e-17 rounds to 1; the theorem-2 window is empty, not a division by zero
+        code, out, _ = run_cli(capsys, "bounds", "--n", "11", "--m", "2", "--gamma-r", "1",
+                               "--gamma-e", "1e-17", "--eps-s", "0.5", "--eps-t", "0.5")
+        assert code == EXIT_INFEASIBLE
+        assert "suppress" in json.loads(out)["report"]["infeasible_reason"]
+
     def test_missing_gamma_r_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["bounds", "--n", "101", "--m", "1", "--gamma-e", "1",
@@ -725,7 +732,7 @@ PINNED_STDOUT = {
         SWEEP_HEADER + "\n"
         + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,,'
           ',,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
-        + '41,3.216976157401506,17.50546491183158,0.06133260414943742,0.09308243527647585,true,,,,'
+        + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,,'
           ',,,,,,,,,,,,,,,,,,0.3048780487804878,ok\n'
         + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,,'
           ',,,,,,,,,,,,,,,,,,0.25220680958385877,ok\n'
@@ -737,7 +744,7 @@ PINNED_STDOUT = {
         SWEEP_HEADER + "\n"
         + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,,'
           ',,,,,,,,,,,,,,,,,,0.9893016915080322,ok\n'
-        + '41,3.216976157401506,17.50546491183158,0.06133260414943742,0.09308243527647585,true,,,,'
+        + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,,'
           ',,,,,,,,,,,,,,,,,,0.9784865064264547,ok\n'
         + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,,'
           ',,,,,,,,,,,,,,,,,,0.9730778549860996,ok\n'
