@@ -519,6 +519,31 @@ class TestValidate:
         assert [r[5] for r in table] == [row["detail"] for row in rows]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma_r", ["1e-300", "1e300"])
+@pytest.mark.parametrize("gamma_e", ["1e-300", "1e-17", "1e300", "inf"])
+def test_extreme_settings_end_without_traceback(capsys, gamma_e, gamma_r):
+    # thresholds at the ends of the float range end in a result, an empty
+    # window or a usage error, for both rules and both kinds of tau
+    scenario = ["--m", "2", "--gamma-r", gamma_r, "--gamma-e", gamma_e,
+                "--eps-s", "0.5", "--eps-t", "0.5"]
+    runs = [["bounds", "--n", n, *scenario] for n in ("2", "11")]
+    for policy in (["--tau", "0.3"], ["--tau-policy", "theorem2-max"]):
+        for rule in ("random", "optimal"):
+            protocol = [*scenario, "--protocol", rule, *policy, "--trials", "30", "--seed", "1"]
+            runs += [["simulate", "--n", "11", *protocol],
+                     ["sweep", "--param", "n", "--values", "1,2,11", "--outputs", "both",
+                      *protocol],
+                     ["tolerance", "--n", "2", *protocol, "--m-cap", "4"]]
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE), argv
+
+
 @pytest.mark.parametrize("argv", [
     BOUNDS_ARGS,
     SIM_ARGS[:-4] + ["--trials", "20", "--seed", "7", "--format", "csv"],
