@@ -7,7 +7,7 @@ actually tolerate. The closed-form tolerance uses an expectation-substituted
 (Jensen) secrecy step and a Taylor-linearized reliability step, so it is
 systematically optimistic; the table makes that gap visible.
 
-Run: python demos/bounds_vs_simulation.py       (about a minute)
+Run: python demos/bounds_vs_simulation.py       (under a second: 0.4-0.6 s on a 2-vCPU Xeon VM)
 """
 
 from relaysec import (ProtocolChoice, ScenarioConfig, build_bound_report,

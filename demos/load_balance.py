@@ -10,7 +10,7 @@ random's Multinomial(slots, 1/n), so its load is visibly less even. This
 script compares selection counts, Jain fairness and selection entropy for
 both rules at two coherence lengths.
 
-Run: python demos/load_balance.py       (a few seconds)
+Run: python demos/load_balance.py       (under a second: 0.2-0.6 s on a 2-vCPU Xeon VM)
 """
 
 import math

@@ -31,11 +31,11 @@ import math
 import os
 import sys
 
-from .bounds import InfeasibleConfigError, build_bound_report
+from .bounds import InfeasibleConfigError, build_bound_report, check_at_least
 from .channel import NOISE_MODES, ScenarioConfig
 from .montecarlo import (CI_SUFFIXES, LEG_MODES, PROPORTIONS, estimate_outage, load_balance,
                          tolerance_search)
-from .protocols import PROTOCOL_KINDS, TAU_POLICIES, ProtocolChoice, resolve_tau
+from .protocols import PROTOCOL_KINDS, TAU_POLICIES, ProtocolChoice
 from .serialize import csv_line, dumps, write_csv
 from .validation import run_oracle_suite
 
@@ -190,12 +190,11 @@ def _cmd_bounds(parser, args) -> int:
 def _cmd_simulate(parser, args) -> int:
     merged = _resolve_settings(parser, args, required=("n", "m", "gamma_r", "gamma_e"))
     config, protocol = _objects(merged)
-    tau_resolved = resolve_tau(protocol, config)
     est = estimate_outage(config, protocol, merged["trials"], merged["seed"],
                           legs=merged["legs"], workers=merged["workers"])
     res = est.as_dict()
     _emit_record(args, res, {"command": "simulate", "config": _config_echo(merged),
-                             "protocol": _protocol_echo(protocol, tau_resolved),
+                             "protocol": _protocol_echo(protocol, est.tau),
                              "result": res})
     return EXIT_OK
 
@@ -260,6 +259,10 @@ def _sweep_row(args, local: dict, config: ScenarioConfig, protocol: ProtocolChoi
 
 
 def _cmd_sweep(parser, args) -> int:
+    if args.append and args.fmt == "json":  # a JSON document cannot extend a CSV file
+        parser.error("--append needs CSV output, not --format json")
+    if args.lb_slots is not None:
+        check_at_least("--load-balance-slots", args.lb_slots, 1)
     need = ("n", "m", "gamma_r", "gamma_e") if args.outputs == "simulation" \
         else ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t")
     merged = _resolve_settings(parser, args,
@@ -293,9 +296,8 @@ def _cmd_tolerance(parser, args) -> int:
     result = tolerance_search(config, protocol, merged["eps_s"], merged["trials"],
                               args.m_cap, merged["seed"], legs=merged["legs"],
                               workers=merged["workers"])
-    tau_resolved = resolve_tau(protocol, config)
     doc = {"command": "tolerance", "config": _config_echo(merged),
-           "protocol": _protocol_echo(protocol, tau_resolved),
+           "protocol": _protocol_echo(protocol, result.tau),
            "eps_s": merged["eps_s"], "m_cap": args.m_cap,
            "trials": merged["trials"], "seed": merged["seed"],
            "result": {"m_max": result.m_max, "violated_at_m1": result.violated_at_m1,

@@ -78,11 +78,10 @@ CI_SUFFIXES = ("", "_ci_lo", "_ci_hi")  # a proportion's point estimate and Wils
 _BLOCK_WORDS = 1 << 18
 
 
-def _run_trials(config: ScenarioConfig, protocol: ProtocolChoice,
+def _run_trials(config: ScenarioConfig, kind: str, tau: float,
                 start: int, stop: int, seed: int, legs: str) -> dict[str, int]:
-    """Run trials [start, stop) of `seed` and return raw outcome counts."""
-    tau = resolve_tau(protocol, config)
-    maxmin = protocol.kind == "optimal-maxmin"
+    """Run trials [start, stop) of `seed` under rule `kind` and threshold `tau`; raw counts."""
+    maxmin = kind == "optimal-maxmin"
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
     stream = SeedStream(seed)
@@ -107,6 +106,7 @@ class OutageEstimate:
 
     config: ScenarioConfig
     protocol: ProtocolChoice
+    tau: float  # the jamming threshold the trials ran at
     legs: str
     seed: int
     trial_start: int
@@ -182,21 +182,17 @@ def _pool(workers: int, trials: int):
     return ProcessPoolExecutor(max_workers=min(workers, trials))
 
 
-def _estimate(pool, config: ScenarioConfig, protocol: ProtocolChoice, trials: int,
+def _estimate(pool, config: ScenarioConfig, protocol: ProtocolChoice, tau: float, trials: int,
               seed: int, legs: str, workers: int, trial_start: int = 0) -> OutageEstimate:
-    """`estimate_outage` on `pool`, a pool from `_pool(workers, trials)`, run here if None."""
-    if pool is None:
-        counts = _run_trials(config, protocol, trial_start, trial_start + trials, seed, legs)
-        return OutageEstimate(config=config, protocol=protocol, legs=legs, seed=seed,
-                              trial_start=trial_start, trials=trials, counts=counts)
+    """`estimate_outage` at `tau`: one range a worker, on `pool` (from `_pool`) or here if None."""
     edges = [int(trial_start) + i * int(trials) // workers for i in range(workers + 1)]
-    ranges = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
-    futures = [pool.submit(_run_trials, config, protocol, a, b, seed, legs)
-               for a, b in ranges]
-    return merge_estimates([OutageEstimate(config=config, protocol=protocol, legs=legs,
-                                           seed=seed, trial_start=a, trials=b - a,
-                                           counts=f.result())
-                            for (a, b), f in zip(ranges, futures)])
+    jobs = [(config, protocol.kind, tau, a, b, seed, legs)
+            for a, b in zip(edges, edges[1:]) if b > a]
+    counts, *rest = (map if pool is None else pool.map)(_run_trials, *zip(*jobs))
+    for part in rest:
+        counts = {key: count + part[key] for key, count in counts.items()}
+    return OutageEstimate(config=config, protocol=protocol, tau=tau, legs=legs, seed=seed,
+                          trial_start=trial_start, trials=trials, counts=counts)
 
 
 def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
@@ -207,50 +203,54 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     The run counts trials [trial_start, trial_start + trials): `trial_start`
     is an integer >= 0 and the range ends at 2**63 at most, or ValueError;
     `seed` is any integer (not a bool), read mod 2**64, or ValueError.
-    The result is identical for any `workers` count: trial t always reads
-    the same words of the seed's stream, and workers only partition the
-    trial range, by integer arithmetic.
+    The threshold is resolved once, before any worker starts, and carried as
+    `tau`. The result is identical for any `workers` count: trial t always
+    reads the same words of the seed's stream, and workers only partition
+    the trial range, by integer arithmetic.
     """
     _check_run(trials, seed, legs, workers, trial_start)
-    if workers > 1:
-        resolve_tau(protocol, config)  # an infeasible tau policy fails before any worker starts
+    tau = resolve_tau(protocol, config)
     with _pool(workers, trials) as pool:
-        return _estimate(pool, config, protocol, trials, seed, legs, workers, trial_start)
+        return _estimate(pool, config, protocol, tau, trials, seed, legs, workers, trial_start)
 
 
 def merge_estimates(parts: list[OutageEstimate]) -> OutageEstimate:
     """Pool estimates whose trial ranges tile one range of one configuration.
 
     Merging is exact (counts add), so the result equals a single run over
-    that range. Parts with mismatched configuration, protocol, leg mode or
-    seed are rejected, and so are parts whose ranges, in any order, overlap
-    or leave a gap.
+    that range. Parts with mismatched configuration, protocol, threshold,
+    leg mode or seed are rejected, and so are parts whose ranges, in any
+    order, overlap or leave a gap.
     """
     if not parts:
         raise ValueError("nothing to merge")
     parts = sorted(parts, key=lambda p: p.trial_start)
     head = parts[0]
     for prev, p in zip(parts, parts[1:]):
-        if (p.config, p.protocol, p.legs, p.seed) != (head.config, head.protocol,
-                                                      head.legs, head.seed):
+        if (p.config, p.protocol, p.tau, p.legs, p.seed) != (head.config, head.protocol,
+                                                             head.tau, head.legs, head.seed):
             raise ValueError("cannot merge estimates from different runs")
         if p.trial_start != prev.trial_start + prev.trials:
             raise ValueError(f"trial ranges must tile one range: [{prev.trial_start}, "
                              f"{prev.trial_start + prev.trials}) is followed by a range "
                              f"starting at {p.trial_start}")
-    return OutageEstimate(config=head.config, protocol=head.protocol, legs=head.legs,
-                          seed=head.seed, trial_start=head.trial_start,
+    return OutageEstimate(config=head.config, protocol=head.protocol, tau=head.tau,
+                          legs=head.legs, seed=head.seed, trial_start=head.trial_start,
                           trials=sum(p.trials for p in parts),
                           counts={k: sum(p.counts[k] for p in parts) for k in head.counts})
 
 
 @dataclass(frozen=True)
 class ToleranceResult:
-    """Outcome of an empirical eavesdropper-tolerance search."""
+    """Outcome of an empirical eavesdropper-tolerance search at jamming threshold `tau`."""
 
     m_max: int
-    violated_at_m1: bool
+    tau: float
     probes: tuple
+
+    @property
+    def violated_at_m1(self) -> bool:  # one eavesdropper already breaks the budget
+        return self.m_max == 0
 
 
 def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
@@ -260,30 +260,27 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
 
     Uses the Wilson upper bound of p_s_e2e (conservative at the chosen trial
     count) and doubling-then-bisection, justified by the monotonicity of
-    secrecy outage in m. The jamming threshold is resolved once from the
-    base configuration and frozen, so policies that depend on m do not move
-    during the search. With `workers` > 1, one process pool serves every
-    probe.
+    secrecy outage in m. The jamming threshold is resolved once, from the
+    base configuration, and every probe runs at it, so policies that depend
+    on m do not move during the search; the result carries it as `tau`.
+    With `workers` > 1, one process pool serves every probe.
     """
     check_at_least("m_cap", m_cap, 1, integer=True)
     check_unit("eps_s", eps_s)
     _check_run(trials, seed, legs, workers)
-    frozen = ProtocolChoice(kind=protocol.kind, tau_policy="manual",
-                            tau=resolve_tau(protocol, config))
+    tau = resolve_tau(protocol, config)
     probes: list[tuple[int, float]] = []
     with _pool(workers, trials) as pool:
 
         def ok(m: int) -> bool:
-            est = _estimate(pool, replace(config, m=m), frozen, trials, seed, legs, workers)
-            upper = est.proportion("s_e2e").hi
+            upper = _estimate(pool, replace(config, m=m), protocol, tau, trials, seed, legs,
+                              workers).proportion("s_e2e").hi
             probes.append((m, upper))
             return upper <= eps_s
 
-        if not ok(1):
-            return ToleranceResult(0, True, tuple(probes))
-        good, bad = 1, None
+        good, bad = 0, None  # probes m = 1, 2, 4, ... until one fails, then bisects
         while good < m_cap:
-            nxt = min(2 * good, m_cap)
+            nxt = min(2 * good or 1, m_cap)
             if ok(nxt):
                 good = nxt
             else:
@@ -295,7 +292,7 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
                 good = mid
             else:
                 bad = mid
-    return ToleranceResult(good, False, tuple(probes))
+    return ToleranceResult(good, tau, tuple(probes))
 
 
 def jain_index(counts) -> float:

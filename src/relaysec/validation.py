@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import combine_legs, eve_intercept_exact, expected_jammers
 from .channel import ScenarioConfig, SeedStream, gain
 from .montecarlo import OutageEstimate, estimate_outage
-from .protocols import ProtocolChoice, resolve_tau
+from .protocols import ProtocolChoice
 
 DEFAULT_SEED = 12345
 
@@ -51,7 +51,7 @@ def mgf_check(gamma: float, samples: int, seed: int) -> CheckResult:
 
 def jammer_check(est: OutageEstimate) -> CheckResult:
     """Mean hop-1 jammer set size against the binomial mean (n-1)(1-e^{-tau}); any estimate."""
-    n, tau = est.config.n, resolve_tau(est.protocol, est.config)
+    n, tau = est.config.n, est.tau
     expected, tol = expected_jammers(n, tau), 3.0 * est.se_jammers_hop1
     return CheckResult(f"jammer_count(n={n}, tau={tau})",
                        abs(est.mean_jammers_hop1 - expected) <= tol,
@@ -66,10 +66,9 @@ def intercept_check(est: OutageEstimate) -> CheckResult:
     config = est.config
     if config.noise_mode != "interference-limited" or config.m < 1:
         raise ValueError("intercept_check needs interference-limited noise and m >= 1")
-    tau = resolve_tau(est.protocol, config)
     prop = est.proportion("eve_hits_hop1")
-    expected = eve_intercept_exact(config.n, config.gamma_e, tau)
-    return CheckResult(f"eve_intercept_exact(n={config.n}, tau={tau})",
+    expected = eve_intercept_exact(config.n, config.gamma_e, est.tau)
+    return CheckResult(f"eve_intercept_exact(n={config.n}, tau={est.tau})",
                        prop.lo <= expected <= prop.hi,
                        prop.p, expected, prop.hi - prop.lo,
                        f"wilson=[{prop.lo:.5f}, {prop.hi:.5f}] trials={est.trials}")

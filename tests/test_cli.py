@@ -14,7 +14,8 @@ import pytest
 
 import relaysec
 import relaysec.validation
-from relaysec import estimate_outage, eve_intercept_exact, expected_jammers
+from relaysec import (ProtocolChoice, ScenarioConfig, estimate_outage, eve_intercept_exact,
+                      expected_jammers, resolve_tau)
 from relaysec.channel import gain
 from relaysec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                           SWEEP_COLUMNS, _build_parser, main)
@@ -383,6 +384,43 @@ class TestSweep:
             main(self.BASE + ["--outputs", "bounds", "--load-balance-slots", "0"])
         assert err.value.code == EXIT_USAGE
         assert "slots must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slots", ["0", "-3"])
+    def test_bad_load_balance_slots_refused_before_any_row_runs(self, monkeypatch, slots):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row was simulated before --load-balance-slots was checked")
+
+        monkeypatch.setattr(relaysec.cli, "estimate_outage", no_row)
+        with pytest.raises(SystemExit) as err:
+            main(self.BASE + ["--load-balance-slots", slots])
+        assert err.value.code == EXIT_USAGE
+
+    def test_append_with_json_usage_error_leaves_file(self, capsys, tmp_path):
+        # a JSON document cannot extend the accumulated CSV, so it must not replace it
+        path = tmp_path / "sweep.csv"
+        run_cli(capsys, *self.BASE, "--outputs", "bounds", "--out", str(path))
+        first = path.read_bytes()
+        with pytest.raises(SystemExit) as err:
+            main(self.BASE + ["--outputs", "bounds", "--out", str(path), "--append",
+                              "--format", "json"])
+        assert err.value.code == EXIT_USAGE
+        assert "--append" in capsys.readouterr().err
+        assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("policy", ["protocol1-formula", "theorem2-max", "theorem2-min"])
+def test_tau_resolved_echo_is_the_base_config_threshold(capsys, policy):
+    # simulate and tolerance echo the threshold their trials ran at: the
+    # policy resolved at the base config (tolerance's base m included)
+    scenario = ["--n", "101", "--m", "2", "--gamma-r", "1", "--gamma-e", "1", "--eps-s", "0.5",
+                "--eps-t", "0.5", "--protocol", "random", "--tau-policy", policy,
+                "--trials", "300", "--seed", "3"]
+    want = resolve_tau(ProtocolChoice(kind="random-uniform", tau_policy=policy),
+                       ScenarioConfig(n=101, m=2, gamma_r=1.0, gamma_e=1.0, eps_s=0.5, eps_t=0.5))
+    for argv in (["simulate", *scenario], ["tolerance", *scenario, "--m-cap", "4"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["protocol"]["tau_resolved"] == want
 
 
 class TestTolerance:

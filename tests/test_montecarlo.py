@@ -46,8 +46,9 @@ class TestHugeEs:
         # as an outage; g / (I + N0/2 / Es) decodes as at Es = 1e300
         cfg = ScenarioConfig(n=40, m=2, gamma_r=0.5, gamma_e=1.0)
         proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=1.0)
-        got = _run_trials(replace(cfg, es=1e308), proto, 0, 2000, 5, "shared")
-        assert got == _run_trials(replace(cfg, es=1e300), proto, 0, 2000, 5, "shared")
+        got = _run_trials(replace(cfg, es=1e308), proto.kind, proto.tau, 0, 2000, 5, "shared")
+        assert got == _run_trials(replace(cfg, es=1e300), proto.kind, proto.tau, 0, 2000, 5,
+                                  "shared")
 
 
 class TestEstimateOutage:
@@ -183,8 +184,7 @@ class TestRandomSelectionClosedForm:
     def test_transmission_outage_matches_closed_form(self, n, noise_mode, legs):
         cfg = ScenarioConfig(n=n, m=0, gamma_r=0.5, gamma_e=1.0, noise_mode=noise_mode)
         tau = 0.3
-        counts = _run_trials(cfg, ProtocolChoice(kind="random-uniform", tau_policy="manual",
-                                                 tau=tau), 0, self.TRIALS, 77, legs)
+        counts = _run_trials(cfg, "random-uniform", tau, 0, self.TRIALS, 77, legs)
         hop = self.hop_outage(cfg, tau)
         exact = {"t_hop1": hop, "t_hop2": hop, "t_e2e": 1.0 - (1.0 - hop) ** 2,
                  "t_both": hop * hop}
@@ -207,7 +207,8 @@ class TestCommonRandomNumbers:
         # only the law of an eavesdropper's hop-2 intercept
         cfg = ScenarioConfig(n=n, m=4, gamma_r=0.5, gamma_e=0.5, noise_mode=noise_mode)
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.2)
-        shared, indep = (_run_trials(cfg, proto, 0, 3000, 404, legs) for legs in LEG_MODES)
+        shared, indep = (_run_trials(cfg, proto.kind, proto.tau, 0, 3000, 404, legs)
+                         for legs in LEG_MODES)
         assert {k: shared[k] for k in self.LEGITIMATE} == {k: indep[k] for k in self.LEGITIMATE}
 
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
@@ -221,7 +222,7 @@ class TestCommonRandomNumbers:
         base = ScenarioConfig(n=n, m=3, gamma_r=1.0, gamma_e=1.0)
 
         def counts(**change):
-            return _run_trials(replace(base, **change), proto, 0, 2000, 505, legs)
+            return _run_trials(replace(base, **change), proto.kind, proto.tau, 0, 2000, 505, legs)
 
         t_keys = ("t_hop1", "t_hop2", "t_e2e", "t_both")
         by_e = [counts(gamma_e=g) for g in (0.05, 0.2, 0.5, 1.0, 3.0, math.inf)]
@@ -239,7 +240,8 @@ class TestMergeEstimates:
         edges = np.linspace(0, trials, n_parts + 1).astype(int)
         out = []
         for a, b in zip(edges[:-1], edges[1:]):
-            counts = _run_trials(IL, RANDOM_TAU01, int(a), int(b), seed, "shared")
+            counts = _run_trials(IL, RANDOM_TAU01.kind, RANDOM_TAU01.tau, int(a), int(b), seed,
+                                 "shared")
             out.append(estimate_outage(IL, RANDOM_TAU01, int(b - a), seed,
                                        trial_start=int(a)))
             assert out[-1].counts == counts
@@ -280,12 +282,25 @@ class TestMergeEstimates:
         # each thread draws through its own generator
         cfg = replace(IL, m=3)
         maxmin = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.3)
-        jobs = [(cfg, RANDOM_TAU01, 0, 3000, 61, "shared"),
-                (cfg, maxmin, 500, 2500, 62, "independent")]
+        jobs = [(cfg, RANDOM_TAU01.kind, RANDOM_TAU01.tau, 0, 3000, 61, "shared"),
+                (cfg, maxmin.kind, maxmin.tau, 500, 2500, 62, "independent")]
         want = [_run_trials(*job) for job in jobs]
         with ThreadPoolExecutor(max_workers=2) as threads:
             got = list(threads.map(lambda job: _run_trials(*job), jobs * 3))
         assert got == want * 3
+
+    def test_estimate_carries_its_threshold(self):
+        # resolved once in the calling process; every worker count and a merge keep it
+        cfg = ScenarioConfig(n=101, m=2, gamma_r=1.0, gamma_e=1.0, eps_s=0.5, eps_t=0.5)
+        proto = ProtocolChoice(kind="random-uniform", tau_policy="theorem2-max")
+        want = protocols.resolve_tau(proto, cfg)
+        one, three = (estimate_outage(cfg, proto, 300, 8, workers=w) for w in (1, 3))
+        assert one.tau == three.tau == want
+        assert one.counts == three.counts
+        rest = estimate_outage(cfg, proto, 200, 8, trial_start=300)
+        assert merge_estimates([one, rest]).tau == want
+        with pytest.raises(ValueError, match="different runs"):
+            merge_estimates([one, replace(rest, tau=want / 2)])
 
     def test_mismatched_parts_rejected(self):
         a = estimate_outage(IL, RANDOM_TAU01, 100, 1)

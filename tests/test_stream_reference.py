@@ -133,14 +133,16 @@ def test_kernel_matches_per_trial_reference(n, monkeypatch, pool):
         protocol = ProtocolChoice(kind=kind, tau_policy="manual", tau=tau)
         ref = reference_outcomes(config, kind, legs, tau, SEED, TRIALS)
         want = tuple(int(v) for v in ref.sum(axis=0))
-        whole = as_tuple(_run_trials(config, protocol, 0, TRIALS, SEED, legs))
+        whole = as_tuple(_run_trials(config, protocol.kind, protocol.tau, 0, TRIALS, SEED, legs))
         split = merge_estimates([estimate_outage(config, protocol, b - a, SEED, legs=legs,
                                                  trial_start=a)
                                  for a, b in ((0, CUT), (CUT, TRIALS))])
-        pooled = montecarlo._estimate(pool, config, protocol, TRIALS, SEED, legs, workers=4)
+        pooled = montecarlo._estimate(pool, config, protocol, tau, TRIALS, SEED, legs,
+                                       workers=4)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_BLOCK_WORDS", 1)
-            ones = as_tuple(_run_trials(config, protocol, WINDOW.start, WINDOW.stop, SEED, legs))
+            ones = as_tuple(_run_trials(config, protocol.kind, protocol.tau, WINDOW.start,
+                                        WINDOW.stop, SEED, legs))
         window = tuple(int(v) for v in ref[WINDOW.start:WINDOW.stop].sum(axis=0))
         got = (whole, as_tuple(split.counts), as_tuple(pooled.counts), ones)
         if got != (want, want, want, window):
