@@ -249,7 +249,8 @@ class ToleranceResult:
     probes: tuple
 
     @property
-    def violated_at_m1(self) -> bool:  # one eavesdropper already breaks the budget
+    def violated_at_m1(self) -> bool:
+        """Whether one eavesdropper already breaks the budget, so that m_max is 0."""
         return self.m_max == 0
 
 
