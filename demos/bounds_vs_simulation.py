@@ -2,10 +2,11 @@
 
 For a few network sizes this script evaluates every closed-form quantity,
 then simulates the random-selection protocol at the reliability-limited
-jamming threshold and searches for the eavesdropper count the network can
-actually tolerate. The closed-form tolerance uses an expectation-substituted
-(Jensen) secrecy step and a Taylor-linearized reliability step, so it is
-systematically optimistic; the table makes that gap visible.
+jamming threshold and reads, from one run, the eavesdropper count the
+network can actually tolerate. The closed-form tolerance uses an
+expectation-substituted (Jensen) secrecy step and a Taylor-linearized
+reliability step, so it is systematically optimistic; the table makes that
+gap visible.
 
 Run: python demos/bounds_vs_simulation.py       (under a second: 0.4-0.6 s on a 2-vCPU Xeon VM)
 """

@@ -10,8 +10,8 @@ nothing ever measures them. One realization spans both hops of a
 transmission.
 
 Only the legitimate gains a transmission reads are drawn, and no
-eavesdropper gain at all (stream layout 5): each eavesdropper draws one
-uniform that decides both of its hops (`protocols.execute_two_hop`). Every
+eavesdropper gain at all (stream layout 6): three uniforms a trial, for any
+m, give the first eavesdropper to intercept each hop. Every
 draw of a run comes from one PCG64DXSM stream per seed (`SeedStream`);
 trial t owns a fixed range of its 64-bit words, and the generator advances
 to any word, so any range of trials is drawn with one call:
@@ -38,7 +38,7 @@ from .bounds import check_at_least, check_positive, check_unit
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
-_LAYOUT = 5  # the stream layout, also the second entropy word of every run's seed sequence
+_LAYOUT = 6  # the stream layout, also the second entropy word of every run's seed sequence
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -108,7 +108,7 @@ class SeedStream:
     """The random stream of one seed: PCG64DXSM (O'Neill 2014), read by word offset.
 
     Word 0 is the state of PCG64DXSM seeded by SeedSequence([seed mod 2**64,
-    5]) (5 is the stream layout). A table whose rows read `words` words each
+    6]) (6 is the stream layout). A table whose rows read `words` words each
     has row width W = `words`, no padding: row r owns words [r W, (r + 1) W).
     So any range of rows is drawn by setting the base state, advancing it
     r W words and making one call.
@@ -177,14 +177,14 @@ class ScenarioConfig:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(n: int, m: int, maxmin: bool, independent: bool) -> MappingProxyType:
-    """Field -> its columns among a trial's words (stream layout 5; see `sample_realization`).
+def _layout(n: int, maxmin: bool, independent: bool) -> MappingProxyType:
+    """Field -> its columns among a trial's words (stream layout 6; see `sample_realization`).
 
-    Cached per (n, m, rule, leg mode) and shared by every block, so read-only.
+    Cached per (n, rule, leg mode) and shared by every block, so read-only.
     """
     head = [("s_r", n)] + [("r_d", n)] * independent if maxmin else [("pick", 1), ("s_r", 1)]
     fields, o = {}, 0
-    for name, size in head + [("to_relay", n - 1), ("r_d2", n), ("eve", m)]:
+    for name, size in head + [("to_relay", n - 1), ("r_d2", n), ("eve", 3)]:
         fields[name], o = slice(o, o + size), o + size
     fields.setdefault("r_d", fields["r_d2"])
     fields["receivers"] = slice(fields["to_relay"].start, fields["r_d2"].stop)
@@ -192,12 +192,12 @@ def _layout(n: int, m: int, maxmin: bool, independent: bool) -> MappingProxyType
 
 
 def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
-    """W, the 64-bit words one trial owns: the words it reads.
+    """W, the 64-bit words one trial owns: the words it reads, whatever m is.
 
-    Random selection reads 2n + 1 + m words in either leg mode, and max-min
-    3n - 1 + m, 4n - 1 + m with independent legs.
+    Random selection reads 2n + 4 words in either leg mode, and max-min
+    3n + 2, 4n + 2 with independent legs.
     """
-    return _layout(config.n, config.m, maxmin, independent)["eve"].stop
+    return _layout(config.n, maxmin, independent)["eve"].stop
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
@@ -205,16 +205,16 @@ def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: 
     """Draw trials [lo, hi) of `stream`: trial t's words [t W, (t + 1) W), W = `trial_words`.
 
     A trial reads its head, then the n - 1 gains toward its relay (hop 1's
-    jammer words), then r_d (n) as hop 2 reads it, then one uniform per
-    eavesdropper (m). The head is a relay index floor(u n) and that relay's
-    s_r under random selection, and s_r (n) under max-min, which picks the
-    relay with the largest min(s_r, r_d); with independent legs max-min's
-    head adds the r_d (n) it picks on, and hop 2 reads a fresh r_d. Random
-    selection reads no r_d before hop 2, so its two leg modes read the same
-    words.
+    jammer words), then r_d (n) as hop 2 reads it, then three eavesdropper
+    uniforms, for any m. The head is a relay index floor(u n) and that
+    relay's s_r under random selection, and s_r (n) under max-min, which
+    picks the relay with the largest min(s_r, r_d); with independent legs
+    max-min's head adds the r_d (n) it picks on, and hop 2 reads a fresh
+    r_d. Random selection reads no r_d before hop 2, so its two leg modes
+    read the same words.
     """
     return ChannelRealization(
-        n=config.n, m=config.m, maxmin=maxmin, independent=independent,
+        n=config.n, maxmin=maxmin, independent=independent,
         words=stream.uniforms(lo, hi, trial_words(config, maxmin=maxmin, independent=independent)))
 
 
@@ -230,13 +230,12 @@ class ChannelRealization:
     "to_relay"   R_j <-> the trial's relay, j increasing, that relay left out
     "r_d"        R_j <-> D, as max-min selection reads it
     "r_d2"       R_j <-> D on hop 2: r_d, but a fresh draw under max-min with independent legs
-    "eve"        eavesdropper E_i's uniform, which decides both its hops
+    "eve"        u0, u1, u2: each hop's first interceptor (`protocols._first_hits`)
     "receivers"  to_relay then r_d2: hop 1's n - 1 jammer words, then relay j's
                  hop-2 word at column n - 1 + j
     """
 
     n: int
-    m: int
     maxmin: bool
     independent: bool
     words: np.ndarray
@@ -244,7 +243,7 @@ class ChannelRealization:
     @functools.cached_property
     def layout(self) -> MappingProxyType:
         """Field -> its columns (`_layout`), read-only."""
-        return _layout(self.n, self.m, self.maxmin, self.independent)
+        return _layout(self.n, self.maxmin, self.independent)
 
     def __getitem__(self, field: str) -> np.ndarray:
         return self.words[:, self.layout[field]]

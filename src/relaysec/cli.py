@@ -259,16 +259,17 @@ def _sweep_row(args, local: dict, config: ScenarioConfig, protocol: ProtocolChoi
 
 
 def _cmd_sweep(parser, args) -> int:
-    if args.append and args.fmt == "json":  # a JSON document cannot extend a CSV file
-        parser.error("--append needs CSV output, not --format json")
+    if args.append and (args.fmt == "json" or not args.out):  # it extends a CSV file
+        parser.error("--append needs --out and CSV output")
     if args.lb_slots is not None:
         check_at_least("--load-balance-slots", args.lb_slots, 1)
     need = ("n", "m", "gamma_r", "gamma_e") if args.outputs == "simulation" \
         else ("n", "m", "gamma_r", "gamma_e", "eps_s", "eps_t")
     merged = _resolve_settings(parser, args,
                                required=tuple(k for k in need if k != args.param))
-    manual = {"tau_policy": "manual"} if args.param == "tau" else {}
-    settings = [{**merged, **manual, args.param: v} for v in _sweep_values(parser, args)]
+    if args.param == "tau":  # every row runs at its own manual threshold
+        merged["tau_policy"] = "manual"
+    settings = [{**merged, args.param: v} for v in _sweep_values(parser, args)]
     # every row's inputs are checked before any row runs: a bad value, swept
     # or shared, is a usage error
     objects = [_objects(local) for local in settings]

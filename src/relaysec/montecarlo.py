@@ -2,7 +2,7 @@
 
 Trials are embarrassingly parallel: trial t reads a fixed range of words of
 the seed's PCG64DXSM stream, reached by advancing the generator (stream
-layout 5, see `channel.SeedStream`), so a run can be split across any number of
+layout 6, see `channel.SeedStream`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
 single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme
@@ -13,9 +13,9 @@ draw, one selection and one `protocols.execute_two_hop` pass, which decide
 on the uniforms (a relay jams iff its uniform is below u_tau) and add each
 trial's jammer gains in relay order. A trial's outcome depends only on its
 own words, so block boundaries never change a count. No eavesdropper gain
-is drawn: each eavesdropper's uniform decides its two intercepts from their
-exact law given the trial's jammer sets, so every count keeps the law a
-gain-level simulation gives it, and its cost does not grow with n m.
+is drawn, and a trial's words and cost do not depend on m: on one seed no
+secrecy count falls as m rises, and one run at m_cap answers
+`tolerance_search` for every m (`protocols._first_hits`).
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -78,14 +78,16 @@ CI_SUFFIXES = ("", "_ci_lo", "_ci_hi")  # a proportion's point estimate and Wils
 _BLOCK_WORDS = 1 << 18
 
 
-def _run_trials(config: ScenarioConfig, kind: str, tau: float,
-                start: int, stop: int, seed: int, legs: str) -> dict[str, int]:
-    """Run trials [start, stop) of `seed` under rule `kind` and threshold `tau`; raw counts."""
+def _run_trials(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int,
+                seed: int, legs: str) -> tuple[dict[str, int], np.ndarray]:
+    """Raw counts of trials [start, stop) of `seed` under rule `kind` and threshold `tau`,
+    and the (m + 2,) histogram of min(H1, H2), their first hits (`protocols._first_hits`)."""
     maxmin = kind == "optimal-maxmin"
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
     stream = SeedStream(seed)
     c = dict.fromkeys(COUNT_KEYS, 0)
+    first_hit = np.zeros(config.m + 2, dtype=np.int64)
     for lo in range(start, stop, size):
         real = sample_realization(config, stream, lo, min(lo + size, stop),
                                   maxmin=maxmin, independent=independent)
@@ -93,7 +95,9 @@ def _run_trials(config: ScenarioConfig, kind: str, tau: float,
         record = execute_two_hop(real, selected, tau, config)
         for key, count in classify_outage(record, config).items():
             c[key] += count
-    return c
+        first_hit += np.bincount(np.minimum(*record.first_hit.T).astype(np.intp),
+                                 minlength=config.m + 2)
+    return c, first_hit
 
 
 @dataclass(frozen=True)
@@ -116,15 +120,13 @@ class OutageEstimate:
     def proportion(self, key: str) -> Proportion | None:
         """Count `key` as a proportion of the trials, with its Wilson interval.
 
-        `eve_hits_hop1` is a proportion of trials * m, one per eavesdropper
-        and trial (pooled over the eavesdroppers); None when m = 0.
+        `eve_hits_hop1` is the share of trials whose first eavesdropper
+        intercepts hop 1: one eavesdropper's intercept rate. None when m = 0.
         """
-        denom = self.trials * self.config.m if key == "eve_hits_hop1" else self.trials
-        if denom == 0:
+        if key == "eve_hits_hop1" and self.config.m == 0:
             return None
         k = self.counts[key]
-        lo, hi = wilson_interval(k, denom)
-        return Proportion(k / denom, lo, hi)
+        return Proportion(k / self.trials, *wilson_interval(k, self.trials))
 
     @property
     def mean_jammers_hop1(self) -> float:
@@ -183,16 +185,18 @@ def _pool(workers: int, trials: int):
 
 
 def _estimate(pool, config: ScenarioConfig, protocol: ProtocolChoice, tau: float, trials: int,
-              seed: int, legs: str, workers: int, trial_start: int = 0) -> OutageEstimate:
-    """`estimate_outage` at `tau`: one range a worker, on `pool` (from `_pool`) or here if None."""
+              seed: int, legs: str, workers: int, trial_start: int = 0):
+    """`estimate_outage` at `tau` and its first-hit histogram (`_run_trials`): one range a
+    worker, on `pool` (from `_pool`) or here if None."""
     edges = [int(trial_start) + i * int(trials) // workers for i in range(workers + 1)]
     jobs = [(config, protocol.kind, tau, a, b, seed, legs)
             for a, b in zip(edges, edges[1:]) if b > a]
-    counts, *rest = (map if pool is None else pool.map)(_run_trials, *zip(*jobs))
-    for part in rest:
+    (counts, first_hit), *rest = (map if pool is None else pool.map)(_run_trials, *zip(*jobs))
+    for part, hist in rest:
         counts = {key: count + part[key] for key, count in counts.items()}
+        first_hit = first_hit + hist
     return OutageEstimate(config=config, protocol=protocol, tau=tau, legs=legs, seed=seed,
-                          trial_start=trial_start, trials=trials, counts=counts)
+                          trial_start=trial_start, trials=trials, counts=counts), first_hit
 
 
 def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
@@ -211,7 +215,8 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     _check_run(trials, seed, legs, workers, trial_start)
     tau = resolve_tau(protocol, config)
     with _pool(workers, trials) as pool:
-        return _estimate(pool, config, protocol, tau, trials, seed, legs, workers, trial_start)
+        return _estimate(pool, config, protocol, tau, trials, seed, legs, workers,
+                         trial_start)[0]
 
 
 def merge_estimates(parts: list[OutageEstimate]) -> OutageEstimate:
@@ -242,7 +247,8 @@ def merge_estimates(parts: list[OutageEstimate]) -> OutageEstimate:
 
 @dataclass(frozen=True)
 class ToleranceResult:
-    """Outcome of an empirical eavesdropper-tolerance search at jamming threshold `tau`."""
+    """Empirical eavesdropper tolerance at jamming threshold `tau`; `probes` holds
+    (m, Wilson upper bound of p_s_e2e) at m = 1, 2, 4, ..., m_max and m_max + 1 in [1, m_cap]."""
 
     m_max: int
     tau: float
@@ -257,43 +263,29 @@ class ToleranceResult:
 def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
                      eps_s: float, trials: int, m_cap: int, seed: int,
                      legs: str = "shared", workers: int = 1) -> ToleranceResult:
-    """Largest m <= m_cap whose estimated secrecy outage stays within eps_s.
+    """Largest m <= m_cap whose estimated secrecy outage stays within eps_s, from one run.
 
-    Uses the Wilson upper bound of p_s_e2e (conservative at the chosen trial
-    count) and doubling-then-bisection, justified by the monotonicity of
-    secrecy outage in m. The jamming threshold is resolved once, from the
-    base configuration, and every probe runs at it, so policies that depend
-    on m do not move during the search; the result carries it as `tau`.
-    With `workers` > 1, one process pool serves every probe.
+    The run is `estimate_outage` at m = m_cap. A trial's words do not depend
+    on m, so the trials whose first hit is at most m are the s_e2e count of
+    `estimate_outage` at m for every m, and never fall as m rises. m_max is
+    the last m before the first whose Wilson upper bound of p_s_e2e exceeds
+    eps_s. The threshold is resolved once, at the base configuration's m.
     """
     check_at_least("m_cap", m_cap, 1, integer=True)
     check_unit("eps_s", eps_s)
     _check_run(trials, seed, legs, workers)
     tau = resolve_tau(protocol, config)
-    probes: list[tuple[int, float]] = []
     with _pool(workers, trials) as pool:
+        _, first_hit = _estimate(pool, replace(config, m=m_cap), protocol, tau, trials, seed,
+                                 legs, workers)
+    s_e2e = np.cumsum(first_hit).tolist()  # s_e2e[m]: the count at m eavesdroppers
 
-        def ok(m: int) -> bool:
-            upper = _estimate(pool, replace(config, m=m), protocol, tau, trials, seed, legs,
-                              workers).proportion("s_e2e").hi
-            probes.append((m, upper))
-            return upper <= eps_s
+    def upper(m: int) -> float:
+        return wilson_interval(s_e2e[m], trials)[1]
 
-        good, bad = 0, None  # probes m = 1, 2, 4, ... until one fails, then bisects
-        while good < m_cap:
-            nxt = min(2 * good or 1, m_cap)
-            if ok(nxt):
-                good = nxt
-            else:
-                bad = nxt
-                break
-        while bad is not None and bad - good > 1:
-            mid = (good + bad) // 2
-            if ok(mid):
-                good = mid
-            else:
-                bad = mid
-    return ToleranceResult(good, tau, tuple(probes))
+    m_max = next((m - 1 for m in range(1, m_cap + 1) if upper(m) > eps_s), m_cap)
+    probes = sorted({1 << k for k in range(int(m_cap).bit_length())} | {m_max, m_max + 1})
+    return ToleranceResult(m_max, tau, tuple((m, upper(m)) for m in probes if 1 <= m <= m_cap))
 
 
 def jain_index(counts) -> float:

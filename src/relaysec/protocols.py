@@ -20,10 +20,10 @@ nu and the leg mode (`_law_powers`), and the columns of a block's fields on
 its layout (`ChannelRealization.layout`).
 
 An eavesdropper's gains are independent of every legitimate gain and enter
-its outcome only through the two jammer sets, so one uniform decides its
-pair of intercepts from their exact law given the sets (conditional Monte
-Carlo; Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V): every count
-keeps the law a simulation of the eavesdropper gains would give it.
+its outcome only through the two jammer sets, so three uniforms a trial give
+the first eavesdropper to intercept each hop, for every m at once, from the
+exact law given the sets (conditional Monte Carlo; Asmussen & Glynn, 2007,
+ch. V): every count keeps the law a simulation of their gains gives it.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class TransmissionRecord(NamedTuple):
     jammers: np.ndarray              # (T, 2) |J1|, |J2|: the relays that jam each hop
     jammers_both: np.ndarray | None  # (T,) |J1 & J2| with shared legs; None with independent
     sinr: np.ndarray                 # (T, 2) SINR at the selected relay, at D
-    intercepts: np.ndarray           # (T, 2) eavesdroppers that decode each hop
+    first_hit: np.ndarray            # (T, 2) first eavesdropper to decode each hop, m + 1 if none
 
 
 def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
@@ -181,22 +181,28 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: Scenario
     return a, b, c[k1 + k2 - 2 * both] * r[both]
 
 
-def _count_intercepts(eve: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      c: np.ndarray) -> np.ndarray:
-    """(2, T) counts N1, N2 of the eavesdroppers that intercept hop 1 and hop 2 of each trial.
+def _first_hits(eve: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                m: int) -> np.ndarray:
+    """(T, 2) H1, H2: the first of the eavesdroppers 1, 2, ... to intercept hop 1 and hop 2.
 
-    `eve` is (T, m) uniforms and A, B, C are `intercept_law`'s. By the
-    four-cell rule an eavesdropper's uniform u intercepts hop 1 iff u < A,
-    and hop 2 iff u < C or A <= u < A + B - C. Counting u below three
-    thresholds gives both: N1 = #(u < A) and
-    N2 = #(u < min(A, C)) + #(u < max(A, C, A + B - C)) - #(u < A),
-    for any floats A, B and C, also where rounding puts C above A or
-    A + B - C below A.
+    `eve` is (T, 3) uniforms u0, u1, u2 and A, B, C are `intercept_law`'s. With
+    C clipped to min(A, B), an eavesdropper intercepts some hop with probability
+    p = A + B - C (at most 1), so by inversion (Devroye 1986, ch. X.2) the first
+    that does is H = 1 + floor(log1p(-u0) / log1p(-p)); it intercepts both hops
+    iff u2 p < C, hop 1 only iff C <= u2 p < A, else hop 2 only, and the other
+    hop's first interceptor is H + Geometric(B) or H + Geometric(A), from u1.
+    Both are capped at m + 1, as floats, which also maps p = 0's NaN to m + 1.
     """
-    th = np.array((a, np.minimum(a, c), np.maximum(np.maximum(a, c), a + b - c)))
-    below = (np.ascontiguousarray(eve.T)[:, None] < th).sum(axis=0)
-    below[1] += below[2] - below[0]
-    return below[:2]
+    c = np.minimum(c, np.minimum(a, b))
+    p = np.minimum(a + b - c, 1.0)
+    v = eve[:, 2] * p
+    hop2_only = v >= a
+    hop1_only = (v >= c) > hop2_only
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 or 1: log1p(-p) = -0 or -inf
+        h = np.floor(np.log1p(-eve[:, 0]) / np.log1p(-p)) + 1.0
+        later = np.floor(np.log1p(-eve[:, 1]) / np.log1p(-np.where(hop1_only, b, a))) + 1.0
+    hits = np.where((hop2_only, hop1_only), h + later, h)
+    return np.fmin(hits, m + 1.0, out=hits).T
 
 
 def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
@@ -208,10 +214,9 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
     flat indices puts every jammer in its (hop, trial) cell, hop 2 from
     column n - 1 on. Each SINR is Es g / (Es I + N0/2), I the jammers'
     gains added in relay order. The overlap k = |J1 & J2| is found only with
-    shared legs, the one mode whose law reads it. Each eavesdropper's
-    uniform decides both hops from `intercept_law`'s A, B and C by the
-    four-cell rule (`_count_intercepts`), so each hop has its exact marginal
-    and the pair its exact joint law.
+    shared legs, the one mode whose law reads it. `_first_hits` gives each
+    hop's first interceptor from `intercept_law`'s A, B and C: for every m
+    each hop has its exact marginal and the pair its exact joint law.
     """
     t, n = len(selected), real.n
     rows = np.arange(t)
@@ -235,12 +240,12 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
     a, b, c = intercept_law(sizes.T, both, config)
     return TransmissionRecord(selected_relay=selected, jammers=sizes.T, jammers_both=both,
                               sinr=sinr_many(gains[-2 * t:].reshape(2, t), sums, config).T,
-                              intercepts=_count_intercepts(real["eve"], a, b, c).T)
+                              first_hit=_first_hits(real["eve"], a, b, c, config.m))
 
 
 # Every count a run keeps, in report order: transmission (t) and secrecy (s)
-# outage on hop 1, hop 2, either hop (e2e) and both hops; hop-1 intercepts
-# summed over the eavesdroppers; the hop-1 jammer count |J1| and its square.
+# outage on hop 1, hop 2, either hop (e2e) and both hops; the trials whose
+# first eavesdropper intercepts hop 1; the hop-1 jammer count |J1| and its square.
 COUNT_KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both",
               "s_hop1", "s_hop2", "s_e2e", "s_both",
               "eve_hits_hop1", "jam1_sum", "jam1_sumsq")
@@ -257,12 +262,12 @@ def classify_outage(record: TransmissionRecord, config: ScenarioConfig) -> dict[
 
     A receiver decodes iff its SINR is strictly greater than gamma_r (a
     measure-zero boundary, fixed for reproducibility). A hop is in secrecy
-    outage iff some eavesdropper intercepts it.
+    outage iff its first hit is at most m; eve_hits_hop1 counts H1 = 1 <= m.
     """
     # (4, T) rows t1, t2, s1, s2: one product makes the codes
     codes = _CODE_BITS @ np.concatenate((~(record.sinr.T > config.gamma_r),
-                                         record.intercepts.T > 0))
+                                         record.first_hit.T <= config.m))
     jam1 = record.jammers[:, 0]
     return dict(zip(COUNT_KEYS, [*(_OUTAGE_CODES @ np.bincount(codes, minlength=16)).tolist(),
-                                 int(record.intercepts[:, 0].sum()), int(jam1.sum()),
-                                 int(jam1 @ jam1)]))
+                                 int(np.count_nonzero(record.first_hit[:, 0] <= min(config.m, 1))),
+                                 int(jam1.sum()), int(jam1 @ jam1)]))

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,21 +19,21 @@ def uniforms_of(gains):
     return -np.expm1(-np.asarray(gains, dtype=float))
 
 
-def make_realization(s_r, rr_cond, r_d, eve, toward=0, r_d2=None):
+def make_realization(s_r, rr_cond, r_d, eve=(0.5, 0.5, 0.5), toward=0, r_d2=None):
     """Hand-built max-min block of one whose relay-pair gains are those toward relay `toward`.
 
     rr_cond lists every relay-pair gain for j < k, row-major; every gain is
     stored as its uniform, in the max-min layout: s_r, to_relay, r_d, or
     with `r_d2` (independent legs, hop 2 reading r_d2) s_r, r_d, to_relay,
-    r_d2. eve[i] is eavesdropper i's uniform.
+    r_d2. eve is the trial's three eavesdropper uniforms u0, u1, u2.
     """
-    n, m = len(s_r), len(eve)
+    n = len(s_r)
     pairs = dict(zip(condensed_pairs(n), rr_cond))
     to_relay = [pairs[min(j, toward), max(j, toward)] for j in range(n) if j != toward]
     head = [*s_r, *r_d] if r_d2 is not None else [*s_r]
     gains = [*head, *to_relay, *(r_d if r_d2 is None else r_d2)]
     words = np.concatenate((uniforms_of(gains), np.asarray(eve, dtype=float)))
-    return ChannelRealization(n=n, m=m, maxmin=True, independent=r_d2 is not None,
+    return ChannelRealization(n=n, maxmin=True, independent=r_d2 is not None,
                               words=words[None])
 
 
@@ -93,7 +94,7 @@ def condensed_pairs(n):
 
 
 M64 = (1 << 64) - 1
-LAYOUT = 5  # the stream layout: the second entropy word of every seed sequence
+LAYOUT = 6  # the stream layout: the second entropy word of every seed sequence
 
 
 def fresh_stream(seed):
@@ -232,7 +233,8 @@ class TestTrialStreams:
 class TestSampleRealization:
     def test_row_matches_one_exponential_draw(self):
         # every field of trial t is its slice of the uniforms of words
-        # [t W, (t+1) W), the eavesdroppers' uniforms the last m words it reads
+        # [t W, (t+1) W), the three eavesdropper uniforms the last words it
+        # reads, whatever m is
         for n, m, maxmin, independent in itertools.product((1, 2, 7), (0, 1, 3), (True, False),
                                                            (False, True)):
             cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
@@ -252,24 +254,28 @@ class TestSampleRealization:
 
     def test_pair_enumeration_n2_m1(self):
         # one gain per legitimate link read: S-R (both under max-min, the
-        # relay's under random), the relay pair, R0-D, R1-D; one uniform for E0
+        # relay's under random), the relay pair, R0-D, R1-D; three
+        # eavesdropper uniforms for any m
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        assert trial_words(cfg, maxmin=True, independent=False) == 6   # the words read
-        assert trial_words(cfg, maxmin=False, independent=False) == 6
-        assert trial_words(cfg, maxmin=True, independent=True) == 8
-        assert trial_words(cfg, maxmin=False, independent=True) == 6  # no word but hop 2's reads r_d
+        assert trial_words(cfg, maxmin=True, independent=False) == 8   # the words read
+        assert trial_words(cfg, maxmin=False, independent=False) == 8
+        assert trial_words(cfg, maxmin=True, independent=True) == 10
+        assert trial_words(cfg, maxmin=False, independent=True) == 8  # no word but hop 2's reads r_d
+        for m in (0, 5, 10 ** 6):
+            assert trial_words(replace(cfg, m=m), maxmin=True, independent=False) == 8
         real = sample_block(cfg, 1, 1)
         assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 2), (1, 1), (1, 2))
-        assert real["eve"].shape == (1, 1)
+        assert real["eve"].shape == (1, 3)
         assert sample_block(cfg, 1, 1, kind="random-uniform")["s_r"].shape == (1, 1)
 
     def test_pair_enumeration_n1_m0(self):
-        # S-R0 and R0-D only: no relay pairs, no eavesdropper links
+        # S-R0 and R0-D only: no relay pairs, no eavesdropper links, and
+        # the three eavesdropper words a trial always reads
         cfg = ScenarioConfig(n=1, m=0, gamma_r=1.0, gamma_e=1.0)
         for kind in ("optimal-maxmin", "random-uniform"):
             real = sample_block(cfg, 1, 1, kind=kind)
             assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 1), (1, 0), (1, 1))
-            assert real["eve"].shape == (1, 0)
+            assert real["eve"].shape == (1, 3)
             assert math.isnan(real.gains_to_relay(np.array([0]))[0, 0])
 
     def test_same_seed_identical(self):
@@ -334,7 +340,7 @@ class TestSampleRealization:
         for n in (2, 4, 7):
             toward = uniforms_of(np.arange(1.0, n))
             words = np.hstack((np.full((n, n), 0.5), np.tile(toward, (n, 1)), np.full((n, n), 0.5)))
-            real = ChannelRealization(n=n, m=0, maxmin=True, independent=False, words=words)
+            real = ChannelRealization(n=n, maxmin=True, independent=False, words=words)
             got = real.gains_to_relay(np.arange(n))  # row j: the gains toward relay j
             want = gain(toward)  # relay i's gain toward relay j: gain i - 1 below j, i above
             for j in range(n):

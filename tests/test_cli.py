@@ -395,6 +395,27 @@ class TestSweep:
             main(self.BASE + ["--load-balance-slots", slots])
         assert err.value.code == EXIT_USAGE
 
+    def test_append_without_out_usage_error(self, capsys):
+        # stdout has no file to extend: printing the header again would
+        # corrupt whatever the caller meant to accumulate
+        with pytest.raises(SystemExit) as err:
+            main(self.BASE + ["--outputs", "bounds", "--append"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--append needs --out" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tau_sweep_echoes_the_manual_policy(self, capsys, fmt):
+        # every row runs at its own manual threshold, so no base policy shows
+        code, out, err = run_cli(capsys, "sweep", "--param", "tau", "--values", "0.1,0.2",
+                                 "--n", "11", "--m", "1", "--gamma-r", "1", "--gamma-e", "1",
+                                 "--eps-s", "0.5", "--eps-t", "0.5", "--outputs", "bounds",
+                                 "--format", fmt)
+        assert code == EXIT_OK
+        echo = json.loads(err if fmt == "csv" else out)
+        assert echo["protocol"] == {"kind": "random-uniform", "tau_policy": "manual",
+                                    "tau": None}
+
     def test_append_with_json_usage_error_leaves_file(self, capsys, tmp_path):
         # a JSON document cannot extend the accumulated CSV, so it must not replace it
         path = tmp_path / "sweep.csv"
@@ -454,14 +475,14 @@ class TestTolerance:
 ROW_FIELDS = ["name", "passed", "observed", "expected", "tolerance", "detail"]
 
 # the jammer, intercept and leg rows of `validate --quick --trials 4000` on
-# stream layout 5; two estimate_outage calls make all four
+# stream layout 6; two estimate_outage calls make all four
 ESTIMATE_ROWS_QUICK_4000 = [
-    "PASS jammer_count(n=11, tau=0.1): observed=0.935 expected=0.951626 tol=0.0438 trials=4000",
-    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.61725 expected=0.614157 tol=0.0301 "
-    "wilson=[0.60208, 0.63219] trials=4000",
-    "PASS leg_combining(t, independent legs): observed=0.50125 expected=0.499692 tol=0.021 "
+    "PASS jammer_count(n=11, tau=0.1): observed=0.9645 expected=0.951626 tol=0.0434 trials=4000",
+    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.61 expected=0.614157 tol=0.0302 "
+    "wilson=[0.59479, 0.62500] trials=4000",
+    "PASS leg_combining(t, independent legs): observed=0.49675 expected=0.495732 tol=0.021 "
     "trials=4000",
-    "PASS leg_combining(s, independent legs): observed=0.45025 expected=0.447268 tol=0.021 "
+    "PASS leg_combining(s, independent legs): observed=0.443 expected=0.447022 tol=0.021 "
     "trials=4000",
 ]
 
@@ -733,88 +754,86 @@ PIN_LB = ("sweep --param n --values 21,41,61,81,101 --outputs bounds --load-bala
 PINNED_STDOUT = {
     (PIN_SIM + ' --protocol optimal --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.014,0.009703783146220175,0.020159586811157672,0.025,'
-          '0.019014423503992475,0.032806771413197815,0.0365,0.02912975228047479,'
-          '0.045647350549246665,0.429,0.4074654732874753,0.45080674742646254,0.4025,'
-          '0.38121430570705017,0.4241595185127941,0.655,0.633887165202872,0.6755185501399396,'
-          '0.2625,0.24909723507069956,0.27635850049190874,1.4975,0.11720973186212924,'
-          '0.01576945201644857\n',
+        + '2000,7,shared,0.02,0.014721726201265444,0.027118639188737373,0.03,0.02337785471293825,'
+          '0.03842416973143951,0.0455,0.03720527135020145,0.05553732462845745,0.426,'
+          '0.4044904367400136,0.4477932862576117,0.4115,0.3901225983091603,0.43321671905962134,'
+          '0.6535,0.6323687837070622,0.6740426827775932,0.2535,0.23491996651174732,'
+          '0.2730251377979103,1.5635,0.1633014634904387,0.03575611040108823\n',
     (PIN_SIM + ' --protocol optimal --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.019,0.013873784918301425,0.025970414566263898,0.4565,'
-          '0.4347741907060151,0.4783925924074538,0.466,0.44422370616739953,0.48790665304772557,'
-          '0.4405,0.4188772751220193,0.46235085350444977,0.4175,0.3960655898394469,'
-          '0.4392507229619597,0.6715,0.6506046214575139,0.6917378313250164,0.2735,'
-          '0.25990838750768736,0.28752624030254753,1.521,0.012153780499113562,'
-          '0.010584250467925554\n',
+        + '2000,7,independent,0.0145,0.01011467734679028,0.020746775563306317,0.46,'
+          '0.43825466491811776,0.48189869886438236,0.4665,0.44472126939809276,0.4884071727697511,'
+          '0.433,0.4114334498318653,0.4548234345038225,0.4465,0.4248359529527438,'
+          '0.46836917110635023,0.685,0.6643038454137323,0.7049868470922042,0.2745,'
+          '0.255388334352249,0.294476253971596,1.5225,0.022323563899145967,0.004731591642443952\n',
     (PIN_SIM + ' --protocol random --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.4625,0.4407413798735494,0.4844023986725445,0.473,0.4511915916594162,'
-          '0.4949119288937713,0.7115,0.6912533656986213,0.7309357233014087,0.4415,'
-          '0.41987016524351045,0.4633541292883961,0.44,0.418380863539729,0.4618491821340213,0.686,'
-          '0.6653193844482485,0.7059674739631255,0.278,0.26433420010780506,0.2920917927128225,'
-          '1.496,0.021039870148868385,0.005030653333153263\n',
+        + '2000,7,shared,0.4625,0.4407413798735494,0.4844023986725445,0.442,0.4203666437667213,'
+          '0.463855733717904,0.703,0.6826005004524728,0.7226211783513384,0.4445,'
+          '0.4228493706941391,0.46636342155407995,0.4335,0.41192954802688586,0.4553254192615207,'
+          '0.674,0.6531400467735491,0.6941928207725749,0.2755,0.25636440199104793,'
+          '0.29549635223823456,1.5175,-0.01181279136034186,0.04592629195426998\n',
     (PIN_SIM + ' --protocol random --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.4625,0.4407413798735494,0.4844023986725445,0.473,'
-          '0.4511915916594162,0.4949119288937713,0.7115,0.6912533656986213,0.7309357233014087,'
-          '0.4415,0.41987016524351045,0.4633541292883961,0.439,0.41738810737257864,'
-          '0.46084577239573415,0.688,0.6673507904916167,0.707928399730632,0.278,'
-          '0.26433420010780506,0.2920917927128225,1.496,0.021039870148868385,'
-          '-0.005350440030407137\n',
+        + '2000,7,independent,0.4625,0.4407413798735494,0.4844023986725445,0.442,'
+          '0.4203666437667213,0.463855733717904,0.703,0.6826005004524728,0.7226211783513384,'
+          '0.445,0.42334598288820563,0.46686489231273215,0.4315,0.40994528998916885,'
+          '0.4533173454883627,0.6755,0.6546616198090962,0.6956654965951841,0.2755,'
+          '0.25636440199104793,0.29549635223823456,1.5175,-0.01181279136034186,'
+          '0.03649346444141832\n',
     (PIN_SIM + ' --protocol random --tau-policy manual --tau 0.3'
      ' --noise-mode interference-limited'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.286,0.2666204268319952,0.3062000694043809,0.308,0.2881510686726027,'
-          '0.3285850774833983,0.5015,0.4796051735058332,0.5233890753523228,0.3835,'
-          '0.36243265602093727,0.40501401599559456,0.3745,0.35354800276658416,0.3959331761010102,'
-          '0.6095,0.587928435231776,0.6306517314136297,0.2575,0.24418668059382162,'
-          '0.27127864940168367,2.562,0.021148276302687494,0.020733101707600347\n',
+        + '2000,7,shared,0.2815,0.2622233645335828,0.30161438512832456,0.277,0.2578287328672517,'
+          '0.297026270220187,0.4835,0.4616514826351063,0.5054117799251748,0.382,'
+          '0.36095134317424515,0.40350107998413043,0.39,0.36885414285349183,0.41156760754838373,'
+          '0.6115,0.5899444053845698,0.6326280930717109,0.247,0.22859615967613203,'
+          '0.2663738662481819,2.5675,-0.014784217244274736,0.048610416151845394\n',
     ('sweep --param n --values 5,11,21 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.5'
      ' --eps-t 0.5 --trials 1000 --seed 3 --outputs both --format csv'):
         SWEEP_HEADER + "\n"
         + '5,0.41463655068563265,0.6624377155338603,0.5849895668543437,0.29435250562886867,false,'
-          '0.432,0.40161609445686075,0.4629043446971748,0.433,0.4026038718810217,'
-          '0.46390891375604265,0.677,0.6473872202713616,0.705258107224752,0.4,0.37007478121137727,'
-          '0.4306905704857338,0.409,0.37893242495569907,0.4397640450886719,0.646,'
-          '0.6158536169290485,0.6750289695931695,0.4,0.37007478121137727,0.4306905704857338,,'
-          'infeasible\n'
+          '0.433,0.4026038718810217,0.46390891375604265,0.436,0.4055679635294317,'
+          '0.46692186155671933,0.674,0.6443294194831642,0.7023388685638626,0.434,'
+          '0.40359177593584417,0.4649133561842491,0.413,0.3828725319393248,0.44379332403716176,'
+          '0.67,0.6402544426353417,0.6984444594795697,0.434,0.40359177593584417,'
+          '0.4649133561842491,,infeasible\n'
         + '11,0.5495579187280178,1.064440569325309,0.19498783283298055,0.1861648705529517,false,'
-          '0.473,0.4422178794680813,0.5039887654901387,0.461,0.4303127166140634,'
-          '0.49198577054780995,0.721,0.6923963660323501,0.7479122067170344,0.272,'
-          '0.24533124703883705,0.3004137548305761,0.276,0.2491910960732594,0.3045232917282693,'
-          '0.466,0.43527102980973204,0.49698918976728573,0.272,0.24533124703883705,'
-          '0.3004137548305761,,infeasible\n'
+          '0.473,0.4422178794680813,0.5039887654901387,0.45,0.4194153840742968,'
+          '0.4809672917742588,0.702,0.6729225763109662,0.7295314132608696,0.275,'
+          '0.24822587402252644,0.30349616729597334,0.28,0.25305370081259326,0.30863007292105105,'
+          '0.472,0.44122510067058457,0.5029891978046065,0.275,0.24822587402252644,'
+          '0.30349616729597334,,infeasible\n'
         + '21,0.780213898259064,1.8165682179300087,0.0927488943720673,0.13163844238670797,true,'
-          '0.498,0.46707750038234924,0.5289378066515931,0.511,0.4800349634365892,'
-          '0.5418808478767286,0.755,0.7274007492673631,0.7806476039050039,0.159,'
-          '0.1376463027469242,0.18296354654022445,0.153,0.13201921562431126,0.17663655476466403,'
-          '0.288,0.2607870341550728,0.3168355114428025,0.159,0.1376463027469242,'
-          '0.18296354654022445,,ok\n',
+          '0.489,0.4581191521232714,0.5199650365634109,0.491,0.46010903314721446,'
+          '0.5219598485055256,0.744,0.7160527265828488,0.7700798152762004,0.161,'
+          '0.13952453255948705,0.18507000969371934,0.15,0.1292100725130883,0.17346865842680032,'
+          '0.29,0.2627220349939292,0.31888520357000394,0.161,0.13952453255948705,'
+          '0.18507000969371934,,ok\n',
     (PIN_LB + 'optimal'):
         SWEEP_HEADER + "\n"
-        + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,,'
-          ',,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
-        + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,,'
-          ',,,,,,,,,,,,,,,,,,0.3048780487804878,ok\n'
-        + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,,'
-          ',,,,,,,,,,,,,,,,,,0.25220680958385877,ok\n'
-        + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,,'
-          ',,,,,,,,,,,,,,,,,,,,0.2244668911335578,ok\n'
+        + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,'
+          ',,,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
+        + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,'
+          ',,,,,,,,,,,,,,,,,,,0.3252032520325203,ok\n'
+        + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,'
+          ',,,,,,,,,,,,,,,,,,,0.29806259314456035,ok\n'
+        + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.1899335232668566,ok\n'
         + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.14144271570014144,ok\n',
+          'true,,,,,,,,,,,,,,,,,,,,,,0.18001800180018002,ok\n',
     (PIN_LB + 'random'):
         SWEEP_HEADER + "\n"
-        + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,,'
-          ',,,,,,,,,,,,,,,,,,0.9893016915080322,ok\n'
-        + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,,'
-          ',,,,,,,,,,,,,,,,,,0.9784865064264547,ok\n'
-        + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,,'
-          ',,,,,,,,,,,,,,,,,,0.9730778549860996,ok\n'
-        + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,,'
-          ',,,,,,,,,,,,,,,,,,,,0.9657133144826094,ok\n'
+        + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,'
+          ',,,,,,,,,,,,,,,,,,,0.9904746057168213,ok\n'
+        + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,'
+          ',,,,,,,,,,,,,,,,,,,0.979350876445583,ok\n'
+        + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,'
+          ',,,,,,,,,,,,,,,,,,,0.9714920514949077,ok\n'
+        + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,'
+          ',,,,,,,,,,,,,,,,,,,,,0.961576369837657,ok\n'
         + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.9566174008705218,ok\n',
+          'true,,,,,,,,,,,,,,,,,,,,,,0.9523845805126877,ok\n',
     ('tolerance --n 11 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.75 --tau 0.3'
      ' --trials 500 --seed 5 --m-cap 6'):
         '{\n'
@@ -844,23 +863,19 @@ PINNED_STDOUT = {
         '    "probes": [\n'
         '      [\n'
         '        1,\n'
-        '        0.3436276879429182\n'
+        '        0.3001739602361623\n'
         '      ],\n'
         '      [\n'
         '        2,\n'
-        '        0.4556534079900142\n'
+        '        0.4737657600742581\n'
         '      ],\n'
         '      [\n'
         '        4,\n'
-        '        0.6789239558218143\n'
-        '      ],\n'
-        '      [\n'
-        '        6,\n'
-        '        0.8066182308849994\n'
+        '        0.6866576948030984\n'
         '      ],\n'
         '      [\n'
         '        5,\n'
-        '        0.7651559077947796\n'
+        '        0.7518599467839072\n'
         '      ]\n'
         '    ],\n'
         '    "violated_at_m1": false\n'

@@ -1,8 +1,9 @@
 """The eavesdropper intercept law against gain-level simulation and exact values.
 
-The kernel never draws an eavesdropper gain: one uniform per eavesdropper
-decides both hops from their exact law given the jammer sets
-(`protocols.intercept_law`). Two independent checks hold it to that:
+The kernel never draws an eavesdropper gain: three uniforms a trial give the
+first eavesdropper to intercept each hop from their exact law given the
+jammer sets (`protocols.intercept_law`). Two independent checks hold it to
+that:
 
 * a ground-truth simulator that still draws s_e, r_e (and hop 2's r_e with
   independent legs), computes every eavesdropper's SINR and thresholds it at
@@ -77,21 +78,16 @@ def simulate_gains(n, kind, legs, noise, tau, trials, seed):
                 for key, flags in zip(OUTAGES, (t1, t2, t1 | t2, t1 & t2,
                                                 s1, s2, s1 | s2, s1 & s2)):
                     c[key] += int(flags.sum())
-                c["eve_hits_hop1"] += int(hits1[:, :m].sum())
+                c["eve_hits_hop1"] += int(hits1[:, 0].sum()) if m else 0  # eavesdropper 1
     return counts
 
 
-def two_sample_misses(a, b, trials, m):
+def two_sample_misses(a, b, trials):
     """Counts of two independent runs of `trials` that differ by more than Z sigma."""
     misses = []
     for key in OUTAGES + ("eve_hits_hop1",):
-        # eve_hits_hop1 sums m indicators a trial that may all move together,
-        # so its per-trial variance is bounded by m^2 p (1 - p)
-        scale = m if key == "eve_hits_hop1" else 1
-        if scale == 0:
-            continue
-        p = (a[key] + b[key]) / (2 * trials * scale)
-        sigma = scale * math.sqrt(p * (1.0 - p) * 2.0 / trials)
+        p = (a[key] + b[key]) / (2 * trials)
+        sigma = math.sqrt(p * (1.0 - p) * 2.0 / trials)
         if abs(a[key] - b[key]) / trials > Z * sigma:
             misses.append((key, a[key], b[key]))
     return misses
@@ -107,7 +103,7 @@ def test_kernel_matches_gain_level_simulation(n, trials):
         for j, (m, g) in enumerate(itertools.product(MS, GAMMA_ES)):
             config = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=g, noise_mode=noise)
             kernel = estimate_outage(config, protocol, trials, 1000 + 10 * i + j, legs=legs)
-            misses = two_sample_misses(kernel.counts, truth[m, g], trials, m)
+            misses = two_sample_misses(kernel.counts, truth[m, g], trials)
             if misses:
                 wrong.append((m, kind, legs, noise, tau, g, misses))
     assert wrong == []

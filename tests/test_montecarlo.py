@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -22,6 +23,12 @@ from relaysec.serialize import dumps
 IL = ScenarioConfig(n=11, m=1, gamma_r=1.0, gamma_e=1.0,
                     noise_mode="interference-limited")
 RANDOM_TAU01 = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.1)
+
+
+def run_trials(*args):
+    """`_run_trials`' counts and first-hit histogram, as values that compare with ==."""
+    counts, first_hit = _run_trials(*args)
+    return counts, first_hit.tolist()
 
 
 class TestWilsonInterval:
@@ -46,9 +53,9 @@ class TestHugeEs:
         # as an outage; g / (I + N0/2 / Es) decodes as at Es = 1e300
         cfg = ScenarioConfig(n=40, m=2, gamma_r=0.5, gamma_e=1.0)
         proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=1.0)
-        got = _run_trials(replace(cfg, es=1e308), proto.kind, proto.tau, 0, 2000, 5, "shared")
-        assert got == _run_trials(replace(cfg, es=1e300), proto.kind, proto.tau, 0, 2000, 5,
-                                  "shared")
+        got = run_trials(replace(cfg, es=1e308), proto.kind, proto.tau, 0, 2000, 5, "shared")
+        assert got == run_trials(replace(cfg, es=1e300), proto.kind, proto.tau, 0, 2000, 5,
+                                 "shared")
 
 
 class TestEstimateOutage:
@@ -62,6 +69,13 @@ class TestEstimateOutage:
         cfg = ScenarioConfig(n=5, m=0, gamma_r=1e-12, gamma_e=1.0)
         est = estimate_outage(cfg, RANDOM_TAU01, 2000, 3)
         assert est.proportion("t_e2e").p == 0.0
+
+    def test_eve_proportion_is_per_trial(self):
+        # the share of trials whose first eavesdropper intercepts hop 1, at any m
+        est = estimate_outage(replace(IL, m=8), RANDOM_TAU01, 3000, 11)
+        k = est.counts["eve_hits_hop1"]
+        assert est.proportion("eve_hits_hop1") == (k / 3000, *wilson_interval(k, 3000))
+        assert k == estimate_outage(IL, RANDOM_TAU01, 3000, 11).counts["eve_hits_hop1"]
 
     def test_eve_intercept_matches_exact_oracle(self):
         est = estimate_outage(IL, RANDOM_TAU01, 20_000, 11)
@@ -184,7 +198,7 @@ class TestRandomSelectionClosedForm:
     def test_transmission_outage_matches_closed_form(self, n, noise_mode, legs):
         cfg = ScenarioConfig(n=n, m=0, gamma_r=0.5, gamma_e=1.0, noise_mode=noise_mode)
         tau = 0.3
-        counts = _run_trials(cfg, "random-uniform", tau, 0, self.TRIALS, 77, legs)
+        counts, _ = _run_trials(cfg, "random-uniform", tau, 0, self.TRIALS, 77, legs)
         hop = self.hop_outage(cfg, tau)
         exact = {"t_hop1": hop, "t_hop2": hop, "t_e2e": 1.0 - (1.0 - hop) ** 2,
                  "t_both": hop * hop}
@@ -197,17 +211,17 @@ class TestCommonRandomNumbers:
     """Runs that differ in no word-layout input read the same words, so their counts
     compare trial by trial: no statistical gate is needed."""
 
-    LEGITIMATE = ("t_hop1", "t_hop2", "t_e2e", "t_both", "s_hop1", "eve_hits_hop1",
-                  "jam1_sum", "jam1_sumsq")
+    LEGITIMATE = ("t_hop1", "t_hop2", "t_e2e", "t_both", "jam1_sum", "jam1_sumsq")
 
     @pytest.mark.parametrize("noise_mode", ["exact", "interference-limited"])
     @pytest.mark.parametrize("n", [1, 2, 11, 101])
     def test_random_selection_legs_change_no_legitimate_word(self, n, noise_mode):
         # random selection reads r_d only on hop 2, so the leg mode changes
-        # only the law of an eavesdropper's hop-2 intercept
+        # no legitimate word; it changes the joint intercept law, C, which
+        # the first-hit draw of both hops reads
         cfg = ScenarioConfig(n=n, m=4, gamma_r=0.5, gamma_e=0.5, noise_mode=noise_mode)
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.2)
-        shared, indep = (_run_trials(cfg, proto.kind, proto.tau, 0, 3000, 404, legs)
+        shared, indep = (_run_trials(cfg, proto.kind, proto.tau, 0, 3000, 404, legs)[0]
                          for legs in LEG_MODES)
         assert {k: shared[k] for k in self.LEGITIMATE} == {k: indep[k] for k in self.LEGITIMATE}
 
@@ -222,7 +236,8 @@ class TestCommonRandomNumbers:
         base = ScenarioConfig(n=n, m=3, gamma_r=1.0, gamma_e=1.0)
 
         def counts(**change):
-            return _run_trials(replace(base, **change), proto.kind, proto.tau, 0, 2000, 505, legs)
+            return _run_trials(replace(base, **change), proto.kind, proto.tau, 0, 2000, 505,
+                               legs)[0]
 
         t_keys = ("t_hop1", "t_hop2", "t_e2e", "t_both")
         by_e = [counts(gamma_e=g) for g in (0.05, 0.2, 0.5, 1.0, 3.0, math.inf)]
@@ -235,13 +250,39 @@ class TestCommonRandomNumbers:
             assert all(hi[k] == lo[k] for k in protocols.COUNT_KEYS if k not in t_keys)
 
 
+class TestCountsAlongM:
+    """A trial's words do not depend on m: on one seed, runs at m = 0..64 see the
+    same legitimate outcomes and the same first hits, so no gate is needed."""
+
+    SECRECY = ("s_hop1", "s_hop2", "s_e2e", "s_both")
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    def test_secrecy_counts_never_fall_as_m_rises(self, kind, legs):
+        cfg = ScenarioConfig(n=11, m=0, gamma_r=1.0, gamma_e=1.0)
+        runs = [_run_trials(replace(cfg, m=m), kind, 0.3, 0, 500, 606, legs) for m in range(65)]
+        counts = [c for c, _ in runs]
+        for lo, hi in zip(counts, counts[1:]):
+            assert all(hi[k] >= lo[k] for k in self.SECRECY)
+        assert counts[-1]["s_e2e"] > counts[1]["s_e2e"] > 0  # the curve moves
+        others = [k for k in protocols.COUNT_KEYS if k not in self.SECRECY + ("eve_hits_hop1",)]
+        assert all({k: c[k] for k in others} == {k: counts[0][k] for k in others}
+                   for c in counts)
+        # the first eavesdropper is the same one at every m >= 1, and there is none at m = 0
+        assert counts[0]["eve_hits_hop1"] == 0
+        assert len({c["eve_hits_hop1"] for c in counts[1:]}) == 1
+        # the first-hit histogram at m = 64 holds the s_e2e count of every m
+        s_e2e = np.cumsum(runs[-1][1])
+        assert [c["s_e2e"] for c in counts] == s_e2e[:65].tolist()
+
+
 class TestMergeEstimates:
     def parts(self, n_parts, trials, seed=31):
         edges = np.linspace(0, trials, n_parts + 1).astype(int)
         out = []
         for a, b in zip(edges[:-1], edges[1:]):
-            counts = _run_trials(IL, RANDOM_TAU01.kind, RANDOM_TAU01.tau, int(a), int(b), seed,
-                                 "shared")
+            counts, _ = _run_trials(IL, RANDOM_TAU01.kind, RANDOM_TAU01.tau, int(a), int(b),
+                                    seed, "shared")
             out.append(estimate_outage(IL, RANDOM_TAU01, int(b - a), seed,
                                        trial_start=int(a)))
             assert out[-1].counts == counts
@@ -284,9 +325,9 @@ class TestMergeEstimates:
         maxmin = ProtocolChoice(kind="optimal-maxmin", tau_policy="manual", tau=0.3)
         jobs = [(cfg, RANDOM_TAU01.kind, RANDOM_TAU01.tau, 0, 3000, 61, "shared"),
                 (cfg, maxmin.kind, maxmin.tau, 500, 2500, 62, "independent")]
-        want = [_run_trials(*job) for job in jobs]
+        want = [run_trials(*job) for job in jobs]
         with ThreadPoolExecutor(max_workers=2) as threads:
-            got = list(threads.map(lambda job: _run_trials(*job), jobs * 3))
+            got = list(threads.map(lambda job: run_trials(*job), jobs * 3))
         assert got == want * 3
 
     def test_estimate_carries_its_threshold(self):
@@ -392,13 +433,49 @@ class TestToleranceSearch:
         assert all(scan[:res.m_max])
         assert not scan[res.m_max]
 
-    def test_probe_record_monotone_trend(self):
+    def test_probes_are_estimate_upper_bounds(self):
+        # each probe is the Wilson upper bound of p_s_e2e that estimate_outage
+        # gives at its m, bit for bit, and they bracket the budget at m_max
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=1.0)
         res = tolerance_search(IL, proto, 0.3, 2000, m_cap=64, seed=44)
+        assert [m for m, _ in res.probes] == sorted({1, 2, 4, 8, 16, 32, 64,
+                                                     res.m_max, res.m_max + 1})
+        for m, upper in res.probes:
+            est = estimate_outage(replace(IL, m=m), proto, 2000, 44)
+            assert upper == est.proportion("s_e2e").hi
         by_m = dict(res.probes)
-        ms = sorted(by_m)
-        for a, b in zip(ms[:-1], ms[1:]):
-            assert by_m[b] >= by_m[a] - 0.05  # CI noise slack
+        assert by_m[res.m_max] <= 0.3 < by_m[res.m_max + 1]
+        assert [b for _, b in res.probes] == sorted(b for _, b in res.probes)
+
+    def test_one_estimate_answers_every_m(self, monkeypatch):
+        calls = []
+
+        def counted(pool, config, *args, **kwargs):
+            calls.append(config.m)
+            return real(pool, config, *args, **kwargs)
+
+        real = montecarlo._estimate
+        monkeypatch.setattr(montecarlo, "_estimate", counted)
+        proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=1.0)
+        res = tolerance_search(IL, proto, 0.5, 500, m_cap=1000, seed=45)
+        assert calls == [1000]
+        assert 1 <= res.m_max < 1000
+
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    def test_degenerate_laws_answer_without_warnings(self, legs):
+        # gamma_e = inf: A = B = C = 0, so no trial has a first hit; tau = 0,
+        # interference-limited: nobody jams, A = B = 1 and log1p(-1) = -inf;
+        # n = 1, interference-limited: K1 = 0 and A = 1 under any tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deaf = tolerance_search(replace(IL, gamma_e=math.inf), RANDOM_TAU01, 0.05, 300,
+                                    m_cap=50, seed=46, legs=legs)
+            no_jam = tolerance_search(IL, ProtocolChoice(tau_policy="manual", tau=0.0), 0.99,
+                                      300, m_cap=50, seed=46, legs=legs)
+            lone = tolerance_search(replace(IL, n=1), RANDOM_TAU01, 0.99, 300, m_cap=50,
+                                    seed=46, legs=legs)
+        assert (deaf.m_max, no_jam.m_max, lone.m_max) == (50, 0, 0)
+        assert dict(no_jam.probes)[1] == 1.0
 
     def test_one_pool_serves_every_probe(self, monkeypatch):
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=1.0)

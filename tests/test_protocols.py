@@ -15,9 +15,10 @@ from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
                       tau_protocol1, theorem2_tau_range, trial_rng)
-from relaysec.protocols import TransmissionRecord, _count_intercepts, intercept_law
+from relaysec.protocols import TransmissionRecord, _first_hits, intercept_law
 
 from .test_channel import make_realization, sample_block
+from .test_stream_reference import first_hits
 
 
 def select_one(s_r, r_d):
@@ -45,7 +46,7 @@ def jamming(real, selected, tau):
 def jammers(gains, selected, tau):
     """Jamming relays of a single trial whose gains toward D are `gains`, as a set."""
     n = len(gains)
-    real = make_realization([1.0] * n, [1.0] * (n * (n - 1) // 2), gains, [], toward=selected)
+    real = make_realization([1.0] * n, [1.0] * (n * (n - 1) // 2), gains, toward=selected)
     return jamming(real, selected, tau)[1]
 
 
@@ -137,7 +138,7 @@ class TestJammerSet:
     def test_hop1_uses_gains_toward_selected_relay(self):
         # relay pair gains (0,1)=0.05, (0,2)=0.5, (1,2)=0.01
         def real(j):
-            return make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], [], toward=j)
+            return make_realization([1, 1, 1], [0.05, 0.5, 0.01], [1, 1, 1], toward=j)
         assert jamming(real(1), 1, 0.1)[0] == {0, 2}
         assert jamming(real(0), 0, 0.1)[0] == {1}
         assert {j for j, g in enumerate(toward(real(1), 1)) if g < 0.1} == {0, 2}
@@ -239,8 +240,8 @@ class TestExecuteTwoHop:
     # exact noise: nu = exp(-gamma_e (N0/2) / Es) = e^-0.5, and q = 1 / (1 + gamma_e) = 1/2
     NU = math.exp(-0.5)
 
-    def hand_case(self, eve=(0.2,), r_d2=None):
-        return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08], eve=list(eve),
+    def hand_case(self, eve=(0.2, 0.5, 0.4), r_d2=None):
+        return make_realization(s_r=[2.0, 0.5], rr_cond=[0.05], r_d=[1.5, 0.08], eve=eve,
                                 r_d2=r_d2)
 
     def test_hand_worked_record(self):
@@ -258,23 +259,31 @@ class TestExecuteTwoHop:
         a, b, c = intercept_law(rec.jammers, rec.jammers_both, self.CFG)
         assert (a[0], b[0]) == pytest.approx((self.NU / 2, self.NU / 2))
         assert c[0] == pytest.approx(self.NU ** 2 / 3)
-        assert rec.intercepts.tolist() == [[1, 0]]   # u = 0.2 < A; C <= u < A
-        # an eavesdropper in each cell: both hops, hop 1 only, hop 2 only
-        # (A <= u < A + B - C = 0.4839), neither
-        cells = [run_one(self.hand_case(eve=(u,)), 0, self.TAU01, self.CFG).intercepts.tolist()
-                 for u in (0.1, 0.2, 0.4, 0.6)]
-        assert cells == [[[1, 1]], [[1, 0]], [[0, 1]], [[0, 0]]]
-        four = run_one(self.hand_case(eve=(0.1, 0.2, 0.4, 0.6)), 0, self.TAU01,
+        # p = A + B - C = 0.4839: u0 = 0.2 < p, so eavesdropper 1 intercepts
+        # some hop, and C <= u2 p = 0.1936 < A puts it in hop 1 only; hop 2's
+        # first interceptor is past m = 1
+        assert rec.first_hit.tolist() == [[1.0, 2.0]]
+        # eavesdropper 1 in each cell: both hops (u2 p < C), hop 1 only, hop
+        # 2 only, neither (u0 >= p: the first interceptor is eavesdropper 2)
+        cells = [run_one(self.hand_case(eve=u), 0, self.TAU01, self.CFG).first_hit.tolist()
+                 for u in ((0.2, 0.5, 0.1), (0.2, 0.5, 0.4), (0.2, 0.5, 0.8), (0.6, 0.5, 0.4))]
+        assert cells == [[[1, 1]], [[1, 2]], [[2, 1]], [[2, 2]]]
+        # past the first hit: 1 + floor(log1p(-0.6) / log1p(-p)) = 2, and hop
+        # 2's first interceptor 2 + 1 + floor(log1p(-0.5) / log1p(-B)) = 4
+        four = run_one(self.hand_case(eve=(0.6, 0.5, 0.4)), 0, self.TAU01,
                        replace(self.CFG, m=4))
-        assert four.intercepts.tolist() == [[2, 2]]
+        assert four.first_hit.tolist() == [[2, 4]]
+        three = run_one(self.hand_case(eve=(0.6, 0.5, 0.4)), 0, self.TAU01,
+                        replace(self.CFG, m=3))
+        assert three.first_hit.tolist() == [[2, 4]]  # capped at m + 1
 
     def test_hand_worked_outage(self):
         rec = run_one(self.hand_case(), 0, self.TAU01, self.CFG)
         assert classify_outage(rec, self.CFG) == {
             "t_hop1": 0, "t_hop2": 0, "t_e2e": 0, "t_both": 0,
-            # u = 0.2 < A = 0.3033, and C = 0.1226 <= u < A
+            # eavesdropper 1 intercepts hop 1 only
             "s_hop1": 1, "s_hop2": 0, "s_e2e": 1, "s_both": 0,
-            # one intercept; relay 1 alone jams hop 1
+            # eavesdropper 1 is hop 1's first interceptor; relay 1 alone jams hop 1
             "eve_hits_hop1": 1, "jam1_sum": 1, "jam1_sumsq": 1}
 
     def test_zero_tau_degenerate(self):
@@ -285,9 +294,11 @@ class TestExecuteTwoHop:
     def test_single_relay_unbounded_eve(self):
         cfg = ScenarioConfig(n=1, m=1, gamma_r=1.0, gamma_e=1.0,
                              noise_mode="interference-limited")
-        # u as close to 1 as a draw gets: with no jammer and no noise an
-        # eavesdropper's SINR is unbounded, A = B = C = 1, and it decodes both hops
-        real = make_realization([1.3], [], [0.9], [1.0 - 2.0 ** -53])
+        # uniforms as close to 1 as a draw gets: with no jammer and no noise
+        # an eavesdropper's SINR is unbounded, A = B = C = 1, and the first
+        # eavesdropper decodes both hops
+        top = 1.0 - 2.0 ** -53
+        real = make_realization([1.3], [], [0.9], (top, top, top))
         # both rules can only pick relay 0
         assert select_relay_optimal(real["s_r"], real["r_d"])[0] == 0
         assert sample_block(cfg, 0, 100, kind="random-uniform").pick.tolist() == [0] * 100
@@ -295,7 +306,7 @@ class TestExecuteTwoHop:
         assert rec.jammers.tolist() == [[0, 0]]
         law = intercept_law(rec.jammers, rec.jammers_both, cfg)
         assert [p.tolist() for p in law] == [[1.0], [1.0], [1.0]]
-        assert rec.intercepts.tolist() == [[1, 1]]
+        assert rec.first_hit.tolist() == [[1, 1]]
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("noise_mode", ["exact", "interference-limited"])
@@ -320,10 +331,11 @@ class TestExecuteTwoHop:
         # legs are independent, so C = A B
         a, b, c = intercept_law(rec.jammers, rec.jammers_both, self.CFG)
         assert (a[0], b[0], c[0]) == pytest.approx((self.NU / 2, self.NU, self.NU ** 2 / 2))
-        assert rec.intercepts.tolist() == [[1, 0]]   # u = 0.2 < A = 0.3033; C = 0.1839 <= u < A
-        hop2_only = run_one(self.hand_case(eve=(0.5,), r_d2=[0.9, 4.0]), 0, self.TAU01,
-                            self.CFG)
-        assert hop2_only.intercepts.tolist() == [[0, 1]]  # A <= u < A + B - C = 0.7259
+        # p = A + B - C = 0.7259: C = 0.1839 <= u2 p = 0.2904 < A = 0.3033
+        assert rec.first_hit.tolist() == [[1, 2]]
+        hop2_only = run_one(self.hand_case(eve=(0.2, 0.5, 0.6), r_d2=[0.9, 4.0]), 0,
+                            self.TAU01, self.CFG)
+        assert hop2_only.first_hit.tolist() == [[2, 1]]  # u2 p = 0.4355 >= A
 
     def test_block_rows_match_batches_of_one(self):
         # a trial's outcome depends on its own row only, never on its block
@@ -337,7 +349,7 @@ class TestExecuteTwoHop:
                 for t in range(40):
                     one = execute_two_hop(sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs),
                                           selected[t:t + 1], 0.3, cfg)
-                    for field in ("jammers", "sinr", "intercepts"):
+                    for field in ("jammers", "sinr", "first_hit"):
                         assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
                     if legs == "shared":
                         assert whole.jammers_both[t] == one.jammers_both[0]
@@ -348,76 +360,93 @@ class TestExecuteTwoHop:
 class TestClassifyOutage:
     CFG = ScenarioConfig(n=3, m=2, gamma_r=1.0, gamma_e=1.0)
 
-    def record(self, sr, sd, e1, e2):
-        """A batch of one with the given SINRs and intercepts and no jammers."""
+    def record(self, sr, sd, h1, h2):
+        """A batch of one with the given SINRs and first hits and no jammers."""
         return TransmissionRecord(selected_relay=np.array([0]), jammers=np.zeros((1, 2), int),
                                   jammers_both=np.zeros(1, int), sinr=np.array([[sr, sd]]),
-                                  intercepts=np.array([[np.sum(e1), np.sum(e2)]], dtype=int))
+                                  first_hit=np.array([[h1, h2]], dtype=float))
 
     def test_tiny_gamma_r_never_outage(self):
         cfg = ScenarioConfig(n=3, m=2, gamma_r=1e-12, gamma_e=1.0)
-        flags = classify_outage(self.record(0.01, 0.02, [False, False], [False, False]), cfg)
+        flags = classify_outage(self.record(0.01, 0.02, 3, 3), cfg)
         assert not flags["t_hop1"] and not flags["t_hop2"]
 
     def test_huge_gamma_e_never_secrecy_outage(self):
         # with noise, nu = exp(-gamma_e N0/2 / Es) underflows to 0, so A = B = C = 0
         cfg = ScenarioConfig(n=2, m=2, gamma_r=1.0, gamma_e=1e12)
-        real = make_realization([5.0, 5.0], [3.0], [5.0, 5.0], [0.0, 0.5])
+        real = make_realization([5.0, 5.0], [3.0], [5.0, 5.0], (0.0, 0.0, 0.0))
         flags = classify_outage(run_one(real, 0, 1.0, cfg), cfg)
         assert not flags["s_hop1"] and not flags["s_hop2"] and not flags["s_e2e"]
 
     def test_boundary_conventions(self):
-        # decoding needs strictly greater; interception needs u < A, so that
-        # hop 1 is intercepted with probability exactly A
-        flags = classify_outage(self.record(1.0, 2.0, [True, False], [False, False]), self.CFG)
+        # decoding needs strictly greater SINR; a hop is in secrecy outage
+        # iff its first hit is at most m
+        flags = classify_outage(self.record(1.0, 2.0, 2, 3), self.CFG)
         assert flags["t_hop1"] and not flags["t_hop2"]
         assert flags["s_hop1"] and not flags["s_hop2"]
-        cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        a = math.exp(-0.5) * 0.5  # one jammer: A = nu q
-        hits = [run_one(make_realization([2.0, 0.5], [0.05], [1.5, 0.08], [u]), 0, 0.1,
-                        cfg).intercepts[0, 0] for u in (a, np.nextafter(a, 0.0))]
-        assert hits == [0, 1]
+        assert flags["eve_hits_hop1"] == 0  # hop 1's first interceptor is eavesdropper 2
+        # the cells split u2 p at C and A, strictly below each; p = 0.5 and
+        # every product is exact, and u0 = p is the first uniform with H = 2
+        a, b, c = np.array([0.25]), np.array([0.375]), np.array([0.125])
 
-    def test_threshold_counts_at_float_edges(self):
-        # the kernel counts intercepts by three thresholds; at every float edge
-        # of A, B and C its counts must be the four-cell rule's: hop 1 iff
-        # u < A, hop 2 iff u < C or A <= u < A + B - C
+        def hits(u0, u2):
+            return _first_hits(np.array([[u0, 0.5, u2]]), a, b, c, 8)[0].tolist()
+
+        below = np.nextafter
+        assert [hits(0.0, u2) for u2 in (below(0.25, 0.0), 0.25, below(0.5, 0.0), 0.5)] \
+            == [[1, 1], [1, 3], [1, 3], [4, 1]]
+        assert hits(0.5, 0.0) == [2, 2]
+
+    def test_first_hits_at_float_edges(self):
+        # where rounding puts C above A or B, or A + B - C below A or above
+        # 1, the kernel's first hits are the scalar rule's, at every edge of
+        # u2 p and its neighbours, and stay in [1, m + 1]
         below_a = 0.19999999999999996  # A + B - C one ulp below A = 0.3, C = 0.2
         assert 0.3 + below_a - 0.2 == np.nextafter(0.3, 0.0)
         up = np.nextafter(0.25, 1.0)
         assert 0.25 + up - up < 0.25  # so B = C = up puts C above A and A + B - C
+        near = 0.9999999999999993
+        assert near + 1.0 - 0.9999999999999991 > 1.0  # B = 1 and C just under A: p above 1
         cases = [(0.3, 0.4, np.nextafter(0.3, 1.0)),  # C one ulp above A
                  (0.25, up, up),
                  (0.3, below_a, 0.2),
                  (0.3, 0.2, 0.2),                     # B = C
+                 (near, 1.0, 0.9999999999999991),
+                 (1.0, 1.0, 1.0),                     # nobody jams, interference-limited
+                 (0.0, 0.0, 0.0),                     # gamma_e = inf
                  (0.3, 0.5, 0.15)]                    # C = A B, no rounding at stake
-        a, b, c = (np.array(column) for column in zip(*cases))
-        # every trial hears one eavesdropper at each edge of every case and at
-        # its neighbours
-        edges = {e for x, y, z in cases for e in (x, z, x + y - z)}
-        eve = np.tile(sorted({w for e in edges for w in (np.nextafter(e, 0.0), e,
-                                                         np.nextafter(e, 1.0))}), (len(cases), 1))
-        counts = _count_intercepts(eve, a, b, c)
-        for t, (x, y, z) in enumerate(cases):
-            hop1 = sum(u < x for u in eve[t])
-            hop2 = sum(u < z or x <= u < x + y - z for u in eve[t])
-            assert counts[:, t].tolist() == [hop1, hop2]
-        no_eve = _count_intercepts(np.empty((len(cases), 0)), a, b, c)  # m = 0
-        assert no_eve.tolist() == [[0] * len(cases)] * 2
+        grid = sorted({w for e in (0.0, 0.1, 0.25, 0.5, 0.9) for w in (np.nextafter(e, 0.0), e,
+                                                                      np.nextafter(e, 1.0))
+                       if 0.0 <= w < 1.0})
+        for x, y, z in cases:
+            p = min(x + y - min(z, x, y), 1.0)
+            u2s = sorted({w / p if p else 0.0 for e in (x, z) for w in (np.nextafter(e, 0.0), e,
+                                                                     np.nextafter(e, 1.0))}
+                         | set(grid))
+            eve = np.array([(u0, u1, u2) for u0 in grid for u1 in grid for u2 in u2s
+                            if u2 < 1.0])
+            t = len(eve)
+            for m in (0, 1, 3):
+                got = _first_hits(eve, np.full(t, x), np.full(t, y), np.full(t, z), m)
+                want = [first_hits(row, x, y, z, m) for row in eve.tolist()]
+                assert got.tolist() == [list(w) for w in want]
+                assert np.all((got >= 1.0) & (got <= m + 1.0))
 
     def test_e2e_is_or_of_hops(self):
         rng = trial_rng(40, 0)
         for _ in range(50):
-            vals = rng.exponential(size=6)
-            flags = classify_outage(self.record(vals[0], vals[1], vals[2:4] > 1.0,
-                                                vals[4:6] > 1.0), self.CFG)
+            vals = rng.exponential(size=2)
+            h1, h2 = rng.integers(1, 4, size=2)  # 3 = m + 1: no eavesdropper of 2
+            flags = classify_outage(self.record(*vals, h1, h2), self.CFG)
             assert flags["t_e2e"] == (flags["t_hop1"] or flags["t_hop2"])
             assert flags["s_e2e"] == (flags["s_hop1"] or flags["s_hop2"])
             assert flags["t_both"] == (flags["t_hop1"] and flags["t_hop2"])
             assert flags["s_both"] == (flags["s_hop1"] and flags["s_hop2"])
-            assert flags["eve_hits_hop1"] == np.sum(vals[2:4] > 1.0)
+            assert (flags["s_hop1"], flags["s_hop2"]) == (h1 <= 2, h2 <= 2)
+            assert flags["eve_hits_hop1"] == (h1 == 1)
 
     def test_no_eavesdroppers_no_secrecy_outage(self):
+        # with m = 0 every first hit is capped at 1: no eavesdropper
         cfg = ScenarioConfig(n=3, m=0, gamma_r=1.0, gamma_e=1.0)
-        flags = classify_outage(self.record(5.0, 5.0, [], []), cfg)
-        assert not flags["s_e2e"]
+        flags = classify_outage(self.record(5.0, 5.0, 1, 1), cfg)
+        assert not flags["s_e2e"] and flags["eve_hits_hop1"] == 0

@@ -1,12 +1,13 @@
-"""Stream layout 5 against a slow per-trial reference.
+"""Stream layout 6 against a slow per-trial reference.
 
 The reference uses nothing of the library's kernel. For each configuration
 it seeds its own PCG64DXSM, reads the trials' W words in order from word 0,
 decodes them by the documented layout, runs the protocol on plain 1-D
-arrays and decides every eavesdropper's two intercepts by the four-cell
-rule in scalar Python. `_run_trials` must reproduce its counts bit for bit,
-whatever the block size, trial-range split or worker count. The four-worker
-runs share one process pool.
+arrays and finds the first eavesdropper to intercept each hop from the
+trial's three eavesdropper uniforms in scalar Python. `_run_trials` must
+reproduce its counts and first-hit histogram bit for bit, whatever the
+block size, trial-range split or worker count. The four-worker runs share
+one process pool.
 """
 
 import itertools
@@ -26,12 +27,12 @@ GRID = list(itertools.product((1, 2, 7, 11, 40), (0, 1, 8),
                               ("optimal-maxmin", "random-uniform"), ("shared", "independent"),
                               ("exact", "interference-limited"), (0.0, 0.1, 1.0)))
 M64 = (1 << 64) - 1
-LAYOUT = 5  # the stream layout: the second entropy word of every seed sequence
+LAYOUT = 6  # the stream layout: the second entropy word of every seed sequence
 
 
-def trial_words(n, m, maxmin, independent):
+def trial_words(n, maxmin, independent):
     """W by the README table: the words a trial reads."""
-    return (3 * n - 1 if maxmin else 2 * n + 1) + (n if maxmin and independent else 0) + m
+    return (3 * n - 1 if maxmin else 2 * n + 1) + (n if maxmin and independent else 0) + 3
 
 
 def interference(gains, jam):
@@ -56,25 +57,56 @@ def with_relay(others, sel, value):
     return out
 
 
-def intercepts(eve, k1, k2, k, shared, config):
-    """Each eavesdropper's (hop 1, hop 2) intercepts by the four-cell rule, as two lists."""
+def geometric(u, p):
+    """The first success, by inversion of uniform u, of trials that succeed with probability p."""
+    if p == 0.0:
+        return math.inf
+    if p == 1.0:
+        return 1.0
+    ratio = math.log1p(-u) / math.log1p(-p)
+    return math.inf if ratio == math.inf else 1.0 + math.floor(ratio)
+
+
+def law(k1, k2, k, shared, config):
+    """A, B, C: one eavesdropper intercepts hop 1, hop 2, both, given the jammer counts."""
     ge = config.gamma_e
     nu = math.exp(-ge * config.noise_term / config.es)
     q, r = 1.0 / (1.0 + ge), 1.0 / (1.0 + 2.0 * ge)
     a, b = nu * q ** k1, nu * q ** k2
-    c = nu * nu * q ** (k1 + k2 - 2 * k) * r ** k if shared else a * b
-    hop1 = [u < a for u in eve]
-    hop2 = [u < c or a <= u < a + b - c for u in eve]
-    return hop1, hop2
+    return a, b, nu * nu * q ** (k1 + k2 - 2 * k) * r ** k if shared else a * b
+
+
+def first_hits(eve, a, b, c, m):
+    """(H1, H2): the first eavesdropper to intercept hop 1 and hop 2, m + 1 if none of m does.
+
+    Each eavesdropper intercepts both hops with probability C, hop 1 only
+    with A - C and hop 2 only with B - C, so the first to intercept either
+    is Geometric(A + B - C) (u0) and its cell follows from u2 (A + B - C);
+    the other hop's first interceptor after a one-hop intercept is one more
+    geometric, from u1.
+    """
+    c = min(c, a, b)
+    p = min(a + b - c, 1.0)
+    u0, u1, u2 = eve
+    h = geometric(u0, p)
+    if u2 * p < c:
+        h1 = h2 = h
+    elif u2 * p < a:
+        h1, h2 = h, h + geometric(u1, b)
+    else:
+        h1, h2 = h + geometric(u1, a), h
+    return min(h1, m + 1.0), min(h2, m + 1.0)
 
 
 def reference_outcomes(config, kind, legs, tau, seed, trials):
-    """(trials, len(COUNT_KEYS)) per-trial contributions to every count."""
+    """(trials, len(COUNT_KEYS)) per-trial contributions to every count, and the
+    (trials,) first eavesdropper to intercept either hop, m + 1 if none of m does."""
     n, m = config.n, config.m
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
-    width = trial_words(n, m, maxmin, independent)
+    width = trial_words(n, maxmin, independent)
     bits = np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, LAYOUT]))
     out = np.zeros((trials, len(COUNT_KEYS)), dtype=np.int64)
+    first = np.zeros(trials, dtype=np.int64)
     for t in range(trials):
         u = (bits.random_raw(width) >> np.uint64(11)) * 2.0 ** -53
         g = -np.log1p(-u)
@@ -96,7 +128,7 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
         if maxmin:
             sel = int(np.argmax(np.minimum(s_r, r_d2 if r_d is None else r_d)))
             signal1 = s_r[sel]
-        eve = u[pos:pos + m].tolist()
+        eve = u[pos:pos + 3].tolist()
         to_sel = with_relay(toward, sel, 0.0)
         jam1 = with_relay(toward < tau, sel, False)  # the relay itself never jams
         jam2 = r_d2 < tau
@@ -104,12 +136,13 @@ def reference_outcomes(config, kind, legs, tau, seed, trials):
         t1 = not sinr(signal1, interference(to_sel, jam1), config) > config.gamma_r
         t2 = not sinr(r_d2[sel], interference(r_d2, jam2), config) > config.gamma_r
         k1, k2 = int(jam1.sum()), int(jam2.sum())
-        hits1, hits2 = intercepts(eve, k1, k2, int((jam1 & jam2).sum()), not independent,
-                                  config)
-        s1, s2 = any(hits1), any(hits2)
+        h1, h2 = first_hits(eve, *law(k1, k2, int((jam1 & jam2).sum()), not independent,
+                                      config), m)
+        s1, s2 = h1 <= m, h2 <= m
         out[t] = (t1, t2, t1 or t2, t1 and t2, s1, s2, s1 or s2, s1 and s2,
-                  sum(hits1), k1, k1 * k1)
-    return out
+                  s1 and h1 == 1, k1, k1 * k1)
+        first[t] = min(h1, h2)
+    return out, first
 
 
 def as_tuple(counts):
@@ -131,20 +164,23 @@ def test_kernel_matches_per_trial_reference(n, monkeypatch, pool):
         _, m, kind, legs, noise, tau = key
         config = ScenarioConfig(n=n, m=m, gamma_r=0.5, gamma_e=1.0, noise_mode=noise)
         protocol = ProtocolChoice(kind=kind, tau_policy="manual", tau=tau)
-        ref = reference_outcomes(config, kind, legs, tau, SEED, TRIALS)
+        ref, first = reference_outcomes(config, kind, legs, tau, SEED, TRIALS)
         want = tuple(int(v) for v in ref.sum(axis=0))
-        whole = as_tuple(_run_trials(config, protocol.kind, protocol.tau, 0, TRIALS, SEED, legs))
+        counts, hist = _run_trials(config, protocol.kind, protocol.tau, 0, TRIALS, SEED, legs)
+        whole = as_tuple(counts)
         split = merge_estimates([estimate_outage(config, protocol, b - a, SEED, legs=legs,
                                                  trial_start=a)
                                  for a, b in ((0, CUT), (CUT, TRIALS))])
-        pooled = montecarlo._estimate(pool, config, protocol, tau, TRIALS, SEED, legs,
-                                       workers=4)
+        pooled, pooled_hist = montecarlo._estimate(pool, config, protocol, tau, TRIALS, SEED,
+                                                    legs, workers=4)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_BLOCK_WORDS", 1)
             ones = as_tuple(_run_trials(config, protocol.kind, protocol.tau, WINDOW.start,
-                                        WINDOW.stop, SEED, legs))
+                                        WINDOW.stop, SEED, legs)[0])
         window = tuple(int(v) for v in ref[WINDOW.start:WINDOW.stop].sum(axis=0))
-        got = (whole, as_tuple(split.counts), as_tuple(pooled.counts), ones)
-        if got != (want, want, want, window):
+        got = (whole, as_tuple(split.counts), as_tuple(pooled.counts), ones,
+               hist.tolist(), pooled_hist.tolist())
+        want_hist = np.bincount(first, minlength=m + 2).tolist()
+        if got != (want, want, want, window, want_hist, want_hist):
             wrong.append(key)
     assert wrong == []
