@@ -27,6 +27,7 @@ results document how far the independence assumption drifts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -78,26 +79,35 @@ CI_SUFFIXES = ("", "_ci_lo", "_ci_hi")  # a proportion's point estimate and Wils
 _BLOCK_WORDS = 1 << 18
 
 
-def _run_trials(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int,
-                seed: int, legs: str) -> tuple[dict[str, int], np.ndarray]:
-    """Raw counts of trials [start, stop) of `seed` under rule `kind` and threshold `tau`,
-    and the (m + 2,) histogram of min(H1, H2), their first hits (`protocols._first_hits`)."""
+def _blocks(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int, seed: int,
+            legs: str):
+    """The `protocols.TransmissionRecord` of each block of trials [start, stop) of `seed`."""
     maxmin = kind == "optimal-maxmin"
     independent = legs == "independent"
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
     stream = SeedStream(seed)
-    c = dict.fromkeys(COUNT_KEYS, 0)
-    first_hit = np.zeros(config.m + 2, dtype=np.int64)
     for lo in range(start, stop, size):
         real = sample_realization(config, stream, lo, min(lo + size, stop),
                                   maxmin=maxmin, independent=independent)
         selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
-        record = execute_two_hop(real, selected, tau, config)
+        yield execute_two_hop(real, selected, tau, config)
+
+
+def _run_trials(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int,
+                seed: int, legs: str) -> dict[str, int]:
+    """Raw counts of trials [start, stop) of `seed` under rule `kind` and threshold `tau`."""
+    c = dict.fromkeys(COUNT_KEYS, 0)
+    for record in _blocks(config, kind, tau, start, stop, seed, legs):
         for key, count in classify_outage(record, config).items():
             c[key] += count
-        first_hit += np.bincount(np.minimum(*record.first_hit.T).astype(np.intp),
-                                 minlength=config.m + 2)
-    return c, first_hit
+    return c
+
+
+def _first_interceptors(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int,
+                        seed: int, legs: str) -> np.ndarray:
+    """Each trial's first hit min(H1, H2), over m if none of m intercepts (`_run_trials`)."""
+    return np.concatenate([np.minimum(*record.first_hit.T)
+                           for record in _blocks(config, kind, tau, start, stop, seed, legs)])
 
 
 @dataclass(frozen=True)
@@ -184,19 +194,13 @@ def _pool(workers: int, trials: int):
     return ProcessPoolExecutor(max_workers=min(workers, trials))
 
 
-def _estimate(pool, config: ScenarioConfig, protocol: ProtocolChoice, tau: float, trials: int,
-              seed: int, legs: str, workers: int, trial_start: int = 0):
-    """`estimate_outage` at `tau` and its first-hit histogram (`_run_trials`): one range a
-    worker, on `pool` (from `_pool`) or here if None."""
+def _map_ranges(pool, job, config: ScenarioConfig, kind: str, tau: float, trial_start: int,
+                trials: int, seed: int, legs: str, workers: int) -> list:
+    """`job`'s results on trials [trial_start, trial_start + trials), one range a worker in
+    trial order, on `pool` (from `_pool`) or here if None."""
     edges = [int(trial_start) + i * int(trials) // workers for i in range(workers + 1)]
-    jobs = [(config, protocol.kind, tau, a, b, seed, legs)
-            for a, b in zip(edges, edges[1:]) if b > a]
-    (counts, first_hit), *rest = (map if pool is None else pool.map)(_run_trials, *zip(*jobs))
-    for part, hist in rest:
-        counts = {key: count + part[key] for key, count in counts.items()}
-        first_hit = first_hit + hist
-    return OutageEstimate(config=config, protocol=protocol, tau=tau, legs=legs, seed=seed,
-                          trial_start=trial_start, trials=trials, counts=counts), first_hit
+    jobs = [(config, kind, tau, a, b, seed, legs) for a, b in zip(edges, edges[1:]) if b > a]
+    return list((map if pool is None else pool.map)(job, *zip(*jobs)))
 
 
 def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
@@ -215,8 +219,12 @@ def estimate_outage(config: ScenarioConfig, protocol: ProtocolChoice,
     _check_run(trials, seed, legs, workers, trial_start)
     tau = resolve_tau(protocol, config)
     with _pool(workers, trials) as pool:
-        return _estimate(pool, config, protocol, tau, trials, seed, legs, workers,
-                         trial_start)[0]
+        counts, *rest = _map_ranges(pool, _run_trials, config, protocol.kind, tau, trial_start,
+                                    trials, seed, legs, workers)
+    for part in rest:
+        counts = {key: count + part[key] for key, count in counts.items()}
+    return OutageEstimate(config=config, protocol=protocol, tau=tau, legs=legs, seed=seed,
+                          trial_start=trial_start, trials=trials, counts=counts)
 
 
 def merge_estimates(parts: list[OutageEstimate]) -> OutageEstimate:
@@ -265,27 +273,29 @@ def tolerance_search(config: ScenarioConfig, protocol: ProtocolChoice,
                      legs: str = "shared", workers: int = 1) -> ToleranceResult:
     """Largest m <= m_cap whose estimated secrecy outage stays within eps_s, from one run.
 
-    The run is `estimate_outage` at m = m_cap. A trial's words do not depend
-    on m, so the trials whose first hit is at most m are the s_e2e count of
-    `estimate_outage` at m for every m, and never fall as m rises. m_max is
-    the last m before the first whose Wilson upper bound of p_s_e2e exceeds
-    eps_s. The threshold is resolved once, at the base configuration's m.
+    One run sorts the T trials' first hits min(H1, H2) at m = m_cap; the s_e2e count
+    `estimate_outage` gives at any m is the number at most m. The Wilson upper bound
+    rises with it, so bisection finds the least count over eps_s, and m_max is one below
+    the hit that reaches it: O(T log T) time and O(T) memory whatever m_cap is. The
+    threshold is resolved once, at the base configuration's m.
     """
     check_at_least("m_cap", m_cap, 1, integer=True)
     check_unit("eps_s", eps_s)
     _check_run(trials, seed, legs, workers)
     tau = resolve_tau(protocol, config)
     with _pool(workers, trials) as pool:
-        _, first_hit = _estimate(pool, replace(config, m=m_cap), protocol, tau, trials, seed,
-                                 legs, workers)
-    s_e2e = np.cumsum(first_hit).tolist()  # s_e2e[m]: the count at m eavesdroppers
+        hits = np.sort(np.concatenate(_map_ranges(pool, _first_interceptors,
+                                                  replace(config, m=m_cap), protocol.kind, tau,
+                                                  0, trials, seed, legs, workers)))
 
-    def upper(m: int) -> float:
-        return wilson_interval(s_e2e[m], trials)[1]
+    def upper(count: int) -> float:
+        return wilson_interval(count, trials)[1]
 
-    m_max = next((m - 1 for m in range(1, m_cap + 1) if upper(m) > eps_s), m_cap)
+    over = bisect.bisect_left(range(trials + 1), True, key=lambda count: upper(count) > eps_s)
+    m_max = m_cap if over > trials else min(m_cap, int(hits[over - 1]) - 1) if over else 0
     probes = sorted({1 << k for k in range(int(m_cap).bit_length())} | {m_max, m_max + 1})
-    return ToleranceResult(m_max, tau, tuple((m, upper(m)) for m in probes if 1 <= m <= m_cap))
+    return ToleranceResult(m_max, tau, tuple((m, upper(int(np.searchsorted(hits, m, "right"))))
+                                             for m in probes if 1 <= m <= m_cap))
 
 
 def jain_index(counts) -> float:

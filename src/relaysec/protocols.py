@@ -75,7 +75,7 @@ class TransmissionRecord(NamedTuple):
     jammers: np.ndarray              # (T, 2) |J1|, |J2|: the relays that jam each hop
     jammers_both: np.ndarray | None  # (T,) |J1 & J2| with shared legs; None with independent
     sinr: np.ndarray                 # (T, 2) SINR at the selected relay, at D
-    first_hit: np.ndarray            # (T, 2) first eavesdropper to decode each hop, m + 1 if none
+    first_hit: np.ndarray            # (T, 2) first eavesdropper to decode each hop, > m if none
 
 
 def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
@@ -191,7 +191,7 @@ def _first_hits(eve: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     that does is H = 1 + floor(log1p(-u0) / log1p(-p)); it intercepts both hops
     iff u2 p < C, hop 1 only iff C <= u2 p < A, else hop 2 only, and the other
     hop's first interceptor is H + Geometric(B) or H + Geometric(A), from u1.
-    Both are capped at m + 1, as floats, which also maps p = 0's NaN to m + 1.
+    Both, and p = 0's NaN, are capped at m + 1, or past 2**53 the float after m.
     """
     c = np.minimum(c, np.minimum(a, b))
     p = np.minimum(a + b - c, 1.0)
@@ -202,7 +202,7 @@ def _first_hits(eve: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         h = np.floor(np.log1p(-eve[:, 0]) / np.log1p(-p)) + 1.0
         later = np.floor(np.log1p(-eve[:, 1]) / np.log1p(-np.where(hop1_only, b, a))) + 1.0
     hits = np.where((hop2_only, hop1_only), h + later, h)
-    return np.fmin(hits, m + 1.0, out=hits).T
+    return np.fmin(hits, max(m + 1.0, math.nextafter(m, math.inf)), out=hits).T
 
 
 def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,

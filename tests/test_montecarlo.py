@@ -16,7 +16,7 @@ from relaysec import (ProtocolChoice, ScenarioConfig, estimate_outage,
                       tolerance_search, wilson_interval)
 from relaysec import montecarlo, protocols
 from relaysec.channel import trial_words
-from relaysec.montecarlo import LEG_MODES, _run_trials
+from relaysec.montecarlo import LEG_MODES, _first_interceptors, _run_trials
 from relaysec.protocols import PROTOCOL_KINDS
 from relaysec.serialize import dumps
 
@@ -26,9 +26,8 @@ RANDOM_TAU01 = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.
 
 
 def run_trials(*args):
-    """`_run_trials`' counts and first-hit histogram, as values that compare with ==."""
-    counts, first_hit = _run_trials(*args)
-    return counts, first_hit.tolist()
+    """`_run_trials`' counts and each trial's first hit, as values that compare with ==."""
+    return _run_trials(*args), _first_interceptors(*args).tolist()
 
 
 class TestWilsonInterval:
@@ -198,7 +197,7 @@ class TestRandomSelectionClosedForm:
     def test_transmission_outage_matches_closed_form(self, n, noise_mode, legs):
         cfg = ScenarioConfig(n=n, m=0, gamma_r=0.5, gamma_e=1.0, noise_mode=noise_mode)
         tau = 0.3
-        counts, _ = _run_trials(cfg, "random-uniform", tau, 0, self.TRIALS, 77, legs)
+        counts = _run_trials(cfg, "random-uniform", tau, 0, self.TRIALS, 77, legs)
         hop = self.hop_outage(cfg, tau)
         exact = {"t_hop1": hop, "t_hop2": hop, "t_e2e": 1.0 - (1.0 - hop) ** 2,
                  "t_both": hop * hop}
@@ -221,7 +220,7 @@ class TestCommonRandomNumbers:
         # the first-hit draw of both hops reads
         cfg = ScenarioConfig(n=n, m=4, gamma_r=0.5, gamma_e=0.5, noise_mode=noise_mode)
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.2)
-        shared, indep = (_run_trials(cfg, proto.kind, proto.tau, 0, 3000, 404, legs)[0]
+        shared, indep = (_run_trials(cfg, proto.kind, proto.tau, 0, 3000, 404, legs)
                          for legs in LEG_MODES)
         assert {k: shared[k] for k in self.LEGITIMATE} == {k: indep[k] for k in self.LEGITIMATE}
 
@@ -237,7 +236,7 @@ class TestCommonRandomNumbers:
 
         def counts(**change):
             return _run_trials(replace(base, **change), proto.kind, proto.tau, 0, 2000, 505,
-                               legs)[0]
+                               legs)
 
         t_keys = ("t_hop1", "t_hop2", "t_e2e", "t_both")
         by_e = [counts(gamma_e=g) for g in (0.05, 0.2, 0.5, 1.0, 3.0, math.inf)]
@@ -260,8 +259,8 @@ class TestCountsAlongM:
     @pytest.mark.parametrize("legs", LEG_MODES)
     def test_secrecy_counts_never_fall_as_m_rises(self, kind, legs):
         cfg = ScenarioConfig(n=11, m=0, gamma_r=1.0, gamma_e=1.0)
-        runs = [_run_trials(replace(cfg, m=m), kind, 0.3, 0, 500, 606, legs) for m in range(65)]
-        counts = [c for c, _ in runs]
+        counts = [_run_trials(replace(cfg, m=m), kind, 0.3, 0, 500, 606, legs)
+                  for m in range(65)]
         for lo, hi in zip(counts, counts[1:]):
             assert all(hi[k] >= lo[k] for k in self.SECRECY)
         assert counts[-1]["s_e2e"] > counts[1]["s_e2e"] > 0  # the curve moves
@@ -271,9 +270,20 @@ class TestCountsAlongM:
         # the first eavesdropper is the same one at every m >= 1, and there is none at m = 0
         assert counts[0]["eve_hits_hop1"] == 0
         assert len({c["eve_hits_hop1"] for c in counts[1:]}) == 1
-        # the first-hit histogram at m = 64 holds the s_e2e count of every m
-        s_e2e = np.cumsum(runs[-1][1])
-        assert [c["s_e2e"] for c in counts] == s_e2e[:65].tolist()
+        # the first hits at m = 64 hold the s_e2e count of every m
+        hits = _first_interceptors(replace(cfg, m=64), kind, 0.3, 0, 500, 606, legs)
+        assert [c["s_e2e"] for c in counts] == [int((hits <= m).sum()) for m in range(65)]
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    @pytest.mark.parametrize("m", [2 ** 53, 2 ** 62])
+    def test_no_hit_stays_above_m_past_2_53(self, kind, legs, m):
+        # at gamma_e = inf no eavesdropper decodes; past 2**53, m + 1.0 rounds
+        # to m, so the no-hit cap must lie above m or every trial counts
+        cfg = ScenarioConfig(n=11, m=m, gamma_r=1.0, gamma_e=math.inf)
+        counts = _run_trials(cfg, kind, 0.3, 0, 200, 607, legs)
+        assert [counts[k] for k in self.SECRECY + ("eve_hits_hop1",)] == [0] * 5
+        assert (_first_interceptors(cfg, kind, 0.3, 0, 200, 607, legs) > m).all()
 
 
 class TestMergeEstimates:
@@ -281,8 +291,8 @@ class TestMergeEstimates:
         edges = np.linspace(0, trials, n_parts + 1).astype(int)
         out = []
         for a, b in zip(edges[:-1], edges[1:]):
-            counts, _ = _run_trials(IL, RANDOM_TAU01.kind, RANDOM_TAU01.tau, int(a), int(b),
-                                    seed, "shared")
+            counts = _run_trials(IL, RANDOM_TAU01.kind, RANDOM_TAU01.tau, int(a), int(b), seed,
+                                 "shared")
             out.append(estimate_outage(IL, RANDOM_TAU01, int(b - a), seed,
                                        trial_start=int(a)))
             assert out[-1].counts == counts
@@ -450,16 +460,35 @@ class TestToleranceSearch:
     def test_one_estimate_answers_every_m(self, monkeypatch):
         calls = []
 
-        def counted(pool, config, *args, **kwargs):
+        def counted(config, *args):
             calls.append(config.m)
-            return real(pool, config, *args, **kwargs)
+            return real(config, *args)
 
-        real = montecarlo._estimate
-        monkeypatch.setattr(montecarlo, "_estimate", counted)
+        real = montecarlo._first_interceptors
+        monkeypatch.setattr(montecarlo, "_first_interceptors", counted)
         proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=1.0)
         res = tolerance_search(IL, proto, 0.5, 500, m_cap=1000, seed=45)
         assert calls == [1000]
         assert 1 <= res.m_max < 1000
+
+    def test_answer_does_not_depend_on_a_cap_above_it(self):
+        # one run at m_cap = 2**62 costs O(trials) time and memory, and on
+        # one seed finds the m_max and the probe bounds of m_cap = 2**20
+        cfg = ScenarioConfig(n=101, m=1, gamma_r=1.0, gamma_e=2.0)
+        proto = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.15)
+        low = tolerance_search(cfg, proto, 0.3, 2000, m_cap=2 ** 20, seed=47)
+        tracemalloc.start()
+        try:
+            high = tolerance_search(cfg, proto, 0.3, 2000, m_cap=2 ** 62, seed=47)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 ** 16 < low.m_max == high.m_max < 2 ** 20
+        shared = dict(low.probes).keys() & dict(high.probes).keys()
+        assert {m: b for m, b in low.probes if m in shared} == \
+            {m: b for m, b in high.probes if m in shared}
+        assert len(shared) == 23  # 1, 2, ..., 2**20, m_max and m_max + 1
+        assert peak < 20 << 20
 
     @pytest.mark.parametrize("legs", LEG_MODES)
     def test_degenerate_laws_answer_without_warnings(self, legs):

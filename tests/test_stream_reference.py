@@ -5,9 +5,9 @@ it seeds its own PCG64DXSM, reads the trials' W words in order from word 0,
 decodes them by the documented layout, runs the protocol on plain 1-D
 arrays and finds the first eavesdropper to intercept each hop from the
 trial's three eavesdropper uniforms in scalar Python. `_run_trials` must
-reproduce its counts and first-hit histogram bit for bit, whatever the
-block size, trial-range split or worker count. The four-worker runs share
-one process pool.
+reproduce its counts, and `_first_interceptors` each trial's first hit, bit
+for bit, whatever the block size, trial-range split or worker count. The
+four-worker runs share one process pool.
 """
 
 import itertools
@@ -18,7 +18,7 @@ import pytest
 
 from relaysec import ProtocolChoice, ScenarioConfig, estimate_outage, merge_estimates
 from relaysec import montecarlo
-from relaysec.montecarlo import _run_trials
+from relaysec.montecarlo import _first_interceptors, _map_ranges, _run_trials
 from relaysec.protocols import COUNT_KEYS
 
 SEED, TRIALS, CUT = 424242, 2000, 777
@@ -166,21 +166,24 @@ def test_kernel_matches_per_trial_reference(n, monkeypatch, pool):
         protocol = ProtocolChoice(kind=kind, tau_policy="manual", tau=tau)
         ref, first = reference_outcomes(config, kind, legs, tau, SEED, TRIALS)
         want = tuple(int(v) for v in ref.sum(axis=0))
-        counts, hist = _run_trials(config, protocol.kind, protocol.tau, 0, TRIALS, SEED, legs)
-        whole = as_tuple(counts)
+        run = (config, protocol.kind, protocol.tau)
+        whole = as_tuple(_run_trials(*run, 0, TRIALS, SEED, legs))
+        hits = _first_interceptors(*run, 0, TRIALS, SEED, legs).tolist()
         split = merge_estimates([estimate_outage(config, protocol, b - a, SEED, legs=legs,
                                                  trial_start=a)
                                  for a, b in ((0, CUT), (CUT, TRIALS))])
-        pooled, pooled_hist = montecarlo._estimate(pool, config, protocol, tau, TRIALS, SEED,
-                                                    legs, workers=4)
+        count_parts, hit_parts = (_map_ranges(pool, job, *run, 0, TRIALS, SEED, legs, workers=4)
+                                  for job in (_run_trials, _first_interceptors))
+        pooled = tuple(sum(part[key] for part in count_parts) for key in COUNT_KEYS)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_BLOCK_WORDS", 1)
-            ones = as_tuple(_run_trials(config, protocol.kind, protocol.tau, WINDOW.start,
-                                        WINDOW.stop, SEED, legs)[0])
+            ones = as_tuple(_run_trials(*run, WINDOW.start, WINDOW.stop, SEED, legs))
+            ones_hits = _first_interceptors(*run, WINDOW.start, WINDOW.stop, SEED, legs).tolist()
         window = tuple(int(v) for v in ref[WINDOW.start:WINDOW.stop].sum(axis=0))
-        got = (whole, as_tuple(split.counts), as_tuple(pooled.counts), ones,
-               hist.tolist(), pooled_hist.tolist())
-        want_hist = np.bincount(first, minlength=m + 2).tolist()
-        if got != (want, want, want, window, want_hist, want_hist):
+        got = (whole, as_tuple(split.counts), pooled, ones,
+               hits, np.concatenate(hit_parts).tolist(), ones_hits)
+        want_hits = first.tolist()
+        if got != (want, want, want, window, want_hits, want_hits,
+                   want_hits[WINDOW.start:WINDOW.stop]):
             wrong.append(key)
     assert wrong == []
