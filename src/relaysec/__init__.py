@@ -13,7 +13,7 @@ from .bounds import (BoundReport, InfeasibleConfigError, MBound, TauInterval,
                      secrecy_leg_bound, theorem1_m_max, theorem2_tau_range,
                      theorem3_m_max)
 from .channel import (ChannelRealization, ScenarioConfig, SeedStream,
-                      sample_realization, sinr, trial_rng, trial_words)
+                      sample_realization, trial_words)
 from .montecarlo import (LoadBalanceStats, OutageEstimate, Proportion,
                          ToleranceResult, estimate_outage, jain_index,
                          load_balance, merge_estimates, selection_entropy,
@@ -35,7 +35,6 @@ __all__ = [
     "load_balance", "merge_estimates", "per_leg_budget", "reliability_leg_bound",
     "resolve_tau", "run_oracle_suite", "sample_realization",
     "secrecy_leg_bound", "select_relay_optimal",
-    "selection_entropy", "sinr", "tau_protocol1", "theorem1_m_max",
-    "theorem2_tau_range", "theorem3_m_max", "tolerance_search", "trial_rng",
-    "trial_words", "wilson_interval",
+    "selection_entropy", "tau_protocol1", "theorem1_m_max",
+    "theorem2_tau_range", "theorem3_m_max", "tolerance_search", "trial_words", "wilson_interval",
 ]

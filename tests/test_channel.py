@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_two_hop,
-                      sample_realization, select_relay_optimal, sinr, trial_rng, trial_words)
-from relaysec.channel import _thread_generator, _uniform_threshold, gain, sinr_many
+                      sample_realization, select_relay_optimal, trial_words)
+from relaysec.channel import (_thread_generator, _uniform_threshold, gain, sinr, sinr_many,
+                              trial_rng)
+
+from . import reference
 
 
 def uniforms_of(gains):
@@ -93,33 +96,6 @@ def condensed_pairs(n):
     return [(j, k) for j in range(n - 1) for k in range(j + 1, n)]
 
 
-M64 = (1 << 64) - 1
-LAYOUT = 6  # the stream layout: the second entropy word of every seed sequence
-
-
-def fresh_stream(seed):
-    """A fresh PCG64DXSM at word 0 of seed's stream (stream layout LAYOUT)."""
-    return np.random.PCG64DXSM(np.random.SeedSequence([seed & M64, LAYOUT]))
-
-
-def as_uniforms(raw):
-    """(x >> 11) * 2**-53 of each 64-bit word x."""
-    return (raw >> np.uint64(11)) * 2.0 ** -53
-
-
-def stream_reference(seed, first_word, words):
-    """Uniforms of `words` words of seed's stream from `first_word` on, from a fresh generator."""
-    bits = fresh_stream(seed)
-    bits.advance(first_word)
-    return as_uniforms(bits.random_raw(words))
-
-
-def trial_reference(cfg, seed, trial, maxmin, independent):
-    """Trial's W words as uniforms, and W."""
-    width = trial_words(cfg, maxmin=maxmin, independent=independent)
-    return stream_reference(seed, trial * width, width), width
-
-
 class TestTrialStreams:
     """One held generator per thread, repositioned for every draw: it reads like a fresh one."""
 
@@ -129,7 +105,7 @@ class TestTrialStreams:
         stream = SeedStream(seed)
         stream.uniforms(trial + 1, trial + 3, 12)  # the held generator moves on
         got = stream.uniforms(trial, trial + 2, 12)
-        assert np.array_equal(got.ravel(), stream_reference(seed, trial * 12, 24))
+        assert np.array_equal(got.ravel(), reference.stream_words(seed, trial * 12, 24))
 
     @pytest.mark.parametrize("leftover", [
         lambda rng: rng.integers(0, 11),  # leaves half a 64-bit word buffered
@@ -140,20 +116,20 @@ class TestTrialStreams:
         stream = SeedStream(7)
         stream.uniforms(4, 5, 8)
         leftover(_thread_generator())
-        assert np.array_equal(stream.uniforms(5, 6, 8)[0], stream_reference(7, 40, 8))
+        assert np.array_equal(stream.uniforms(5, 6, 8)[0], reference.stream_words(7, 40, 8))
 
     def test_out_of_order_reuse(self):
         stream = SeedStream(-3)
         for row in (5, 0, 5):
             got = stream.uniforms(row, row + 1, 6)[0]
-            assert np.array_equal(got, stream_reference(-3, row * 6, 6))
+            assert np.array_equal(got, reference.stream_words(-3, row * 6, 6))
 
     def test_far_into_the_stream(self):
         # rows [2**63 - 2, 2**63) of a 3,010-word table start about 2**74.6
         # words in: an offset computed in 64-bit arithmetic would wrap
         lo, words = 2 ** 63 - 2, 3010
         got = SeedStream(9).uniforms(lo, lo + 2, words)
-        assert np.array_equal(got.ravel(), stream_reference(9, lo * words, 2 * words))
+        assert np.array_equal(got.ravel(), reference.stream_words(9, lo * words, 2 * words))
 
     @pytest.mark.parametrize("lo", [0, 3, 2 ** 62 + 1])
     def test_split_rows_stack(self, lo):
@@ -166,8 +142,8 @@ class TestTrialStreams:
                 assert np.array_equal(whole, parts)
 
     def test_rows_are_one_sequential_read(self):
-        # no advance on the reference side: one read from word 0 holds every row
-        raw = as_uniforms(fresh_stream(-3).random_raw(400))
+        # one read from word 0 holds every row
+        raw = reference.stream_words(-3, 0, 400)
         stream = SeedStream(-3)
         for lo, hi, words in ((0, 1, 7), (2, 5, 7), (10, 13, 11), (39, 40, 10)):
             assert np.array_equal(stream.uniforms(lo, hi, words).ravel(),
@@ -240,7 +216,8 @@ class TestSampleRealization:
             cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
             real = sample_realization(cfg, SeedStream(5), 3, 4, maxmin=maxmin,
                                       independent=independent)
-            u, width = trial_reference(cfg, 5, 3, maxmin, independent)
+            width = reference.trial_words(n, maxmin, independent)  # the README table's W
+            u = reference.stream_words(5, 3 * width, width)
             if maxmin:
                 head = [real["s_r"][0]] + [real["r_d"][0]] * independent
             else:
@@ -314,27 +291,19 @@ class TestSampleRealization:
     @pytest.mark.parametrize("kind", ["optimal-maxmin", "random-uniform"])
     @pytest.mark.parametrize("legs", ["shared", "independent"])
     def test_kernel_sinr_matches_gain_level_sums(self, kind, legs):
-        # (T, n) gains toward each receiver, thresholded on the gains, and the
-        # jammers' gains added one by one in relay order: the kernel's SINRs
-        # bit for bit. At tau = 1 about 190 of 300 relays jam a hop, where a
-        # pairwise sum and a relay-order sum part in the last bits
+        # the reference's gains toward each receiver, thresholded on the gains,
+        # and the jammers' gains added one by one in relay order: the kernel's
+        # SINRs bit for bit. At tau = 1 about 190 of 300 relays jam a hop,
+        # where a pairwise sum and a relay-order sum part in the last bits
         cfg = ScenarioConfig(n=300, m=1, gamma_r=1.0, gamma_e=1.0)
         real = sample_block(cfg, 5, 40, kind=kind, legs=legs)
         sel = select_relay_optimal(real["s_r"], real["r_d"]) if real.maxmin else real.pick
         rec = execute_two_hop(real, sel, 1.0, cfg)
-        rows = np.arange(40)
-        to_relay, to_dest = real.gains_to_relay(sel), gain(real["r_d2"])
-        jam1 = to_relay < 1.0  # the selected relay's NaN never jams
-        jam2 = to_dest < 1.0
-        jam2[rows, sel] = False
-        signals = (gain(real["s_r"][rows, sel] if real.maxmin else real["s_r"][:, 0]),
-                   to_dest[rows, sel])
-        for hop, (gains, jam) in enumerate(((to_relay, jam1), (to_dest, jam2))):
-            sums = np.zeros(40)
-            for relay in range(cfg.n):  # relay order
-                sums[jam[:, relay]] += gains[jam[:, relay], relay]
-            assert np.array_equal(rec.jammers[:, hop], jam.sum(axis=1))
-            assert np.array_equal(rec.sinr[:, hop], sinr_many(signals[hop], sums, cfg))
+        gains, _ = reference.decode(5, 40, cfg.n, real.maxmin, real.independent)
+        want = reference.two_hop(*gains, 1.0, cfg)
+        assert np.array_equal(sel, want.selected)
+        assert np.array_equal(rec.jammers, want.jammers)
+        assert np.array_equal(rec.sinr, want.sinr)
 
     def test_gains_to_relay_matches_pairs(self):
         for n in (2, 4, 7):

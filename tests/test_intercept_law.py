@@ -5,10 +5,10 @@ first eavesdropper to intercept each hop from their exact law given the
 jammer sets (`protocols.intercept_law`). Two independent checks hold it to
 that:
 
-* a ground-truth simulator that still draws s_e, r_e (and hop 2's r_e with
-  independent legs), computes every eavesdropper's SINR and thresholds it at
-  gamma_e, compared count by count with `estimate_outage` at 6 sigma of the
-  two-proportion z;
+* a simulator that draws every gain from numpy's own generator, runs the
+  reference protocol (`tests/reference.py`) and thresholds every
+  eavesdropper's SINR at gamma_e, compared count by count with
+  `estimate_outage` at 6 sigma of the two-proportion z;
 * exact random-selection secrecy outages with shared legs, summed over the
   jammer sets' overlap, gated at 6 binomial sigma.
 """
@@ -19,12 +19,11 @@ import math
 import numpy as np
 import pytest
 
-from relaysec import (ProtocolChoice, ScenarioConfig, SeedStream, estimate_outage,
-                      execute_two_hop, sample_realization, select_relay_optimal, trial_rng)
-from relaysec.channel import sinr_many
+from relaysec import ProtocolChoice, ScenarioConfig, estimate_outage
+
+from . import reference
 
 Z = 6.0
-CHUNK = 5_000
 MS, GAMMA_ES = (0, 1, 8), (0.5, 2.0)
 GROUPS = list(itertools.product(("optimal-maxmin", "random-uniform"), ("shared", "independent"),
                                 ("exact", "interference-limited"), (0.0, 0.3, 1.0)))
@@ -32,53 +31,37 @@ OUTAGES = ("t_hop1", "t_hop2", "t_e2e", "t_both", "s_hop1", "s_hop2", "s_e2e", "
 
 
 def simulate_gains(n, kind, legs, noise, tau, trials, seed):
-    """{(m, gamma_e): outcome counts} with every eavesdropper gain drawn.
+    """{(m, gamma_e): outcome counts}, every gain drawn by `default_rng(seed)`, not the library.
 
-    The legitimate gains and relays come from the library's own draw of
-    `seed` with no eavesdropper, and the jammer sets from thresholding those
-    gains at tau (the kernel's jammer counts must agree); the gains of
-    max(MS) eavesdroppers from `trial_rng(seed, chunk)`, the first m of them
-    serving m. Every eavesdropper's SINR is computed and thresholded at each
-    gamma_e.
+    The reference protocol runs on the legitimate gains and random
+    selection's relays; the gains s_e and r_e (hop 2's own r_e with
+    independent legs) of max(MS) eavesdroppers, the first m serving m, give
+    every eavesdropper's SINR, thresholded at each gamma_e.
     """
     maxmin, independent = kind == "optimal-maxmin", legs == "independent"
     config = ScenarioConfig(n=n, m=0, gamma_r=1.0, gamma_e=1.0, noise_mode=noise)
-    stream, eves = SeedStream(seed), max(MS)
-    counts = {(m, g): dict.fromkeys(OUTAGES + ("eve_hits_hop1",), 0)
-              for m in MS for g in GAMMA_ES}
-    for chunk, lo in enumerate(range(0, trials, CHUNK)):
-        hi = min(lo + CHUNK, trials)
-        real = sample_realization(config, stream, lo, hi, maxmin=maxmin, independent=independent)
-        selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
-        record = execute_two_hop(real, selected, tau, config)
-        t1, t2 = (~(record.sinr > config.gamma_r)).T
-        rows = np.arange(hi - lo)
-        jam1 = real.gains_to_relay(selected) < tau  # the selected relay's NaN never jams
-        jam2 = -np.log1p(-real["r_d2"]) < tau
-        jam2[rows, selected] = False
-        assert np.array_equal(record.jammers, np.stack((jam1.sum(axis=1), jam2.sum(axis=1)), 1))
-        if independent:  # no count reads the overlap of independent legs
-            assert record.jammers_both is None
-        else:
-            assert np.array_equal(record.jammers_both, (jam1 & jam2).sum(axis=1))
-        rng = trial_rng(seed, chunk)
-        s_e = rng.standard_exponential((hi - lo, eves))
-        r_e = rng.standard_exponential((hi - lo, n, eves))
-        r_e2 = rng.standard_exponential((hi - lo, n, eves)) if independent else r_e
-        # the hop's signal over the interference of the hop's jammers, each eavesdropper
-        signal1, signal2 = s_e, r_e2[rows, selected]
-        interference1 = np.einsum("tn,tnm->tm", jam1.astype(float), r_e)
-        interference2 = np.einsum("tn,tnm->tm", jam2.astype(float), r_e2)
-        for g in GAMMA_ES:
-            hits1 = sinr_many(signal1, interference1, config) >= g
-            hits2 = sinr_many(signal2, interference2, config) >= g
-            for m in MS:
-                s1, s2 = hits1[:, :m].any(axis=1), hits2[:, :m].any(axis=1)
-                c = counts[m, g]
-                for key, flags in zip(OUTAGES, (t1, t2, t1 | t2, t1 & t2,
-                                                s1, s2, s1 | s2, s1 & s2)):
-                    c[key] += int(flags.sum())
-                c["eve_hits_hop1"] += int(hits1[:, 0].sum()) if m else 0  # eavesdropper 1
+    rng, eves, rows = np.random.default_rng(seed), max(MS), np.arange(trials)
+    s_r, toward, r_d2 = (rng.standard_exponential((trials, size)) for size in (n, n - 1, n))
+    r_d = rng.standard_exponential((trials, n)) if maxmin and independent else r_d2
+    pick = None if maxmin else rng.integers(n, size=trials)
+    hops = reference.two_hop(s_r, r_d, toward, r_d2, pick, tau, config)
+    t1, t2 = (~(hops.sinr > config.gamma_r)).T
+    s_e = rng.standard_exponential((trials, eves))
+    r_e = rng.standard_exponential((trials, n, eves))
+    r_e2 = rng.standard_exponential((trials, n, eves)) if independent else r_e
+    # the hop's signal over the interference of the hop's jammers, each eavesdropper
+    signal1, signal2 = s_e, r_e2[rows, hops.selected]
+    interference1 = np.einsum("tn,tnm->tm", hops.jam1.astype(float), r_e)
+    interference2 = np.einsum("tn,tnm->tm", hops.jam2.astype(float), r_e2)
+    counts = {}
+    for g in GAMMA_ES:
+        hits1 = reference.sinr(signal1, interference1, config) >= g
+        hits2 = reference.sinr(signal2, interference2, config) >= g
+        for m in MS:
+            s1, s2 = hits1[:, :m].any(axis=1), hits2[:, :m].any(axis=1)
+            c = counts[m, g] = {key: int(flags.sum()) for key, flags in zip(
+                OUTAGES, (t1, t2, t1 | t2, t1 & t2, s1, s2, s1 | s2, s1 & s2))}
+            c["eve_hits_hop1"] = int(hits1[:, 0].sum()) if m else 0  # eavesdropper 1
     return counts
 
 

@@ -586,6 +586,23 @@ class TestLoadBalance:
         assert got.constant_within_epochs == want.constant_within_epochs
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n", [2, 11, 101])
+    def test_counts_follow_their_multinomial_law(self, n):
+        # slots a multiple of coherence_len: random selection's counts are
+        # Multinomial(slots, 1/n); max-min's are coherence_len x
+        # Multinomial(epochs, 1/n), an epoch's relay uniform by symmetry.
+        # Every relay's count is within 6 sigma of its mean slots / n
+        epoch_len, epochs = 10, 2000
+        slots = epoch_len * epochs
+        cfg = replace(self.CFG, n=n, coherence_len=epoch_len)
+        for kind, draws, weight in (("random-uniform", slots, 1),
+                                    ("optimal-maxmin", epochs, epoch_len)):
+            counts = np.array(load_balance(cfg, ProtocolChoice(kind=kind), slots,
+                                           58).selection_counts)
+            sigma = weight * math.sqrt(draws * (1.0 / n) * (1.0 - 1.0 / n))
+            assert np.all(counts % weight == 0)
+            assert np.all(np.abs(counts - slots / n) <= 6.0 * sigma), (kind, counts.tolist())
+
     def test_jain_close_to_one_for_random(self):
         proto = ProtocolChoice(kind="random-uniform")
         st = load_balance(replace(self.CFG, coherence_len=1), proto, 20_000, 55)

@@ -14,11 +14,12 @@ from scipy import stats
 from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
-                      tau_protocol1, theorem2_tau_range, trial_rng)
+                      tau_protocol1, theorem2_tau_range)
+from relaysec.channel import trial_rng
 from relaysec.protocols import TransmissionRecord, _first_hits, intercept_law
 
+from .reference import first_hits
 from .test_channel import make_realization, sample_block
-from .test_stream_reference import first_hits
 
 
 def select_one(s_r, r_d):
@@ -428,8 +429,8 @@ class TestClassifyOutage:
             t = len(eve)
             for m in (0, 1, 3):
                 got = _first_hits(eve, np.full(t, x), np.full(t, y), np.full(t, z), m)
-                want = [first_hits(row, x, y, z, m) for row in eve.tolist()]
-                assert got.tolist() == [list(w) for w in want]
+                want = first_hits(eve, np.full(t, x), np.full(t, y), np.full(t, z), m)
+                assert np.array_equal(got, np.stack(want, axis=1))
                 assert np.all((got >= 1.0) & (got <= m + 1.0))
 
     def test_e2e_is_or_of_hops(self):
