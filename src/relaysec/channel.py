@@ -10,7 +10,7 @@ nothing ever measures them. One realization spans both hops of a
 transmission.
 
 Only the legitimate gains a transmission reads are drawn, and no
-eavesdropper gain at all (stream layout 6): three uniforms a trial, for any
+eavesdropper gain at all (stream layout 7): three uniforms a trial, for any
 m, give the first eavesdropper to intercept each hop. Every
 draw of a run comes from one PCG64DXSM stream per seed (`SeedStream`);
 trial t owns a fixed range of its 64-bit words, and the generator advances
@@ -20,6 +20,13 @@ field lies among them. A gain -log1p(-u) increases with its uniform u, so
 thresholds (`_uniform_threshold`) and maxima are decided on the uniforms,
 and only the gains an SINR reads are computed (`gain`). `trial_rng`, a
 keyed Philox, serves test inputs only.
+
+A trial's row has one of two formats, chosen from (n, tau) alone
+(`count_cap`). Per-relay rows hold a word for every relay a jammer set is
+decided on. Count rows, where few of many relays jam, hold a hop's jammer
+count as one uniform to invert (`protocols._count_tables`) and its jammers'
+gains, truncated below tau, in `cap` words; a trial whose count passes
+`cap` reads the rest from its own row of a second key.
 """
 
 from __future__ import annotations
@@ -38,7 +45,25 @@ from .bounds import check_at_least, check_positive, check_unit
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
-_LAYOUT = 6  # the stream layout, also the second entropy word of every run's seed sequence
+_LAYOUT = 7  # the stream layout, also the second entropy word of every run's seed sequence
+
+# a counted hop reads cap = min(n - 1, ceil(mean + _CAP_SIGMAS sd) + _CAP_PAD) jammer words,
+# mean and sd those of its Bin(n - 1, p) count; count rows are drawn from n = _COUNT_ROWS_FROM
+# relays on, where they cost less than per-relay rows (CHANGES.md has the grid)
+_CAP_SIGMAS, _CAP_PAD = 8, 5
+_COUNT_ROWS_FROM = 41
+
+
+def count_cap(n: int, tau: float) -> int | None:
+    """cap, the jammer words a counted hop reads in its row, or None for per-relay rows.
+
+    p = 1 - e^-tau is the chance that a relay jams a hop. A configuration
+    draws count rows when n >= _COUNT_ROWS_FROM and cap <= (n - 1) / 2.
+    """
+    p = -math.expm1(-tau)
+    mean = (n - 1) * p
+    cap = min(n - 1, math.ceil(mean + _CAP_SIGMAS * math.sqrt(mean * (1.0 - p))) + _CAP_PAD)
+    return cap if n >= _COUNT_ROWS_FROM and 2 * cap <= n - 1 else None
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -99,19 +124,21 @@ def _thread_generator() -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=256)
-def _base_state(seed: int) -> dict:
-    """PCG64DXSM's state at word 0 of the stream of `seed`, in [0, 2**64); read-only."""
-    return np.random.PCG64DXSM(np.random.SeedSequence([seed, _LAYOUT])).state
+def _base_state(seed: int, overflow: bool = False) -> dict:
+    """PCG64DXSM's state at word 0 of the stream of `seed`, in [0, 2**64), or of its
+    overflow key; read-only."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, _LAYOUT, 1][:2 + overflow])).state
 
 
 class SeedStream:
     """The random stream of one seed: PCG64DXSM (O'Neill 2014), read by word offset.
 
     Word 0 is the state of PCG64DXSM seeded by SeedSequence([seed mod 2**64,
-    6]) (6 is the stream layout). A table whose rows read `words` words each
-    has row width W = `words`, no padding: row r owns words [r W, (r + 1) W).
-    So any range of rows is drawn by setting the base state, advancing it
-    r W words and making one call.
+    7]) (7 is the stream layout), or by SeedSequence([seed mod 2**64, 7, 1])
+    for the overflow key. A table whose rows read `words` words each has row
+    width W = `words`, no padding: row r owns words [r W, (r + 1) W). So any
+    range of rows is drawn by setting the base state, advancing it r W words
+    and making one call.
 
     A stream holds only its seed. Every draw sets the calling thread's
     generator to the base state and advances it, so streams are cheap to
@@ -121,15 +148,16 @@ class SeedStream:
     def __init__(self, seed: int):
         self._seed = operator.index(seed) & _MASK64  # numpy integers too; never a float
 
-    def uniforms(self, lo: int, hi: int, words: int) -> np.ndarray:
-        """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi).
+    def uniforms(self, lo: int, hi: int, words: int, overflow: bool = False) -> np.ndarray:
+        """(hi - lo, words) uniforms u = (x >> 11) * 2**-53 in [0, 1) of rows [lo, hi),
+        of the overflow key's stream if `overflow`.
 
         numpy's `Generator.random` makes exactly that double of each 64-bit
         word x, one word each.
         """
         gen = _thread_generator()
         bits = gen.bit_generator
-        bits.state = _base_state(self._seed)
+        bits.state = _base_state(self._seed, overflow)
         bits.advance(int(lo) * words)  # a Python int: the offset passes 2**64 far in
         return gen.random((hi - lo) * words).reshape(hi - lo, words)
 
@@ -177,50 +205,73 @@ class ScenarioConfig:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(n: int, maxmin: bool, independent: bool) -> MappingProxyType:
-    """Field -> its columns among a trial's words (stream layout 6; see `sample_realization`).
+def _layout(n: int, maxmin: bool, independent: bool, cap: int | None) -> MappingProxyType:
+    """Field -> its columns among a trial's words (stream layout 7; see `sample_realization`).
 
-    Cached per (n, rule, leg mode) and shared by every block, so read-only.
+    Cached per (n, rule, leg mode, cap) and shared by every block, so read-only.
     """
-    head = [("s_r", n)] + [("r_d", n)] * independent if maxmin else [("pick", 1), ("s_r", 1)]
+    if cap is None:  # per-relay rows
+        head = [("s_r", n)] + [("r_d", n)] * independent if maxmin else [("pick", 1), ("s_r", 1)]
+        body = [("to_relay", n - 1), ("r_d2", n)]
+    else:  # count rows: hop 2 is counted too unless max-min selection read its words
+        counted = 1 if maxmin and not independent else 2
+        head = [("s_r", n), ("r_d", n)] if maxmin else [("s_r", 1)]
+        body = [("r_d2", 1)] * (counted - 1) + [("draws", counted + 1), ("jam", counted * cap)]
     fields, o = {}, 0
-    for name, size in head + [("to_relay", n - 1), ("r_d2", n), ("eve", 3)]:
+    for name, size in head + body + [("eve", 3)]:
         fields[name], o = slice(o, o + size), o + size
-    fields.setdefault("r_d", fields["r_d2"])
-    fields["receivers"] = slice(fields["to_relay"].start, fields["r_d2"].stop)
+    fields.setdefault("r_d", fields.get("r_d2"))
+    fields.setdefault("r_d2", fields["r_d"])
+    if cap is None:
+        fields["receivers"] = slice(fields["to_relay"].start, fields["r_d2"].stop)
+    elif counted == 1:
+        fields["receivers"] = fields["r_d"]
     return MappingProxyType(fields)
 
 
-def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool) -> int:
+def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool, tau: float) -> int:
     """W, the 64-bit words one trial owns: the words it reads, whatever m is.
 
-    Random selection reads 2n + 4 words in either leg mode, and max-min
-    3n + 2, 4n + 2 with independent legs.
+    On per-relay rows random selection reads 2n + 4 words in either leg mode,
+    and max-min 3n + 2, 4n + 2 with independent legs. On count rows
+    (`count_cap`) random selection reads 2 cap + 8, and max-min 2n + cap + 5,
+    2n + 2 cap + 7 with independent legs.
     """
-    return _layout(config.n, maxmin, independent)["eve"].stop
+    return _layout(config.n, maxmin, independent, count_cap(config.n, tau))["eve"].stop
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
-                       maxmin: bool, independent: bool) -> ChannelRealization:
-    """Draw trials [lo, hi) of `stream`: trial t's words [t W, (t + 1) W), W = `trial_words`.
+                       maxmin: bool, independent: bool, tau: float) -> ChannelRealization:
+    """Draw trials [lo, hi) of `stream` at threshold `tau`: trial t's words [t W, (t + 1) W),
+    W = `trial_words`.
 
-    A trial reads its head, then the n - 1 gains toward its relay (hop 1's
-    jammer words), then r_d (n) as hop 2 reads it, then three eavesdropper
-    uniforms, for any m. The head is a relay index floor(u n) and that
-    relay's s_r under random selection, and s_r (n) under max-min, which
-    picks the relay with the largest min(s_r, r_d); with independent legs
-    max-min's head adds the r_d (n) it picks on, and hop 2 reads a fresh
-    r_d. Random selection reads no r_d before hop 2, so its two leg modes
-    read the same words.
+    Per-relay rows: a trial reads its head, then the n - 1 gains toward its
+    relay (hop 1's jammer words), then r_d (n) as hop 2 reads it, then three
+    eavesdropper uniforms, for any m. The head is a relay index floor(u n)
+    and that relay's s_r under random selection, and s_r (n) under max-min,
+    which picks the relay with the largest min(s_r, r_d); with independent
+    legs max-min's head adds the r_d (n) it picks on, and hop 2 reads a
+    fresh r_d. Random selection reads no r_d before hop 2, so its two leg
+    modes read the same words.
+
+    Count rows (`count_cap` is not None): the head is s_r and r_d (n each)
+    under max-min, the relay's s_r under random selection, which draws no
+    relay index; then the relay's hop-2 signal word r_d2 unless max-min with
+    shared legs reads r_d; then the count words `draws` (K2's, unless hop 2's
+    set is decided on r_d, then hop 1's two), then `cap` jammer words a
+    counted hop, then three eavesdropper uniforms. Random selection's two leg
+    modes read the same words here too.
     """
-    return ChannelRealization(
-        n=config.n, maxmin=maxmin, independent=independent,
-        words=stream.uniforms(lo, hi, trial_words(config, maxmin=maxmin, independent=independent)))
+    cap = count_cap(config.n, tau)
+    words = _layout(config.n, maxmin, independent, cap)["eve"].stop
+    return ChannelRealization(n=config.n, maxmin=maxmin, independent=independent,
+                              words=stream.uniforms(lo, hi, words), cap=cap, stream=stream,
+                              first=lo)
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """T trials' uniforms: row t of `words` is trial t's words (see `sample_realization`).
+    """T trials' uniforms: row t of `words` is trial `first` + t's words (see `sample_realization`).
 
     real[field] is the (T, size) view of a field, each uniform u standing
     for the reciprocal power gain -log1p(-u) between two nodes:
@@ -229,34 +280,48 @@ class ChannelRealization:
     "s_r"        S <-> R_j; under random selection the picked relay's only
     "to_relay"   R_j <-> the trial's relay, j increasing, that relay left out
     "r_d"        R_j <-> D, as max-min selection reads it
-    "r_d2"       R_j <-> D on hop 2: r_d, but a fresh draw under max-min with independent legs
+    "r_d2"       R_j <-> D on hop 2: r_d, but a fresh draw under max-min with independent legs;
+                 on count rows only the relay's own unless max-min with shared legs
     "eve"        u0, u1, u2: each hop's first interceptor (`protocols._first_hits`)
-    "receivers"  to_relay then r_d2: hop 1's n - 1 jammer words, then relay j's
-                 hop-2 word at column n - 1 + j
+    "receivers"  the per-relay jammer words: on per-relay rows to_relay then r_d2, hop 1's
+                 n - 1 words, then relay j's hop-2 word at column n - 1 + j; on count
+                 rows of max-min with shared legs r_d, relay j's at column j
+    "draws"      count rows: the uniforms that K2 ~ Bin(n - 1, p) (when hop 2 is counted),
+                 then k ~ Bin(K2, p) and K1 - k ~ Bin(n - 1 - K2, p) invert
+    "jam"        count rows: `cap` words of hop 1's jammer gains, then hop 2's if counted;
+                 each u stands for the gain -log1p(-u p) below tau, p = 1 - e^-tau
+
+    A count-row trial whose count passes `cap` reads its other jammer words
+    from its own row of `stream`'s overflow key.
     """
 
     n: int
     maxmin: bool
     independent: bool
     words: np.ndarray
+    cap: int | None = None  # None on per-relay rows
+    stream: SeedStream | None = None
+    first: int = 0
 
     @functools.cached_property
     def layout(self) -> MappingProxyType:
         """Field -> its columns (`_layout`), read-only."""
-        return _layout(self.n, self.maxmin, self.independent)
+        return _layout(self.n, self.maxmin, self.independent, self.cap)
 
     def __getitem__(self, field: str) -> np.ndarray:
         return self.words[:, self.layout[field]]
 
     @property
     def pick(self) -> np.ndarray | None:
-        """(T,) relay floor(u n) drawn by random selection; None under max-min."""
-        return None if self.maxmin else (self.words[:, 0] * self.n).astype(np.intp)
+        """(T,) relay floor(u n) drawn by random selection on per-relay rows; else None."""
+        if self.maxmin or self.cap is not None:
+            return None
+        return (self.words[:, 0] * self.n).astype(np.intp)
 
     def gains_to_relay(self, selected: np.ndarray) -> np.ndarray:
         """(T, n) gains from every relay toward trial t's relay selected[t]; that relay is NaN.
 
-        The gain-level view the tests read; the kernel never builds it.
+        The gain-level view of per-relay rows that the tests read; the kernel never builds it.
         """
         cols = np.arange(self.n - 1)
         cols = cols + (cols >= selected[:, None])  # each row skips its own relay

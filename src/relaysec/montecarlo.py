@@ -2,7 +2,7 @@
 
 Trials are embarrassingly parallel: trial t reads a fixed range of words of
 the seed's PCG64DXSM stream, reached by advancing the generator (stream
-layout 6, see `channel.SeedStream`), so a run can be split across any number of
+layout 7, see `channel.SeedStream`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
 single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme
@@ -11,8 +11,10 @@ rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 The trial kernel works in blocks with no per-trial loop: per block, one
 draw, one selection and one `protocols.execute_two_hop` pass, which decide
 on the uniforms (a relay jams iff its uniform is below u_tau) and add each
-trial's jammer gains in relay order. A trial's outcome depends only on its
-own words, so block boundaries never change a count. No eavesdropper gain
+trial's jammer gains in relay order; on count rows (`channel.count_cap`) a
+hop's jammer count is inverted from one uniform and its gains read in word
+order. A trial's outcome depends only on its own words, so block boundaries
+never change a count. No eavesdropper gain
 is drawn, and a trial's words and cost do not depend on m: on one seed no
 secrecy count falls as m rises, and one run at m_cap answers
 `tolerance_search` for every m (`protocols._first_hits`).
@@ -84,11 +86,12 @@ def _blocks(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int
     """The `protocols.TransmissionRecord` of each block of trials [start, stop) of `seed`."""
     maxmin = kind == "optimal-maxmin"
     independent = legs == "independent"
-    size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent))
+    size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent,
+                                              tau=tau))
     stream = SeedStream(seed)
     for lo in range(start, stop, size):
         real = sample_realization(config, stream, lo, min(lo + size, stop),
-                                  maxmin=maxmin, independent=independent)
+                                  maxmin=maxmin, independent=independent, tau=tau)
         selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
         yield execute_two_hop(real, selected, tau, config)
 
@@ -188,10 +191,9 @@ def _check_run(trials: int, seed: int, legs: str, workers: int, trial_start: int
 
 
 def _pool(workers: int, trials: int):
-    """A process pool for `workers` workers sharing `trials` trials; a no-op for one worker."""
-    if workers <= 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=min(workers, trials))
+    """A process pool for `workers` workers sharing `trials` trials; a no-op for one job."""
+    jobs = min(workers, trials)  # `_map_ranges` gives each worker at least one trial
+    return nullcontext() if jobs <= 1 else ProcessPoolExecutor(max_workers=jobs)
 
 
 def _map_ranges(pool, job, config: ScenarioConfig, kind: str, tau: float, trial_start: int,

@@ -28,6 +28,7 @@ ch. V): every count keeps the law a simulation of their gains gives it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -87,15 +88,18 @@ def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
 
 
 def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np.ndarray:
-    """(T, 2n - 1) mask over real["receivers"]: the words of both hops whose relays jam.
+    """Mask over real["receivers"]: the per-relay words whose relays jam.
 
-    Columns [0, n - 1) are hop 1's words (to_relay) and column n - 1 + j is
-    relay j's hop-2 word. A relay jams a hop when its gain toward the hop's
-    receiver is below tau, its uniform below u_tau
-    (`channel._uniform_threshold`); the selected relay never jams.
+    On per-relay rows it is (T, 2n - 1): columns [0, n - 1) are hop 1's words
+    (to_relay) and column n - 1 + j is relay j's hop-2 word. On count rows of
+    max-min with shared legs it is (T, n), relay j's hop-2 word at column j.
+    A relay jams a hop when its gain toward the hop's receiver is below tau,
+    its uniform below u_tau (`channel._uniform_threshold`); the selected
+    relay never jams.
     """
     jam = real["receivers"] < _uniform_threshold(tau)
-    jam[np.arange(len(selected)), selected + (real.n - 1)] = False
+    hop2 = real.layout["r_d2"].start - real.layout["receivers"].start
+    jam[np.arange(len(selected)), selected + hop2] = False
     return jam
 
 
@@ -205,7 +209,111 @@ def _first_hits(eve: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return np.fmin(hits, max(m + 1.0, math.nextafter(m, math.inf)), out=hits).T
 
 
-def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
+def _binomial_cdf(size: int, tau: float, top: int) -> np.ndarray:
+    """F(k) = P(Bin(size, p) <= k) for k = 0..top, p = 1 - e^-tau, from math scalars.
+
+    Each pmf term is one math.exp of lgammas and logs, added in k order (at
+    most 1); F is 1 from k = size on, and everywhere at p = 0. The terms come
+    from `math`, not numpy's vectorised exp, so a table does not depend on
+    where an entry sits in an array.
+    """
+    cdf = np.ones(top + 1)
+    if tau > 0.0:
+        log_p, head, total = math.log(-math.expm1(-tau)), math.lgamma(size + 1), 0.0
+        for k in range(min(top + 1, size)):
+            total += math.exp(head - math.lgamma(k + 1) - math.lgamma(size - k + 1)
+                              + k * log_p - (size - k) * tau)
+            cdf[k] = min(total, 1.0)
+    return cdf
+
+
+@functools.lru_cache(maxsize=32)
+def _count_tables(n: int, tau: float, cap: int) -> np.ndarray:
+    """(cap + 1, 2, cap + 1) read-only inversion tables of count rows, by K2 = 0..cap.
+
+    [K2, 0] is Bin(K2, p)'s CDF and [K2, 1] Bin(n - 1 - K2, p)'s, at k = 0..cap
+    (`_binomial_cdf`); [0, 1] is K2's own law, Bin(n - 1, p). A uniform u
+    inverts to #{k : F(k) <= u}, and cap + 1 means past cap.
+    """
+    table = np.array([(_binomial_cdf(k2, tau, cap), _binomial_cdf(n - 1 - k2, tau, cap))
+                      for k2 in range(cap + 1)])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=256)
+def _full_cdf(size: int, tau: float) -> list:
+    """Bin(size, p)'s whole CDF (`_binomial_cdf`), for the counts past a table's cap."""
+    return _binomial_cdf(size, tau, size).tolist()
+
+
+def _counted_hops(real: ChannelRealization, selected: np.ndarray | None, tau: float,
+                  config: ScenarioConfig) -> TransmissionRecord:
+    """`execute_two_hop` on count rows.
+
+    A counted hop's jammer count inverts its uniform of real["draws"]
+    (`_count_tables`): K2 ~ Bin(n - 1, p), unless max-min with shared legs
+    decided hop 2's set on r_d (`jammer_set`), then k = |J1 & J2| ~
+    Bin(K2, p) and K1 - k ~ Bin(n - 1 - K2, p), as each relay jams a hop
+    independently with p = 1 - e^-tau. Its first K of `cap` jammer words
+    are gains -log1p(-u p), Exp(1) truncated below tau, added in word
+    order; a trial whose count passes cap finds it from the whole CDF
+    (`_full_cdf`) and reads its other jammer words, in order, from its row
+    of the overflow key.
+    """
+    t, n, cap = len(real.words), real.n, real.cap
+    p = -math.expm1(-tau)
+    table = _count_tables(n, tau, cap)
+    draws, jam = real["draws"], real["jam"]
+    counted = jam.shape[1] // cap  # hop 1, and hop 2 unless max-min with shared legs
+    sizes = np.empty((t, 2), dtype=np.intp)  # K1, K2
+    k2 = sizes[:, 1]
+    if counted == 2:
+        k2[:] = (table[0, 1] <= draws[:, :1]).sum(axis=1)
+    else:
+        row2, col2 = np.divmod(np.flatnonzero(jammer_set(real, selected, tau)), n)
+        k2[:] = np.bincount(row2, minlength=t)
+    split = (table[np.minimum(k2, cap)] <= draws[:, -2:, None]).sum(axis=2)  # k, K1 - k
+    sizes[:, 0] = split.sum(axis=1)
+    past = sizes.max() > cap  # rare: a count past cap, exact only from the whole CDF
+    if past:
+        for i in np.flatnonzero((k2 > cap) | (split[:, 1] > cap)):
+            u = draws[i].tolist()
+            if counted == 2:
+                k2[i] = bisect.bisect_right(_full_cdf(n - 1, tau), u[0])
+            split[i] = [bisect.bisect_right(_full_cdf(size, tau), x)
+                        for size, x in ((int(k2[i]), u[-2]), (n - 1 - int(k2[i]), u[-1]))]
+            sizes[i, 0] = split[i].sum()
+    # flat index (trial, hop, word) of each counted jammer's word; cell 2 trial + hop
+    flat = np.flatnonzero(np.arange(cap) < sizes[:, :counted, None])
+    cell = flat // cap
+    s_r, r_d2 = real["s_r"], real["r_d2"]
+    if counted == 2:
+        per_relay, signals = (), (s_r[:, 0] if not real.maxmin else
+                                  s_r[np.arange(t), selected], r_d2[:, 0])
+    else:
+        rows = np.arange(t)
+        cell = np.concatenate((cell * 2, row2 * 2 + 1))
+        per_relay, signals = (real["r_d"][row2, col2],), (s_r[rows, selected], r_d2[rows, selected])
+    # the counted jammers' gains, hop 2's per-relay ones, then the signals' (hop 1's, hop 2's)
+    gains = gain(np.concatenate((jam.reshape(-1)[flat] * p, *per_relay, *signals)))
+    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
+    if past:  # the words past cap, from the trial's row of the overflow key
+        for i, h in zip(*np.nonzero(sizes[:, :counted] > cap)):
+            extra = real.stream.uniforms(real.first + i, real.first + i + 1,
+                                         counted * (n - 1 - cap), overflow=True)[0]
+            total = float(sums[i, h])
+            for g in gain(extra[h * (n - 1 - cap):][:sizes[i, h] - cap] * p).tolist():
+                total += g
+            sums[i, h] = total
+    both = None if real.independent else split[:, 0]
+    a, b, c = intercept_law(sizes, both, config)
+    return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
+                              sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
+                              first_hit=_first_hits(real["eve"], a, b, c, config.m))
+
+
+def execute_two_hop(real: ChannelRealization, selected: np.ndarray | None, tau: float,
                     config: ScenarioConfig) -> TransmissionRecord:
     """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
@@ -217,7 +325,11 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray, tau: float,
     shared legs, the one mode whose law reads it. `_first_hits` gives each
     hop's first interceptor from `intercept_law`'s A, B and C: for every m
     each hop has its exact marginal and the pair its exact joint law.
+    Count rows take `_counted_hops`, where random selection has no relay
+    (`selected` None).
     """
+    if real.cap is not None:
+        return _counted_hops(real, selected, tau, config)
     t, n = len(selected), real.n
     rows = np.arange(t)
     jam = jammer_set(real, selected, tau)

@@ -1,30 +1,50 @@
 """The one reference the tests hold relaysec to, from the model as the README states it.
 
-It imports nothing from relaysec. It holds the layout-6 stream (`stream_words`,
-`decode`), the two-hop protocol over (T, n) gain arrays (`two_hop`) and the
-first-hit law (`intercept_law`, `first_hits`); configs are read by attribute.
+It imports nothing from relaysec. It holds the layout-7 stream (`stream_words`),
+its per-relay rows (`decode`) for the two-hop protocol over (T, n) gain arrays
+(`two_hop`), its count rows (`count_cap`, `count_hops`) with their own binomial
+tables, and the first-hit law (`intercept_law`, `first_hits`); configs are read
+by attribute.
 """
 
+import bisect
+import functools
 import math
 from collections import namedtuple
 
 import numpy as np
 
-# T transmissions: (T,) relays, (T, n) masks of the relays that jam hop 1 and
-# hop 2, (T, 2) SINRs at the relay and at D, (T, 2) K1, K2 and (T,) k = |J1 & J2|
+# T transmissions: (T,) relays (None under random selection on count rows),
+# (T, n) masks of the relays that jam hop 1 and hop 2 (None on count rows),
+# (T, 2) SINRs at the relay and at D, (T, 2) K1, K2 and (T,) k = |J1 & J2|
 Hops = namedtuple("Hops", "selected jam1 jam2 sinr jammers both")
 
 
-def stream_words(seed, first_word, words):
+def stream_words(seed, first_word, words, overflow=False):
     """Uniforms u = (x >> 11) 2**-53 of the words x [first_word, first_word + words) of seed's
-    stream, the outputs of a fresh PCG64DXSM seeded by SeedSequence([seed mod 2**64, 6])."""
-    bits = np.random.PCG64DXSM(np.random.SeedSequence([seed & (1 << 64) - 1, 6]))
+    stream, the outputs of a fresh PCG64DXSM seeded by SeedSequence([seed mod 2**64, 7]), or
+    with `overflow` by SeedSequence([seed mod 2**64, 7, 1])."""
+    key = [seed & (1 << 64) - 1, 7] + [1] * overflow
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(key))
     bits.advance(first_word)
     return (bits.random_raw(words) >> np.uint64(11)) * 2.0 ** -53
 
 
-def trial_words(n, maxmin, independent):
-    """W by the README table: the words a trial reads."""
+def count_cap(n, tau):
+    """The README's switch: cap = min(n - 1, ceil((n - 1) p + 8 sd) + 5), sd that of
+    Bin(n - 1, p), p = 1 - e^-tau, when n >= 41 and cap <= (n - 1) / 2 (count rows); None
+    (per-relay rows) otherwise."""
+    p = -math.expm1(-tau)
+    mean = (n - 1) * p
+    cap = min(n - 1, math.ceil(mean + 8 * math.sqrt(mean * (1.0 - p))) + 5)
+    return cap if n >= 41 and 2 * cap <= n - 1 else None
+
+
+def trial_words(n, maxmin, independent, cap=None):
+    """W by the README table: the words a trial reads, on per-relay rows or with `cap`."""
+    if cap is not None:
+        return (2 * n + cap + 5 if not independent else 2 * n + 2 * cap + 7) if maxmin \
+            else 2 * cap + 8
     return (3 * n - 1 if maxmin else 2 * n + 1) + (n if maxmin and independent else 0) + 3
 
 
@@ -43,6 +63,74 @@ def decode(seed, trials, n, maxmin, independent):
     s_r = np.full((trials, n), math.nan)  # the other relays' words are not drawn
     s_r[np.arange(trials), pick] = g[:, 1]
     return (s_r, r_d2, toward, r_d2, pick), u[:, -3:]
+
+
+@functools.lru_cache(maxsize=None)
+def binomial_cdf(size, tau):
+    """P(Bin(size, p) <= k) for k = 0..size, p = 1 - e^-tau: each pmf term one math.exp of
+    lgammas and logs, added in k order and capped at 1; 1 from k = size on, and at p = 0."""
+    if tau == 0.0:
+        return [1.0] * (size + 1)
+    log_p, total, cdf = math.log(-math.expm1(-tau)), 0.0, []
+    for k in range(size):
+        total += math.exp(math.lgamma(size + 1) - math.lgamma(k + 1) - math.lgamma(size - k + 1)
+                          + k * log_p - (size - k) * tau)
+        cdf.append(min(total, 1.0))
+    return cdf + [1.0]
+
+
+def invert(size, tau, u):
+    """The count Bin(size, p) that uniform u inverts to: #{k : F(k) <= u}."""
+    return bisect.bisect_right(binomial_cdf(size, tau), u)
+
+
+def count_hops(seed, trials, n, tau, maxmin, independent, config, cap=None):
+    """T transmissions (`Hops`) of trials [0, trials) of seed's count rows, and their (T, 3)
+    eavesdropper uniforms; `cap` overrides the switch's.
+
+    A row is s_r and r_d (n each) under max-min, the relay's s_r under random
+    selection; the relay's fresh hop-2 word unless max-min with shared legs
+    reads r_d; K2's word (unless r_d decides hop 2's set), then k's and
+    K1 - k's; cap jammer words a counted hop; three eavesdropper words. A
+    counted hop's jammers have gains -log1p(-u p), added in word order, the
+    words past cap from the trial's row of the overflow key.
+    """
+    cap, p = cap or count_cap(n, tau), -math.expm1(-tau)
+    counted = 1 if maxmin and not independent else 2
+    width = trial_words(n, maxmin, independent, cap)
+    u = stream_words(seed, 0, trials * width).reshape(trials, width)
+    g = -np.log1p(-u)
+    rows = np.arange(trials)
+    if maxmin:
+        s_r, r_d = g[:, :n], g[:, n:2 * n]
+        selected = np.argmax(np.minimum(s_r, r_d), axis=1)
+        signal1, at = s_r[rows, selected], 2 * n
+    else:
+        selected, signal1, at = None, g[:, 0], 1
+    k2 = np.zeros(trials, dtype=np.intp)
+    sums = np.zeros((trials, 2))
+    if counted == 1:
+        jam2 = r_d < tau
+        jam2[rows, selected] = False
+        k2, sums[:, 1], signal2 = jam2.sum(axis=1), interference(r_d, jam2), r_d[rows, selected]
+    else:
+        signal2, at = g[:, at], at + 1
+        k2, at = np.array([invert(n - 1, tau, x) for x in u[:, at]]), at + 1
+    both = np.array([invert(k, tau, x) for k, x in zip(k2, u[:, at])])
+    k1 = both + [invert(n - 1 - k, tau, x) for k, x in zip(k2, u[:, at + 1])]
+    jammers = np.stack((k1, k2), axis=1)
+    words = u[:, at + 2:at + 2 + counted * cap]
+    for h in range(counted):
+        gains = -np.log1p(-(words[:, h * cap:(h + 1) * cap] * p))
+        for j in range(cap):
+            sums[:, h] += np.where(jammers[:, h] > j, gains[:, j], 0.0)
+        for i in np.flatnonzero(jammers[:, h] > cap):
+            extra = stream_words(seed, int(i * counted + h) * (n - 1 - cap),
+                                 int(jammers[i, h]) - cap, overflow=True)
+            for x in -np.log1p(-(extra * p)):
+                sums[i, h] += x
+    sinrs = np.stack((sinr(signal1, sums[:, 0], config), sinr(signal2, sums[:, 1], config)), axis=1)
+    return Hops(selected, None, None, sinrs, jammers, both), u[:, -3:]
 
 
 def noise(config):

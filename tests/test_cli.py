@@ -475,14 +475,14 @@ class TestTolerance:
 ROW_FIELDS = ["name", "passed", "observed", "expected", "tolerance", "detail"]
 
 # the jammer, intercept and leg rows of `validate --quick --trials 4000` on
-# stream layout 6; two estimate_outage calls make all four
+# stream layout 7; two estimate_outage calls make all four
 ESTIMATE_ROWS_QUICK_4000 = [
-    "PASS jammer_count(n=11, tau=0.1): observed=0.9645 expected=0.951626 tol=0.0434 trials=4000",
-    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.61 expected=0.614157 tol=0.0302 "
-    "wilson=[0.59479, 0.62500] trials=4000",
-    "PASS leg_combining(t, independent legs): observed=0.49675 expected=0.495732 tol=0.021 "
+    "PASS jammer_count(n=11, tau=0.1): observed=0.946 expected=0.951626 tol=0.0436 trials=4000",
+    "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.61525 expected=0.614157 tol=0.0301 "
+    "wilson=[0.60007, 0.63021] trials=4000",
+    "PASS leg_combining(t, independent legs): observed=0.4955 expected=0.497333 tol=0.021 "
     "trials=4000",
-    "PASS leg_combining(s, independent legs): observed=0.443 expected=0.447022 tol=0.021 "
+    "PASS leg_combining(s, independent legs): observed=0.45275 expected=0.449101 tol=0.021 "
     "trials=4000",
 ]
 
@@ -600,6 +600,13 @@ def test_extreme_settings_end_without_traceback(capsys, gamma_e, gamma_r):
                ["tolerance", "--n", "11", *protocol, "--m-cap", huge],
                ["sweep", "--param", "m", "--values", f"1,{huge}", "--outputs", "simulation",
                 "--n", "11", *protocol]]
+    # n = 101 on both row formats and the binomial tables' edges: tau = 0 (p = 0,
+    # log p = -inf) and 1e-300 draw count rows, tau = 40 (p rounds to 1, cap = n - 1)
+    # per-relay rows
+    for tau in ("0", "1e-300", "40"):
+        for rule in ("random", "optimal"):
+            results += [["simulate", "--n", "101", *scenario, "--protocol", rule, "--tau", tau,
+                         "--trials", "30", "--seed", "1"]]
     for argv in runs + results:
         try:
             code = main(argv)
@@ -761,86 +768,87 @@ PIN_LB = ("sweep --param n --values 21,41,61,81,101 --outputs bounds --load-bala
 PINNED_STDOUT = {
     (PIN_SIM + ' --protocol optimal --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.02,0.014721726201265444,0.027118639188737373,0.03,0.02337785471293825,'
-          '0.03842416973143951,0.0455,0.03720527135020145,0.05553732462845745,0.426,'
-          '0.4044904367400136,0.4477932862576117,0.4115,0.3901225983091603,0.43321671905962134,'
-          '0.6535,0.6323687837070622,0.6740426827775932,0.2535,0.23491996651174732,'
-          '0.2730251377979103,1.5635,0.1633014634904387,0.03575611040108823\n',
+        + '2000,7,shared,0.015,0.010527098037106688,0.021332437825708653,0.0265,'
+          '0.020316920414969065,0.03449852336037745,0.04,0.032256746939981165,'
+          '0.04950693655877153,0.448,0.426326123087997,0.46987324982925327,0.4145,'
+          '0.39309368290050967,0.43623413218458446,0.6785,0.6577054850262555,0.6986101290943373,'
+          '0.2655,0.24660930446362778,0.28528979071127986,1.4975,0.05647079976650107,'
+          '-0.006922956215524547\n',
     (PIN_SIM + ' --protocol optimal --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.0145,0.01011467734679028,0.020746775563306317,0.46,'
-          '0.43825466491811776,0.48189869886438236,0.4665,0.44472126939809276,0.4884071727697511,'
-          '0.433,0.4114334498318653,0.4548234345038225,0.4465,0.4248359529527438,'
-          '0.46836917110635023,0.685,0.6643038454137323,0.7049868470922042,0.2745,'
-          '0.255388334352249,0.294476253971596,1.5225,0.022323563899145967,0.004731591642443952\n',
+        + '2000,7,independent,0.0125,0.008481081388571086,0.018388039710650523,0.465,'
+          '0.44322864571722487,0.48690554759246274,0.4715,0.44969811087818734,0.4934111608168439,'
+          '0.439,0.41738810737257864,0.46084577239573415,0.445,0.42334598288820563,'
+          '0.46686489231273215,0.699,0.6785314379344969,0.7187055772475643,0.275,'
+          '0.2558763528427728,0.2949863184337909,1.528,0.003383563613507471,-0.04198652340806163\n',
     (PIN_SIM + ' --protocol random --legs shared'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.4625,0.4407413798735494,0.4844023986725445,0.442,0.4203666437667213,'
-          '0.463855733717904,0.703,0.6826005004524728,0.7226211783513384,0.4445,'
-          '0.4228493706941391,0.46636342155407995,0.4335,0.41192954802688586,0.4553254192615207,'
-          '0.674,0.6531400467735491,0.6941928207725749,0.2755,0.25636440199104793,'
-          '0.29549635223823456,1.5175,-0.01181279136034186,0.04592629195426998\n',
+        + '2000,7,shared,0.464,0.44223367331256824,0.48590435409168187,0.477,0.4551751724430595,'
+          '0.49891301173187796,0.7215,0.7014440858739672,0.7407066621804377,0.4395,'
+          '0.41788447428718983,0.4613474884338417,0.439,0.41738810737257864,0.46084577239573415,'
+          '0.682,0.6612578808952767,0.7020443138943473,0.2625,0.24368522688101532,'
+          '0.28222537057757985,1.5155,-0.007338795269034155,0.014451337985272993\n',
     (PIN_SIM + ' --protocol random --legs independent'):
         RESULT_FIELDS + "\n"
-        + '2000,7,independent,0.4625,0.4407413798735494,0.4844023986725445,0.442,'
-          '0.4203666437667213,0.463855733717904,0.703,0.6826005004524728,0.7226211783513384,'
-          '0.445,0.42334598288820563,0.46686489231273215,0.4315,0.40994528998916885,'
-          '0.4533173454883627,0.6755,0.6546616198090962,0.6956654965951841,0.2755,'
-          '0.25636440199104793,0.29549635223823456,1.5175,-0.01181279136034186,'
-          '0.03649346444141832\n',
+        + '2000,7,independent,0.464,0.44223367331256824,0.48590435409168187,0.477,'
+          '0.4551751724430595,0.49891301173187796,0.7215,0.7014440858739672,0.7407066621804377,'
+          '0.44,0.418380863539729,0.4618491821340213,0.4375,0.4158991407391742,'
+          '0.45934049017098233,0.6835,0.6627807410547264,0.7035157025930536,0.2625,'
+          '0.24368522688101532,0.28222537057757985,1.5155,-0.007338795269034155,'
+          '0.006091449038731727\n',
     (PIN_SIM + ' --protocol random --tau-policy manual --tau 0.3'
      ' --noise-mode interference-limited'):
         RESULT_FIELDS + "\n"
-        + '2000,7,shared,0.2815,0.2622233645335828,0.30161438512832456,0.277,0.2578287328672517,'
-          '0.297026270220187,0.4835,0.4616514826351063,0.5054117799251748,0.382,'
-          '0.36095134317424515,0.40350107998413043,0.39,0.36885414285349183,0.41156760754838373,'
-          '0.6115,0.5899444053845698,0.6326280930717109,0.247,0.22859615967613203,'
-          '0.2663738662481819,2.5675,-0.014784217244274736,0.048610416151845394\n',
+        + '2000,7,shared,0.2835,0.26417731645780756,0.3036527650149748,0.3055,0.2857016368980114,'
+          '0.32604409449439586,0.5045,0.4826002089845764,0.5263825375898921,0.3985,'
+          '0.37725746805292776,0.4201316925451665,0.3695,0.34861544937704464,0.39088489996336223,'
+          '0.614,0.5924648988423376,0.6350980143775367,0.256,0.23735369946659707,'
+          '0.27558181960665434,2.595,-0.010160186887364826,0.028582182369920644\n',
     ('sweep --param n --values 5,11,21 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.5'
      ' --eps-t 0.5 --trials 1000 --seed 3 --outputs both --format csv'):
         SWEEP_HEADER + "\n"
         + '5,0.41463655068563265,0.6624377155338603,0.5849895668543437,0.29435250562886867,false,'
-          '0.433,0.4026038718810217,0.46390891375604265,0.436,0.4055679635294317,'
-          '0.46692186155671933,0.674,0.6443294194831642,0.7023388685638626,0.434,'
-          '0.40359177593584417,0.4649133561842491,0.413,0.3828725319393248,0.44379332403716176,'
-          '0.67,0.6402544426353417,0.6984444594795697,0.434,0.40359177593584417,'
-          '0.4649133561842491,,infeasible\n'
+          '0.461,0.4303127166140634,0.49198577054780995,0.427,0.3966791104990976,'
+          '0.4578795962397934,0.7,0.6708761390827828,0.7275931575229951,0.406,'
+          '0.37597870513494724,0.43674072546033715,0.409,0.37893242495569907,0.4397640450886719,'
+          '0.654,0.6239780184885133,0.6828433398979359,0.406,0.37597870513494724,'
+          '0.43674072546033715,,infeasible\n'
         + '11,0.5495579187280178,1.064440569325309,0.19498783283298055,0.1861648705529517,false,'
-          '0.473,0.4422178794680813,0.5039887654901387,0.45,0.4194153840742968,'
-          '0.4809672917742588,0.702,0.6729225763109662,0.7295314132608696,0.275,'
-          '0.24822587402252644,0.30349616729597334,0.28,0.25305370081259326,0.30863007292105105,'
-          '0.472,0.44122510067058457,0.5029891978046065,0.275,0.24822587402252644,'
-          '0.30349616729597334,,infeasible\n'
+          '0.457,0.4263483045447644,0.48798079668499333,0.446,0.4154564661655095,'
+          '0.47695682375093046,0.679,0.6494265062245327,0.7072035142376386,0.274,'
+          '0.24726082477543693,0.30246887006003403,0.268,0.24147419135844106,0.29630142457885655,'
+          '0.466,0.43527102980973204,0.49698918976728573,0.274,0.24726082477543693,'
+          '0.30246887006003403,,infeasible\n'
         + '21,0.780213898259064,1.8165682179300087,0.0927488943720673,0.13163844238670797,true,'
-          '0.489,0.4581191521232714,0.5199650365634109,0.491,0.46010903314721446,'
-          '0.5219598485055256,0.744,0.7160527265828488,0.7700798152762004,0.161,'
-          '0.13952453255948705,0.18507000969371934,0.15,0.1292100725130883,0.17346865842680032,'
-          '0.29,0.2627220349939292,0.31888520357000394,0.161,0.13952453255948705,'
-          '0.18507000969371934,,ok\n',
+          '0.511,0.4800349634365892,0.5418808478767286,0.466,0.43527102980973204,'
+          '0.49698918976728573,0.741,0.7129617374007885,0.7671937650091739,0.156,'
+          '0.13483131538945653,0.17980149444860544,0.171,0.14893385518054872,0.19558415190294662,'
+          '0.3,0.2724068424770048,0.3291238609172172,0.156,0.13483131538945653,'
+          '0.17980149444860544,,ok\n',
     (PIN_LB + 'optimal'):
         SWEEP_HEADER + "\n"
         + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.47619047619047616,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.5291005291005291,ok\n'
         + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.3252032520325203,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.34843205574912894,ok\n'
         + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.29806259314456035,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.20491803278688525,ok\n'
         + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.1899335232668566,ok\n'
+          ',,,,,,,,,,,,,,,,,,,,,0.205761316872428,ok\n'
         + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
           'true,,,,,,,,,,,,,,,,,,,,,,0.18001800180018002,ok\n',
     (PIN_LB + 'random'):
         SWEEP_HEADER + "\n"
         + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.9904746057168213,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.9830826226874825,ok\n'
         + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.979350876445583,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.9779568525436658,ok\n'
         + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.9714920514949077,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.9645754830955735,ok\n'
         + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.961576369837657,ok\n'
+          ',,,,,,,,,,,,,,,,,,,,,0.9558808418060222,ok\n'
         + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.9523845805126877,ok\n',
+          'true,,,,,,,,,,,,,,,,,,,,,,0.9455629929338077,ok\n',
     ('tolerance --n 11 --m 1 --gamma-r 1 --gamma-e 1 --eps-s 0.75 --tau 0.3'
      ' --trials 500 --seed 5 --m-cap 6'):
         '{\n'
@@ -870,19 +878,19 @@ PINNED_STDOUT = {
         '    "probes": [\n'
         '      [\n'
         '        1,\n'
-        '        0.3001739602361623\n'
+        '        0.32918944923984417\n'
         '      ],\n'
         '      [\n'
         '        2,\n'
-        '        0.4737657600742581\n'
+        '        0.5217845105864325\n'
         '      ],\n'
         '      [\n'
         '        4,\n'
-        '        0.6866576948030984\n'
+        '        0.7212997388235782\n'
         '      ],\n'
         '      [\n'
         '        5,\n'
-        '        0.7518599467839072\n'
+        '        0.7840661516186281\n'
         '      ]\n'
         '    ],\n'
         '    "violated_at_m1": false\n'

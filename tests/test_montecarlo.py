@@ -14,7 +14,7 @@ from relaysec import (ProtocolChoice, ScenarioConfig, estimate_outage,
                       eve_intercept_exact, expected_jammers, jain_index,
                       load_balance, merge_estimates, selection_entropy,
                       tolerance_search, wilson_interval)
-from relaysec import montecarlo, protocols
+from relaysec import channel, montecarlo, protocols
 from relaysec.channel import trial_words
 from relaysec.montecarlo import LEG_MODES, _first_interceptors, _run_trials
 from relaysec.protocols import PROTOCOL_KINDS
@@ -206,6 +206,89 @@ class TestRandomSelectionClosedForm:
         assert all(abs(v) < 6.0 for v in z.values()), z
 
 
+class TestCountRowsLaw:
+    """Count rows against the law they stand for, at 6 sigma.
+
+    At n = 101 and tau = 0.0616 (cap 30) or 0.1 (cap 38) a run draws count
+    rows. Random selection's counts meet the closed forms; max-min's meet
+    per-relay rows forced at the same n (two-sample). With no margin over the
+    mean, cap = ceil((n - 1) p) and about half the counts pass it, so the
+    overflow key's words keep the same law.
+    """
+
+    KEYS = ("t_hop1", "t_hop2", "t_e2e", "t_both", "s_hop1", "s_hop2", "s_e2e", "s_both",
+            "eve_hits_hop1")
+
+    @staticmethod
+    def small_cap(monkeypatch):
+        monkeypatch.setattr(channel, "_CAP_SIGMAS", 0)
+        monkeypatch.setattr(channel, "_CAP_PAD", 0)
+
+    @staticmethod
+    def jammer_z(counts, trials, mean):
+        """z of the mean hop-1 jammer count against `mean`, from the run's own variance."""
+        s, ss = counts["jam1_sum"], counts["jam1_sumsq"]
+        var = (ss - s * s / trials) / (trials - 1)
+        return (s / trials - mean) / math.sqrt(var / trials)
+
+    @pytest.mark.parametrize("forced_cap", [False, True])
+    @pytest.mark.parametrize("noise_mode, legs", [("exact", "shared"),
+                                                  ("interference-limited", "independent")])
+    def test_random_selection_meets_closed_forms(self, monkeypatch, forced_cap, noise_mode,
+                                                 legs):
+        from .test_intercept_law import exact_shared_secrecy
+        if forced_cap:
+            self.small_cap(monkeypatch)
+        n, m, tau, trials = 101, 8, 0.1, 100_000
+        cfg = ScenarioConfig(n=n, m=m, gamma_r=0.5, gamma_e=1.0, noise_mode=noise_mode)
+        assert channel.count_cap(n, tau) == (10 if forced_cap else 38)
+        counts = _run_trials(cfg, "random-uniform", tau, 0, trials, 88, legs)
+        hop = TestRandomSelectionClosedForm.hop_outage(cfg, tau)
+        exact = {"t_hop1": hop, "t_hop2": hop, "t_e2e": 1.0 - (1.0 - hop) ** 2,
+                 "t_both": hop * hop}
+        nu = math.exp(-cfg.gamma_e * cfg.noise_term / cfg.es)
+        s1, s2, s_e2e, s_both = exact_shared_secrecy(n, m, tau, cfg.gamma_e, nu)
+        exact.update(s_hop1=s1, s_hop2=s2)
+        if legs == "shared":
+            exact.update(s_e2e=s_e2e, s_both=s_both)
+        else:
+            exact.update(s_e2e=1.0 - (1.0 - s1) * (1.0 - s2), s_both=s1 * s2)
+        z = {key: (counts[key] - trials * p) / math.sqrt(trials * p * (1.0 - p))
+             for key, p in exact.items()}
+        z["jam1"] = self.jammer_z(counts, trials, (n - 1) * -math.expm1(-tau))
+        assert all(abs(v) < 6.0 for v in z.values()), z
+
+    @pytest.mark.parametrize("forced_cap", [False, True])
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    def test_maxmin_meets_per_relay_rows(self, monkeypatch, forced_cap, legs):
+        n, tau, trials = 101, 0.0616, 40_000
+        cfg = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "_COUNT_ROWS_FROM", math.inf)
+            assert channel.count_cap(n, tau) is None
+            per_relay = _run_trials(cfg, "optimal-maxmin", tau, 0, trials, 91, legs)
+        if forced_cap:
+            self.small_cap(monkeypatch)
+        assert channel.count_cap(n, tau) == (6 if forced_cap else 30)
+        counted = _run_trials(cfg, "optimal-maxmin", tau, 0, trials, 92, legs)
+        wrong = []
+        for key in self.KEYS:
+            p = (per_relay[key] + counted[key]) / (2 * trials)
+            sigma = math.sqrt(p * (1.0 - p) * 2.0 / trials)
+            if sigma and abs(per_relay[key] - counted[key]) / trials > 6.0 * sigma:
+                wrong.append((key, per_relay[key], counted[key]))
+        mean = per_relay["jam1_sum"] / trials
+        assert wrong == [] and abs(self.jammer_z(counted, trials, mean)) < 6.0 * math.sqrt(2.0)
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    def test_counts_past_cap_split_across_workers(self, monkeypatch, kind):
+        self.small_cap(monkeypatch)
+        cfg = ScenarioConfig(n=101, m=8, gamma_r=0.5, gamma_e=1.0)
+        proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=0.1)
+        one, four = (estimate_outage(cfg, proto, 2000, 93, workers=w) for w in (1, 4))
+        assert one.counts == four.counts
+
+
 class TestCommonRandomNumbers:
     """Runs that differ in no word-layout input read the same words, so their counts
     compare trial by trial: no statistical gate is needed."""
@@ -377,6 +460,19 @@ class TestMergeEstimates:
             merge_estimates([a, later])
 
 
+class TestPool:
+    def test_one_job_starts_no_pool(self, monkeypatch):
+        # a trial range that gives one job runs in this process
+        started = []
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: started.append(kwargs))
+        est = estimate_outage(IL, RANDOM_TAU01, 1, 7, workers=4)
+        res = tolerance_search(IL, RANDOM_TAU01, 0.5, 1, m_cap=4, seed=7, workers=3)
+        assert started == []
+        assert est.counts == estimate_outage(IL, RANDOM_TAU01, 1, 7).counts
+        assert res == tolerance_search(IL, RANDOM_TAU01, 0.5, 1, m_cap=4, seed=7)
+
+
 class TestKernelStages:
     """The stages the benchmark tracer times stay on the kernel's call path.
 
@@ -401,18 +497,22 @@ class TestKernelStages:
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
     @pytest.mark.parametrize("legs", LEG_MODES)
     @pytest.mark.parametrize("trials, blocks", [(3, 1), (10, 3)])
-    def test_each_stage_runs_once_a_block(self, monkeypatch, kind, legs, trials, blocks):
-        cfg = ScenarioConfig(n=11, m=2, gamma_r=1.0, gamma_e=1.0)
-        maxmin = kind == "optimal-maxmin"
-        words = trial_words(cfg, maxmin=maxmin, independent=legs == "independent")
+    @pytest.mark.parametrize("n, tau", [(11, 0.3), (101, 0.0616)])  # per-relay rows, count rows
+    def test_each_stage_runs_once_a_block(self, monkeypatch, kind, legs, trials, blocks, n, tau):
+        cfg = ScenarioConfig(n=n, m=2, gamma_r=1.0, gamma_e=1.0)
+        maxmin, counted = kind == "optimal-maxmin", channel.count_cap(n, tau) is not None
+        assert counted == (n == 101)
+        words = trial_words(cfg, maxmin=maxmin, independent=legs == "independent", tau=tau)
         monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 4 * words)  # 4 trials a block
         calls = {name: 0 for _, name in self.STAGES}
         for module, name in self.STAGES:
             self.counting(monkeypatch, module, name, calls)
-        estimate_outage(cfg, ProtocolChoice(kind=kind, tau_policy="manual", tau=0.3),
+        estimate_outage(cfg, ProtocolChoice(kind=kind, tau_policy="manual", tau=tau),
                         trials, 5, legs=legs)
         want = dict.fromkeys(calls, blocks)
         want["select_relay_optimal"] = blocks if maxmin else 0
+        # count rows decide a jammer set relay by relay only where selection read its words
+        want["jammer_set"] = blocks if not counted or (maxmin and legs == "shared") else 0
         assert calls == want
 
 

@@ -4,6 +4,7 @@ The block kernel is exercised with a batch of one: a hand-built realization
 block with a single row.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -15,9 +16,10 @@ from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
                       classify_outage, execute_two_hop, jammer_set, load_balance,
                       per_leg_budget, resolve_tau, select_relay_optimal,
                       tau_protocol1, theorem2_tau_range)
-from relaysec.channel import trial_rng
-from relaysec.protocols import TransmissionRecord, _first_hits, intercept_law
+from relaysec.channel import count_cap, trial_rng
+from relaysec.protocols import TransmissionRecord, _count_tables, _first_hits, intercept_law
 
+from . import reference
 from .reference import first_hits
 from .test_channel import make_realization, sample_block
 
@@ -343,12 +345,13 @@ class TestExecuteTwoHop:
         cfg = ScenarioConfig(n=30, m=3, gamma_r=1.0, gamma_e=1.0)
         for kind in ("optimal-maxmin", "random-uniform"):
             for legs in ("shared", "independent"):
-                real = sample_block(cfg, 60, 40, kind=kind, legs=legs)
+                real = sample_block(cfg, 60, 40, kind=kind, legs=legs, tau=0.3)
                 selected = (real.pick if real.pick is not None
                             else select_relay_optimal(real["s_r"], real["r_d"]))
                 whole = execute_two_hop(real, selected, 0.3, cfg)
                 for t in range(40):
-                    one = execute_two_hop(sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs),
+                    one = execute_two_hop(sample_block(cfg, 60, 1, start=t, kind=kind, legs=legs,
+                                                       tau=0.3),
                                           selected[t:t + 1], 0.3, cfg)
                     for field in ("jammers", "sinr", "first_hit"):
                         assert np.array_equal(getattr(whole, field)[t], getattr(one, field)[0])
@@ -356,6 +359,28 @@ class TestExecuteTwoHop:
                         assert whole.jammers_both[t] == one.jammers_both[0]
                     else:  # no count reads the overlap of independent legs
                         assert whole.jammers_both is None and one.jammers_both is None
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("n, tau, cap, digest", [(101, 0.0616, 30, "c5ba3918c5d91a99"),
+                                                     (1001, 0.0191, 59, "0d30574c2a6b46ca")])
+    def test_tables_pinned(self, n, tau, cap, digest):
+        # the uniforms one ulp either side of every entry of the reference's
+        # own CDFs invert, through the kernel's tables, to the reference's
+        # counts (cap + 1 past cap): a table entry that moves by one ulp moves
+        # a count, and the digest pins them all
+        table = _count_tables(n, tau, count_cap(n, tau))
+        assert count_cap(n, tau) == cap and table.shape == (cap + 1, 2, cap + 1)
+        got, want = [], []
+        for k2 in range(cap + 1):
+            for side, size in enumerate((k2, n - 1 - k2)):
+                for f in reference.binomial_cdf(size, tau)[:cap + 1]:
+                    for u in (math.nextafter(f, 0.0), math.nextafter(f, 1.0)):
+                        if u < 1.0:
+                            got.append(int(np.count_nonzero(table[k2, side] <= u)))
+                            want.append(min(reference.invert(size, tau, u), cap + 1))
+        assert got == want
+        assert hashlib.sha256(np.array(got, dtype=np.int64).tobytes()).hexdigest()[:16] == digest
 
 
 class TestClassifyOutage:

@@ -1,7 +1,8 @@
-"""Stream layout 6 against the kernel-independent reference, `tests/reference.py`.
+"""Stream layout 7 against the kernel-independent reference, `tests/reference.py`.
 
 The reference decodes each configuration's trials from word 0 of its own
-PCG64DXSM and runs the protocol and the first-hit law over them. The
+PCG64DXSM, per-relay rows or count rows by its own switch, and runs the
+protocol and the first-hit law over them. The
 kernel's counts (`_run_trials`), first hits (`_first_interceptors`) and
 per-trial records (relay, K1, K2, k with shared legs, SINRs, H1, H2) must be
 the reference's, bit for bit, whatever the block size, trial-range split or
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from relaysec import ProtocolChoice, ScenarioConfig, estimate_outage, merge_estimates
-from relaysec import montecarlo
+from relaysec import channel, montecarlo
 from relaysec.montecarlo import _blocks, _first_interceptors, _map_ranges, _run_trials
 from relaysec.protocols import COUNT_KEYS
 
@@ -25,16 +26,21 @@ from . import reference
 
 SEED, TRIALS, CUT = 424242, 2000, 777
 WINDOW = range(CUT - 40, CUT + 40)  # trials run again in blocks of one
-GRID = list(itertools.product((1, 2, 7, 11, 40), (0, 1, 8),
+# n = 101 draws count rows at tau = 0 and 0.1, per-relay rows at tau = 1
+GRID = list(itertools.product((1, 2, 7, 11, 40, 101), (0, 1, 8),
                               ("optimal-maxmin", "random-uniform"), ("shared", "independent"),
                               ("exact", "interference-limited"), (0.0, 0.1, 1.0)))
 
 
-@functools.lru_cache(maxsize=24)  # an n's (rule, legs, noise, tau) of GRID: m is read later
+@functools.lru_cache(maxsize=36)  # an n's (rule, legs, noise, tau) of GRID: m is read later
 def transmissions(n, kind, legs, noise, tau):
     """The reference's eavesdropper uniforms and transmissions of trials [0, TRIALS) of SEED."""
     config = ScenarioConfig(n=n, m=0, gamma_r=0.5, gamma_e=1.0, noise_mode=noise)
-    gains, eve = reference.decode(SEED, TRIALS, n, kind == "optimal-maxmin", legs == "independent")
+    maxmin, independent = kind == "optimal-maxmin", legs == "independent"
+    if reference.count_cap(n, tau) is not None:
+        hops, eve = reference.count_hops(SEED, TRIALS, n, tau, maxmin, independent, config)
+        return eve, hops
+    gains, eve = reference.decode(SEED, TRIALS, n, maxmin, independent)
     return eve, reference.two_hop(*gains, tau, config)
 
 
@@ -42,8 +48,13 @@ def reference_outcomes(config, kind, legs, tau):
     """The reference's (TRIALS, len(COUNT_KEYS)) per-trial contributions to every count,
     and its per-trial record: relay, (K1, K2), k (None with independent legs), SINRs
     and (H1, H2), each first hit m + 1 if none of m intercepts."""
-    m, shared = config.m, legs == "shared"
-    eve, hops = transmissions(config.n, kind, legs, config.noise_mode, tau)
+    return outcomes(*transmissions(config.n, kind, legs, config.noise_mode, tau), config,
+                    legs == "shared")
+
+
+def outcomes(eve, hops, config, shared):
+    """`reference_outcomes` of given transmissions."""
+    m = config.m
     jammers, both = hops.jammers, hops.both
     h1, h2 = reference.first_hits(eve,
                                   *reference.intercept_law(jammers, both, shared, config), m)
@@ -101,6 +112,35 @@ def test_kernel_matches_per_trial_reference(n, monkeypatch, pool):
                                want_hits[WINDOW.start:WINDOW.stop]):
             wrong.append(key)
     assert wrong == []
+
+
+@pytest.mark.parametrize("kind", ["optimal-maxmin", "random-uniform"])
+@pytest.mark.parametrize("legs", ["shared", "independent"])
+def test_counts_past_cap_match_reference(monkeypatch, kind, legs):
+    # with no margin over the mean, cap = ceil((n - 1) p) = 10 at n = 101 and
+    # tau = 0.1, and about 40% of the counts pass it: K2 from the table, K2
+    # from the r_d mask, K1 - k, and the overflow key's jammer words, read
+    # whole, in blocks of one and by four workers
+    monkeypatch.setattr(channel, "_CAP_SIGMAS", 0)
+    monkeypatch.setattr(channel, "_CAP_PAD", 0)
+    n, tau, trials = 101, 0.1, 300
+    assert channel.count_cap(n, tau) == 10
+    config = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
+    protocol = ProtocolChoice(kind=kind, tau_policy="manual", tau=tau)
+    hops, eve = reference.count_hops(SEED, trials, n, tau, kind == "optimal-maxmin",
+                                     legs == "independent", config, cap=10)
+    assert np.count_nonzero(hops.jammers > 10) > trials // 2
+    ref, record = outcomes(eve, hops, config, legs == "shared")
+    want = tuple(int(v) for v in ref.sum(axis=0))
+    run = (config, kind, tau)
+    kernel = [None if parts[0] is None else np.concatenate(parts)
+              for parts in zip(*_blocks(*run, 0, trials, SEED, legs))]
+    assert all(a is b is None or np.array_equal(a, b) for a, b in zip(kernel, record))
+    assert as_tuple(_run_trials(*run, 0, trials, SEED, legs)) == want
+    assert as_tuple(estimate_outage(config, protocol, trials, SEED, legs=legs,
+                                    workers=4).counts) == want
+    monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 1)
+    assert as_tuple(_run_trials(*run, 0, trials, SEED, legs)) == want
 
 
 def test_reference_imports_nothing_of_the_kernel():
