@@ -227,7 +227,7 @@ def _binomial_cdf(size: int, tau: float, top: int) -> np.ndarray:
     return cdf
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=16)
 def _count_tables(n: int, tau: float, cap: int) -> np.ndarray:
     """(cap + 1, 2, cap + 1) read-only inversion tables of count rows, by K2 = 0..cap.
 
@@ -287,16 +287,15 @@ def _counted_hops(real: ChannelRealization, selected: np.ndarray | None, tau: fl
     # flat index (trial, hop, word) of each counted jammer's word; cell 2 trial + hop
     flat = np.flatnonzero(np.arange(cap) < sizes[:, :counted, None])
     cell = flat // cap
-    s_r, r_d2 = real["s_r"], real["r_d2"]
+    rows = np.arange(t)
+    signal1 = real["s_r"][rows, selected] if real.maxmin else real["s_r"][:, 0]
     if counted == 2:
-        per_relay, signals = (), (s_r[:, 0] if not real.maxmin else
-                                  s_r[np.arange(t), selected], r_d2[:, 0])
+        per_relay, signal2 = (), real["r_d2"][:, 0]
     else:
-        rows = np.arange(t)
         cell = np.concatenate((cell * 2, row2 * 2 + 1))
-        per_relay, signals = (real["r_d"][row2, col2],), (s_r[rows, selected], r_d2[rows, selected])
+        per_relay, signal2 = (real["r_d"][row2, col2],), real["r_d"][rows, selected]
     # the counted jammers' gains, hop 2's per-relay ones, then the signals' (hop 1's, hop 2's)
-    gains = gain(np.concatenate((jam.reshape(-1)[flat] * p, *per_relay, *signals)))
+    gains = gain(np.concatenate((jam.reshape(-1)[flat] * p, *per_relay, signal1, signal2)))
     sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
     if past:  # the words past cap, from the trial's row of the overflow key
         for i, h in zip(*np.nonzero(sizes[:, :counted] > cap)):
