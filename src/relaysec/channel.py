@@ -257,10 +257,10 @@ def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: 
     Count rows (`count_cap` is not None): the head is s_r and r_d (n each)
     under max-min, the relay's s_r under random selection, which draws no
     relay index; then the relay's hop-2 signal word r_d2 unless max-min with
-    shared legs reads r_d; then the count words `draws` (K2's, unless hop 2's
-    set is decided on r_d, then hop 1's two), then `cap` jammer words a
-    counted hop, then three eavesdropper uniforms. Random selection's two leg
-    modes read the same words here too.
+    shared legs reads r_d; then the count words `draws`: K2's unless hop 2's
+    set is decided on r_d, and hop 1's two; then `cap` jammer words a counted
+    hop, then three eavesdropper uniforms. Random selection's two leg modes
+    read the same words here too.
     """
     cap = count_cap(config.n, tau)
     words = _layout(config.n, maxmin, independent, cap)["eve"].stop
