@@ -20,6 +20,8 @@ from relaysec.montecarlo import LEG_MODES, _first_interceptors, _run_trials
 from relaysec.protocols import PROTOCOL_KINDS
 from relaysec.serialize import dumps
 
+from .test_intercept_law import exact_shared_secrecy
+
 IL = ScenarioConfig(n=11, m=1, gamma_r=1.0, gamma_e=1.0,
                     noise_mode="interference-limited")
 RANDOM_TAU01 = ProtocolChoice(kind="random-uniform", tau_policy="manual", tau=0.1)
@@ -236,7 +238,6 @@ class TestCountRowsLaw:
                                                   ("interference-limited", "independent")])
     def test_random_selection_meets_closed_forms(self, monkeypatch, forced_cap, noise_mode,
                                                  legs):
-        from .test_intercept_law import exact_shared_secrecy
         if forced_cap:
             self.small_cap(monkeypatch)
         n, m, tau, trials = 101, 8, 0.1, 100_000
@@ -497,8 +498,17 @@ class TestKernelStages:
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
     @pytest.mark.parametrize("legs", LEG_MODES)
     @pytest.mark.parametrize("trials, blocks", [(3, 1), (10, 3)])
-    @pytest.mark.parametrize("n, tau", [(11, 0.3), (101, 0.0616)])  # per-relay rows, count rows
-    def test_each_stage_runs_once_a_block(self, monkeypatch, kind, legs, trials, blocks, n, tau):
+    def test_each_stage_runs_once_a_block(self, monkeypatch, kind, legs, trials, blocks):
+        self.check_stages(monkeypatch, kind, legs, trials, blocks, 11, 0.3)  # per-relay rows
+
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    @pytest.mark.parametrize("trials, blocks", [(3, 1), (10, 3)])
+    def test_each_stage_runs_once_a_block_on_count_rows(self, monkeypatch, kind, legs, trials,
+                                                        blocks):
+        self.check_stages(monkeypatch, kind, legs, trials, blocks, 101, 0.0616)
+
+    def check_stages(self, monkeypatch, kind, legs, trials, blocks, n, tau):
         cfg = ScenarioConfig(n=n, m=2, gamma_r=1.0, gamma_e=1.0)
         maxmin, counted = kind == "optimal-maxmin", channel.count_cap(n, tau) is not None
         assert counted == (n == 101)
