@@ -49,21 +49,24 @@ _LAYOUT = 7  # the stream layout, also the second entropy word of every run's se
 
 # a counted hop reads cap = min(n - 1, ceil(mean + _CAP_SIGMAS sd) + _CAP_PAD) jammer words,
 # mean and sd those of its Bin(n - 1, p) count; count rows are drawn from n = _COUNT_ROWS_FROM
-# relays on, where they cost less than per-relay rows (CHANGES.md has the grid)
+# relays on, where they cost less than per-relay rows (CHANGES.md has the grid), and up to
+# cap = _COUNT_CAP_MAX, which bounds the inversion table (`protocols._count_tables`) at
+# 16 (cap + 1)^2 bytes, about 4 MB, and (cap + 1)^2 scalar terms to build
 _CAP_SIGMAS, _CAP_PAD = 8, 5
-_COUNT_ROWS_FROM = 41
+_COUNT_ROWS_FROM, _COUNT_CAP_MAX = 41, 512
 
 
 def count_cap(n: int, tau: float) -> int | None:
     """cap, the jammer words a counted hop reads in its row, or None for per-relay rows.
 
     p = 1 - e^-tau is the chance that a relay jams a hop. A configuration
-    draws count rows when n >= _COUNT_ROWS_FROM and cap <= (n - 1) / 2.
+    draws count rows when n >= _COUNT_ROWS_FROM and cap <= min((n - 1) / 2,
+    _COUNT_CAP_MAX).
     """
     p = -math.expm1(-tau)
     mean = (n - 1) * p
     cap = min(n - 1, math.ceil(mean + _CAP_SIGMAS * math.sqrt(mean * (1.0 - p))) + _CAP_PAD)
-    return cap if n >= _COUNT_ROWS_FROM and 2 * cap <= n - 1 else None
+    return cap if n >= _COUNT_ROWS_FROM and 2 * cap <= n - 1 and cap <= _COUNT_CAP_MAX else None
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -229,21 +232,23 @@ def _layout(n: int, maxmin: bool, independent: bool, cap: int | None) -> Mapping
     return MappingProxyType(fields)
 
 
-def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool, tau: float) -> int:
-    """W, the 64-bit words one trial owns: the words it reads, whatever m is.
+def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool,
+                cap: int | None) -> int:
+    """W, the 64-bit words one trial owns in the row format `cap` = `count_cap`(n, tau): the
+    words it reads, whatever m is.
 
-    On per-relay rows random selection reads 2n + 4 words in either leg mode,
-    and max-min 3n + 2, 4n + 2 with independent legs. On count rows
-    (`count_cap`) random selection reads 2 cap + 8, and max-min 2n + cap + 5,
+    On per-relay rows (`cap` None) random selection reads 2n + 4 words in
+    either leg mode, and max-min 3n + 2, 4n + 2 with independent legs. On
+    count rows random selection reads 2 cap + 8, and max-min 2n + cap + 5,
     2n + 2 cap + 7 with independent legs.
     """
-    return _layout(config.n, maxmin, independent, count_cap(config.n, tau))["eve"].stop
+    return _layout(config.n, maxmin, independent, cap)["eve"].stop
 
 
 def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: int, *,
-                       maxmin: bool, independent: bool, tau: float) -> ChannelRealization:
-    """Draw trials [lo, hi) of `stream` at threshold `tau`: trial t's words [t W, (t + 1) W),
-    W = `trial_words`.
+                       maxmin: bool, independent: bool, cap: int | None) -> ChannelRealization:
+    """Draw trials [lo, hi) of `stream` in the row format `cap` = `count_cap`(n, tau):
+    trial t's words [t W, (t + 1) W), W = `trial_words`.
 
     Per-relay rows: a trial reads its head, then the n - 1 gains toward its
     relay (hop 1's jammer words), then r_d (n) as hop 2 reads it, then three
@@ -254,7 +259,7 @@ def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: 
     fresh r_d. Random selection reads no r_d before hop 2, so its two leg
     modes read the same words.
 
-    Count rows (`count_cap` is not None): the head is s_r and r_d (n each)
+    Count rows (`cap` is not None): the head is s_r and r_d (n each)
     under max-min, the relay's s_r under random selection, which draws no
     relay index; then the relay's hop-2 signal word r_d2 unless max-min with
     shared legs reads r_d; then the count words `draws`: K2's unless hop 2's
@@ -262,7 +267,6 @@ def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: 
     hop, then three eavesdropper uniforms. Random selection's two leg modes
     read the same words here too.
     """
-    cap = count_cap(config.n, tau)
     words = _layout(config.n, maxmin, independent, cap)["eve"].stop
     return ChannelRealization(n=config.n, maxmin=maxmin, independent=independent,
                               words=stream.uniforms(lo, hi, words), cap=cap, stream=stream,

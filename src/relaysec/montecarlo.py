@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import check_at_least, check_unit
-from .channel import ScenarioConfig, SeedStream, sample_realization, trial_words
+from .channel import ScenarioConfig, SeedStream, count_cap, sample_realization, trial_words
 from .protocols import (COUNT_KEYS, ProtocolChoice, classify_outage, execute_two_hop,
                         resolve_tau, select_relay_optimal)
 
@@ -86,12 +86,12 @@ def _blocks(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int
     """The `protocols.TransmissionRecord` of each block of trials [start, stop) of `seed`."""
     maxmin = kind == "optimal-maxmin"
     independent = legs == "independent"
+    cap, stream = count_cap(config.n, tau), SeedStream(seed)
     size = max(1, _BLOCK_WORDS // trial_words(config, maxmin=maxmin, independent=independent,
-                                              tau=tau))
-    stream = SeedStream(seed)
+                                              cap=cap))
     for lo in range(start, stop, size):
         real = sample_realization(config, stream, lo, min(lo + size, stop),
-                                  maxmin=maxmin, independent=independent, tau=tau)
+                                  maxmin=maxmin, independent=independent, cap=cap)
         selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
         yield execute_two_hop(real, selected, tau, config)
 

@@ -69,10 +69,11 @@ class TransmissionRecord(NamedTuple):
     """What T two-hop transmissions came to; row t is trial t, column h hop h + 1.
 
     `jammers_both` is None with independent legs: the intercept law reads the
-    overlap |J1 & J2| only when both hops share one channel.
+    overlap |J1 & J2| only when both hops share one channel. `selected_relay`
+    is None under random selection on count rows, which draws no relay index.
     """
 
-    selected_relay: np.ndarray       # (T,) relay index
+    selected_relay: np.ndarray | None  # (T,) relay index, or None
     jammers: np.ndarray              # (T, 2) |J1|, |J2|: the relays that jam each hop
     jammers_both: np.ndarray | None  # (T,) |J1 & J2| with shared legs; None with independent
     sinr: np.ndarray                 # (T, 2) SINR at the selected relay, at D
@@ -98,8 +99,7 @@ def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np
     relay never jams.
     """
     jam = real["receivers"] < _uniform_threshold(tau)
-    hop2 = real.layout["r_d2"].start - real.layout["receivers"].start
-    jam[np.arange(len(selected)), selected + hop2] = False
+    jam[np.arange(len(selected)), selected + (real.n - 1 if real.cap is None else 0)] = False
     return jam
 
 

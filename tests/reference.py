@@ -32,12 +32,12 @@ def stream_words(seed, first_word, words, overflow=False):
 
 def count_cap(n, tau):
     """The README's switch: cap = min(n - 1, ceil((n - 1) p + 8 sd) + 5), sd that of
-    Bin(n - 1, p), p = 1 - e^-tau, when n >= 41 and cap <= (n - 1) / 2 (count rows); None
-    (per-relay rows) otherwise."""
+    Bin(n - 1, p), p = 1 - e^-tau, when n >= 41 and cap <= min((n - 1) / 2, 512) (count
+    rows); None (per-relay rows) otherwise."""
     p = -math.expm1(-tau)
     mean = (n - 1) * p
     cap = min(n - 1, math.ceil(mean + 8 * math.sqrt(mean * (1.0 - p))) + 5)
-    return cap if n >= 41 and 2 * cap <= n - 1 else None
+    return cap if n >= 41 and 2 * cap <= min(n - 1, 1024) else None
 
 
 def trial_words(n, maxmin, independent, cap=None):

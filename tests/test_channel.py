@@ -11,8 +11,8 @@ import pytest
 
 from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_two_hop,
                       sample_realization, select_relay_optimal, trial_words)
-from relaysec.channel import (_thread_generator, _uniform_threshold, gain, sinr, sinr_many,
-                              trial_rng)
+from relaysec.channel import (_thread_generator, _uniform_threshold, count_cap, gain, sinr,
+                              sinr_many, trial_rng)
 
 from . import reference
 
@@ -45,7 +45,7 @@ def sample_block(cfg, seed, trials, start=0, kind="optimal-maxmin", legs="shared
     per-relay rows at the default tau = 1, for any n."""
     return sample_realization(cfg, SeedStream(seed), start, start + trials,
                               maxmin=kind == "optimal-maxmin", independent=legs == "independent",
-                              tau=tau)
+                              cap=count_cap(cfg.n, tau))
 
 
 def row_gains(seed, row, size):
@@ -217,7 +217,7 @@ class TestSampleRealization:
                                                            (False, True)):
             cfg = ScenarioConfig(n=n, m=m, gamma_r=1.0, gamma_e=1.0)
             real = sample_realization(cfg, SeedStream(5), 3, 4, maxmin=maxmin,
-                                      independent=independent, tau=1.0)
+                                      independent=independent, cap=None)
             width = reference.trial_words(n, maxmin, independent)  # the README table's W
             u = reference.stream_words(5, 3 * width, width)
             if maxmin:
@@ -236,12 +236,12 @@ class TestSampleRealization:
         # relay's under random), the relay pair, R0-D, R1-D; three
         # eavesdropper uniforms for any m
         cfg = ScenarioConfig(n=2, m=1, gamma_r=1.0, gamma_e=1.0)
-        assert trial_words(cfg, maxmin=True, independent=False, tau=1.0) == 8   # the words read
-        assert trial_words(cfg, maxmin=False, independent=False, tau=1.0) == 8
-        assert trial_words(cfg, maxmin=True, independent=True, tau=1.0) == 10
-        assert trial_words(cfg, maxmin=False, independent=True, tau=1.0) == 8  # no word but hop 2's reads r_d
+        assert trial_words(cfg, maxmin=True, independent=False, cap=None) == 8   # the words read
+        assert trial_words(cfg, maxmin=False, independent=False, cap=None) == 8
+        assert trial_words(cfg, maxmin=True, independent=True, cap=None) == 10
+        assert trial_words(cfg, maxmin=False, independent=True, cap=None) == 8  # no word but hop 2's reads r_d
         for m in (0, 5, 10 ** 6):
-            assert trial_words(replace(cfg, m=m), maxmin=True, independent=False, tau=1.0) == 8
+            assert trial_words(replace(cfg, m=m), maxmin=True, independent=False, cap=None) == 8
         real = sample_block(cfg, 1, 1)
         assert (real["s_r"].shape, real["to_relay"].shape, real["r_d"].shape) == ((1, 2), (1, 1), (1, 2))
         assert real["eve"].shape == (1, 3)

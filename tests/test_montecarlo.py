@@ -222,11 +222,6 @@ class TestCountRowsLaw:
             "eve_hits_hop1")
 
     @staticmethod
-    def small_cap(monkeypatch):
-        monkeypatch.setattr(channel, "_CAP_SIGMAS", 0)
-        monkeypatch.setattr(channel, "_CAP_PAD", 0)
-
-    @staticmethod
     def jammer_z(counts, trials, mean):
         """z of the mean hop-1 jammer count against `mean`, from the run's own variance."""
         s, ss = counts["jam1_sum"], counts["jam1_sumsq"]
@@ -236,10 +231,9 @@ class TestCountRowsLaw:
     @pytest.mark.parametrize("forced_cap", [False, True])
     @pytest.mark.parametrize("noise_mode, legs", [("exact", "shared"),
                                                   ("interference-limited", "independent")])
-    def test_random_selection_meets_closed_forms(self, monkeypatch, forced_cap, noise_mode,
-                                                 legs):
+    def test_random_selection_meets_closed_forms(self, request, forced_cap, noise_mode, legs):
         if forced_cap:
-            self.small_cap(monkeypatch)
+            request.getfixturevalue("small_cap")
         n, m, tau, trials = 101, 8, 0.1, 100_000
         cfg = ScenarioConfig(n=n, m=m, gamma_r=0.5, gamma_e=1.0, noise_mode=noise_mode)
         assert channel.count_cap(n, tau) == (10 if forced_cap else 38)
@@ -261,7 +255,7 @@ class TestCountRowsLaw:
 
     @pytest.mark.parametrize("forced_cap", [False, True])
     @pytest.mark.parametrize("legs", LEG_MODES)
-    def test_maxmin_meets_per_relay_rows(self, monkeypatch, forced_cap, legs):
+    def test_maxmin_meets_per_relay_rows(self, monkeypatch, request, forced_cap, legs):
         n, tau, trials = 101, 0.0616, 40_000
         cfg = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
         with monkeypatch.context() as patch:
@@ -269,7 +263,7 @@ class TestCountRowsLaw:
             assert channel.count_cap(n, tau) is None
             per_relay = _run_trials(cfg, "optimal-maxmin", tau, 0, trials, 91, legs)
         if forced_cap:
-            self.small_cap(monkeypatch)
+            request.getfixturevalue("small_cap")
         assert channel.count_cap(n, tau) == (6 if forced_cap else 30)
         counted = _run_trials(cfg, "optimal-maxmin", tau, 0, trials, 92, legs)
         wrong = []
@@ -282,12 +276,33 @@ class TestCountRowsLaw:
         assert wrong == [] and abs(self.jammer_z(counted, trials, mean)) < 6.0 * math.sqrt(2.0)
 
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
-    def test_counts_past_cap_split_across_workers(self, monkeypatch, kind):
-        self.small_cap(monkeypatch)
+    def test_counts_past_cap_split_across_workers(self, small_cap, kind):
         cfg = ScenarioConfig(n=101, m=8, gamma_r=0.5, gamma_e=1.0)
         proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=0.1)
         one, four = (estimate_outage(cfg, proto, 2000, 93, workers=w) for w in (1, 4))
         assert one.counts == four.counts
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("kind, legs", [("random-uniform", "shared"),
+                                            ("optimal-maxmin", "independent")])
+    def test_large_n_runs_in_bounded_memory(self, kind, legs):
+        # at n = 10**6 and tau = 0.1 a counted hop would read cap = 97,516
+        # words from a (cap + 1)^2 table of about 150 GB; past cap 512 a run
+        # reads per-relay rows instead, here one trial (2n + 4 or 4n + 2 words) a block
+        n, tau = 10 ** 6, 0.1
+        assert channel.count_cap(n, tau) is None
+        cfg = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
+        proto = ProtocolChoice(kind=kind, tau_policy="manual", tau=tau)
+        want = estimate_outage(cfg, proto, 1, 94, legs=legs)  # builds the law's tables
+        tracemalloc.start()
+        try:
+            got = estimate_outage(cfg, proto, 1, 94, legs=legs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.counts == want.counts and 90_000 < got.counts["jam1_sum"] < 100_000
+        assert peak < 100 << 20
 
 
 class TestCommonRandomNumbers:
@@ -512,7 +527,8 @@ class TestKernelStages:
         cfg = ScenarioConfig(n=n, m=2, gamma_r=1.0, gamma_e=1.0)
         maxmin, counted = kind == "optimal-maxmin", channel.count_cap(n, tau) is not None
         assert counted == (n == 101)
-        words = trial_words(cfg, maxmin=maxmin, independent=legs == "independent", tau=tau)
+        words = trial_words(cfg, maxmin=maxmin, independent=legs == "independent",
+                            cap=channel.count_cap(n, tau))
         monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 4 * words)  # 4 trials a block
         calls = {name: 0 for _, name in self.STAGES}
         for module, name in self.STAGES:

@@ -116,13 +116,11 @@ def test_kernel_matches_per_trial_reference(n, monkeypatch, pool):
 
 @pytest.mark.parametrize("kind", ["optimal-maxmin", "random-uniform"])
 @pytest.mark.parametrize("legs", ["shared", "independent"])
-def test_counts_past_cap_match_reference(monkeypatch, kind, legs):
+def test_counts_past_cap_match_reference(monkeypatch, small_cap, kind, legs):
     # with no margin over the mean, cap = ceil((n - 1) p) = 10 at n = 101 and
     # tau = 0.1, and about 40% of the counts pass it: K2 from the table, K2
     # from the r_d mask, K1 - k, and the overflow key's jammer words, read
     # whole, in blocks of one and by four workers
-    monkeypatch.setattr(channel, "_CAP_SIGMAS", 0)
-    monkeypatch.setattr(channel, "_CAP_PAD", 0)
     n, tau, trials = 101, 0.1, 300
     assert channel.count_cap(n, tau) == 10
     config = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
@@ -141,6 +139,18 @@ def test_counts_past_cap_match_reference(monkeypatch, kind, legs):
                                     workers=4).counts) == want
     monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 1)
     assert as_tuple(_run_trials(*run, 0, trials, SEED, legs)) == want
+
+
+def test_switch_matches_reference():
+    # the row format and cap of every configuration, either side of each line:
+    # n >= 41, cap <= (n - 1) / 2 and cap <= 512 (at n = 2001, tau = 0.204 cap is 513)
+    grid = list(itertools.product((11, 40, 41, 101, 1001, 2001, 10 ** 4, 10 ** 6),
+                                  (0.0, 1e-300, 0.01, 0.0616, 0.1, 0.203, 0.204, 0.466, 1.0,
+                                   40.0)))
+    assert [channel.count_cap(n, tau) for n, tau in grid] == \
+        [reference.count_cap(n, tau) for n, tau in grid]
+    assert (channel.count_cap(2001, 0.203), channel.count_cap(2001, 0.204)) == (511, None)
+    assert channel.count_cap(10 ** 4, 0.0191) == 304
 
 
 def test_reference_imports_nothing_of_the_kernel():
