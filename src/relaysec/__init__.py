@@ -12,29 +12,22 @@ from .bounds import (BoundReport, InfeasibleConfigError, MBound, TauInterval,
                      expected_jammers, per_leg_budget, reliability_leg_bound,
                      secrecy_leg_bound, theorem1_m_max, theorem2_tau_range,
                      theorem3_m_max)
-from .channel import (ChannelRealization, ScenarioConfig, SeedStream,
-                      sample_realization, trial_words)
+from .channel import ScenarioConfig
 from .montecarlo import (LoadBalanceStats, OutageEstimate, Proportion,
                          ToleranceResult, estimate_outage, jain_index,
                          load_balance, merge_estimates, selection_entropy,
                          tolerance_search, wilson_interval)
-from .protocols import (ProtocolChoice, TransmissionRecord, classify_outage,
-                        execute_two_hop, jammer_set, resolve_tau,
-                        select_relay_optimal, tau_protocol1)
+from .protocols import ProtocolChoice, resolve_tau, tau_protocol1
 from .validation import CheckResult, run_oracle_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "ChannelRealization", "CheckResult", "InfeasibleConfigError",
-    "LoadBalanceStats", "MBound", "OutageEstimate",
-    "Proportion", "ProtocolChoice", "ScenarioConfig", "SeedStream", "TauInterval",
-    "ToleranceResult", "TransmissionRecord", "build_bound_report",
-    "classify_outage", "combine_legs", "estimate_outage", "eve_intercept_exact",
-    "execute_two_hop", "expected_jammers", "jain_index", "jammer_set",
-    "load_balance", "merge_estimates", "per_leg_budget", "reliability_leg_bound",
-    "resolve_tau", "run_oracle_suite", "sample_realization",
-    "secrecy_leg_bound", "select_relay_optimal",
-    "selection_entropy", "tau_protocol1", "theorem1_m_max",
-    "theorem2_tau_range", "theorem3_m_max", "tolerance_search", "trial_words", "wilson_interval",
+    "BoundReport", "CheckResult", "InfeasibleConfigError", "LoadBalanceStats", "MBound",
+    "OutageEstimate", "Proportion", "ProtocolChoice", "ScenarioConfig", "TauInterval",
+    "ToleranceResult", "build_bound_report", "combine_legs", "estimate_outage",
+    "eve_intercept_exact", "expected_jammers", "jain_index", "load_balance", "merge_estimates",
+    "per_leg_budget", "reliability_leg_bound", "resolve_tau", "run_oracle_suite",
+    "secrecy_leg_bound", "selection_entropy", "tau_protocol1", "theorem1_m_max",
+    "theorem2_tau_range", "theorem3_m_max", "tolerance_search", "wilson_interval",
 ]

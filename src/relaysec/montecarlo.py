@@ -9,15 +9,16 @@ proportion with its Wilson 95% interval, which stays honest at the extreme
 rates secrecy studies produce; `PROPORTIONS` names the seven a run reports.
 
 The trial kernel works in blocks with no per-trial loop: per block, one
-draw, one selection and one `protocols.execute_two_hop` pass, which decide
-on the uniforms (a relay jams iff its uniform is below u_tau) and add each
-trial's jammer gains in relay order; on count rows (`channel.count_cap`) a
-hop's jammer count is inverted from one uniform and its gains read in word
-order. A trial's outcome depends only on its own words, so block boundaries
-never change a count. No eavesdropper gain
-is drawn, and a trial's words and cost do not depend on m: on one seed no
-secrecy count falls as m rises, and one run at m_cap answers
-`tolerance_search` for every m (`protocols._first_hits`).
+draw, one selection and one `protocols.execute_two_hop` pass. Its reader
+finds the jammers, on per-relay rows by their uniforms (a relay jams iff
+its uniform is below u_tau), on count rows (`channel.count_cap`) by
+inverting one uniform to a hop's jammer count; its one outcome stage adds
+each trial's jammer gains in the reader's order and gives the SINRs and
+first interceptors. A trial's outcome depends only on its own words, so
+block boundaries never change a count. No eavesdropper gain is drawn, and
+a trial's words and cost do not depend on m: on one seed no secrecy count
+falls as m rises, and one run at m_cap answers `tolerance_search` for every
+m (`protocols._first_hits`).
 
 Two leg-sampling modes exist because the protocol and the closed-form
 analysis disagree about hop coupling: "shared" runs both hops on one channel
@@ -349,10 +350,11 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     selection freeze onto one relay per epoch while random selection keeps
     rotating. Only selection is simulated; no jamming threshold is needed.
 
-    Epoch e is row e of the seed's stream (`SeedStream`): a max-min epoch
-    reads s_r and r_d (2n words) and counts its relay once a slot, a random
-    one a relay index floor(u n) a slot (min(coherence_len, slots) words).
-    A block of epochs is one bincount; a short last epoch counts its slots only.
+    Max-min reads epoch e from row e of the seed's stream (`SeedStream`): s_r
+    and r_d (2n words), one selection that counts once a slot, and a block of
+    epochs is one bincount; a short last epoch counts its slots only. Random
+    selection reads slot s's relay floor(u n) from word s, `_BLOCK_WORDS`
+    slots a block.
 
     `constant_within_epochs` is always true for max-min, which picks from
     one draw per epoch; it tells you something only for random selection.
@@ -360,26 +362,28 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     check_at_least("slots", slots, 1, integer=True)
     check_at_least("seed", seed, -math.inf, integer=True)
     n, epoch_len = config.n, config.coherence_len
-    maxmin = protocol.kind == "optimal-maxmin"
-    span = min(epoch_len, slots)  # the slots of each epoch but a short last one
-    words = 2 * n if maxmin else span
     epochs = (slots + epoch_len - 1) // epoch_len
     stream = SeedStream(seed)
     counts = np.zeros(n, dtype=np.int64)
     constant = True
-    size = max(1, _BLOCK_WORDS // words)
-    for lo in range(0, epochs, size):
-        u = stream.uniforms(lo, min(lo + size, epochs), words)
-        if maxmin:
+    if protocol.kind == "optimal-maxmin":
+        span = min(epoch_len, slots)  # the slots of each epoch but a short last one
+        size = max(1, _BLOCK_WORDS // (2 * n))
+        for lo in range(0, epochs, size):
+            u = stream.uniforms(lo, min(lo + size, epochs), 2 * n)
             selected = select_relay_optimal(u[:, :n], u[:, n:])
             counts += span * np.bincount(selected, minlength=n)
-        else:
+        counts[selected[-1]] -= epochs * span - slots  # the short last epoch's missing slots
+    else:
+        for lo in range(0, slots, _BLOCK_WORDS):
+            u = stream.uniforms(lo, min(lo + _BLOCK_WORDS, slots), 1)[:, 0]
             picks = (u * n).astype(np.intp)
-            read = slots - lo * span  # the short last epoch's tail is drawn but not read
-            counts += np.bincount(picks.ravel()[:read], minlength=n)
-            constant = constant and bool((picks == picks[:, :1]).ravel()[:read].all())
-    if maxmin:  # the short last epoch lacks the slots past the run
-        counts[selected[-1]] -= epochs * span - slots
+            counts += np.bincount(picks, minlength=n)
+            if constant:  # a relay may differ from the slot before's only where an epoch begins
+                moved = picks[1:] != picks[:-1]  # entry i: slot lo + 1 + i
+                moved[(-lo - 1) % epoch_len::epoch_len] = False
+                constant = not (moved.any() or lo % epoch_len and picks[0] != last)
+            last = picks[-1]  # the relay of the next block's slot before
     c = counts.astype(float)
     total = c.sum()
     return LoadBalanceStats(selection_counts=tuple(counts.tolist()),

@@ -11,8 +11,10 @@ the same threshold jamming, differing only in where tau comes from.
 Everything runs on blocks of T trials (a single transmission is a block of
 one): a block's `ChannelRealization` of uniforms and its (T,) selected
 relays. A gain increases with its uniform, so selection and jamming are
-decided on the uniforms; `execute_two_hop` computes only the gains an SINR
-reads and reduces the block to a few numbers per trial, which
+decided on the uniforms. `execute_two_hop` has two stages: a reader for the
+block's row format (`_per_relay_jammers`, `_counted_jammers`) gives the
+jammers' words, counts and overlap, and one outcome stage computes only the
+gains an SINR reads and reduces the block to a few numbers per trial, which
 `classify_outage` counts under every name of `COUNT_KEYS`. Each constant
 a stage reads comes from a cache keyed on what it depends on: u_tau on tau
 (`channel._uniform_threshold`), the intercept law's powers on n, gamma_e,
@@ -247,25 +249,47 @@ def _full_cdf(size: int, tau: float) -> list:
     return _binomial_cdf(size, tau, size).tolist()
 
 
-def _counted_hops(real: ChannelRealization, selected: np.ndarray | None, tau: float,
-                  config: ScenarioConfig) -> TransmissionRecord:
-    """`execute_two_hop` on count rows.
+def _per_relay_jammers(real: ChannelRealization, selected: np.ndarray, tau: float):
+    """Per-relay rows' jammer words, their cells, counts and overlap (see `execute_two_hop`).
+
+    One pass over `jammer_set`'s flat indices puts each jammer in its cell,
+    hop 2 from column n - 1 on, in relay order. The overlap k = |J1 & J2|
+    is found only with shared legs, the one mode whose law reads it.
+    """
+    t, n = len(selected), real.n
+    jam = jammer_set(real, selected, tau)
+    row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
+    cell = 2 * row + (col >= n - 1)
+    both = None
+    if not real.independent:
+        # hop-1 column c is relay c + (c >= selected), as to_relay leaves the
+        # selected relay out; that relay jams hop 2 too iff its hop-2 word,
+        # n - 1 columns on, is in the mask
+        on1 = col < n - 1
+        row1, col1 = row[on1], col[on1]
+        both = np.bincount(row1[jam[row1, col1 + (col1 >= selected[row1]) + n - 1]], minlength=t)
+    sizes = np.bincount(cell, minlength=2 * t).reshape(t, 2)
+    return [real["receivers"][row, col]], cell, sizes, both
+
+
+def _counted_jammers(real: ChannelRealization, selected: np.ndarray | None, tau: float):
+    """Count rows' jammer words, their cells, counts and overlap (see `execute_two_hop`).
 
     A counted hop's jammer count inverts its uniform of real["draws"]
     (`_count_tables`): K2 ~ Bin(n - 1, p), unless max-min with shared legs
     decided hop 2's set on r_d (`jammer_set`), then k = |J1 & J2| ~
     Bin(K2, p) and K1 - k ~ Bin(n - 1 - K2, p), as each relay jams a hop
-    independently with p = 1 - e^-tau. Its first K of `cap` jammer words
-    are gains -log1p(-u p), Exp(1) truncated below tau, added in word
-    order; a trial whose count passes cap finds it from the whole CDF
-    (`_full_cdf`) and reads its other jammer words, in order, from its row
-    of the overflow key.
+    independently with p = 1 - e^-tau. The first K of its `cap` jammer
+    words u give the words u p, whose gains -log1p(-u p) are Exp(1)
+    truncated below tau. A trial whose count passes cap finds it from the
+    whole CDF (`_full_cdf`); its other jammer words, in order, from its row
+    of the overflow key, come after all the others.
     """
     t, n, cap = len(real.words), real.n, real.cap
     p = -math.expm1(-tau)
     table = _count_tables(n, tau, cap)
-    draws, jam = real["draws"], real["jam"]
-    counted = jam.shape[1] // cap  # hop 1, and hop 2 unless max-min with shared legs
+    draws = real["draws"]
+    counted = 1 if "receivers" in real.layout else 2  # hop 2 decided relay by relay, or counted
     sizes = np.empty((t, 2), dtype=np.intp)  # K1, K2
     k2 = sizes[:, 1]
     if counted == 2:
@@ -284,32 +308,20 @@ def _counted_hops(real: ChannelRealization, selected: np.ndarray | None, tau: fl
             split[i] = [bisect.bisect_right(_full_cdf(size, tau), x)
                         for size, x in ((int(k2[i]), u[-2]), (n - 1 - int(k2[i]), u[-1]))]
             sizes[i, 0] = split[i].sum()
-    # flat index (trial, hop, word) of each counted jammer's word; cell 2 trial + hop
+    # flat index (trial, hop, word) of each counted jammer's word: with both hops counted,
+    # flat // cap is its cell
     flat = np.flatnonzero(np.arange(cap) < sizes[:, :counted, None])
-    cell = flat // cap
-    rows = np.arange(t)
-    signal1 = real["s_r"][rows, selected] if real.maxmin else real["s_r"][:, 0]
-    if counted == 2:
-        per_relay, signal2 = (), real["r_d2"][:, 0]
-    else:
+    words, cell = [real["jam"].reshape(-1)[flat] * p], flat // cap
+    if counted == 1:
+        words.append(real["receivers"][row2, col2])
         cell = np.concatenate((cell * 2, row2 * 2 + 1))
-        per_relay, signal2 = (real["r_d"][row2, col2],), real["r_d"][rows, selected]
-    # the counted jammers' gains, hop 2's per-relay ones, then the signals' (hop 1's, hop 2's)
-    gains = gain(np.concatenate((jam.reshape(-1)[flat] * p, *per_relay, signal1, signal2)))
-    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
-    if past:  # the words past cap, from the trial's row of the overflow key
+    if past:
         for i, h in zip(*np.nonzero(sizes[:, :counted] > cap)):
-            extra = real.stream.uniforms(real.first + i, real.first + i + 1,
-                                         counted * (n - 1 - cap), overflow=True)[0]
-            total = float(sums[i, h])
-            for g in gain(extra[h * (n - 1 - cap):][:sizes[i, h] - cap] * p).tolist():
-                total += g
-            sums[i, h] = total
-    both = None if real.independent else split[:, 0]
-    a, b, c = intercept_law(sizes, both, config)
-    return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
-                              sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
-                              first_hit=_first_hits(real["eve"], a, b, c, config.m))
+            key = real.stream.uniforms(real.first + i, real.first + i + 1,
+                                       counted * (n - 1 - cap), overflow=True)
+            words.append(key[0, h * (n - 1 - cap):][:sizes[i, h] - cap] * p)
+            cell = np.concatenate((cell, np.full(sizes[i, h] - cap, 2 * i + h)))
+    return words, cell, sizes, None if real.independent else split[:, 0]
 
 
 def execute_two_hop(real: ChannelRealization, selected: np.ndarray | None, tau: float,
@@ -317,40 +329,29 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray | None, tau: 
     """Run T two-hop transmissions through the (T,) `selected` relays and record the outcome.
 
     Hop 1: S transmits to the selected relay, hop 2 the relay to D over
-    r_d2, each jammed by its set from `jammer_set`; one pass over the mask's
-    flat indices puts every jammer in its (hop, trial) cell, hop 2 from
-    column n - 1 on. Each SINR is Es g / (Es I + N0/2), I the jammers'
-    gains added in relay order. The overlap k = |J1 & J2| is found only with
-    shared legs, the one mode whose law reads it. `_first_hits` gives each
-    hop's first interceptor from `intercept_law`'s A, B and C: for every m
-    each hop has its exact marginal and the pair its exact joint law.
-    Count rows take `_counted_hops`, where random selection has no relay
-    (`selected` None).
+    r_d2, each jammed by its set. The row format's reader
+    (`_per_relay_jammers` or `_counted_jammers`, where random selection has
+    no relay and `selected` is None) gives the jammers' words, each word's
+    cell 2 trial + hop, the (T, 2) counts K1, K2 and, with shared legs, the
+    overlap k = |J1 & J2|. Each SINR is Es g / (Es I + N0/2), I the
+    jammers' gains added in the reader's order, and g the selected relay's
+    own word of s_r and r_d2 (a one-column field holds only that word).
+    `_first_hits` gives each hop's first interceptor from `intercept_law`'s
+    A, B and C: for every m each hop has its exact marginal and the pair its
+    exact joint law.
     """
-    if real.cap is not None:
-        return _counted_hops(real, selected, tau, config)
-    t, n = len(selected), real.n
+    read = _per_relay_jammers if real.cap is None else _counted_jammers
+    words, cell, sizes, both = read(real, selected, tau)
+    t = len(real.words)
     rows = np.arange(t)
-    jam = jammer_set(real, selected, tau)
-    row, col = np.divmod(np.flatnonzero(jam), jam.shape[1])
-    signal1 = real["s_r"][rows, selected] if real.maxmin else real["s_r"][:, 0]
+    signals = [w[:, 0] if w.shape[1] == 1 else w[rows, selected]
+               for w in (real["s_r"], real["r_d2"])]
     # the jammers' gains, then the signals' (hop 1's, then hop 2's)
-    gains = gain(np.concatenate((real["receivers"][row, col], signal1,
-                                 real["r_d2"][rows, selected])))
-    cell = (col >= n - 1) * t + row
-    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(2, t)
-    sizes = np.bincount(cell, minlength=2 * t).reshape(2, t)
-    both = None
-    if not real.independent:
-        # hop-1 column c is relay c + (c >= selected), as to_relay leaves the
-        # selected relay out; that relay jams hop 2 too iff its hop-2 word,
-        # n - 1 columns on, is in the mask
-        on1 = col < n - 1
-        row1, col1 = row[on1], col[on1]
-        both = np.bincount(row1[jam[row1, col1 + (col1 >= selected[row1]) + n - 1]], minlength=t)
-    a, b, c = intercept_law(sizes.T, both, config)
-    return TransmissionRecord(selected_relay=selected, jammers=sizes.T, jammers_both=both,
-                              sinr=sinr_many(gains[-2 * t:].reshape(2, t), sums, config).T,
+    gains = gain(np.concatenate((*words, *signals)))
+    sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
+    a, b, c = intercept_law(sizes, both, config)
+    return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
+                              sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
                               first_hit=_first_hits(real["eve"], a, b, c, config.m))
 
 

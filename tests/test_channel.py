@@ -9,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaysec import (ChannelRealization, ScenarioConfig, SeedStream, execute_two_hop,
-                      sample_realization, select_relay_optimal, trial_words)
-from relaysec.channel import (_thread_generator, _uniform_threshold, count_cap, gain, sinr,
-                              sinr_many, trial_rng)
+from relaysec import ScenarioConfig
+from relaysec.channel import (ChannelRealization, SeedStream, _thread_generator,
+                              _uniform_threshold, count_cap, gain, sample_realization, sinr,
+                              sinr_many, trial_rng, trial_words)
+from relaysec.protocols import execute_two_hop, select_relay_optimal
 
 from . import reference
 

@@ -498,7 +498,8 @@ class TestKernelStages:
 
     STAGES = [(montecarlo, "sample_realization"), (montecarlo, "select_relay_optimal"),
               (montecarlo, "execute_two_hop"), (montecarlo, "classify_outage"),
-              (protocols, "jammer_set"), (protocols, "intercept_law")]
+              (protocols, "jammer_set"), (protocols, "intercept_law"),
+              (protocols, "_per_relay_jammers"), (protocols, "_counted_jammers")]
 
     @staticmethod
     def counting(monkeypatch, module, name, calls):
@@ -539,6 +540,9 @@ class TestKernelStages:
         want["select_relay_optimal"] = blocks if maxmin else 0
         # count rows decide a jammer set relay by relay only where selection read its words
         want["jammer_set"] = blocks if not counted or (maxmin and legs == "shared") else 0
+        # each row format has its own reader, and only it runs
+        want["_per_relay_jammers"] = 0 if counted else blocks
+        want["_counted_jammers"] = blocks if counted else 0
         assert calls == want
 
 
@@ -711,6 +715,35 @@ class TestLoadBalance:
         assert (got.selection_counts, got.epochs) == (want.selection_counts, 1)
         assert got.constant_within_epochs == want.constant_within_epochs
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_that_split_epochs_change_nothing(self, monkeypatch, block):
+        # random selection reads slot s from word s, _BLOCK_WORDS words a
+        # block; an epoch split across blocks still counts as constant only
+        # if its relay never changes, across the boundary too
+        proto = ProtocolChoice(kind="random-uniform")
+        cases = [(replace(self.CFG, n=n, coherence_len=epoch_len), slots, seed)
+                 for n, epoch_len, slots in [(1, 5, 23), (2, 3, 3), (2, 2, 9), (6, 10, 997)]
+                 for seed in range(12)]
+        want = [load_balance(cfg, proto, slots, seed) for cfg, slots, seed in cases]
+        assert {st.constant_within_epochs for st in want[12:]} == {True, False}
+        monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", block)
+        assert [load_balance(cfg, proto, slots, seed) for cfg, slots, seed in cases] == want
+
+    def test_one_long_epoch_runs_in_bounded_memory(self):
+        # 2**22 slots in one epoch are drawn _BLOCK_WORDS words at a time: the
+        # peak does not grow with coherence_len (about 9 MB either way; a
+        # whole-epoch row took 100 MB)
+        proto = ProtocolChoice(kind="random-uniform")
+        load_balance(self.CFG, proto, 100, 57)  # warm numpy.random up outside the trace
+        tracemalloc.start()
+        try:
+            st = load_balance(replace(self.CFG, coherence_len=1 << 22), proto, 1 << 22, 57)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sum(st.selection_counts), st.epochs) == (1 << 22, 1)
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("n", [2, 11, 101])
     def test_counts_follow_their_multinomial_law(self, n):

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig,
-                      classify_outage, execute_two_hop, jammer_set, load_balance,
-                      per_leg_budget, resolve_tau, select_relay_optimal,
-                      tau_protocol1, theorem2_tau_range)
+from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig, load_balance,
+                      per_leg_budget, resolve_tau, tau_protocol1, theorem2_tau_range)
 from relaysec.channel import count_cap, trial_rng
-from relaysec.protocols import TransmissionRecord, _count_tables, _first_hits, intercept_law
+from relaysec.protocols import (TransmissionRecord, _count_tables, _first_hits, classify_outage,
+                                execute_two_hop, intercept_law, jammer_set, select_relay_optimal)
 
 from . import reference
 from .reference import first_hits
