@@ -10,7 +10,7 @@ nothing ever measures them. One realization spans both hops of a
 transmission.
 
 Only the legitimate gains a transmission reads are drawn, and no
-eavesdropper gain at all (stream layout 7): three uniforms a trial, for any
+eavesdropper gain at all (stream layout 8): three uniforms a trial, for any
 m, give the first eavesdropper to intercept each hop. Every
 draw of a run comes from one PCG64DXSM stream per seed (`SeedStream`);
 trial t owns a fixed range of its 64-bit words, and the generator advances
@@ -26,7 +26,8 @@ A trial's row has one of two formats, chosen from (n, tau) alone
 decided on. Count rows, where few of many relays jam, hold a hop's jammer
 count as one uniform to invert (`protocols._count_tables`) and its jammers'
 gains, truncated below tau, in `cap` words; a trial whose count passes
-`cap` reads the rest from its own row of a second key.
+`cap` reads the rest from its own row of a second key. There max-min reads
+no relay's gains but its own, from the law of the maximum (`best`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from .bounds import check_at_least, check_positive, check_unit
 NOISE_MODES = ("exact", "interference-limited")
 
 _MASK64 = (1 << 64) - 1
-_LAYOUT = 7  # the stream layout, also the second entropy word of every run's seed sequence
+# the seed sequence's second entropy word: layout 7, which keyed the stream (layout 8
+# moved only max-min's count rows, so every other row kept its words)
+_STREAM_KEY = 7
 
 # a counted hop reads cap = min(n - 1, ceil(mean + _CAP_SIGMAS sd) + _CAP_PAD) jammer words,
 # mean and sd those of its Bin(n - 1, p) count; count rows are drawn from n = _COUNT_ROWS_FROM
@@ -130,14 +133,14 @@ def _thread_generator() -> np.random.Generator:
 def _base_state(seed: int, overflow: bool = False) -> dict:
     """PCG64DXSM's state at word 0 of the stream of `seed`, in [0, 2**64), or of its
     overflow key; read-only."""
-    return np.random.PCG64DXSM(np.random.SeedSequence([seed, _LAYOUT, 1][:2 + overflow])).state
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, _STREAM_KEY, 1][:2 + overflow])).state
 
 
 class SeedStream:
     """The random stream of one seed: PCG64DXSM (O'Neill 2014), read by word offset.
 
     Word 0 is the state of PCG64DXSM seeded by SeedSequence([seed mod 2**64,
-    7]) (7 is the stream layout), or by SeedSequence([seed mod 2**64, 7, 1])
+    7]) (7 is the layout that keyed the stream), or by SeedSequence([seed mod 2**64, 7, 1])
     for the overflow key. A table whose rows read `words` words each has row
     width W = `words`, no padding: row r owns words [r W, (r + 1) W). So any
     range of rows is drawn by setting the base state, advancing it r W words
@@ -209,26 +212,27 @@ class ScenarioConfig:
 
 @functools.lru_cache(maxsize=256)
 def _layout(n: int, maxmin: bool, independent: bool, cap: int | None) -> MappingProxyType:
-    """Field -> its columns among a trial's words (stream layout 7; see `sample_realization`).
+    """Field -> its columns among a trial's words (stream layout 8; see `sample_realization`).
 
     Cached per (n, rule, leg mode, cap) and shared by every block, so read-only.
     """
     if cap is None:  # per-relay rows
         head = [("s_r", n)] + [("r_d", n)] * independent if maxmin else [("pick", 1), ("s_r", 1)]
         body = [("to_relay", n - 1), ("r_d2", n)]
-    else:  # count rows: hop 2 is counted too unless max-min selection read its words
-        counted = 1 if maxmin and not independent else 2
-        head = [("s_r", n), ("r_d", n)] if maxmin else [("s_r", 1)]
-        body = [("r_d2", 1)] * (counted - 1) + [("draws", counted + 1), ("jam", counted * cap)]
+    else:  # count rows: max-min's head is its relay's min, its side and the other's excess
+        head = [("best", 1), ("side", 1), ("s_r", 1)] if maxmin else [("s_r", 1)]
+        shared_best = maxmin and not independent  # hop 2's signal and jammers read M
+        body = [("r_d2", 1)] * (not shared_best) + [("draws", 3 + shared_best), ("jam", 2 * cap)]
     fields, o = {}, 0
     for name, size in head + body + [("eve", 3)]:
         fields[name], o = slice(o, o + size), o + size
-    fields.setdefault("r_d", fields.get("r_d2"))
-    fields.setdefault("r_d2", fields["r_d"])
+    if "best" in fields:  # shared legs: hop 2's signal is on the larger side too, the same excess
+        fields.setdefault("r_d2", fields["s_r"])
+    else:
+        fields.setdefault("r_d", fields.get("r_d2"))
+        fields.setdefault("r_d2", fields["r_d"])
     if cap is None:
         fields["receivers"] = slice(fields["to_relay"].start, fields["r_d2"].stop)
-    elif counted == 1:
-        fields["receivers"] = fields["r_d"]
     return MappingProxyType(fields)
 
 
@@ -239,8 +243,8 @@ def trial_words(config: ScenarioConfig, *, maxmin: bool, independent: bool,
 
     On per-relay rows (`cap` None) random selection reads 2n + 4 words in
     either leg mode, and max-min 3n + 2, 4n + 2 with independent legs. On
-    count rows random selection reads 2 cap + 8, and max-min 2n + cap + 5,
-    2n + 2 cap + 7 with independent legs.
+    count rows random selection reads 2 cap + 8 and max-min 2 cap + 10, in
+    either leg mode.
     """
     return _layout(config.n, maxmin, independent, cap)["eve"].stop
 
@@ -259,13 +263,14 @@ def sample_realization(config: ScenarioConfig, stream: SeedStream, lo: int, hi: 
     fresh r_d. Random selection reads no r_d before hop 2, so its two leg
     modes read the same words.
 
-    Count rows (`cap` is not None): the head is s_r and r_d (n each)
-    under max-min, the relay's s_r under random selection, which draws no
-    relay index; then the relay's hop-2 signal word r_d2 unless max-min with
-    shared legs reads r_d; then the count words `draws`: K2's unless hop 2's
-    set is decided on r_d, and hop 1's two; then `cap` jammer words a counted
-    hop, then three eavesdropper uniforms. Random selection's two leg modes
-    read the same words here too.
+    Count rows (`cap` is not None) draw no relay index. The head is the
+    relay's s_r under random selection; under max-min it is the words
+    best, side and s_r (`ChannelRealization.best`). Then the relay's hop-2
+    signal word r_d2, unless max-min with shared legs reads it from the
+    head and draws a second K2 word in its place; then the count words
+    `draws`, K2's (one or two) and hop 1's two; then `cap`
+    jammer words a hop, then three eavesdropper uniforms. Random selection's
+    two leg modes read the same words here too.
     """
     words = _layout(config.n, maxmin, independent, cap)["eve"].stop
     return ChannelRealization(n=config.n, maxmin=maxmin, independent=independent,
@@ -281,19 +286,23 @@ class ChannelRealization:
     for the reciprocal power gain -log1p(-u) between two nodes:
 
     "pick"       random selection's relay-index uniform, not a gain (see `pick`)
-    "s_r"        S <-> R_j; under random selection the picked relay's only
+    "s_r"        S <-> R_j; under random selection the picked relay's only; on max-min's
+                 count rows the excess of its relay's larger gain over the smaller, M
     "to_relay"   R_j <-> the trial's relay, j increasing, that relay left out
-    "r_d"        R_j <-> D, as max-min selection reads it
+    "r_d"        R_j <-> D, as max-min selection reads it (per-relay rows)
     "r_d2"       R_j <-> D on hop 2: r_d, but a fresh draw under max-min with independent legs;
-                 on count rows only the relay's own unless max-min with shared legs
+                 on count rows only the relay's own, under max-min with shared legs the
+                 excess word s_r
+    "best"       max-min's count rows: the uniform of M, its relay's min(s_r, r_d) (`best`)
+    "side"       max-min's count rows: below 1/2 iff M is the relay's s_r, else its r_d
     "eve"        u0, u1, u2: each hop's first interceptor (`protocols._first_hits`)
-    "receivers"  the per-relay jammer words: on per-relay rows to_relay then r_d2, hop 1's
-                 n - 1 words, then relay j's hop-2 word at column n - 1 + j; on count
-                 rows of max-min with shared legs r_d, relay j's at column j
-    "draws"      count rows: the uniforms that K2 ~ Bin(n - 1, p) (when hop 2 is counted),
-                 then k ~ Bin(K2, p) and K1 - k ~ Bin(n - 1 - K2, p) invert
-    "jam"        count rows: `cap` words of hop 1's jammer gains, then hop 2's if counted;
-                 each u stands for the gain -log1p(-u p) below tau, p = 1 - e^-tau
+    "receivers"  per-relay rows' jammer words, to_relay then r_d2: hop 1's n - 1 words,
+                 then relay j's hop-2 word at column n - 1 + j
+    "draws"      count rows: the uniforms that K2 (two under max-min with shared legs), then
+                 k ~ Bin(K2, p) and K1 - k ~ Bin(n - 1 - K2, p) invert
+                 (`protocols._counted_jammers`)
+    "jam"        count rows: `cap` words of hop 1's jammer gains, then hop 2's; each u
+                 stands for the gain -log1p(-u p) below tau, p = 1 - e^-tau
 
     A count-row trial whose count passes `cap` reads its other jammer words
     from its own row of `stream`'s overflow key.
@@ -314,6 +323,26 @@ class ChannelRealization:
 
     def __getitem__(self, field: str) -> np.ndarray:
         return self.words[:, self.layout[field]]
+
+    @functools.cached_property
+    def best(self) -> np.ndarray | None:
+        """(T,) M, max-min's relay's min(s_r, r_d), on count rows; else None.
+
+        Each relay's min(s_r, r_d) is Exp(2), so P(M <= x) = (1 - e^-2x)^n
+        (David & Nagaraja, Order Statistics, 2003): the "best" uniform u gives
+        x = -log(-expm1(log(u) / n)) / 2, a numpy ufunc a step as in `gain`.
+        The relay's other gain is M plus an Exp(1) excess (the s_r word).
+        """
+        if not self.maxmin or self.cap is None:
+            return None
+        with np.errstate(divide="ignore"):  # u = 0: log(0) = -inf, and M = 0
+            x = np.log(self["best"][:, 0])
+        x /= self.n
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        x *= -0.5
+        return x
 
     @property
     def pick(self) -> np.ndarray | None:

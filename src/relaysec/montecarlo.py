@@ -2,7 +2,7 @@
 
 Trials are embarrassingly parallel: trial t reads a fixed range of words of
 the seed's PCG64DXSM stream, reached by advancing the generator (stream
-layout 7, see `channel.SeedStream`), so a run can be split across any number of
+layout 8, see `channel.SeedStream`), so a run can be split across any number of
 workers and merged back into counts that are bit-identical to a
 single-worker run. `OutageEstimate.proportion(key)` reads a count as a
 proportion with its Wilson 95% interval, which stays honest at the extreme
@@ -93,7 +93,9 @@ def _blocks(config: ScenarioConfig, kind: str, tau: float, start: int, stop: int
     for lo in range(start, stop, size):
         real = sample_realization(config, stream, lo, min(lo + size, stop),
                                   maxmin=maxmin, independent=independent, cap=cap)
-        selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin else real.pick
+        # max-min's count rows draw their relay's gains from the law of the maximum, no index
+        selected = select_relay_optimal(real["s_r"], real["r_d"]) if maxmin and cap is None \
+            else real.pick
         yield execute_two_hop(real, selected, tau, config)
 
 
@@ -350,11 +352,11 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     selection freeze onto one relay per epoch while random selection keeps
     rotating. Only selection is simulated; no jamming threshold is needed.
 
-    Max-min reads epoch e from row e of the seed's stream (`SeedStream`): s_r
-    and r_d (2n words), one selection that counts once a slot, and a block of
-    epochs is one bincount; a short last epoch counts its slots only. Random
-    selection reads slot s's relay floor(u n) from word s, `_BLOCK_WORDS`
-    slots a block.
+    Each pick is a relay floor(u n) from one word of the seed's stream
+    (`SeedStream`), `_BLOCK_WORDS` picks a block: slot s's from word s under
+    random selection, epoch e's from word e under max-min, whose pick is
+    uniform in law, as every relay's s_r and r_d have one law. A max-min pick
+    counts once a slot of its epoch; a short last epoch counts its slots only.
 
     `constant_within_epochs` is always true for max-min, which picks from
     one draw per epoch; it tells you something only for random selection.
@@ -365,25 +367,19 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     epochs = (slots + epoch_len - 1) // epoch_len
     stream = SeedStream(seed)
     counts = np.zeros(n, dtype=np.int64)
-    constant = True
-    if protocol.kind == "optimal-maxmin":
-        span = min(epoch_len, slots)  # the slots of each epoch but a short last one
-        size = max(1, _BLOCK_WORDS // (2 * n))
-        for lo in range(0, epochs, size):
-            u = stream.uniforms(lo, min(lo + size, epochs), 2 * n)
-            selected = select_relay_optimal(u[:, :n], u[:, n:])
-            counts += span * np.bincount(selected, minlength=n)
-        counts[selected[-1]] -= epochs * span - slots  # the short last epoch's missing slots
-    else:
-        for lo in range(0, slots, _BLOCK_WORDS):
-            u = stream.uniforms(lo, min(lo + _BLOCK_WORDS, slots), 1)[:, 0]
-            picks = (u * n).astype(np.intp)
-            counts += np.bincount(picks, minlength=n)
-            if constant:  # a relay may differ from the slot before's only where an epoch begins
-                moved = picks[1:] != picks[:-1]  # entry i: slot lo + 1 + i
-                moved[(-lo - 1) % epoch_len::epoch_len] = False
-                constant = not (moved.any() or lo % epoch_len and picks[0] != last)
-            last = picks[-1]  # the relay of the next block's slot before
+    maxmin = protocol.kind == "optimal-maxmin"
+    constant = True  # max-min picks once an epoch, each pick counting `span` slots
+    picks_made, span = (epochs, min(epoch_len, slots)) if maxmin else (slots, 1)
+    for lo in range(0, picks_made, _BLOCK_WORDS):
+        u = stream.uniforms(lo, min(lo + _BLOCK_WORDS, picks_made), 1)[:, 0]
+        picks = (u * n).astype(np.intp)
+        counts += span * np.bincount(picks, minlength=n)
+        if constant and not maxmin:  # a relay may differ from the slot before's at epochs only
+            moved = picks[1:] != picks[:-1]  # entry i: slot lo + 1 + i
+            moved[(-lo - 1) % epoch_len::epoch_len] = False
+            constant = not (moved.any() or lo % epoch_len and picks[0] != last)
+        last = picks[-1]  # the relay of the next block's slot before, or the last epoch's
+    counts[last] -= picks_made * span - slots  # max-min's short last epoch's missing slots
     c = counts.astype(float)
     total = c.sum()
     return LoadBalanceStats(selection_counts=tuple(counts.tolist()),

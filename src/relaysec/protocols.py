@@ -17,9 +17,11 @@ jammers' words, counts and overlap, and one outcome stage computes only the
 gains an SINR reads and reduces the block to a few numbers per trial, which
 `classify_outage` counts under every name of `COUNT_KEYS`. Each constant
 a stage reads comes from a cache keyed on what it depends on: u_tau on tau
-(`channel._uniform_threshold`), the intercept law's powers on n, gamma_e,
-nu and the leg mode (`_law_powers`), and the columns of a block's fields on
-its layout (`ChannelRealization.layout`).
+(`channel._uniform_threshold`), the intercept law's powers on the counts'
+range, gamma_e, nu and the leg mode (`_law_powers`), and the columns of a
+block's fields on its layout (`ChannelRealization.layout`). On count rows
+max-min has no relay index: the law of the maximum gives its relay's gains
+and, with shared legs, hop 2's jammer law (`_counted_jammers`).
 
 An eavesdropper's gains are independent of every legitimate gain and enter
 its outcome only through the two jammer sets, so three uniforms a trial give
@@ -30,7 +32,6 @@ ch. V): every count keeps the law a simulation of their gains gives it.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ class TransmissionRecord(NamedTuple):
 
     `jammers_both` is None with independent legs: the intercept law reads the
     overlap |J1 & J2| only when both hops share one channel. `selected_relay`
-    is None under random selection on count rows, which draws no relay index.
+    is None on count rows, which draw no relay index.
     """
 
     selected_relay: np.ndarray | None  # (T,) relay index, or None
@@ -91,17 +92,15 @@ def select_relay_optimal(s_r: np.ndarray, r_d: np.ndarray) -> np.ndarray:
 
 
 def jammer_set(real: ChannelRealization, selected: np.ndarray, tau: float) -> np.ndarray:
-    """Mask over real["receivers"]: the per-relay words whose relays jam.
+    """(T, 2n - 1) mask over per-relay rows' real["receivers"]: the words whose relays jam.
 
-    On per-relay rows it is (T, 2n - 1): columns [0, n - 1) are hop 1's words
-    (to_relay) and column n - 1 + j is relay j's hop-2 word. On count rows of
-    max-min with shared legs it is (T, n), relay j's hop-2 word at column j.
-    A relay jams a hop when its gain toward the hop's receiver is below tau,
-    its uniform below u_tau (`channel._uniform_threshold`); the selected
-    relay never jams.
+    Columns [0, n - 1) are hop 1's words (to_relay) and column n - 1 + j is
+    relay j's hop-2 word. A relay jams a hop when its gain toward the hop's
+    receiver is below tau, its uniform below u_tau
+    (`channel._uniform_threshold`); the selected relay never jams.
     """
     jam = real["receivers"] < _uniform_threshold(tau)
-    jam[np.arange(len(selected)), selected + (real.n - 1 if real.cap is None else 0)] = False
+    jam[np.arange(len(selected)), selected + real.n - 1] = False
     return jam
 
 
@@ -146,16 +145,16 @@ def _powers(base: float, top: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _law_powers(n: int, gamma_e: float, nu: float, shared: bool) -> tuple[np.ndarray, ...]:
-    """The read-only tables the intercept law reads, up to the largest exponent a trial reaches.
+def _law_powers(top: int, gamma_e: float, nu: float, shared: bool) -> tuple[np.ndarray, ...]:
+    """The read-only tables the intercept law reads, for jammer counts up to `top`.
 
-    With nu and q as in `intercept_law`: ab = nu q^j for j = 0..n - 1, so
+    With nu and q as in `intercept_law`: ab = nu q^j for j = 0..top, so
     A = ab[K1] and B = ab[K2]; with shared legs also c = nu^2 q^j for
-    j = 0..2n - 2 and r = (1 + 2 gamma_e)^-j for j = 0..n - 1, so
+    j = 0..2 top and r = (1 + 2 gamma_e)^-j for j = 0..top, so
     C = c[K1 + K2 - 2k] r[k]. Each power is one Python float power (`_powers`).
     """
-    q = _powers(1.0 / (1.0 + gamma_e), 2 * n - 2 if shared else n - 1)
-    tables = ((nu * q[:n], nu * nu * q, _powers(1.0 / (1.0 + 2.0 * gamma_e), n - 1))
+    q = _powers(1.0 / (1.0 + gamma_e), 2 * top if shared else top)
+    tables = ((nu * q[:top + 1], nu * nu * q, _powers(1.0 / (1.0 + 2.0 * gamma_e), top))
               if shared else (nu * q,))
     for table in tables:
         table.flags.writeable = False
@@ -174,11 +173,13 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: Scenario
     C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
     C = A B, and `both` is None. An SINR Es g / (Es I + N0/2) reaches
     gamma_e iff g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent
-    of I. The powers come from `_law_powers`.
+    of I. The powers come from `_law_powers`, up to the block's largest
+    count rounded up to 2^j - 1, so a run builds a few small tables
+    whatever its n.
     """
     ge = config.gamma_e  # inf: no eavesdropper decodes, in either noise mode
     nu = 0.0 if math.isinf(ge) else math.exp(-ge * config.noise_term / config.es)
-    ab, *joint = _law_powers(config.n, ge, nu, both is not None)
+    ab, *joint = _law_powers((1 << int(jammers.max()).bit_length()) - 1, ge, nu, both is not None)
     k1, k2 = jammers.T
     a, b = ab[k1], ab[k2]
     if both is None:
@@ -211,22 +212,34 @@ def _first_hits(eve: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return np.fmin(hits, max(m + 1.0, math.nextafter(m, math.inf)), out=hits).T
 
 
-def _binomial_cdf(size: int, tau: float, top: int) -> np.ndarray:
+def _binomial_cdf(size: int, tau: float, top: int, log_fact) -> np.ndarray:
     """F(k) = P(Bin(size, p) <= k) for k = 0..top, p = 1 - e^-tau, from math scalars.
 
-    Each pmf term is one math.exp of lgammas and logs, added in k order (at
-    most 1); F is 1 from k = size on, and everywhere at p = 0. The terms come
-    from `math`, not numpy's vectorised exp, so a table does not depend on
-    where an entry sits in an array.
+    Each pmf term is one math.exp of lgammas (log_fact[j] = lgamma(j + 1))
+    and logs, added in k order (at most 1); F is 1 from k = size on, and
+    everywhere at p = 0. The terms come from `math`, not numpy's vectorised
+    exp, so a table does not depend on where an entry sits in an array.
     """
     cdf = np.ones(top + 1)
     if tau > 0.0:
-        log_p, head, total = math.log(-math.expm1(-tau)), math.lgamma(size + 1), 0.0
+        log_p, head, total = math.log(-math.expm1(-tau)), log_fact[size], 0.0
         for k in range(min(top + 1, size)):
-            total += math.exp(head - math.lgamma(k + 1) - math.lgamma(size - k + 1)
+            total += math.exp(head - log_fact[k] - log_fact[size - k]
                               + k * log_p - (size - k) * tau)
             cdf[k] = min(total, 1.0)
     return cdf
+
+
+def _invert_on(size: int, log_p: float, log_q: float, u: float, k: int = -1,
+               total: float = 0.0) -> int:
+    """#{j : F(j) <= u} for Bin(size, p), log_p = log p and log_q = log(1 - p), given
+    F(k) = total <= u: `_binomial_cdf`'s terms added on in j order until F passes u."""
+    head = math.lgamma(size + 1)
+    while total <= u and k < size:
+        k += 1
+        total += math.exp(head - math.lgamma(k + 1) - math.lgamma(size - k + 1)
+                          + k * log_p + (size - k) * log_q)
+    return k
 
 
 @functools.lru_cache(maxsize=16)
@@ -234,19 +247,60 @@ def _count_tables(n: int, tau: float, cap: int) -> np.ndarray:
     """(cap + 1, 2, cap + 1) read-only inversion tables of count rows, by K2 = 0..cap.
 
     [K2, 0] is Bin(K2, p)'s CDF and [K2, 1] Bin(n - 1 - K2, p)'s, at k = 0..cap
-    (`_binomial_cdf`); [0, 1] is K2's own law, Bin(n - 1, p). A uniform u
-    inverts to #{k : F(k) <= u}, and cap + 1 means past cap.
+    (`_binomial_cdf`, each lgamma computed once); [0, 1] is K2's own law,
+    Bin(n - 1, p). A uniform u inverts to #{k : F(k) <= u}, and cap + 1
+    means past cap, where `_invert_on` carries on.
     """
-    table = np.array([(_binomial_cdf(k2, tau, cap), _binomial_cdf(n - 1 - k2, tau, cap))
-                      for k2 in range(cap + 1)])
+    log_fact = {j: math.lgamma(j + 1) for j in (*range(cap + 1), *range(n - 1 - 2 * cap, n))}
+    table = np.array([(_binomial_cdf(k2, tau, cap, log_fact),
+                       _binomial_cdf(n - 1 - k2, tau, cap, log_fact)) for k2 in range(cap + 1)])
     table.flags.writeable = False
     return table
 
 
-@functools.lru_cache(maxsize=256)
-def _full_cdf(size: int, tau: float) -> list:
-    """Bin(size, p)'s whole CDF (`_binomial_cdf`), for the counts past a table's cap."""
-    return _binomial_cdf(size, tau, size).tolist()
+def _extra_chance(x: np.ndarray, tau: float, low) -> np.ndarray:
+    """(T,) r = (q - p) / (1 - p), q(x) the chance that a relay jams hop 2 given max-min's
+    M = x (shared legs), so that Bin(n - 1, q) is Bin(n - 1, p) + Bin(n - 1 - that, r).
+
+    Every other relay's min(s_r, r_d) is at most x, so q = P(r_d < tau |
+    min <= x) = (p - e^-x max(0, e^-x - e^-tau)) / (1 - e^-2x): r is
+    (e^tau - 1) / (e^2x - 1), a numpy ufunc a step, but for the trials
+    `low`, where x < tau, 1 / (1 + e^x) from math scalars.
+    """
+    r = np.multiply(x, 2.0)
+    np.expm1(r, out=r)
+    np.divide(math.expm1(tau), r, out=r, where=r > 0.0)  # x = 0: below tau, or tau = 0
+    for i in low:
+        r[i] = 1.0 / (1.0 + math.exp(x[i]))
+    return r
+
+
+def _binomial_invert(size: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(T,) Bin(size[t], r[t]) by inversion of u[t]: F(0) = (1 - r)^size is a numpy ufunc a
+    step, as in `gain`, and where u passes it `_invert_on` carries on."""
+    f0 = np.negative(r)
+    np.log1p(f0, out=f0)
+    f0 *= size
+    np.exp(f0, out=f0)
+    k = np.zeros(len(r), dtype=np.intp)
+    for i in np.nonzero(u >= f0)[0].tolist():
+        k[i] = _invert_on(int(size[i]), math.log(r[i]), math.log1p(-r[i]), u[i], 0, f0[i])
+    return k
+
+
+def _hop2_words(v: np.ndarray, x: float, tau: float) -> np.ndarray:
+    """Words w whose gains -log1p(-w) are r_d given r_d < tau and min(s_r, r_d) <= x < tau,
+    from uniforms v: a hop-2 jammer's gain under max-min with shared legs at M = x.
+
+    With a = 1 - e^-x, P(r_d <= y, min <= x) is 1 - e^-y up to y = x and
+    a + a (e^-x - e^-y) on to tau, where it is z = a (1 + e^-x - e^-tau):
+    so w = v z up to a, and a + (v z - a) / a past it.
+    """
+    a = -math.expm1(-x)
+    w = v * (a * (1.0 + math.exp(-x) - math.exp(-tau)))
+    over = w > a
+    w[over] = a + (w[over] - a) / a
+    return w
 
 
 def _per_relay_jammers(real: ChannelRealization, selected: np.ndarray, tau: float):
@@ -272,54 +326,55 @@ def _per_relay_jammers(real: ChannelRealization, selected: np.ndarray, tau: floa
     return [real["receivers"][row, col]], cell, sizes, both
 
 
-def _counted_jammers(real: ChannelRealization, selected: np.ndarray | None, tau: float):
+def _counted_jammers(real: ChannelRealization, selected: None, tau: float):
     """Count rows' jammer words, their cells, counts and overlap (see `execute_two_hop`).
 
-    A counted hop's jammer count inverts its uniform of real["draws"]
-    (`_count_tables`): K2 ~ Bin(n - 1, p), unless max-min with shared legs
-    decided hop 2's set on r_d (`jammer_set`), then k = |J1 & J2| ~
-    Bin(K2, p) and K1 - k ~ Bin(n - 1 - K2, p), as each relay jams a hop
-    independently with p = 1 - e^-tau. The first K of its `cap` jammer
-    words u give the words u p, whose gains -log1p(-u p) are Exp(1)
-    truncated below tau. A trial whose count passes cap finds it from the
-    whole CDF (`_full_cdf`); its other jammer words, in order, from its row
-    of the overflow key, come after all the others.
+    Each relay jams a hop independently with p = 1 - e^-tau, so a hop's
+    jammer count inverts its uniforms of real["draws"] (`_count_tables`):
+    K2 ~ Bin(n - 1, p), then k = |J1 & J2| ~ Bin(K2, p) and K1 - k ~
+    Bin(n - 1 - K2, p). Under max-min with shared legs a relay jams hop 2
+    with q(M) > p, and K2 adds Bin(n - 1 - K2, r(M)) from its second word
+    (`_extra_chance`, `_binomial_invert`). The first K of a hop's `cap`
+    jammer words u give the words u p, whose gains -log1p(-u p) are Exp(1)
+    truncated below tau (hop 2's from `_hop2_words` where M < tau). A count
+    past cap carries on past the table (`_invert_on`); its other jammer
+    words, in order, from its row of the overflow key, come after all the
+    others. Count rows hold no relay index: `selected` is None.
     """
     t, n, cap = len(real.words), real.n, real.cap
     p = -math.expm1(-tau)
     table = _count_tables(n, tau, cap)
     draws = real["draws"]
-    counted = 1 if "receivers" in real.layout else 2  # hop 2 decided relay by relay, or counted
+    x = real.best if real.maxmin and not real.independent else None  # hop 2 reads M
+    low = [] if x is None or x.min() >= tau else np.flatnonzero(x < tau).tolist()  # rare
     sizes = np.empty((t, 2), dtype=np.intp)  # K1, K2
     k2 = sizes[:, 1]
-    if counted == 2:
-        k2[:] = (table[0, 1] <= draws[:, :1]).sum(axis=1)
-    else:
-        row2, col2 = np.divmod(np.flatnonzero(jammer_set(real, selected, tau)), n)
-        k2[:] = np.bincount(row2, minlength=t)
+    k2[:] = (table[0, 1] <= draws[:, :1]).sum(axis=1)
+    if k2.max() > cap:  # rare: a count past cap
+        for i in np.flatnonzero(k2 > cap).tolist():
+            k2[i] = _invert_on(n - 1, math.log(p), -tau, draws[i, 0], cap, table[0, 1, cap])
+    if x is not None:  # Bin(n - 1, q(M)) = Bin(n - 1, p) + Bin(n - 1 - that, r(M))
+        k2 += _binomial_invert(n - 1 - k2, _extra_chance(x, tau, low), draws[:, 1])
     split = (table[np.minimum(k2, cap)] <= draws[:, -2:, None]).sum(axis=2)  # k, K1 - k
     sizes[:, 0] = split.sum(axis=1)
-    past = sizes.max() > cap  # rare: a count past cap, exact only from the whole CDF
+    past = sizes.max() > cap
     if past:
         for i in np.flatnonzero((k2 > cap) | (split[:, 1] > cap)):
-            u = draws[i].tolist()
-            if counted == 2:
-                k2[i] = bisect.bisect_right(_full_cdf(n - 1, tau), u[0])
-            split[i] = [bisect.bisect_right(_full_cdf(size, tau), x)
-                        for size, x in ((int(k2[i]), u[-2]), (n - 1 - int(k2[i]), u[-1]))]
+            split[i] = [_invert_on(size, math.log(p), -tau, v) for size, v in
+                        ((int(k2[i]), draws[i, -2]), (n - 1 - int(k2[i]), draws[i, -1]))]
             sizes[i, 0] = split[i].sum()
-    # flat index (trial, hop, word) of each counted jammer's word: with both hops counted,
-    # flat // cap is its cell
-    flat = np.flatnonzero(np.arange(cap) < sizes[:, :counted, None])
+    # flat index (trial, hop, word) of each jammer's word: flat // cap is its cell
+    flat = np.flatnonzero(np.arange(cap) < sizes[:, :, None])
     words, cell = [real["jam"].reshape(-1)[flat] * p], flat // cap
-    if counted == 1:
-        words.append(real["receivers"][row2, col2])
-        cell = np.concatenate((cell * 2, row2 * 2 + 1))
+    for i in low:  # M < tau: hop 2's jammers have min(s_r, r_d) <= M too
+        mine = cell == 2 * i + 1
+        words[0][mine] = _hop2_words(real["jam"].reshape(-1)[flat[mine]], float(x[i]), tau)
     if past:
-        for i, h in zip(*np.nonzero(sizes[:, :counted] > cap)):
-            key = real.stream.uniforms(real.first + i, real.first + i + 1,
-                                       counted * (n - 1 - cap), overflow=True)
-            words.append(key[0, h * (n - 1 - cap):][:sizes[i, h] - cap] * p)
+        for i, h in zip(*np.nonzero(sizes > cap)):
+            key = real.stream.uniforms(real.first + i, real.first + i + 1, 2 * (n - 1 - cap),
+                                       overflow=True)
+            extra = key[0, h * (n - 1 - cap):][:sizes[i, h] - cap]
+            words.append(_hop2_words(extra, float(x[i]), tau) if h and i in low else extra * p)
             cell = np.concatenate((cell, np.full(sizes[i, h] - cap, 2 * i + h)))
     return words, cell, sizes, None if real.independent else split[:, 0]
 
@@ -330,12 +385,14 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray | None, tau: 
 
     Hop 1: S transmits to the selected relay, hop 2 the relay to D over
     r_d2, each jammed by its set. The row format's reader
-    (`_per_relay_jammers` or `_counted_jammers`, where random selection has
-    no relay and `selected` is None) gives the jammers' words, each word's
+    (`_per_relay_jammers` or `_counted_jammers`, where no relay index is
+    drawn and `selected` is None) gives the jammers' words, each word's
     cell 2 trial + hop, the (T, 2) counts K1, K2 and, with shared legs, the
     overlap k = |J1 & J2|. Each SINR is Es g / (Es I + N0/2), I the
     jammers' gains added in the reader's order, and g the selected relay's
-    own word of s_r and r_d2 (a one-column field holds only that word).
+    own word of s_r and r_d2 (a one-column field holds only that word); on
+    max-min's count rows that word is the excess, and g is M plus it on the
+    relay's larger side, M on the other (`ChannelRealization.best`).
     `_first_hits` gives each hop's first interceptor from `intercept_law`'s
     A, B and C: for every m each hop has its exact marginal and the pair its
     exact joint law.
@@ -349,9 +406,17 @@ def execute_two_hop(real: ChannelRealization, selected: np.ndarray | None, tau: 
     # the jammers' gains, then the signals' (hop 1's, then hop 2's)
     gains = gain(np.concatenate((*words, *signals)))
     sums = np.bincount(cell, weights=gains[:-2 * t], minlength=2 * t).reshape(t, 2)
+    signal = gains[-2 * t:].reshape(2, t)
+    if real.maxmin and real.cap is not None:  # the excess words: the larger side is M + excess
+        s_larger = real["side"][:, 0] >= 0.5
+        signal[0] *= s_larger
+        signal[0] += real.best
+        if not real.independent:  # hop 2 reads r_d, the other side
+            signal[1] *= ~s_larger
+            signal[1] += real.best
     a, b, c = intercept_law(sizes, both, config)
     return TransmissionRecord(selected_relay=selected, jammers=sizes, jammers_both=both,
-                              sinr=sinr_many(gains[-2 * t:].reshape(2, t).T, sums, config),
+                              sinr=sinr_many(signal.T, sums, config),
                               first_hit=_first_hits(real["eve"], a, b, c, config.m))
 
 

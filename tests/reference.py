@@ -1,10 +1,10 @@
 """The one reference the tests hold relaysec to, from the model as the README states it.
 
-It imports nothing from relaysec. It holds the layout-7 stream (`stream_words`),
+It imports nothing from relaysec. It holds the layout-8 stream (`stream_words`),
 its per-relay rows (`decode`) for the two-hop protocol over (T, n) gain arrays
 (`two_hop`), its count rows (`count_cap`, `count_hops`) with their own binomial
-tables, and the first-hit law (`intercept_law`, `first_hits`); configs are read
-by attribute.
+tables and max-min's head from the law of the maximum (`best`), and the
+first-hit law (`intercept_law`, `first_hits`); configs are read by attribute.
 """
 
 import bisect
@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-# T transmissions: (T,) relays (None under random selection on count rows),
+# T transmissions: (T,) relays (None on count rows),
 # (T, n) masks of the relays that jam hop 1 and hop 2 (None on count rows),
 # (T, 2) SINRs at the relay and at D, (T, 2) K1, K2 and (T,) k = |J1 & J2|
 Hops = namedtuple("Hops", "selected jam1 jam2 sinr jammers both")
@@ -23,7 +23,7 @@ Hops = namedtuple("Hops", "selected jam1 jam2 sinr jammers both")
 def stream_words(seed, first_word, words, overflow=False):
     """Uniforms u = (x >> 11) 2**-53 of the words x [first_word, first_word + words) of seed's
     stream, the outputs of a fresh PCG64DXSM seeded by SeedSequence([seed mod 2**64, 7]), or
-    with `overflow` by SeedSequence([seed mod 2**64, 7, 1])."""
+    with `overflow` by SeedSequence([seed mod 2**64, 7, 1]) (layout 8 kept layout 7's key)."""
     key = [seed & (1 << 64) - 1, 7] + [1] * overflow
     bits = np.random.PCG64DXSM(np.random.SeedSequence(key))
     bits.advance(first_word)
@@ -43,8 +43,7 @@ def count_cap(n, tau):
 def trial_words(n, maxmin, independent, cap=None):
     """W by the README table: the words a trial reads, on per-relay rows or with `cap`."""
     if cap is not None:
-        return (2 * n + cap + 5 if not independent else 2 * n + 2 * cap + 7) if maxmin \
-            else 2 * cap + 8
+        return 2 * cap + (10 if maxmin else 8)
     return (3 * n - 1 if maxmin else 2 * n + 1) + (n if maxmin and independent else 0) + 3
 
 
@@ -65,16 +64,21 @@ def decode(seed, trials, n, maxmin, independent):
     return (s_r, r_d2, toward, r_d2, pick), u[:, -3:]
 
 
+def pmf_term(size, k, log_p, log_q):
+    """P(Bin(size, p) = k) from log p and log(1 - p): one math.exp of lgammas and logs."""
+    return math.exp(math.lgamma(size + 1) - math.lgamma(k + 1) - math.lgamma(size - k + 1)
+                    + k * log_p + (size - k) * log_q)
+
+
 @functools.lru_cache(maxsize=None)
 def binomial_cdf(size, tau):
-    """P(Bin(size, p) <= k) for k = 0..size, p = 1 - e^-tau: each pmf term one math.exp of
-    lgammas and logs, added in k order and capped at 1; 1 from k = size on, and at p = 0."""
+    """P(Bin(size, p) <= k) for k = 0..size, p = 1 - e^-tau: pmf terms (`pmf_term`) added in
+    k order and capped at 1; 1 from k = size on, and at p = 0."""
     if tau == 0.0:
         return [1.0] * (size + 1)
     log_p, total, cdf = math.log(-math.expm1(-tau)), 0.0, []
     for k in range(size):
-        total += math.exp(math.lgamma(size + 1) - math.lgamma(k + 1) - math.lgamma(size - k + 1)
-                          + k * log_p - (size - k) * tau)
+        total += pmf_term(size, k, log_p, -tau)
         cdf.append(min(total, 1.0))
     return cdf + [1.0]
 
@@ -84,53 +88,95 @@ def invert(size, tau, u):
     return bisect.bisect_right(binomial_cdf(size, tau), u)
 
 
-def count_hops(seed, trials, n, tau, maxmin, independent, config, cap=None):
-    """T transmissions (`Hops`) of trials [0, trials) of seed's count rows, and their (T, 3)
-    eavesdropper uniforms; `cap` overrides the switch's.
+def best(u, n):
+    """Max-min's relay's min(s_r, r_d) from its uniform u: (1 - e^-2x)^n = u, in log space."""
+    with np.errstate(divide="ignore"):
+        return -0.5 * np.log(-np.expm1(np.log(u) / n))
 
-    A row is s_r and r_d (n each) under max-min, the relay's s_r under random
-    selection; the relay's fresh hop-2 word unless max-min with shared legs
-    reads r_d; K2's word (unless r_d decides hop 2's set), then k's and
-    K1 - k's; cap jammer words a counted hop; three eavesdropper words. A
-    counted hop's jammers have gains -log1p(-u p), added in word order, the
-    words past cap from the trial's row of the overflow key.
+
+def extra_chance(x, tau):
+    """r(x) = (q - p) / (1 - p), q(x) the chance that another relay jams hop 2 given max-min's
+    min is x: (e^tau - 1) / (e^2x - 1) for x >= tau (0 where that is 0 / 0), 1 / (1 + e^x) below."""
+    e = np.expm1(2.0 * x)
+    r = np.divide(math.expm1(tau), e, out=np.zeros_like(e), where=e > 0.0)
+    return np.where(x < tau, [1.0 / (1.0 + math.exp(v)) for v in x], r)
+
+
+def invert_extra(size, r, f0, u):
+    """Bin(size, r) by inversion of u, F(0) = f0 given: further pmf terms (`pmf_term`) added in
+    k order until F passes u."""
+    k, total = 0, float(f0)
+    while total <= u and k < size:
+        k += 1
+        total += pmf_term(size, k, math.log(r), math.log1p(-r))
+    return k
+
+
+def hop2_words(v, x, tau):
+    """Words whose gains -log1p(-w) are r_d given r_d < tau and min(s_r, r_d) <= x < tau: v z up
+    to a = 1 - e^-x, a + (v z - a) / a past it, z = a (1 + e^-x - e^-tau)."""
+    a = -math.expm1(-x)
+    w = v * (a * (1.0 + math.exp(-x) - math.exp(-tau)))
+    return np.where(w > a, a + (w - a) / a, w)
+
+
+def count_hops(seed, trials, n, tau, maxmin, independent, config, cap=None, u=None):
+    """T transmissions (`Hops`) of trials [0, trials) of seed's count rows, and their (T, 3)
+    eavesdropper uniforms; `cap` overrides the switch's, and `u` the rows' words.
+
+    A row is, under max-min, the words best (M = its relay's min(s_r, r_d)),
+    side (below 1/2 iff M is s_r) and the excess of the other gain over M,
+    then the relay's fresh hop-2 word with independent legs; under random
+    selection the relay's s_r and hop-2 words. Then K2's word, a second K2
+    word under max-min with shared legs, k's and K1 - k's; cap jammer words a
+    hop; three eavesdropper words. With shared legs, given M = x, another
+    relay jams hop 2 with q(x), so K2 ~ Bin(n - 1, p) + Bin(n - 1 - that,
+    r(x)). A hop's jammers have gains -log1p(-u p), added in word order, the
+    words past cap from the trial's row of the overflow key; hop 2's where
+    x < tau come from `hop2_words`.
     """
     cap, p = cap or count_cap(n, tau), -math.expm1(-tau)
-    counted = 1 if maxmin and not independent else 2
     width = trial_words(n, maxmin, independent, cap)
-    u = stream_words(seed, 0, trials * width).reshape(trials, width)
+    if u is None:
+        u = stream_words(seed, 0, trials * width).reshape(trials, width)
     g = -np.log1p(-u)
-    rows = np.arange(trials)
+    shared_best = maxmin and not independent
     if maxmin:
-        s_r, r_d = g[:, :n], g[:, n:2 * n]
-        selected = np.argmax(np.minimum(s_r, r_d), axis=1)
-        signal1, at = s_r[rows, selected], 2 * n
+        x = best(u[:, 0], n)
+        s_larger = u[:, 1] >= 0.5
+        signal1 = x + g[:, 2] * s_larger
+        signal2 = x + g[:, 2] * ~s_larger if shared_best else g[:, 3]
+        at = 3 + independent
     else:
-        selected, signal1, at = None, g[:, 0], 1
-    k2 = np.zeros(trials, dtype=np.intp)
-    sums = np.zeros((trials, 2))
-    if counted == 1:
-        jam2 = r_d < tau
-        jam2[rows, selected] = False
-        k2, sums[:, 1], signal2 = jam2.sum(axis=1), interference(r_d, jam2), r_d[rows, selected]
-    else:
-        signal2, at = g[:, at], at + 1
-        k2, at = np.array([invert(n - 1, tau, x) for x in u[:, at]]), at + 1
-    both = np.array([invert(k, tau, x) for k, x in zip(k2, u[:, at])])
-    k1 = both + [invert(n - 1 - k, tau, x) for k, x in zip(k2, u[:, at + 1])]
+        signal1, signal2, at = g[:, 0], g[:, 1], 2
+    k2 = np.array([invert(n - 1, tau, v) for v in u[:, at]])
+    at += 1
+    if shared_best:
+        r = extra_chance(x, tau)
+        f0 = np.exp((n - 1 - k2) * np.log1p(-r))
+        k2 = k2 + [invert_extra(n - 1 - k, r[i], f0[i], u[i, at]) for i, k in enumerate(k2)]
+        at += 1
+    both = np.array([invert(k, tau, v) for k, v in zip(k2, u[:, at])])
+    k1 = both + [invert(n - 1 - k, tau, v) for k, v in zip(k2, u[:, at + 1])]
     jammers = np.stack((k1, k2), axis=1)
-    words = u[:, at + 2:at + 2 + counted * cap]
-    for h in range(counted):
-        gains = -np.log1p(-(words[:, h * cap:(h + 1) * cap] * p))
+    sums = np.zeros((trials, 2))
+
+    def jammer_words(v, i, h):
+        low = h == 1 and shared_best and x[i] < tau
+        return hop2_words(v, float(x[i]), tau) if low else v * p
+
+    for h in range(2):
+        words = u[:, at + 2 + h * cap:at + 2 + (h + 1) * cap]
+        gains = -np.log1p(-np.array([jammer_words(words[i], i, h) for i in range(trials)]))
         for j in range(cap):
             sums[:, h] += np.where(jammers[:, h] > j, gains[:, j], 0.0)
         for i in np.flatnonzero(jammers[:, h] > cap):
-            extra = stream_words(seed, int(i * counted + h) * (n - 1 - cap),
-                                 int(jammers[i, h]) - cap, overflow=True)
-            for x in -np.log1p(-(extra * p)):
-                sums[i, h] += x
+            extra = stream_words(seed, int(i * 2 + h) * (n - 1 - cap), int(jammers[i, h]) - cap,
+                                 overflow=True)
+            for v in -np.log1p(-jammer_words(extra, i, h)):
+                sums[i, h] += v
     sinrs = np.stack((sinr(signal1, sums[:, 0], config), sinr(signal2, sums[:, 1], config)), axis=1)
-    return Hops(selected, None, None, sinrs, jammers, both), u[:, -3:]
+    return Hops(None, None, None, sinrs, jammers, both), u[:, -3:]
 
 
 def noise(config):

@@ -475,7 +475,7 @@ class TestTolerance:
 ROW_FIELDS = ["name", "passed", "observed", "expected", "tolerance", "detail"]
 
 # the jammer, intercept and leg rows of `validate --quick --trials 4000` on
-# stream layout 7; two estimate_outage calls make all four
+# stream layout 8; two estimate_outage calls make all four
 ESTIMATE_ROWS_QUICK_4000 = [
     "PASS jammer_count(n=11, tau=0.1): observed=0.946 expected=0.951626 tol=0.0436 trials=4000",
     "PASS eve_intercept_exact(n=11, tau=0.1): observed=0.61525 expected=0.614157 tol=0.0301 "
@@ -828,15 +828,15 @@ PINNED_STDOUT = {
     (PIN_LB + 'optimal'):
         SWEEP_HEADER + "\n"
         + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.5291005291005291,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.4140786749482402,ok\n'
         + '41,3.216976157401506,17.50546491183158,0.06133260414943754,0.09308243527647585,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.34843205574912894,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.27100271002710025,ok\n'
         + '61,6.343633655561375,43.89599494945155,0.04046763363548053,0.07600149014766888,true,,,'
-          ',,,,,,,,,,,,,,,,,,,0.20491803278688525,ok\n'
+          ',,,,,,,,,,,,,,,,,,,0.1725625539257981,ok\n'
         + '81,11.428685580995614,95.28164991516925,0.030196164714247246,0.06581922119335398,true,'
-          ',,,,,,,,,,,,,,,,,,,,,0.205761316872428,ok\n'
+          ',,,,,,,,,,,,,,,,,,,,,0.1646090534979424,ok\n'
         + '101,19.395130608836762,188.60189547415342,0.024083546369367766,0.05887050112577374,'
-          'true,,,,,,,,,,,,,,,,,,,,,,0.18001800180018002,ok\n',
+          'true,,,,,,,,,,,,,,,,,,,,,,0.14144271570014144,ok\n',
     (PIN_LB + 'random'):
         SWEEP_HEADER + "\n"
         + '21,1.3839416509433922,5.282740684295457,0.1266741116741721,0.13163844238670797,true,,,'

@@ -275,6 +275,29 @@ class TestCountRowsLaw:
         mean = per_relay["jam1_sum"] / trials
         assert wrong == [] and abs(self.jammer_z(counted, trials, mean)) < 6.0 * math.sqrt(2.0)
 
+    @pytest.mark.parametrize("legs", LEG_MODES)
+    def test_maxmin_head_meets_per_relay_rows_at_n1001(self, monkeypatch, legs):
+        # at n = 1001 and tau = 0.0415 (cap 96) count rows draw max-min's relay
+        # from the law of the maximum and, with shared legs, hop 2's jammers
+        # given M; gamma_r = 3 puts the SINRs, and so both hops' interference,
+        # near the threshold
+        n, tau, trials = 1001, 0.0415, 60_000
+        cfg = ScenarioConfig(n=n, m=8, gamma_r=3.0, gamma_e=0.15)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "_COUNT_ROWS_FROM", math.inf)
+            assert channel.count_cap(n, tau) is None
+            per_relay = _run_trials(cfg, "optimal-maxmin", tau, 0, trials, 95, legs)
+        assert channel.count_cap(n, tau) == 96
+        counted = _run_trials(cfg, "optimal-maxmin", tau, 0, trials, 96, legs)
+        z = {}
+        for key in self.KEYS:
+            p = (per_relay[key] + counted[key]) / (2 * trials)
+            z[key] = (per_relay[key] - counted[key]) / trials / math.sqrt(p * (1.0 - p) * 2.0 / trials)
+        assert all(0.0 < per_relay[key] < trials for key in self.KEYS if key != "t_both") and \
+            all(abs(v) < 6.0 for v in z.values()), (z, per_relay, counted)
+        mean = per_relay["jam1_sum"] / trials
+        assert abs(self.jammer_z(counted, trials, mean)) < 6.0 * math.sqrt(2.0)
+
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
     def test_counts_past_cap_split_across_workers(self, small_cap, kind):
         cfg = ScenarioConfig(n=101, m=8, gamma_r=0.5, gamma_e=1.0)
@@ -537,9 +560,10 @@ class TestKernelStages:
         estimate_outage(cfg, ProtocolChoice(kind=kind, tau_policy="manual", tau=tau),
                         trials, 5, legs=legs)
         want = dict.fromkeys(calls, blocks)
-        want["select_relay_optimal"] = blocks if maxmin else 0
-        # count rows decide a jammer set relay by relay only where selection read its words
-        want["jammer_set"] = blocks if not counted or (maxmin and legs == "shared") else 0
+        # count rows draw max-min's relay from the law of the maximum, with no relay index,
+        # and decide no jammer set relay by relay
+        want["select_relay_optimal"] = blocks if maxmin and not counted else 0
+        want["jammer_set"] = 0 if counted else blocks
         # each row format has its own reader, and only it runs
         want["_per_relay_jammers"] = 0 if counted else blocks
         want["_counted_jammers"] = blocks if counted else 0

@@ -10,12 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig, load_balance,
                       per_leg_budget, resolve_tau, tau_protocol1, theorem2_tau_range)
-from relaysec.channel import count_cap, trial_rng
-from relaysec.protocols import (TransmissionRecord, _count_tables, _first_hits, classify_outage,
+from relaysec.channel import ChannelRealization, count_cap, gain, trial_rng
+from relaysec.protocols import (TransmissionRecord, _binomial_invert, _count_tables,
+                                _extra_chance, _first_hits, _hop2_words, classify_outage,
                                 execute_two_hop, intercept_law, jammer_set, select_relay_optimal)
 
 from . import reference
@@ -380,6 +381,86 @@ class TestCountTables:
                             want.append(min(reference.invert(size, tau, u), cap + 1))
         assert got == want
         assert hashlib.sha256(np.array(got, dtype=np.int64).tobytes()).hexdigest()[:16] == digest
+
+
+class TestMaxminLaw:
+    """Max-min's count-row law at chosen points, against numerical CDFs.
+
+    No count-row run reaches M < tau by chance (P(M < tau) is about 0.08^1001
+    at n = 1001), so each inversion is checked here on both sides of x = tau.
+    Given M = x, another relay's (s_r, r_d) is two unit exponentials with
+    min(s_r, r_d) <= x; its hop-2 gain r_d then has the sub-density
+    e^-y (y <= x) or e^-y (1 - e^-x) (y > x).
+    """
+
+    POINTS = [(0.001, 0.1), (0.03, 0.0415), (0.0415, 0.0415), (0.05, 0.0415), (0.5, 0.1),
+              (3.7, 0.0415)]
+
+    @staticmethod
+    def joint(y, x):
+        """P(r_d <= y, min(s_r, r_d) <= x), by numerical integration of the sub-density."""
+        return integrate.quad(lambda v: math.exp(-v) * (1.0 if v <= x else -math.expm1(-x)),
+                              0.0, y, points=[x] if 0.0 < x < y else None,
+                              epsabs=1e-14, epsrel=1e-12)[0]
+
+    @pytest.mark.parametrize("n", [41, 1001, 10 ** 4])
+    def test_maximum_inverts_onto_its_cdf(self, n):
+        # the "best" word u gives M with P(M <= x) = (1 - e^-2x)^n = u, the law
+        # of the largest of n Exp(2) minima, here from scipy's exponential
+        us = np.array([2.0 ** -53, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1.0 - 2.0 ** -40])
+        words = np.zeros((len(us), 2 * 2 + 10))
+        words[:, 0] = us
+        real = ChannelRealization(n=n, maxmin=True, independent=False, words=words, cap=2)
+        x = real.best
+        assert np.all(np.diff(x) > 0)
+        got = stats.expon(scale=0.5).cdf(x) ** n
+        assert np.allclose(got, us, rtol=1e-9, atol=0.0)
+        assert ChannelRealization(n=n, maxmin=False, independent=False, words=words,
+                                  cap=2).best is None
+
+    @pytest.mark.parametrize("x, tau", POINTS)
+    def test_jam_chance_meets_numerical_law(self, x, tau):
+        # q(x) = P(r_d < tau | min <= x) is p + (1 - p) r(x)
+        p = -math.expm1(-tau)
+        q = self.joint(tau, x) / -math.expm1(-2.0 * x)
+        xs = np.array([x])
+        r = _extra_chance(xs, tau, np.flatnonzero(xs < tau).tolist())[0]
+        assert p + (1.0 - p) * r == pytest.approx(q, rel=1e-9)
+
+    @pytest.mark.parametrize("x, tau", POINTS)
+    def test_hop2_gains_invert_onto_numerical_cdf(self, x, tau):
+        # a hop-2 jammer's gain given r_d < tau and min <= x: u p, or below tau
+        # `_hop2_words`, must map each uniform v onto the conditional CDF at v
+        v = np.linspace(0.0, 1.0, 41)[:-1] + 0.0125
+        words = _hop2_words(v.copy(), x, tau) if x < tau else v * -math.expm1(-tau)
+        y = gain(words)
+        assert np.all(np.diff(y) > 0) and y[-1] < tau
+        cdf = np.array([self.joint(g, x) for g in y]) / self.joint(tau, x)
+        assert np.allclose(cdf, v, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("size, r", [(1000, 1e-4), (1000, 0.04), (96, 0.5), (10 ** 4, 0.5)])
+    def test_extra_count_inverts_onto_binomial_cdf(self, size, r):
+        # (1 - r)^size starts the CDF (it underflows to 0 at size 10^4, r = 1/2);
+        # each uniform a hair either side of F(k) must invert to k + 1 or k
+        dist = stats.binom(size, r)
+        ks = [k for k in range(size + 1) if 1e-6 < dist.cdf(k) < 1.0 - 1e-6][::7][:40] or [0]
+        for k in ks:
+            f = dist.cdf(k)
+            us = np.array([f * (1.0 - 1e-7), f * (1.0 + 1e-7)])
+            got = _binomial_invert(np.full(2, size), np.full(2, r), us)
+            assert got.tolist() == [k, k + 1]
+
+    @pytest.mark.parametrize("x, tau", POINTS)
+    def test_hop2_count_is_binomial_at_q(self, x, tau):
+        # K2 = Bin(N, p) + Bin(N - that, r) has the law Bin(N, q(x))
+        size, p = 60, -math.expm1(-tau)
+        xs = np.array([x])
+        r = _extra_chance(xs, tau, np.flatnonzero(xs < tau).tolist())[0]
+        ks = np.arange(size + 1)
+        mixed = [sum(stats.binom.pmf(j, size, p) * stats.binom.pmf(k - j, size - j, r)
+                     for j in range(k + 1)) for k in ks]
+        q = self.joint(tau, x) / -math.expm1(-2.0 * x)
+        assert np.allclose(mixed, stats.binom.pmf(ks, size, q), rtol=0.0, atol=1e-12)
 
 
 class TestClassifyOutage:
