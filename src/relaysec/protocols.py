@@ -349,7 +349,7 @@ def _counted_jammers(real: ChannelRealization, selected: None, tau: float):
     low = [] if x is None or x.min() >= tau else np.flatnonzero(x < tau).tolist()  # rare
     sizes = np.empty((t, 2), dtype=np.intp)  # K1, K2
     k2 = sizes[:, 1]
-    k2[:] = (table[0, 1] <= draws[:, :1]).sum(axis=1)
+    k2[:] = np.searchsorted(table[0, 1], draws[:, 0], side="right")
     if k2.max() > cap:  # rare: a count past cap
         for i in np.flatnonzero(k2 > cap).tolist():
             k2[i] = _invert_on(n - 1, math.log(p), -tau, draws[i, 0], cap, table[0, 1, cap])

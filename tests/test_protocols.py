@@ -432,7 +432,7 @@ class TestMaxminLaw:
         # a hop-2 jammer's gain given r_d < tau and min <= x: u p, or below tau
         # `_hop2_words`, must map each uniform v onto the conditional CDF at v
         v = np.linspace(0.0, 1.0, 41)[:-1] + 0.0125
-        words = _hop2_words(v.copy(), x, tau) if x < tau else v * -math.expm1(-tau)
+        words = _hop2_words(v, x, tau) if x < tau else v * -math.expm1(-tau)
         y = gain(words)
         assert np.all(np.diff(y) > 0) and y[-1] < tau
         cdf = np.array([self.joint(g, x) for g in y]) / self.joint(tau, x)
