@@ -44,6 +44,7 @@ from .channel import ChannelRealization, ScenarioConfig, _uniform_threshold, gai
 from .channel import sinr  # noqa: F401  (not called: the benchmark tracer's tests read it here)
 
 PROTOCOL_KINDS = ("optimal-maxmin", "random-uniform")
+_LAW_TOP = 4095  # up to here the law tables reach n - 1, and cost nothing a block to size
 TAU_POLICIES = ("protocol1-formula", "theorem2-max", "theorem2-min", "manual")
 
 
@@ -173,13 +174,16 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: Scenario
     C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
     C = A B, and `both` is None. An SINR Es g / (Es I + N0/2) reaches
     gamma_e iff g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent
-    of I. The powers come from `_law_powers`, up to the block's largest
-    count rounded up to 2^j - 1, so a run builds a few small tables
-    whatever its n.
+    of I. The powers come from `_law_powers`, up to n - 1, or past
+    _LAW_TOP up to the block's largest count rounded up to 2^j - 1, so a
+    run at any n builds a few tables of the counts it reaches.
     """
     ge = config.gamma_e  # inf: no eavesdropper decodes, in either noise mode
     nu = 0.0 if math.isinf(ge) else math.exp(-ge * config.noise_term / config.es)
-    ab, *joint = _law_powers((1 << int(jammers.max()).bit_length()) - 1, ge, nu, both is not None)
+    top = config.n - 1
+    if top > _LAW_TOP:
+        top = min(top, (1 << int(jammers.max()).bit_length()) - 1)
+    ab, *joint = _law_powers(top, ge, nu, both is not None)
     k1, k2 = jammers.T
     a, b = ab[k1], ab[k2]
     if both is None:
