@@ -368,7 +368,8 @@ def load_balance(config: ScenarioConfig, protocol: ProtocolChoice,
     stream = SeedStream(seed)
     counts = np.zeros(n, dtype=np.int64)
     maxmin = protocol.kind == "optimal-maxmin"
-    constant = True  # max-min picks once an epoch, each pick counting `span` slots
+    constant = True
+    # max-min picks once an epoch, each pick counting `span` slots
     picks_made, span = (epochs, min(epoch_len, slots)) if maxmin else (slots, 1)
     for lo in range(0, picks_made, _BLOCK_WORDS):
         u = stream.uniforms(lo, min(lo + _BLOCK_WORDS, picks_made), 1)[:, 0]

@@ -292,7 +292,8 @@ class TestCountRowsLaw:
         z = {}
         for key in self.KEYS:
             p = (per_relay[key] + counted[key]) / (2 * trials)
-            z[key] = (per_relay[key] - counted[key]) / trials / math.sqrt(p * (1.0 - p) * 2.0 / trials)
+            sigma = math.sqrt(p * (1.0 - p) * 2.0 / trials)
+            z[key] = (per_relay[key] - counted[key]) / trials / sigma
         assert all(0.0 < per_relay[key] < trials for key in self.KEYS if key != "t_both") and \
             all(abs(v) < 6.0 for v in z.values()), (z, per_relay, counted)
         mean = per_relay["jam1_sum"] / trials
