@@ -330,13 +330,15 @@ class ChannelRealization:
 
         Each relay's min(s_r, r_d) is Exp(2), so P(M <= x) = (1 - e^-2x)^n
         (David & Nagaraja, Order Statistics, 2003): the "best" uniform u gives
-        x = -log(-expm1(log(u) / n)) / 2, a numpy ufunc a step as in `gain`.
+        x = -log(-expm1(log(u) / n)) / 2, a numpy ufunc a step as in `gain`;
+        u = 0 reads as the smallest positive word, 2**-53. So M is never below
+        tau: every (n, tau) that draws count rows has tau below M at 2**-53.
         The relay's other gain is M plus an Exp(1) excess (the s_r word).
         """
         if not self.maxmin or self.cap is None:
             return None
-        with np.errstate(divide="ignore"):  # u = 0: log(0) = -inf, and M = 0
-            x = np.log(self["best"][:, 0])
+        x = np.maximum(self["best"][:, 0], 2.0 ** -53)
+        np.log(x, out=x)
         x /= self.n
         np.expm1(x, out=x)
         np.negative(x, out=x)

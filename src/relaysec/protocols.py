@@ -44,7 +44,6 @@ from .channel import ChannelRealization, ScenarioConfig, _uniform_threshold, gai
 from .channel import sinr  # noqa: F401  (not called: the benchmark tracer's tests read it here)
 
 PROTOCOL_KINDS = ("optimal-maxmin", "random-uniform")
-_LAW_TOP = 4095  # up to here the law tables reach n - 1, and cost nothing a block to size
 TAU_POLICIES = ("protocol1-formula", "theorem2-max", "theorem2-min", "manual")
 
 
@@ -174,15 +173,13 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: Scenario
     C = nu^2 q^(K1 + K2 - 2k) / (1 + 2 gamma_e)^k; with independent legs
     C = A B, and `both` is None. An SINR Es g / (Es I + N0/2) reaches
     gamma_e iff g >= gamma_e (I + N0/2 / Es), and g ~ Exp(1) is independent
-    of I. The powers come from `_law_powers`, up to n - 1, or past
-    _LAW_TOP up to the block's largest count rounded up to 2^j - 1, so a
-    run at any n builds a few tables of the counts it reaches.
+    of I. The powers come from `_law_powers`, up to the block's largest
+    count rounded up to 2^j - 1 (at most n - 1), so a run at any n builds a
+    few tables of the counts it reaches.
     """
     ge = config.gamma_e  # inf: no eavesdropper decodes, in either noise mode
     nu = 0.0 if math.isinf(ge) else math.exp(-ge * config.noise_term / config.es)
-    top = config.n - 1
-    if top > _LAW_TOP:
-        top = min(top, (1 << int(jammers.max()).bit_length()) - 1)
+    top = min(config.n - 1, (1 << int(jammers.max()).bit_length()) - 1)
     ab, *joint = _law_powers(top, ge, nu, both is not None)
     k1, k2 = jammers.T
     a, b = ab[k1], ab[k2]
@@ -216,33 +213,39 @@ def _first_hits(eve: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return np.fmin(hits, max(m + 1.0, math.nextafter(m, math.inf)), out=hits).T
 
 
-def _binomial_cdf(size: int, tau: float, top: int, log_fact) -> np.ndarray:
-    """F(k) = P(Bin(size, p) <= k) for k = 0..top, p = 1 - e^-tau, from math scalars.
+_log_fact = functools.lru_cache(maxsize=1 << 16)(lambda j: math.lgamma(j + 1))  # log j!
 
-    Each pmf term is one math.exp of lgammas (log_fact[j] = lgamma(j + 1))
-    and logs, added in k order (at most 1); F is 1 from k = size on, and
-    everywhere at p = 0. The terms come from `math`, not numpy's vectorised
-    exp, so a table does not depend on where an entry sits in an array.
+
+def _pmf_terms(size: int, lo: int, hi: int, log_p: float, log_q: float) -> list[float]:
+    """P(Bin(size, p) = k) for k = lo..hi - 1, from log p and log(1 - p).
+
+    Each term is one math.exp of cached lgammas and logs, not numpy's
+    vectorised exp, so a term does not depend on where it sits in an array.
     """
+    head = _log_fact(size)
+    return [math.exp(head - _log_fact(k) - _log_fact(size - k) + k * log_p + (size - k) * log_q)
+            for k in range(lo, hi)]
+
+
+def _binomial_cdf(size: int, tau: float, top: int) -> np.ndarray:
+    """F(k) = P(Bin(size, p) <= k) for k = 0..top, p = 1 - e^-tau: `_pmf_terms` added in
+    k order (a cumsum adds in order too) and capped at 1; F is 1 from k = size on, and
+    everywhere at p = 0."""
     cdf = np.ones(top + 1)
     if tau > 0.0:
-        log_p, head, total = math.log(-math.expm1(-tau)), log_fact[size], 0.0
-        for k in range(min(top + 1, size)):
-            total += math.exp(head - log_fact[k] - log_fact[size - k]
-                              + k * log_p - (size - k) * tau)
-            cdf[k] = min(total, 1.0)
+        hi = min(top + 1, size)
+        cdf[:hi] = np.minimum(np.cumsum(_pmf_terms(size, 0, hi, math.log(-math.expm1(-tau)),
+                                                   -tau)), 1.0)
     return cdf
 
 
 def _invert_on(size: int, log_p: float, log_q: float, u: float, k: int = -1,
                total: float = 0.0) -> int:
     """#{j : F(j) <= u} for Bin(size, p), log_p = log p and log_q = log(1 - p), given
-    F(k) = total <= u: `_binomial_cdf`'s terms added on in j order until F passes u."""
-    head = math.lgamma(size + 1)
+    F(k) = total <= u: `_pmf_terms` added on in j order until F passes u."""
     while total <= u and k < size:
         k += 1
-        total += math.exp(head - math.lgamma(k + 1) - math.lgamma(size - k + 1)
-                          + k * log_p + (size - k) * log_q)
+        total += _pmf_terms(size, k, k + 1, log_p, log_q)[0]
     return k
 
 
@@ -251,32 +254,28 @@ def _count_tables(n: int, tau: float, cap: int) -> np.ndarray:
     """(cap + 1, 2, cap + 1) read-only inversion tables of count rows, by K2 = 0..cap.
 
     [K2, 0] is Bin(K2, p)'s CDF and [K2, 1] Bin(n - 1 - K2, p)'s, at k = 0..cap
-    (`_binomial_cdf`, each lgamma computed once); [0, 1] is K2's own law,
-    Bin(n - 1, p). A uniform u inverts to #{k : F(k) <= u}, and cap + 1
-    means past cap, where `_invert_on` carries on.
+    (`_binomial_cdf`); [0, 1] is K2's own law, Bin(n - 1, p). A uniform u
+    inverts to #{k : F(k) <= u}, and cap + 1 means past cap, where
+    `_invert_on` carries on.
     """
-    log_fact = {j: math.lgamma(j + 1) for j in (*range(cap + 1), *range(n - 1 - 2 * cap, n))}
-    table = np.array([(_binomial_cdf(k2, tau, cap, log_fact),
-                       _binomial_cdf(n - 1 - k2, tau, cap, log_fact)) for k2 in range(cap + 1)])
+    table = np.array([(_binomial_cdf(k2, tau, cap), _binomial_cdf(n - 1 - k2, tau, cap))
+                      for k2 in range(cap + 1)])
     table.flags.writeable = False
     return table
 
 
-def _extra_chance(x: np.ndarray, tau: float, low) -> np.ndarray:
+def _extra_chance(x: np.ndarray, tau: float) -> np.ndarray:
     """(T,) r = (q - p) / (1 - p), q(x) the chance that a relay jams hop 2 given max-min's
     M = x (shared legs), so that Bin(n - 1, q) is Bin(n - 1, p) + Bin(n - 1 - that, r).
 
     Every other relay's min(s_r, r_d) is at most x, so q = P(r_d < tau |
-    min <= x) = (p - e^-x max(0, e^-x - e^-tau)) / (1 - e^-2x): r is
-    (e^tau - 1) / (e^2x - 1), a numpy ufunc a step, but for the trials
-    `low`, where x < tau, 1 / (1 + e^x) from math scalars.
+    min <= x) = (p - e^-x max(0, e^-x - e^-tau)) / (1 - e^-2x). M is never
+    below tau on count rows (`ChannelRealization.best`), so r is
+    (e^tau - 1) / (e^2x - 1), a numpy ufunc a step.
     """
     r = np.multiply(x, 2.0)
     np.expm1(r, out=r)
-    np.divide(math.expm1(tau), r, out=r, where=r > 0.0)  # x = 0: below tau, or tau = 0
-    for i in low:
-        r[i] = 1.0 / (1.0 + math.exp(x[i]))
-    return r
+    return np.divide(math.expm1(tau), r, out=r)
 
 
 def _binomial_invert(size: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -290,21 +289,6 @@ def _binomial_invert(size: np.ndarray, r: np.ndarray, u: np.ndarray) -> np.ndarr
     for i in np.nonzero(u >= f0)[0].tolist():
         k[i] = _invert_on(int(size[i]), math.log(r[i]), math.log1p(-r[i]), u[i], 0, f0[i])
     return k
-
-
-def _hop2_words(v: np.ndarray, x: float, tau: float) -> np.ndarray:
-    """Words w whose gains -log1p(-w) are r_d given r_d < tau and min(s_r, r_d) <= x < tau,
-    from uniforms v: a hop-2 jammer's gain under max-min with shared legs at M = x.
-
-    With a = 1 - e^-x, P(r_d <= y, min <= x) is 1 - e^-y up to y = x and
-    a + a (e^-x - e^-y) on to tau, where it is z = a (1 + e^-x - e^-tau):
-    so w = v z up to a, and a + (v z - a) / a past it.
-    """
-    a = -math.expm1(-x)
-    w = v * (a * (1.0 + math.exp(-x) - math.exp(-tau)))
-    over = w > a
-    w[over] = a + (w[over] - a) / a
-    return w
 
 
 def _per_relay_jammers(real: ChannelRealization, selected: np.ndarray, tau: float):
@@ -340,7 +324,7 @@ def _counted_jammers(real: ChannelRealization, selected: None, tau: float):
     with q(M) > p, and K2 adds Bin(n - 1 - K2, r(M)) from its second word
     (`_extra_chance`, `_binomial_invert`). The first K of a hop's `cap`
     jammer words u give the words u p, whose gains -log1p(-u p) are Exp(1)
-    truncated below tau (hop 2's from `_hop2_words` where M < tau). A count
+    truncated below tau (so too hop 2's under max-min, as M >= tau). A count
     past cap carries on past the table (`_invert_on`); its other jammer
     words, in order, from its row of the overflow key, come after all the
     others. Count rows hold no relay index: `selected` is None.
@@ -350,7 +334,6 @@ def _counted_jammers(real: ChannelRealization, selected: None, tau: float):
     table = _count_tables(n, tau, cap)
     draws = real["draws"]
     x = real.best if real.maxmin and not real.independent else None  # hop 2 reads M
-    low = [] if x is None or x.min() >= tau else np.flatnonzero(x < tau).tolist()  # rare
     sizes = np.empty((t, 2), dtype=np.intp)  # K1, K2
     k2 = sizes[:, 1]
     k2[:] = np.searchsorted(table[0, 1], draws[:, 0], side="right")
@@ -358,7 +341,7 @@ def _counted_jammers(real: ChannelRealization, selected: None, tau: float):
         for i in np.flatnonzero(k2 > cap).tolist():
             k2[i] = _invert_on(n - 1, math.log(p), -tau, draws[i, 0], cap, table[0, 1, cap])
     if x is not None:  # Bin(n - 1, q(M)) = Bin(n - 1, p) + Bin(n - 1 - that, r(M))
-        k2 += _binomial_invert(n - 1 - k2, _extra_chance(x, tau, low), draws[:, 1])
+        k2 += _binomial_invert(n - 1 - k2, _extra_chance(x, tau), draws[:, 1])
     split = (table[np.minimum(k2, cap)] <= draws[:, -2:, None]).sum(axis=2)  # k, K1 - k
     sizes[:, 0] = split.sum(axis=1)
     past = sizes.max() > cap
@@ -370,15 +353,12 @@ def _counted_jammers(real: ChannelRealization, selected: None, tau: float):
     # flat index (trial, hop, word) of each jammer's word: flat // cap is its cell
     flat = np.flatnonzero(np.arange(cap) < sizes[:, :, None])
     words, cell = [real["jam"].reshape(-1)[flat] * p], flat // cap
-    for i in low:  # M < tau: hop 2's jammers have min(s_r, r_d) <= M too
-        mine = cell == 2 * i + 1
-        words[0][mine] = _hop2_words(real["jam"].reshape(-1)[flat[mine]], float(x[i]), tau)
     if past:
         for i, h in zip(*np.nonzero(sizes > cap)):
             key = real.stream.uniforms(real.first + i, real.first + i + 1, 2 * (n - 1 - cap),
                                        overflow=True)
             extra = key[0, h * (n - 1 - cap):][:sizes[i, h] - cap]
-            words.append(_hop2_words(extra, float(x[i]), tau) if h and i in low else extra * p)
+            words.append(extra * p)
             cell = np.concatenate((cell, np.full(sizes[i, h] - cap, 2 * i + h)))
     return words, cell, sizes, None if real.independent else split[:, 0]
 

@@ -89,17 +89,15 @@ def invert(size, tau, u):
 
 
 def best(u, n):
-    """Max-min's relay's min(s_r, r_d) from its uniform u: (1 - e^-2x)^n = u, in log space."""
-    with np.errstate(divide="ignore"):
-        return -0.5 * np.log(-np.expm1(np.log(u) / n))
+    """Max-min's relay's min(s_r, r_d) from its uniform u: (1 - e^-2x)^n = u, in log space;
+    u = 0 reads as 2**-53, the smallest positive word."""
+    return -0.5 * np.log(-np.expm1(np.log(np.maximum(u, 2.0 ** -53)) / n))
 
 
 def extra_chance(x, tau):
     """r(x) = (q - p) / (1 - p), q(x) the chance that another relay jams hop 2 given max-min's
-    min is x: (e^tau - 1) / (e^2x - 1) for x >= tau (0 where that is 0 / 0), 1 / (1 + e^x) below."""
-    e = np.expm1(2.0 * x)
-    r = np.divide(math.expm1(tau), e, out=np.zeros_like(e), where=e > 0.0)
-    return np.where(x < tau, [1.0 / (1.0 + math.exp(v)) for v in x], r)
+    min is x >= tau (count rows never hold a smaller one): (e^tau - 1) / (e^2x - 1)."""
+    return math.expm1(tau) / np.expm1(2.0 * x)
 
 
 def invert_extra(size, r, f0, u):
@@ -110,14 +108,6 @@ def invert_extra(size, r, f0, u):
         k += 1
         total += pmf_term(size, k, math.log(r), math.log1p(-r))
     return k
-
-
-def hop2_words(v, x, tau):
-    """Words whose gains -log1p(-w) are r_d given r_d < tau and min(s_r, r_d) <= x < tau: v z up
-    to a = 1 - e^-x, a + (v z - a) / a past it, z = a (1 + e^-x - e^-tau)."""
-    a = -math.expm1(-x)
-    w = v * (a * (1.0 + math.exp(-x) - math.exp(-tau)))
-    return np.where(w > a, a + (w - a) / a, w)
 
 
 def count_hops(seed, trials, n, tau, maxmin, independent, config, cap=None, u=None):
@@ -132,8 +122,7 @@ def count_hops(seed, trials, n, tau, maxmin, independent, config, cap=None, u=No
     hop; three eavesdropper words. With shared legs, given M = x, another
     relay jams hop 2 with q(x), so K2 ~ Bin(n - 1, p) + Bin(n - 1 - that,
     r(x)). A hop's jammers have gains -log1p(-u p), added in word order, the
-    words past cap from the trial's row of the overflow key; hop 2's where
-    x < tau come from `hop2_words`.
+    words past cap from the trial's row of the overflow key.
     """
     cap, p = cap or count_cap(n, tau), -math.expm1(-tau)
     width = trial_words(n, maxmin, independent, cap)
@@ -160,20 +149,14 @@ def count_hops(seed, trials, n, tau, maxmin, independent, config, cap=None, u=No
     k1 = both + [invert(n - 1 - k, tau, v) for k, v in zip(k2, u[:, at + 1])]
     jammers = np.stack((k1, k2), axis=1)
     sums = np.zeros((trials, 2))
-
-    def jammer_words(v, i, h):
-        low = h == 1 and shared_best and x[i] < tau
-        return hop2_words(v, float(x[i]), tau) if low else v * p
-
     for h in range(2):
-        words = u[:, at + 2 + h * cap:at + 2 + (h + 1) * cap]
-        gains = -np.log1p(-np.array([jammer_words(words[i], i, h) for i in range(trials)]))
+        gains = -np.log1p(-u[:, at + 2 + h * cap:at + 2 + (h + 1) * cap] * p)
         for j in range(cap):
             sums[:, h] += np.where(jammers[:, h] > j, gains[:, j], 0.0)
         for i in np.flatnonzero(jammers[:, h] > cap):
             extra = stream_words(seed, int(i * 2 + h) * (n - 1 - cap), int(jammers[i, h]) - cap,
                                  overflow=True)
-            for v in -np.log1p(-jammer_words(extra, i, h)):
+            for v in -np.log1p(-extra * p):
                 sums[i, h] += v
     sinrs = np.stack((sinr(signal1, sums[:, 0], config), sinr(signal2, sums[:, 1], config)), axis=1)
     return Hops(None, None, None, sinrs, jammers, both), u[:, -3:]

@@ -16,7 +16,7 @@ from relaysec import (ProtocolChoice, ScenarioConfig, estimate_outage,
                       tolerance_search, wilson_interval)
 from relaysec import channel, montecarlo, protocols
 from relaysec.channel import trial_words
-from relaysec.montecarlo import LEG_MODES, _first_interceptors, _run_trials
+from relaysec.montecarlo import LEG_MODES, _blocks, _first_interceptors, _run_trials
 from relaysec.protocols import PROTOCOL_KINDS
 from relaysec.serialize import dumps
 
@@ -298,6 +298,33 @@ class TestCountRowsLaw:
             all(abs(v) < 6.0 for v in z.values()), (z, per_relay, counted)
         mean = per_relay["jam1_sum"] / trials
         assert abs(self.jammer_z(counted, trials, mean)) < 6.0 * math.sqrt(2.0)
+
+    def test_maxmin_hop2_count_meets_per_relay_rows(self, monkeypatch):
+        # with shared legs a relay other than max-min's jams hop 2 with q(M) > p:
+        # at n = 41 and tau = 0.25 K2's mean is about 0.2 over (n - 1) p = 8.85,
+        # some 14 standard errors of the two-sample gap at 60,000 trials a side.
+        # Count rows are forced with a 3 sigma margin (cap 19), and the
+        # smallest M the stream gives, 0.262, is still above tau
+        n, tau, trials = 41, 0.25, 60_000
+        cfg = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
+        assert -0.5 * math.log(-math.expm1(math.log(2.0 ** -53) / n)) > tau
+
+        def hop2_count_moments():
+            k2 = np.concatenate([r.jammers[:, 1] for r in
+                                 _blocks(cfg, "optimal-maxmin", tau, 0, trials, 97, "shared")])
+            return k2.mean(), k2.var(ddof=1) / trials
+
+        monkeypatch.setattr(channel, "_COUNT_ROWS_FROM", math.inf)
+        assert channel.count_cap(n, tau) is None
+        per_relay = hop2_count_moments()
+        monkeypatch.setattr(channel, "_COUNT_ROWS_FROM", n)
+        monkeypatch.setattr(channel, "_CAP_SIGMAS", 3)
+        monkeypatch.setattr(channel, "_CAP_PAD", 2)
+        assert channel.count_cap(n, tau) == 19
+        counted = hop2_count_moments()
+        z = (counted[0] - per_relay[0]) / math.sqrt(per_relay[1] + counted[1])
+        assert abs(z) < 6.0 and per_relay[0] - (n - 1) * -math.expm1(-tau) > 0.1, \
+            (z, per_relay, counted)
 
     @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
     def test_counts_past_cap_split_across_workers(self, small_cap, kind):

@@ -16,7 +16,7 @@ from relaysec import (InfeasibleConfigError, ProtocolChoice, ScenarioConfig, loa
                       per_leg_budget, resolve_tau, tau_protocol1, theorem2_tau_range)
 from relaysec.channel import ChannelRealization, count_cap, gain, trial_rng
 from relaysec.protocols import (TransmissionRecord, _binomial_invert, _count_tables,
-                                _extra_chance, _first_hits, _hop2_words, classify_outage,
+                                _extra_chance, _first_hits, classify_outage,
                                 execute_two_hop, intercept_law, jammer_set, select_relay_optimal)
 
 from . import reference
@@ -386,15 +386,13 @@ class TestCountTables:
 class TestMaxminLaw:
     """Max-min's count-row law at chosen points, against numerical CDFs.
 
-    No count-row run reaches M < tau by chance (P(M < tau) is about 0.08^1001
-    at n = 1001), so each inversion is checked here on both sides of x = tau.
-    Given M = x, another relay's (s_r, r_d) is two unit exponentials with
-    min(s_r, r_d) <= x; its hop-2 gain r_d then has the sub-density
-    e^-y (y <= x) or e^-y (1 - e^-x) (y > x).
+    Count rows never hold M < tau (`test_maximum_is_never_below_tau`), so each
+    point has x >= tau. Given M = x, another relay's (s_r, r_d) is two unit
+    exponentials with min(s_r, r_d) <= x; its hop-2 gain r_d then has the
+    sub-density e^-y (y <= x) or e^-y (1 - e^-x) (y > x).
     """
 
-    POINTS = [(0.001, 0.1), (0.03, 0.0415), (0.0415, 0.0415), (0.05, 0.0415), (0.5, 0.1),
-              (3.7, 0.0415)]
+    POINTS = [(0.0415, 0.0415), (0.05, 0.0415), (0.3, 0.25), (0.5, 0.1), (3.7, 0.0415)]
 
     @staticmethod
     def joint(y, x):
@@ -417,23 +415,35 @@ class TestMaxminLaw:
         assert np.allclose(got, us, rtol=1e-9, atol=0.0)
         assert ChannelRealization(n=n, maxmin=False, independent=False, words=words,
                                   cap=2).best is None
+        words[0, 0] = 0.0  # read as the smallest positive word
+        assert ChannelRealization(n=n, maxmin=True, independent=False, words=words,
+                                  cap=2).best[0] == x[0]
+
+    def test_maximum_is_never_below_tau(self):
+        # the smallest M the stream gives (its word 2**-53) is above every tau
+        # that draws count rows at its n: cap grows with tau wherever
+        # 2 cap <= n - 1, so count rows at tau = M would hold at every smaller tau
+        ns = [*range(41, 3001), *np.unique(np.geomspace(3001, 10 ** 12, 400).astype(np.int64))]
+        for n in ns:
+            words = np.zeros((1, 2 * 2 + 10))
+            x = ChannelRealization(n=int(n), maxmin=True, independent=False, words=words,
+                                   cap=2).best[0]
+            assert count_cap(int(n), float(x)) is None, n
 
     @pytest.mark.parametrize("x, tau", POINTS)
     def test_jam_chance_meets_numerical_law(self, x, tau):
         # q(x) = P(r_d < tau | min <= x) is p + (1 - p) r(x)
         p = -math.expm1(-tau)
         q = self.joint(tau, x) / -math.expm1(-2.0 * x)
-        xs = np.array([x])
-        r = _extra_chance(xs, tau, np.flatnonzero(xs < tau).tolist())[0]
+        r = _extra_chance(np.array([x]), tau)[0]
         assert p + (1.0 - p) * r == pytest.approx(q, rel=1e-9)
 
     @pytest.mark.parametrize("x, tau", POINTS)
     def test_hop2_gains_invert_onto_numerical_cdf(self, x, tau):
-        # a hop-2 jammer's gain given r_d < tau and min <= x: u p, or below tau
-        # `_hop2_words`, must map each uniform v onto the conditional CDF at v
+        # a hop-2 jammer's gain given r_d < tau and min <= x, read from the
+        # word v p, must map each uniform v onto the conditional CDF at v
         v = np.linspace(0.0, 1.0, 41)[:-1] + 0.0125
-        words = _hop2_words(v, x, tau) if x < tau else v * -math.expm1(-tau)
-        y = gain(words)
+        y = gain(v * -math.expm1(-tau))
         assert np.all(np.diff(y) > 0) and y[-1] < tau
         cdf = np.array([self.joint(g, x) for g in y]) / self.joint(tau, x)
         assert np.allclose(cdf, v, rtol=0.0, atol=1e-9)
@@ -454,8 +464,7 @@ class TestMaxminLaw:
     def test_hop2_count_is_binomial_at_q(self, x, tau):
         # K2 = Bin(N, p) + Bin(N - that, r) has the law Bin(N, q(x))
         size, p = 60, -math.expm1(-tau)
-        xs = np.array([x])
-        r = _extra_chance(xs, tau, np.flatnonzero(xs < tau).tolist())[0]
+        r = _extra_chance(np.array([x]), tau)[0]
         ks = np.arange(size + 1)
         mixed = [sum(stats.binom.pmf(j, size, p) * stats.binom.pmf(k - j, size - j, r)
                      for j in range(k + 1)) for k in ks]

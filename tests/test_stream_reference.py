@@ -20,7 +20,7 @@ import pytest
 from relaysec import ProtocolChoice, ScenarioConfig, estimate_outage, merge_estimates
 from relaysec import channel, montecarlo
 from relaysec.montecarlo import _blocks, _first_interceptors, _map_ranges, _run_trials
-from relaysec.protocols import COUNT_KEYS, TransmissionRecord, execute_two_hop
+from relaysec.protocols import COUNT_KEYS
 
 from . import reference
 
@@ -139,37 +139,6 @@ def test_counts_past_cap_match_reference(monkeypatch, small_cap, kind, legs):
                                     workers=4).counts) == want
     monkeypatch.setattr(montecarlo, "_BLOCK_WORDS", 1)
     assert as_tuple(_run_trials(*run, 0, trials, SEED, legs)) == want
-
-
-@pytest.mark.parametrize("legs", ["shared", "independent"])
-def test_maximum_below_tau_matches_reference(legs):
-    # no seed reaches M < tau on count rows, so every other trial's "best" word
-    # is set to 1e-120 (M = 0.034 < tau = 0.1 at n = 101): with shared legs
-    # about 54 relays then jam hop 2, past cap 38, so hop 2's conditioned
-    # gains are read from the table's words and from the overflow key
-    n, tau, trials = 101, 0.1, 60
-    cap = channel.count_cap(n, tau)
-    config = ScenarioConfig(n=n, m=8, gamma_r=0.5, gamma_e=1.0)
-    width = reference.trial_words(n, True, legs == "independent", cap)
-    u = reference.stream_words(SEED, 0, trials * width).reshape(trials, width)
-    u[::2, 0] = 1e-120
-    hops, eve = reference.count_hops(SEED, trials, n, tau, True, legs == "independent", config,
-                                     u=u)
-    assert (legs == "shared") == bool(np.count_nonzero(hops.jammers[::2, 1] > cap) > trials // 4)
-    record = outcomes(eve, hops, config, legs == "shared")[1]
-
-    def kernel(rows):
-        real = channel.ChannelRealization(n=n, maxmin=True, independent=legs == "independent",
-                                          words=u[rows], cap=cap,
-                                          stream=channel.SeedStream(SEED), first=rows.start)
-        assert np.array_equal(real.best < tau, np.arange(trials)[rows] % 2 == 0)
-        return execute_two_hop(real, None, tau, config)
-
-    ones = [kernel(slice(t, t + 1)) for t in range(trials)]
-    for got in (kernel(slice(0, trials)),
-                TransmissionRecord(*[None if part[0] is None else np.concatenate(part)
-                                     for part in zip(*ones)])):
-        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, record))
 
 
 def test_switch_matches_reference():
