@@ -179,7 +179,7 @@ def intercept_law(jammers: np.ndarray, both: np.ndarray | None, config: Scenario
     """
     ge = config.gamma_e  # inf: no eavesdropper decodes, in either noise mode
     nu = 0.0 if math.isinf(ge) else math.exp(-ge * config.noise_term / config.es)
-    top = min(config.n - 1, (1 << int(jammers.max()).bit_length()) - 1)
+    top = min(config.n - 1, (1 << int(np.maximum.reduce(jammers, axis=None)).bit_length()) - 1)
     ab, *joint = _law_powers(top, ge, nu, both is not None)
     k1, k2 = jammers.T
     a, b = ab[k1], ab[k2]
